@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegenerateAlignment, InconsistentPair, InvalidInput
 from .geometry import (
@@ -26,7 +25,7 @@ from .geometry import (
     canonical_angle,
     probe_orthogonal,
     rotation_about_axis,
-    rotations_about_axis,
+    skew,
     turn_axis,
 )
 
@@ -35,9 +34,36 @@ TWO_PI = 2.0 * math.pi
 TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
 TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
 TOL_SYM = 1e-7          # max outer-angle mismatch under the equal-outer option
-ROOT_GRID = 4001        # scan resolution for the equal-middle angle equation
 ALIGN_FIX_TOL = 1e-7    # axis must be fixed this tightly for a 1-segment solution
 PERP_FALLBACK = 1e-7    # below this the secondary probe falls back to a basis probe
+
+# Equal-middle root selection.  The eliminated scalar equation is a
+# trigonometric polynomial in beta; its real roots are the eigenvalues z of
+# the companion matrix that lie on the unit circle (z = e^{i beta}).
+# - ROOT_UNIT_BAND: eigenvalues with ||z| - 1| up to this count as real.  A
+#   double root comes out as a pair up to ~1e-7 from the circle (about the
+#   square root of machine epsilon), and a near-tangential dip that misses
+#   zero by d sits about sqrt(2 d / |gap''|) off it; whatever the band admits
+#   still has to pass the residual gate.
+# - ROOT_END_BAND: beta must lie in the open interval (band, pi - band), both
+#   as the eigenvalue angle and after polishing.  The endpoints are not
+#   solutions: beta = 0 is a middle arc of exactly pi (the fixed-pi family's),
+#   beta = pi middle arcs of 2pi (full loops).  The identity target has a
+#   double root at beta = pi whose numerical split lands up to ~1e-7 inside
+#   the interval; the band must stay well above that and well below the
+#   distance of real roots from the ends (roots at 3e-4 are tested).
+# - NEWTON_STEPS / NEWTON_STOP: polishing takes Newton steps on the real gap
+#   with the analytic derivative, at most NEWTON_STEPS of them, stopping once
+#   a step is below NEWTON_STOP or fails to shrink |gap| (that step is not
+#   taken).  Eigenvalues of simple roots are already within a few ulps, so
+#   one or two steps are taken; near a tangential minimum Newton cannot
+#   reach zero and stops at the first step that does not shrink |gap|.
+# - ROOT_MERGE: polished roots closer than this are one root.
+ROOT_UNIT_BAND = 1e-6
+ROOT_END_BAND = 1e-6
+NEWTON_STEPS = 8
+NEWTON_STOP = 1e-15
+ROOT_MERGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -261,6 +287,70 @@ def solve_three(
     return solutions
 
 
+def _laurent_coefficients(
+    a_first: np.ndarray, mid_axes: Sequence[np.ndarray], a_last: np.ndarray
+) -> np.ndarray:
+    """Coefficients c[k + n] of a_first . B(beta) a_last = sum_k c_k e^{i k beta}.
+
+    B is the product of the n interior rotations R(a, pi + beta), each equal
+    to (I + K^2) - sin(beta) K + cos(beta) K^2 with K = skew(a), i.e. the
+    Laurent polynomial A_{-1}/z + A_0 + A_1 z in z = e^{i beta}.
+    """
+    row = a_first.astype(complex)[None, :]
+    for axis in mid_axes:
+        k = skew(axis)
+        k2 = k @ k
+        terms = (0.5 * k2 - 0.5j * k, np.eye(3) + k2, 0.5 * k2 + 0.5j * k)
+        grown = np.zeros((len(row) + 2, 3), dtype=complex)
+        for shift, term in enumerate(terms):
+            grown[shift:shift + len(row)] += row @ term
+        row = grown
+    return row @ a_last
+
+
+def _trig_value(coeffs: np.ndarray, beta: float) -> tuple[float, float]:
+    """Value and derivative in beta of the real trig polynomial sum_k c_k e^{i k beta}."""
+    n = (len(coeffs) - 1) // 2
+    powers = np.exp(1j * beta * np.arange(1, n + 1))
+    upper = coeffs[n + 1:] * powers
+    value = coeffs[n].real + 2.0 * float(np.sum(upper).real)
+    slope = -2.0 * float(np.sum(np.arange(1, n + 1) * upper.imag))
+    return value, slope
+
+
+def _polish(coeffs: np.ndarray, beta: float) -> float:
+    """Newton steps on the real gap (stop rule: see NEWTON_STEPS above)."""
+    value, slope = _trig_value(coeffs, beta)
+    for _ in range(NEWTON_STEPS):
+        if value == 0.0 or slope == 0.0:
+            break
+        step = value / slope
+        new_value, new_slope = _trig_value(coeffs, beta - step)
+        if abs(new_value) >= abs(value):
+            break
+        beta, value, slope = beta - step, new_value, new_slope
+        if abs(step) <= NEWTON_STOP:
+            break
+    return beta
+
+
+def _in_open_interval(beta: float) -> bool:
+    return ROOT_END_BAND < beta < math.pi - ROOT_END_BAND
+
+
+def _interior_roots(coeffs: np.ndarray) -> list[float]:
+    """Real roots beta in (0, pi) of a trig polynomial, via companion eigenvalues."""
+    roots: list[float] = []
+    for z in np.roots(coeffs[::-1]):
+        beta = math.atan2(z.imag, z.real)
+        if abs(abs(z) - 1.0) > ROOT_UNIT_BAND or not _in_open_interval(beta):
+            continue
+        beta = _polish(coeffs, beta)
+        if _in_open_interval(beta) and all(abs(beta - b) > ROOT_MERGE for b in roots):
+            roots.append(beta)
+    return sorted(roots)
+
+
 def solve_equal_middle(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
@@ -270,11 +360,14 @@ def solve_equal_middle(
 ) -> list[CandidateSolution]:
     """Solve 4- and 5-segment alternating turn chains with equal middle arcs.
 
-    Interior arcs share one angle pi + beta with beta in (0, pi).  The outer
-    projection of the matrix equation gives a scalar function of beta which is
-    scanned on a uniform grid; sign changes are refined by bisection and
-    near-tangential minima are polished by golden-section search.  Outer arcs
-    must land in [0, pi + beta].
+    Interior arcs share one angle pi + beta with beta in (0, pi).  Projecting
+    the matrix equation onto the outer axes gives a trigonometric polynomial
+    in beta of degree 2 (4-chains) or 3 (5-chains), built exactly from the
+    axes.  Its roots are the unit-circle eigenvalues of the degree-4/6
+    companion matrix in z = e^{i beta} (Boyd, "Computing zeros of Fourier
+    series by polynomial rootfinding", 2006), polished by Newton steps; the
+    bands and stop rule are documented beside ROOT_UNIT_BAND.  Outer arcs are
+    then recovered by probe alignment and must land in [0, pi + beta].
     """
     ks = tuple(SegmentKind(k) for k in kinds)
     if len(ks) not in (4, 5):
@@ -284,58 +377,17 @@ def solve_equal_middle(
     a_first = turn_axis(ks[0], geom)
     a_last = turn_axis(ks[-1], geom)
     mid_axes = [turn_axis(k, geom) for k in ks[1:-1]]
-    rhs = float(a_first @ (m @ a_last))
-
-    def middle_block(beta: float) -> np.ndarray:
-        block = np.eye(3)
-        for axis in mid_axes:
-            block = block @ rotation_about_axis(axis, math.pi + beta)
-        return block
-
-    def gap(beta: float) -> float:
-        return float(a_first @ (middle_block(beta) @ a_last)) - rhs
-
-    betas = np.linspace(0.0, math.pi, ROOT_GRID + 2)[1:-1]
-    blocks = rotations_about_axis(mid_axes[0], math.pi + betas)
-    for axis in mid_axes[1:]:
-        blocks = blocks @ rotations_about_axis(axis, math.pi + betas)
-    values = np.einsum("i,nij,j->n", a_first, blocks, a_last) - rhs
-
-    roots: list[float] = []
-
-    def add_root(beta: float) -> None:
-        if all(abs(beta - b) > 1e-9 for b in roots):
-            roots.append(beta)
-
-    signs = np.sign(values)
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        root = optimize.bisect(gap, betas[i], betas[i + 1], xtol=1e-15)
-        if abs(gap(root)) <= 1e-12:
-            add_root(float(root))
-    for i in np.nonzero(values == 0.0)[0]:
-        add_root(float(betas[i]))
-    # tangential (double) roots: |gap| dips below 1e-6 without a sign change
-    mags = np.abs(values)
-    interior = np.nonzero(
-        (mags[1:-1] < 1e-6) & (mags[1:-1] < mags[:-2]) & (mags[1:-1] < mags[2:])
-    )[0]
-    for i in interior + 1:
-        if signs[i - 1] * signs[i] < 0 or signs[i] * signs[i + 1] < 0:
-            continue
-        try:
-            res = optimize.minimize_scalar(
-                lambda b: abs(gap(b)), bracket=(betas[i - 1], betas[i], betas[i + 1]),
-                method="golden", options={"xtol": 1e-14},
-            )
-        except ValueError:
-            continue
-        add_root(float(res.x))
+    coeffs = _laurent_coefficients(a_first, mid_axes, a_last)
+    coeffs[len(mid_axes)] -= float(a_first @ (m @ a_last))
 
     family = tag if tag is not None else _tag(ks)
+    axes = [a_first] + mid_axes + [a_last]
     solutions: list[CandidateSolution] = []
-    for beta in sorted(roots):
+    for beta in _interior_roots(coeffs):
         middle = math.pi + beta
-        block = middle_block(beta)
+        block = np.eye(3)
+        for axis in mid_axes:
+            block = block @ rotation_about_axis(axis, middle)
         outer = _recover_outer(m, (a_first, mid_axes[0], a_last), block)
         if outer is None:
             continue
@@ -343,7 +395,6 @@ def solve_equal_middle(
         if not (alpha <= middle + 1e-9 and gamma <= middle + 1e-9):
             continue
         angles = (alpha,) + (middle,) * len(mid_axes) + (gamma,)
-        axes = [a_first] + mid_axes + [a_last]
         res = _residual(m, angles, axes)
         if res <= residual_tol:
             solutions.append(CandidateSolution(angles, res, family))

@@ -277,7 +277,7 @@ def normalize_request(
     return m, geom
 
 
-def _middle_ok(template: FamilyTemplate, middle: float, regime_has_fixed_pi: bool) -> bool:
+def _middle_ok(middle: float, regime_has_fixed_pi: bool) -> bool:
     if regime_has_fixed_pi and abs(middle - math.pi) <= MIDDLE_PI_BAND:
         return False  # the root belongs to the fixed-pi family
     return middle >= math.pi - MIDDLE_PI_BAND
@@ -316,7 +316,7 @@ def solve_family(
             if alpha > math.pi + OUTER_PI_SLACK or gamma > math.pi + OUTER_PI_SLACK:
                 continue
         elif template.is_free_middle_turn_triple:
-            if not _middle_ok(template, sol.angles[1], regime_has_fixed_pi):
+            if not _middle_ok(sol.angles[1], regime_has_fixed_pi):
                 continue
         feasible.append(sol.segments(kinds))
     return feasible

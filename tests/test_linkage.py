@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from conftest import random_in_bounds_path, random_unit
 from sphere_dubins import geometry as geo
@@ -121,12 +122,66 @@ def test_equal_middle_identity_empty():
     assert lk.solve_equal_middle(np.eye(3), ("R", "L", "R", "L"), GEOM5) == []
 
 
+@pytest.mark.parametrize("r", [0.55, 0.6, 0.71, 0.8, math.sqrt(3.0) / 2.0])
+@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
+def test_equal_middle_identity_has_no_full_loops(pattern, r):
+    """The identity's double root at beta = pi (middle arcs of 2pi) is not a root."""
+    g = geo.TurnGeometry.from_radius(r)
+    for sol in lk.solve_equal_middle(np.eye(3), tuple(pattern), g):
+        assert sol.angles[1] < 2.0 * math.pi - 1e-6, sol.angles
+
+
 def test_equal_middle_five_chain_roundtrip():
     g = geo.TurnGeometry.from_radius(0.8)
     angles = (0.9, math.pi + 0.6, math.pi + 0.6, math.pi + 0.6, 1.7)
     m = compose("RLRLR", angles, g)
     sols = lk.solve_equal_middle(m, ("R", "L", "R", "L", "R"), g)
     assert any(np.allclose(s.angles, angles, atol=1e-8) for s in sols)
+
+
+def _chain_target(pattern: str, r: float, beta: float):
+    """Target of an equal-middle chain with outer arcs 0.7 and 1.1."""
+    g = geo.TurnGeometry.from_radius(r)
+    angles = (0.7,) + (math.pi + beta,) * (len(pattern) - 2) + (1.1,)
+    return compose(pattern, angles, g), g, angles
+
+
+@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
+@pytest.mark.parametrize(
+    "r,beta", [(0.6, 5e-4), (0.6, math.pi - 5e-4), (0.8, 3e-4)]
+)
+def test_equal_middle_roots_near_interval_ends(pattern, r, beta):
+    """Roots within a grid cell of beta = 0 or pi are found."""
+    m, g, angles = _chain_target(pattern, r, beta)
+    sols = lk.solve_equal_middle(m, tuple(pattern), g)
+    match = [s for s in sols if np.allclose(s.angles, angles, rtol=0.0, atol=1e-8)]
+    assert match, f"generating angles not recovered: {[s.angles for s in sols]}"
+    assert match[0].residual <= 1e-9
+
+
+def _interior_gap(pattern: str, g, beta: float) -> float:
+    """a_first . B(beta) a_last, composed directly from the rotations."""
+    block = np.eye(3)
+    for kind in pattern[1:-1]:
+        block = block @ geo.segment_rotation(kind, math.pi + beta, g)
+    return float(geo.turn_axis(pattern[0], g) @ block @ geo.turn_axis(pattern[-1], g))
+
+
+@pytest.mark.parametrize("pattern,r,guess", [("RLRL", 0.6, 1.17), ("LRLR", 0.75, 1.68)])
+def test_equal_middle_near_double_root(pattern, r, guess):
+    """Two roots 2e-4 apart, either side of an extremum, are both returned."""
+    g = geo.TurnGeometry.from_radius(r)
+    peak = optimize.minimize_scalar(
+        lambda b: -_interior_gap(pattern, g, b),
+        bracket=(guess - 0.05, guess, guess + 0.05), tol=1e-12,
+    ).x
+    beta = peak + 1e-4
+    m, g, angles = _chain_target(pattern, r, beta)
+    sols = lk.solve_equal_middle(m, tuple(pattern), g)
+    assert all(s.residual <= 1e-9 for s in sols)
+    betas = [s.angles[1] - math.pi for s in sols]
+    assert any(abs(b - beta) <= 1e-8 for b in betas), betas
+    assert any(abs(b - (2.0 * peak - beta)) <= 1e-6 for b in betas), betas
 
 
 def test_candidate_residual_recomputes_exactly():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +237,15 @@ def test_plan_upper_bound_and_endpoint_soundness(r):
         m, geom2, initial, final, _ = pl.normalize_problem(req)
         reached = initial.frame() @ geo.compose_path(result.best_candidate.segments, geom2)
         assert np.max(np.abs(reached - final.frame())) <= 1e-8
+
+
+def test_planning_import_does_not_load_scipy():
+    """scipy serves only the verification lab; planning runs on numpy alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sphere_dubins.planner, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
