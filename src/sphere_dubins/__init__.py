@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .linkage import (
     CandidateSolution,
-    LinkageProblem,
     solve_equal_middle,
     solve_one,
     solve_three,
@@ -51,7 +50,6 @@ from .planner import (
     PlanResult,
     Pose,
     family_catalog,
-    normalize_request,
     plan,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "InvalidInitialState",
     "InvalidInput",
     "L",
-    "LinkageProblem",
     "MalformedConfiguration",
     "NoCandidateFound",
     "OutOfDomain",
@@ -84,7 +81,6 @@ __all__ = [
     "align_angle",
     "compose_path",
     "family_catalog",
-    "normalize_request",
     "path_length",
     "plan",
     "relative_rotation",

@@ -150,6 +150,13 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, same bits, without its per-call overhead."""
+    ux, uy, uz = u
+    vx, vy, vz = v
+    return np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
+
+
 def segment_generator(kind: SegmentKind | str, geom: TurnGeometry) -> np.ndarray:
     """Unit-axis skew generator of a segment: d(rotation)/d(angle) at 0."""
     return skew(turn_axis(kind, geom))
@@ -230,7 +237,7 @@ class Configuration:
 
     @property
     def normal(self) -> np.ndarray:
-        return np.cross(self.position, self.tangent)
+        return cross(self.position, self.tangent)
 
     def frame(self) -> np.ndarray:
         """3x3 frame with columns (position, tangent, normal)."""
@@ -334,7 +341,7 @@ def align_angle(axis: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     w_perp = w - aw * axis
     if np.linalg.norm(v_perp) < PERP_EPS:
         raise DegenerateAlignment("probe vector is parallel to the rotation axis")
-    angle = math.atan2(float(axis @ np.cross(v_perp, w_perp)), float(v_perp @ w_perp))
+    angle = math.atan2(float(axis @ cross(v_perp, w_perp)), float(v_perp @ w_perp))
     if angle < 0.0:
         angle += TWO_PI
     if TWO_PI - angle < 1e-12:

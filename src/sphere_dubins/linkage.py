@@ -1,18 +1,27 @@
 """Inverse kinematics for products of fixed-axis rotations.
 
-Every candidate path family reduces to a "spherical linkage" problem: given a
-target rotation M and a pattern of segment kinds, find all angle assignments
-whose composed rotation equals M.  Angles are recovered geometrically (probe
-vectors aligned about each axis) rather than via matrix logarithms, which
-avoids branch ambiguity near half-turns.  Every returned solution is verified
-against the full matrix residual before being reported.
+Every candidate family is a chain R(a_1, phi_1) B R(a_n, phi_n) = M, with B
+the product of the interior rotations, and every chain is solved in the same
+two steps:
+
+1. Eliminate the interior.  The outer rotations fix their own axes, so
+   a_1 . B a_n = a_1 . M a_n: one scalar equation in the interior angles, a
+   trigonometric polynomial of degree 0 (a consistency check), 1 (a free
+   middle) or 2/3 (equal middles).
+2. Recover the outer angles by aligning probe vectors about the outer axes,
+   which avoids the branch ambiguity of matrix logarithms near half-turns,
+   and keep the assignment only if its full matrix residual passes.
+
+`solve_two`, `solve_three` and `solve_equal_middle` do step 1 for their chain
+length and hand every interior solution to `_close_chain` for step 2;
+`solve_one` is a single alignment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from .geometry import (
     TurnGeometry,
     align_angle,
     canonical_angle,
+    cross,
     probe_orthogonal,
     rotation_about_axis,
     skew,
@@ -72,49 +82,9 @@ class CandidateSolution:
 
     angles: tuple[float, ...]
     residual: float
-    family_tag: str
 
     def segments(self, kinds: Sequence[SegmentKind | str]) -> tuple[Segment, ...]:
         return tuple(Segment(k, a) for k, a in zip(kinds, self.angles))
-
-
-@dataclass(frozen=True)
-class LinkageProblem:
-    """A target rotation plus the axis pattern and constraints to invert.
-
-    middle_constraint is None (free), a fixed middle angle in radians, or the
-    string "equal" for chains whose interior angles share one value.
-    """
-
-    target: np.ndarray
-    kinds: tuple[SegmentKind, ...]
-    geom: TurnGeometry
-    middle_constraint: float | str | None = None
-    equal_outer: bool = False
-
-    def __post_init__(self) -> None:
-        kinds = tuple(SegmentKind(k) for k in self.kinds)
-        if not 1 <= len(kinds) <= 5:
-            raise InvalidInput("axis pattern must have 1 to 5 segments")
-        for a, b in zip(kinds, kinds[1:]):
-            if a is b:
-                raise InvalidInput(f"adjacent segments may not repeat: {a.value}{b.value}")
-        object.__setattr__(self, "kinds", kinds)
-
-    def solve(self) -> list[CandidateSolution]:
-        n = len(self.kinds)
-        if n == 1:
-            sol = solve_one(self.target, self.kinds[0], self.geom)
-            return [sol] if sol is not None else []
-        if n == 2:
-            return solve_two(self.target, self.kinds, self.geom)
-        if n == 3:
-            fixed = self.middle_constraint if isinstance(self.middle_constraint, float) else None
-            return solve_three(
-                self.target, self.kinds, self.geom,
-                fixed_middle=fixed, equal_outer=self.equal_outer,
-            )
-        return solve_equal_middle(self.target, self.kinds, self.geom)
 
 
 def _residual(m: np.ndarray, angles: Sequence[float], axes: Sequence[np.ndarray]) -> float:
@@ -124,15 +94,10 @@ def _residual(m: np.ndarray, angles: Sequence[float], axes: Sequence[np.ndarray]
     return float(np.linalg.norm(prod - m))
 
 
-def _tag(kinds: Sequence[SegmentKind]) -> str:
-    return "".join(k.value for k in kinds)
-
-
 def solve_one(
     m: np.ndarray,
     kind: SegmentKind | str,
     geom: TurnGeometry,
-    tag: str | None = None,
     residual_tol: float = TOL_RESIDUAL,
 ) -> CandidateSolution | None:
     """Angle phi with rotation(kind, phi) == m, or None when m moves the axis."""
@@ -148,32 +113,24 @@ def solve_one(
     res = _residual(m, [phi], [axis])
     if res > residual_tol:
         return None
-    return CandidateSolution((phi,), res, tag if tag is not None else kind.value)
+    return CandidateSolution((phi,), res)
 
 
 def solve_two(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-    tag: str | None = None,
     residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
-    """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m."""
-    k1, k2 = (SegmentKind(k) for k in kinds)
-    a1 = turn_axis(k1, geom)
-    a2 = turn_axis(k2, geom)
-    # eliminating both angles: a1 . (M a2) is invariant under either rotation
+    """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m.
+
+    There is no interior: step 1 is the check a1 . M a2 == a1 . a2.
+    """
+    axes = [turn_axis(k, geom) for k in kinds]
+    a1, a2 = axes
     if abs(float(a1 @ (m @ a2)) - float(a1 @ a2)) > TOL_SCALAR:
         return []
-    try:
-        alpha = canonical_angle(align_angle(a1, a2, m @ a2))
-        gamma = canonical_angle(align_angle(a2, m.T @ a1, a1))
-    except (DegenerateAlignment, InconsistentPair):
-        return []
-    res = _residual(m, [alpha, gamma], [a1, a2])
-    if res > residual_tol:
-        return []
-    return [CandidateSolution((alpha, gamma), res, tag if tag is not None else _tag((k1, k2)))]
+    return _close_chain(m, axes, [()], residual_tol)
 
 
 def scalar_reduction(
@@ -182,7 +139,7 @@ def scalar_reduction(
     """Coefficients (K1, K2, K3) of a1.(R(a2, phi) a3) = K1 + K2 cos + K3 sin."""
     k1 = float(a1 @ a2) * float(a2 @ a3)
     k2 = float(a1 @ a3) - k1
-    k3 = float(a1 @ np.cross(a2, a3))
+    k3 = float(a1 @ cross(a2, a3))
     return k1, k2, k3
 
 
@@ -209,9 +166,11 @@ def _recover_outer(
 ) -> tuple[float, float] | None:
     """Outer angles (phi1, phi3) bracketing a known middle rotation block.
 
-    When the middle block carries the last axis onto +/- the first axis the
-    outer rotations merge into one; the combined angle is then recovered with
-    a secondary probe and assigned entirely to the first slot.
+    `axes` are the first, second and last axis of the chain; the second only
+    orients the fallback probe.  When the middle block carries the last axis
+    onto +/- the first axis the outer rotations merge into one; the combined
+    angle is then recovered with a secondary probe and assigned entirely to
+    the first slot.
     """
     a1, a2, a3 = axes
     v1 = middle_block @ a3
@@ -238,25 +197,50 @@ def _recover_outer(
     return canonical_angle(phi1), 0.0
 
 
+def _close_chain(
+    m: np.ndarray,
+    axes: Sequence[np.ndarray],
+    interiors: Sequence[tuple[float, ...]],
+    residual_tol: float,
+    keep: Callable[[tuple[float, float], tuple[float, ...]], bool] | None = None,
+) -> list[CandidateSolution]:
+    """Step 2 for every interior solution of step 1 (see the module docstring).
+
+    For each interior angle tuple: build the interior block, recover the
+    outer angles, drop them unless `keep(outer, interior)` holds, and report
+    the full assignment if its matrix residual is within `residual_tol`.
+    """
+    a_first, a_last = axes[0], axes[-1]
+    solutions: list[CandidateSolution] = []
+    for interior in interiors:
+        block = np.eye(3)
+        for axis, angle in zip(axes[1:-1], interior):
+            block = block @ rotation_about_axis(axis, angle)
+        outer = _recover_outer(m, (a_first, axes[1], a_last), block)
+        if outer is None or (keep is not None and not keep(outer, interior)):
+            continue
+        angles = (outer[0],) + interior + (outer[1],)
+        res = _residual(m, angles, axes)
+        if res <= residual_tol:
+            solutions.append(CandidateSolution(angles, res))
+    return solutions
+
+
 def solve_three(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
     fixed_middle: float | None = None,
     equal_outer: bool = False,
-    tag: str | None = None,
     residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
     """All (phi1, phi2, phi3) whose three-rotation product equals m.
 
-    The middle angle is eliminated first: projecting the matrix equation onto
-    the outer axes leaves a single sinusoid in phi2 with at most two roots
-    (or, with `fixed_middle`, a consistency check).  The outer angles follow
-    by aligning probe vectors about the outer axes.  With `equal_outer`,
-    solutions whose outer angles differ are discarded.
+    Step 1 is a single sinusoid in phi2 with at most two roots (or, with
+    `fixed_middle`, a consistency check).  With `equal_outer`, solutions
+    whose outer angles differ are discarded.
     """
-    ks = tuple(SegmentKind(k) for k in kinds)
-    axes = tuple(turn_axis(k, geom) for k in ks)
+    axes = [turn_axis(k, geom) for k in kinds]
     a1, a2, a3 = axes
     k1c, k2c, k3c = scalar_reduction(a1, a2, a3)
     rhs = float(a1 @ (m @ a3))
@@ -269,22 +253,10 @@ def solve_three(
         middles = [fm]
     else:
         middles = _circle_roots(k2c, k3c, rhs - k1c)
-
-    family = tag if tag is not None else _tag(ks)
-    solutions: list[CandidateSolution] = []
-    for phi2 in middles:
-        block = rotation_about_axis(a2, phi2)
-        outer = _recover_outer(m, axes, block)
-        if outer is None:
-            continue
-        phi1, phi3 = outer
-        if equal_outer and abs(phi1 - phi3) > TOL_SYM:
-            continue
-        angles = (phi1, phi2, phi3)
-        res = _residual(m, angles, axes)
-        if res <= residual_tol:
-            solutions.append(CandidateSolution(angles, res, family))
-    return solutions
+    return _close_chain(
+        m, axes, [(phi2,) for phi2 in middles], residual_tol,
+        keep=(lambda outer, _: abs(outer[0] - outer[1]) <= TOL_SYM) if equal_outer else None,
+    )
 
 
 def _laurent_coefficients(
@@ -355,47 +327,29 @@ def solve_equal_middle(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-    tag: str | None = None,
     residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
     """Solve 4- and 5-segment alternating turn chains with equal middle arcs.
 
-    Interior arcs share one angle pi + beta with beta in (0, pi).  Projecting
-    the matrix equation onto the outer axes gives a trigonometric polynomial
-    in beta of degree 2 (4-chains) or 3 (5-chains), built exactly from the
-    axes.  Its roots are the unit-circle eigenvalues of the degree-4/6
-    companion matrix in z = e^{i beta} (Boyd, "Computing zeros of Fourier
-    series by polynomial rootfinding", 2006), polished by Newton steps; the
-    bands and stop rule are documented beside ROOT_UNIT_BAND.  Outer arcs are
-    then recovered by probe alignment and must land in [0, pi + beta].
+    Interior arcs share one angle pi + beta with beta in (0, pi).  Step 1 is
+    a trigonometric polynomial in beta of degree 2 (4-chains) or 3
+    (5-chains), built exactly from the axes.  Its roots are the unit-circle
+    eigenvalues of the degree-4/6 companion matrix in z = e^{i beta} (Boyd,
+    "Computing zeros of Fourier series by polynomial rootfinding", 2006),
+    polished by Newton steps; the bands and stop rule are documented beside
+    ROOT_UNIT_BAND.  Outer arcs must land in [0, pi + beta].
     """
     ks = tuple(SegmentKind(k) for k in kinds)
     if len(ks) not in (4, 5):
         raise InvalidInput("equal-middle chains have 4 or 5 segments")
     if any(not k.is_turn for k in ks):
         raise InvalidInput("equal-middle chains contain turn segments only")
-    a_first = turn_axis(ks[0], geom)
-    a_last = turn_axis(ks[-1], geom)
-    mid_axes = [turn_axis(k, geom) for k in ks[1:-1]]
-    coeffs = _laurent_coefficients(a_first, mid_axes, a_last)
-    coeffs[len(mid_axes)] -= float(a_first @ (m @ a_last))
-
-    family = tag if tag is not None else _tag(ks)
-    axes = [a_first] + mid_axes + [a_last]
-    solutions: list[CandidateSolution] = []
-    for beta in _interior_roots(coeffs):
-        middle = math.pi + beta
-        block = np.eye(3)
-        for axis in mid_axes:
-            block = block @ rotation_about_axis(axis, middle)
-        outer = _recover_outer(m, (a_first, mid_axes[0], a_last), block)
-        if outer is None:
-            continue
-        alpha, gamma = outer
-        if not (alpha <= middle + 1e-9 and gamma <= middle + 1e-9):
-            continue
-        angles = (alpha,) + (middle,) * len(mid_axes) + (gamma,)
-        res = _residual(m, angles, axes)
-        if res <= residual_tol:
-            solutions.append(CandidateSolution(angles, res, family))
-    return solutions
+    axes = [turn_axis(k, geom) for k in ks]
+    mid_axes = axes[1:-1]
+    coeffs = _laurent_coefficients(axes[0], mid_axes, axes[-1])
+    coeffs[len(mid_axes)] -= float(axes[0] @ (m @ axes[-1]))
+    interiors = [(math.pi + beta,) * len(mid_axes) for beta in _interior_roots(coeffs)]
+    return _close_chain(
+        m, axes, interiors, residual_tol,
+        keep=lambda outer, interior: max(outer) <= interior[0] + 1e-9,
+    )

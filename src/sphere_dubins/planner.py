@@ -81,8 +81,10 @@ class FamilyTemplate:
         )
 
 
-def _template(tag: str, pattern: str, fixed_middle: float | None = None) -> FamilyTemplate:
+def _template(pattern: str, fixed_middle: float | None = None) -> FamilyTemplate:
+    """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""
     kinds = tuple(SegmentKind(c) for c in pattern)
+    tag = pattern if fixed_middle is None else pattern[:2] + "pi" + pattern[2:]
     return FamilyTemplate(
         tag=tag,
         kinds=kinds,
@@ -91,51 +93,20 @@ def _template(tag: str, pattern: str, fixed_middle: float | None = None) -> Fami
     )
 
 
-_COMMON = (
-    FamilyTemplate("EMPTY", ()),
-    _template("G", "G"),
-    _template("L", "L"),
-    _template("R", "R"),
-    _template("LG", "LG"),
-    _template("RG", "RG"),
-    _template("GL", "GL"),
-    _template("GR", "GR"),
-    _template("LR", "LR"),
-    _template("RL", "RL"),
-    _template("LGL", "LGL"),
-    _template("LGR", "LGR"),
-    _template("RGL", "RGL"),
-    _template("RGR", "RGR"),
-    _template("LRL", "LRL"),
-    _template("RLR", "RLR"),
+_COMMON = (FamilyTemplate("EMPTY", ()),) + tuple(
+    _template(p)
+    for p in ("G", "L", "R", "LG", "RG", "GL", "GR", "LR", "RL",
+              "LGL", "LGR", "RGL", "RGR", "LRL", "RLR")
 )
+_FIXED_PI = (_template("LRL", fixed_middle=math.pi), _template("RLR", fixed_middle=math.pi))
+_FOUR = (_template("LRLR"), _template("RLRL"))
+_FIVE = (_template("LRLRL"), _template("RLRLR"))
 
-_FOUR_CHAINS = (
-    _template("LRLR", "LRLR"),
-    _template("RLRL", "RLRL"),
-)
+# Families each regime adds to the common set.
+_REGIME_FAMILIES = {"low": (), "sqrt2": (), "four": _FOUR, "high": _FIXED_PI + _FOUR + _FIVE}
 
-_HIGH_EXTRAS = (
-    _template("LRpiL", "LRL", fixed_middle=math.pi),
-    _template("RLpiR", "RLR", fixed_middle=math.pi),
-    _template("LRLR", "LRLR"),
-    _template("RLRL", "RLRL"),
-    _template("LRLRL", "LRLRL"),
-    _template("RLRLR", "RLRLR"),
-)
-
-_AUDIT = (
-    _template("GLG", "GLG"),
-    _template("GRG", "GRG"),
-    _template("GLR", "GLR"),
-    _template("GRL", "GRL"),
-    _template("LRG", "LRG"),
-    _template("RLG", "RLG"),
-    _template("LRLR", "LRLR"),
-    _template("RLRL", "RLRL"),
-    _template("LRLRL", "LRLRL"),
-    _template("RLRLR", "RLRLR"),
-)
+# Families mode="all" appends (when not already present), regardless of regime.
+_AUDIT = tuple(_template(p) for p in ("GLG", "GRG", "GLR", "GRL", "LRG", "RLG")) + _FOUR + _FIVE
 
 
 def catalog_regime(r: float) -> str:
@@ -177,15 +148,9 @@ def family_catalog(r: float, mode: str = "table") -> list[FamilyTemplate]:
         regime = "high"  # best-effort: largest proven catalog plus audit families
     else:
         regime = catalog_regime(r)
-    families = list(_COMMON)
-    if regime == "four":
-        families.extend(_FOUR_CHAINS)
-    elif regime == "high":
-        families.extend(_HIGH_EXTRAS)
-
+    families = list(_COMMON + _REGIME_FAMILIES[regime])
     if mode == "all":
-        present = {f.tag for f in families}
-        families.extend(f for f in _AUDIT if f.tag not in present)
+        families.extend(f for f in _AUDIT if f not in families)
     return families
 
 
@@ -262,19 +227,6 @@ def normalize_problem(
     final, dev_f = _validated_configuration(req.final, req.sphere_radius, "final")
     m = relative_rotation(initial, final)
     return m, TurnGeometry.from_radius(r), initial, final, max(dev_i, dev_f)
-
-
-def normalize_request(
-    req: PlanRequest, best_effort: bool = False
-) -> tuple[np.ndarray, TurnGeometry]:
-    """Scale a physical request onto the unit sphere.
-
-    Returns the target relative rotation and the unit-sphere turn geometry.
-    Raises MalformedConfiguration for inconsistent poses and RadiusOutOfRange
-    when the radius quotient leaves the supported interval.
-    """
-    m, geom, _, _, _ = normalize_problem(req, best_effort)
-    return m, geom
 
 
 def _middle_ok(middle: float, regime_has_fixed_pi: bool) -> bool:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from sphere_dubins import geometry as geo
+from sphere_dubins.oracle import random_rotation  # noqa: F401  (re-exported for the tests)
 from sphere_dubins.planner import PlanRequest, Pose
 
 
@@ -17,19 +18,6 @@ def random_configuration(rng: np.random.Generator) -> geo.Configuration:
     t -= (t @ x) * x
     t /= np.linalg.norm(t)
     return geo.Configuration(position=x, tangent=t)
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def request_from_segments(

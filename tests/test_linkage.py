@@ -7,6 +7,7 @@ from scipy import optimize
 from conftest import random_in_bounds_path, random_unit
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
+from sphere_dubins.errors import InvalidInput
 from sphere_dubins.planner import family_catalog
 
 GEOM5 = geo.TurnGeometry.from_radius(0.5)
@@ -202,9 +203,11 @@ def test_equal_outer_filter():
     assert any(np.allclose(s.angles, (0.4, 1.0, 0.9), atol=1e-9) for s in unfiltered)
 
 
-def test_linkage_problem_validation():
-    with pytest.raises(Exception):
-        lk.LinkageProblem(np.eye(3), ("L", "L"), GEOM5)
+def test_equal_middle_validation():
+    """Equal-middle chains are 4 or 5 turns; anything else is rejected."""
+    for pattern in ("RLGL", "LRL", "LRLRLR"):
+        with pytest.raises(InvalidInput):
+            lk.solve_equal_middle(np.eye(3), tuple(pattern), GEOM5)
 
 
 ROUNDTRIP_PATTERNS = [

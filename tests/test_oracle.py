@@ -30,7 +30,7 @@ def test_oracle_never_beats_plan():
     for i, r in enumerate((0.3, 0.71, 0.8)):
         req = orc.random_request(r, seed=500 + i)
         best = pl.plan(req).best_candidate.physical_length
-        target, geom = pl.normalize_request(req)
+        target, geom, _, _, _ = pl.normalize_problem(req)
         found = orc.forward_oracle(target, geom, seed=11, budget=20_000)
         assert found.found
         assert found.length >= best - 1e-6

@@ -27,14 +27,14 @@ COMMON_TAGS = [
 
 def test_normalize_scales_radius():
     req = request_from_segments([geo.G(1.0)], 0.71, sphere_radius=2.0)
-    m, geom = pl.normalize_request(req)
+    m, geom, _, _, _ = pl.normalize_problem(req)
     assert geom.r == pytest.approx(0.71, abs=1e-15)
     assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-12
 
 
 def test_normalize_identity():
     req = request_from_segments([], 0.5)
-    m, _ = pl.normalize_request(req)
+    m, _, _, _, _ = pl.normalize_problem(req)
     assert np.max(np.abs(m - np.eye(3))) <= 1e-12
 
 
@@ -47,9 +47,9 @@ def test_normalize_radius_out_of_range():
         final=req.final,
     )
     with pytest.raises(RadiusOutOfRange):
-        pl.normalize_request(bad)
+        pl.normalize_problem(bad)
     # best-effort admits it
-    m, geom = pl.normalize_request(bad, best_effort=True)
+    m, geom, _, _, _ = pl.normalize_problem(bad, best_effort=True)
     assert geom.r == pytest.approx(0.9)
 
 
@@ -62,7 +62,7 @@ def test_normalize_rejects_malformed():
         final=req.final,
     )
     with pytest.raises(MalformedConfiguration):
-        pl.normalize_request(crooked)
+        pl.normalize_problem(crooked)
 
 
 def test_normalize_reorthonormalizes_slightly_crooked():
@@ -73,7 +73,7 @@ def test_normalize_reorthonormalizes_slightly_crooked():
         initial=pl.Pose(np.array([1.0, 0.0, 0.0]), np.array([1e-7, 1.0, 0.0])),
         final=req.final,
     )
-    m, _ = pl.normalize_request(crooked)
+    m, _, _, _, _ = pl.normalize_problem(crooked)
     assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-12
     result = pl.plan(crooked)
     assert 1e-9 < result.input_adjustment <= 1e-6
@@ -113,11 +113,17 @@ def test_catalog_monotone_in_regime():
     assert low <= high
 
 
+AUDIT_TAGS = ["GLG", "GRG", "GLR", "GRL", "LRG", "RLG", "LRLR", "RLRL", "LRLRL", "RLRLR"]
+
+
 def test_catalog_all_mode_appends_audit():
-    tags = [f.tag for f in pl.family_catalog(0.4, mode="all")]
-    for audit in ("GLG", "GRG", "GLR", "GRL", "LRG", "RLG", "LRLR", "RLRL", "LRLRL", "RLRLR"):
-        assert audit in tags
-    assert len(tags) == len(set(tags))
+    """In every regime, "all" is the table followed by the audit families it lacks."""
+    for r in (0.3, 0.4, 0.5, 0.6, SQRT2_INV, 0.8, math.sqrt(3.0) / 2.0):
+        table = [f.tag for f in pl.family_catalog(r)]
+        every = [f.tag for f in pl.family_catalog(r, mode="all")]
+        assert len(table) == len(set(table)), r
+        assert len(every) == len(set(every)), r
+        assert every == table + [t for t in AUDIT_TAGS if t not in table], r
 
 
 def test_plan_identity():
