@@ -176,14 +176,25 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
+# v @ _SKEW_ROWS is skew(v) flattened row by row (each entry is one signed
+# component, so the product is exact), for one v or a stack of them.
+_SKEW_ROWS = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
 def rotations_about_axis(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorized Rodrigues: rotations (n, 3, 3) about one unit axis."""
+    """Vectorized Rodrigues: rotations (..., 3, 3) by `angles` (...) about
+    unit axes (..., 3), broadcast against each other; one axis (3,) serves
+    every angle."""
     axis = np.asarray(axis, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    k = skew(axis)
+    k = (axis @ _SKEW_ROWS).reshape(axis.shape[:-1] + (3, 3))
     k2 = k @ k
-    s = np.sin(angles)[:, None, None]
-    c = (1.0 - np.cos(angles))[:, None, None]
+    s = np.sin(angles)[..., None, None]
+    c = (1.0 - np.cos(angles))[..., None, None]
     return np.eye(3) + s * k + c * k2
 
 

@@ -3,16 +3,18 @@
 The forward oracle searches candidate-family angle vectors directly: seeded
 uniform restarts inside each family's feasible box, followed by coordinate
 descent on the endpoint residual.  It never consults the closed-form linkage
-solver, so agreement between the two is meaningful evidence.  The
-cross-family audit compares the planner's proven catalog against the audit
-catalog (great-circle sandwiches and unconditional 4/5-chains) on given
-instances.
+solver, so agreement between the two is meaningful evidence.  The descent
+runs every kept restart of every family at once, one numpy batch per chain
+shape; each restart keeps its own bounds and stop rule.  The cross-family
+audit compares the planner's proven catalog against the audit catalog
+(great-circle sandwiches and unconditional 4/5-chains) on given instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import optimize
@@ -24,7 +26,6 @@ from .geometry import (
     compose_path,
     path_length,
     rotations_about_axis,
-    skew,
     turn_axis,
 )
 from .linkage import TOL_RESIDUAL
@@ -33,6 +34,7 @@ from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
 POLISH_GATE = 0.05    # stalled residual below this gets a joint least-squares polish
+BETA_LO = 1e-9        # equal-middle descent and polish keep beta in [BETA_LO, pi - BETA_LO]
 
 
 @dataclass(frozen=True)
@@ -48,35 +50,46 @@ class OracleResult:
         return self.segments is not None
 
 
+def _chain(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Products R(axes[0], angles[:, 0]) @ ... @ R(axes[-1], angles[:, -1]);
+    `axes` is (slots, 3), or (n, slots, 3) for one chain per row."""
+    rots = rotations_about_axis(axes, angles)
+    return reduce(np.matmul, (rots[:, k] for k in range(1, angles.shape[1])), rots[:, 0])
+
+
+def _equal_angles(params: np.ndarray, n_slots: int) -> np.ndarray:
+    """(alpha, beta, gamma) rows to chain angles with every interior at pi + beta."""
+    mids = np.repeat(math.pi + params[:, 1:2], n_slots - 2, axis=1)
+    return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
+
+
 class _FamilySearch:
-    """Sampling and refinement helpers for one family's feasible box."""
+    """Sampling, composition and the per-restart finish for one family's
+    feasible box."""
 
     def __init__(self, template: FamilyTemplate, geom: TurnGeometry):
         self.template = template
-        self.geom = geom
-        self.axes = [turn_axis(k, geom) for k in template.kinds]
-        self.skews = [skew(a) for a in self.axes]
-        self.skews2 = [k @ k for k in self.skews]
-        self.outers = [aa[:, None] * aa[None, :] for aa in self.axes]
-        self.eye = np.eye(3)
+        self.axes = np.array([turn_axis(k, geom) for k in template.kinds])
+        n_slots = len(template.kinds)
         if template.equal_middles:
             self.mode = "equal"
+            self.box = (
+                np.array([0.0, BETA_LO, 0.0]),
+                np.array([2.0 * math.pi, math.pi - BETA_LO, 2.0 * math.pi]),
+            )
+            self.middle_cos, self.middle_sin = _middle_fourier(self.axes[1:-1])
         elif template.fixed_middle is not None:
             self.mode = "fixed"
-            self.fixed_block = self._rot(1, template.fixed_middle)
+            self.box = (np.zeros(2), np.full(2, math.pi))
         else:
             self.mode = "free"
-
-    def _rot(self, slot: int, angle: float) -> np.ndarray:
-        return (
-            self.eye
-            + math.sin(angle) * self.skews[slot]
-            + (1.0 - math.cos(angle)) * self.skews2[slot]
-        )
+            lows = np.zeros(n_slots)
+            if template.is_free_middle_turn_triple:
+                lows[1] = math.pi
+            self.box = (lows, np.full(n_slots, 2.0 * math.pi))
 
     # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        t = self.template
         if self.mode == "equal":
             beta = rng.uniform(0.0, math.pi, size=n)
             outer_hi = math.pi + beta
@@ -85,134 +98,37 @@ class _FamilySearch:
             return np.column_stack([alpha, beta, gamma])
         if self.mode == "fixed":
             return rng.uniform(0.0, math.pi, size=(n, 2))
-        lows = np.zeros(len(t.kinds))
-        highs = np.full(len(t.kinds), 2.0 * math.pi)
-        if t.is_free_middle_turn_triple:
-            lows[1] = math.pi
-        return rng.uniform(lows, highs, size=(n, len(t.kinds)))
+        lows, highs = self.box
+        return rng.uniform(lows, highs, size=(n, len(self.axes)))
 
     def angles(self, params: np.ndarray) -> np.ndarray:
         if self.mode == "equal":
-            n_mid = len(self.axes) - 2
-            mids = math.pi + params[:, 1:2]
-            return np.hstack([params[:, 0:1], np.repeat(mids, n_mid, axis=1), params[:, 2:3]])
+            return _equal_angles(params, len(self.axes))
         if self.mode == "fixed":
             mid = np.full((params.shape[0], 1), self.template.fixed_middle)
             return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
         return params
 
     def compose_batch(self, params: np.ndarray) -> np.ndarray:
-        angles = self.angles(params)
-        prod = rotations_about_axis(self.axes[0], angles[:, 0])
-        for k in range(1, len(self.axes)):
-            prod = prod @ rotations_about_axis(self.axes[k], angles[:, k])
-        return prod
+        return _chain(self.axes, self.angles(params))
 
     def segments_for(self, params: np.ndarray) -> tuple[Segment, ...]:
         angles = self.angles(params[None, :])[0]
         return tuple(Segment(k, a) for k, a in zip(self.template.kinds, angles))
 
-    # -- refinement --------------------------------------------------------
-    def _slot_bounds(self, params: np.ndarray, slot: int) -> tuple[float, float]:
-        if self.mode == "equal":
-            return (0.0, math.pi + params[1])
-        if self.mode == "fixed":
-            return (0.0, math.pi)
-        if self.template.is_free_middle_turn_triple and slot == 1:
-            return (math.pi, 2.0 * math.pi)
-        return (0.0, 2.0 * math.pi)
-
-    def _trace_argmax(
-        self, w: np.ndarray, slot_axis: int, lo: float, hi: float
-    ) -> float:
-        """Angle in [lo, hi] maximizing tr(W @ R(axis, angle)) in closed form."""
-        a = self.axes[slot_axis]
-        k = self.skews[slot_axis]
-        aa = self.outers[slot_axis]
-        const = float(np.sum(w * aa.T))
-        c_coef = float(np.trace(w)) - const
-        s_coef = float(np.sum(w.T * k))
-        best = math.atan2(s_coef, c_coef) % (2.0 * math.pi)
-        candidates = [lo, hi]
-        if lo <= best <= hi:
-            candidates.append(best)
-
-        def value(phi: float) -> float:
-            return c_coef * math.cos(phi) + s_coef * math.sin(phi)
-
-        return max(candidates, key=value)
+    # -- per-restart finish ------------------------------------------------
+    def _endpoint(self, params: np.ndarray) -> np.ndarray:
+        return _chain(self.axes, self.angles(params[None, :]))[0]
 
     def _residual(self, params: np.ndarray, m: np.ndarray) -> float:
-        angles = self.angles(params[None, :])[0]
-        prod = self._rot(0, angles[0])
-        for slot in range(1, len(self.axes)):
-            prod = prod @ self._rot(slot, angles[slot])
-        return float(np.linalg.norm(prod - m))
-
-    def _middle_block(self, beta: float) -> np.ndarray:
-        block = self._rot(1, math.pi + beta)
-        for slot in range(2, len(self.axes) - 1):
-            block = block @ self._rot(slot, math.pi + beta)
-        return block
+        return float(np.linalg.norm(self._endpoint(params) - m))
 
     def refine(
         self, m: np.ndarray, params: np.ndarray, residual_tol: float
     ) -> tuple[np.ndarray, float]:
-        params = params.copy()
-        n_slots = len(self.axes)
-
+        """Finish one restart after the batched descent (`_descend`): its
+        residual, and a polish when the descent stalled close to the target."""
         current = self._residual(params, m)
-        for _ in range(REFINE_SWEEPS):
-            previous = current
-            if self.mode == "free":
-                rots = [self._rot(k, params[k]) for k in range(n_slots)]
-                for slot in range(n_slots):
-                    prefix = self.eye
-                    for k in range(slot):
-                        prefix = prefix @ rots[k]
-                    suffix = self.eye
-                    for k in range(slot + 1, n_slots):
-                        suffix = suffix @ rots[k]
-                    w = suffix @ m.T @ prefix
-                    lo, hi = self._slot_bounds(params, slot)
-                    params[slot] = self._trace_argmax(w, slot, lo, hi)
-                    rots[slot] = self._rot(slot, params[slot])
-            elif self.mode == "fixed":
-                last = self._rot(2, params[1])
-                w = self.fixed_block @ last @ m.T
-                params[0] = self._trace_argmax(w, 0, 0.0, math.pi)
-                first = self._rot(0, params[0])
-                w = m.T @ first @ self.fixed_block
-                params[1] = self._trace_argmax(w, 2, 0.0, math.pi)
-            else:
-                beta = params[1]
-                mid = self._middle_block(beta)
-                last = self._rot(n_slots - 1, params[2])
-                w = mid @ last @ m.T
-                params[0] = self._trace_argmax(w, 0, 0.0, math.pi + beta)
-                first = self._rot(0, params[0])
-                w = m.T @ first @ mid
-                params[2] = self._trace_argmax(w, n_slots - 1, 0.0, math.pi + beta)
-
-                left = first.T @ m @ self._rot(n_slots - 1, params[2]).T
-
-                def beta_gap(b: float) -> float:
-                    # block(beta) must reach `left`; cheaper than full residual
-                    return float(np.linalg.norm(self._middle_block(b) - left))
-
-                res = optimize.minimize_scalar(
-                    beta_gap, bounds=(1e-9, math.pi - 1e-9), method="bounded",
-                    options={"xatol": 1e-12},
-                )
-                if res.fun < beta_gap(beta):
-                    params[1] = float(res.x)
-                params[0] = min(params[0], math.pi + params[1])
-                params[2] = min(params[2], math.pi + params[1])
-            current = self._residual(params, m)
-            if previous - current < 1e-16:
-                break
-            if current <= residual_tol * 1e-3:
-                break
         if residual_tol < current < POLISH_GATE:
             params, current = self._polish(m, params, current)
         return params, current
@@ -222,24 +138,10 @@ class _FamilySearch:
     ) -> tuple[np.ndarray, float]:
         """Joint bounded least-squares step for starts where coordinate
         descent stalls (flat valleys near the regime boundary)."""
-        if self.mode == "equal":
-            lo = np.array([0.0, 1e-9, 0.0])
-            hi = np.array([2.0 * math.pi, math.pi - 1e-9, 2.0 * math.pi])
-        elif self.mode == "fixed":
-            lo = np.zeros(2)
-            hi = np.full(2, math.pi)
-        else:
-            lo = np.zeros(len(self.axes))
-            hi = np.full(len(self.axes), 2.0 * math.pi)
-            if self.template.is_free_middle_turn_triple:
-                lo[1] = math.pi
+        lo, hi = self.box
 
         def entries(p: np.ndarray) -> np.ndarray:
-            angles = self.angles(p[None, :])[0]
-            prod = self._rot(0, angles[0])
-            for slot in range(1, len(self.axes)):
-                prod = prod @ self._rot(slot, angles[slot])
-            return (prod - m).ravel()
+            return (self._endpoint(p) - m).ravel()
 
         fit = optimize.least_squares(
             entries, np.clip(params, lo, hi), bounds=(lo, hi),
@@ -256,6 +158,209 @@ class _FamilySearch:
         return params, current
 
 
+# ---------------------------------------------------------------------------
+# batched coordinate descent
+# ---------------------------------------------------------------------------
+
+def _trace_argmax(
+    w: np.ndarray, axis: np.ndarray, lo: np.ndarray | float, hi: np.ndarray | float
+) -> np.ndarray:
+    """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
+    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a)."""
+    const = np.einsum("ni,nij,nj->n", axis, w, axis)
+    c_coef = np.trace(w, axis1=1, axis2=2) - const
+    s_coef = (
+        axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1])
+        + axis[:, 1] * (w[:, 2, 0] - w[:, 0, 2])
+        + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
+    )
+    lo, hi = np.broadcast_to(lo, c_coef.shape), np.broadcast_to(hi, c_coef.shape)
+    best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
+    candidates = np.stack([lo, hi, best], axis=1)
+    value = c_coef[:, None] * np.cos(candidates) + s_coef[:, None] * np.sin(candidates)
+    value[:, 2] = np.where((lo <= best) & (best <= hi), value[:, 2], -np.inf)
+    # first maximum wins: the lower bound, then the upper, then the free optimum
+    return candidates[np.arange(len(best)), np.argmax(value, axis=1)]
+
+
+def _middle_fourier(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix Fourier coefficients of B(beta) = prod_k R(axes[k], pi + beta).
+
+    Each factor is I - sin(beta) K + (1 + cos(beta)) K^2, so B is a matrix
+    trigonometric polynomial of degree d = len(axes); 2d + 1 equally spaced
+    samples give its coefficients exactly: B = sum_k C[k] cos(k beta) + S[k] sin(k beta).
+    """
+    d = len(axes)
+    n = 2 * d + 1
+    t = 2.0 * math.pi * np.arange(n) / n
+    blocks = _chain(axes, np.repeat(math.pi + t[:, None], d, axis=1))
+    kt = np.outer(np.arange(d + 1), t)
+    weight = np.full((d + 1, 1), 2.0 / n)
+    weight[0] = 1.0 / n
+    return (
+        np.einsum("kj,jab->kab", weight * np.cos(kt), blocks),
+        np.einsum("kj,jab->kab", weight * np.sin(kt), blocks),
+    )
+
+
+def _trig_values(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g(t) = sum_k a[:, k] cos(k t) + b[:, k] sin(k t) at angles t (n, c)."""
+    kt = t[:, :, None] * np.arange(a.shape[1])
+    return np.einsum("nck,nk->nc", np.cos(kt), a) + np.einsum("nck,nk->nc", np.sin(kt), b)
+
+
+def _trig_max(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the angle in [lo, hi] maximizing g(t) = sum_k a_k cos(k t) +
+    b_k sin(k t), and g there.
+
+    Candidates are the ends and the stationary points: with z = e^{it},
+    g'(t) = sum_k e_k z^k + conj(e_k) z^-k, e_k = k (b_k + i a_k) / 2, so
+    z^d g' is a degree-2d polynomial whose roots are batched companion
+    eigenvalues.  A top coefficient that vanishes (below 1e-13 of the
+    largest) lowers d instead of being divided by.  Every root's angle is a candidate, also one pushed off the
+    unit circle by rounding near a double root: a candidate that is not a
+    maximum only loses the comparison.
+    """
+    n, width = a.shape
+    k = np.arange(width)
+    e = 0.5 * k * (b + 1j * a)
+    size = np.abs(e)
+    degree = np.where(size > 1e-13 * size.max(axis=1, keepdims=True), k, 0).max(axis=1)
+    roots = np.full((n, 2 * (width - 1)), lo)
+    for d in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == d)
+        poly = np.zeros((len(rows), 2 * d + 1), dtype=complex)
+        poly[:, d - 1::-1] = e[rows, 1:d + 1]          # z^(d+k) for k = 1..d
+        poly[:, d + 1:] = np.conj(e[rows, 1:d + 1])    # z^(d-k)
+        companion = np.zeros((len(rows), 2 * d, 2 * d), dtype=complex)
+        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        roots[rows, :2 * d] = np.angle(np.linalg.eigvals(companion)) % (2.0 * math.pi)
+    t = np.column_stack([np.full(n, lo), np.full(n, hi), roots])
+    value = _trig_values(a, b, t)
+    value[(t < lo) | (t > hi)] = -np.inf
+    pick = (np.arange(n), np.argmax(value, axis=1))
+    return t[pick], value[pick]
+
+
+def _beta_step(
+    middle_cos: np.ndarray, middle_sin: np.ndarray, left: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """Per row, the beta in [BETA_LO, pi - BETA_LO] maximizing
+    tr(left^T B(beta)), i.e. bringing the middle block closest to `left`,
+    where it beats the current `beta`; elsewhere the current `beta`.
+    B's Fourier coefficients come from `_middle_fourier`, one set per row."""
+    a = np.einsum("nij,nkij->nk", left, middle_cos)
+    b = np.einsum("nij,nkij->nk", left, middle_sin)
+    best, value = _trig_max(a, b, BETA_LO, math.pi - BETA_LO)
+    return np.where(value > _trig_values(a, b, beta[:, None])[:, 0], best, beta)
+
+
+def _lockstep(step, residual, params: np.ndarray, rows: tuple, residual_tol: float) -> np.ndarray:
+    """Sweep every restart with `step(params, *rows)` until its own stop rule
+    holds: `residual(params, *rows)` gains less than 1e-16, reaches
+    residual_tol * 1e-3, or REFINE_SWEEPS sweeps pass.  `rows` holds
+    per-restart data; only the restarts still running are swept."""
+    params = params.copy()
+    current = residual(params, *rows)
+    active = np.arange(len(params))
+    for _ in range(REFINE_SWEEPS):
+        if active.size == 0:
+            break
+        data = tuple(x[active] for x in rows)
+        params[active] = step(params[active], *data)
+        after = residual(params[active], *data)
+        done = (current[active] - after < 1e-16) | (after <= residual_tol * 1e-3)
+        current[active] = after
+        active = active[~done]
+    return params
+
+
+def _descend_angles(axes, lo, hi, angles, m, residual_tol) -> np.ndarray:
+    """Free and pinned-middle chains: each sweep maximizes tr(R^T m) over one
+    slot at a time, first to last; a pinned slot has lo == hi."""
+    n_slots = axes.shape[1]
+
+    def residual(p, ax, *_):
+        return np.linalg.norm(_chain(ax, p) - m, axis=(1, 2))
+
+    def step(p, ax, lo, hi):
+        rots = [rotations_about_axis(ax[:, k], p[:, k]) for k in range(n_slots)]
+        eye = np.broadcast_to(np.eye(3), rots[0].shape)
+        for slot in range(n_slots):
+            prefix = reduce(np.matmul, rots[:slot], eye)
+            suffix = reduce(np.matmul, rots[slot + 1:], eye)
+            p[:, slot] = _trace_argmax(
+                suffix @ m.T @ prefix, ax[:, slot], lo[:, slot], hi[:, slot]
+            )
+            rots[slot] = rotations_about_axis(ax[:, slot], p[:, slot])
+        return p
+
+    return _lockstep(step, residual, angles, (axes, lo, hi), residual_tol)
+
+
+def _descend_equal(axes, middle_cos, middle_sin, params, m, residual_tol) -> np.ndarray:
+    """Equal-middle chains (alpha, beta, gamma): alpha and gamma by the trace
+    argmax within [0, pi + beta], then beta by the exact maximum of
+    tr(left^T B(beta)), taken only where it beats the current beta."""
+    n_slots = axes.shape[1]
+
+    def residual(p, ax, *_):
+        return np.linalg.norm(_chain(ax, _equal_angles(p, n_slots)) - m, axis=(1, 2))
+
+    def step(p, ax, mc, ms):
+        alpha, beta, gamma = p.T
+        top = math.pi + beta
+        mid = _chain(ax[:, 1:-1], np.repeat(top[:, None], n_slots - 2, axis=1))
+        last = rotations_about_axis(ax[:, -1], gamma)
+        alpha = _trace_argmax(mid @ last @ m.T, ax[:, 0], 0.0, top)
+        first = rotations_about_axis(ax[:, 0], alpha)
+        gamma = _trace_argmax(m.T @ first @ mid, ax[:, -1], 0.0, top)
+        last = rotations_about_axis(ax[:, -1], gamma)
+        left = np.swapaxes(first, 1, 2) @ m @ np.swapaxes(last, 1, 2)
+        beta = _beta_step(mc, ms, left, beta)
+        top = math.pi + beta
+        return np.column_stack([np.minimum(alpha, top), beta, np.minimum(gamma, top)])
+
+    return _lockstep(step, residual, params, (axes, middle_cos, middle_sin), residual_tol)
+
+
+def _descend(
+    searches: list[_FamilySearch], starts: list[np.ndarray], m: np.ndarray, residual_tol: float
+) -> list[np.ndarray]:
+    """Coordinate descent of every family's restarts, one lockstep batch per
+    chain shape: equal-middle chains of one slot count, or free and
+    pinned-middle chains of one slot count."""
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for i, search in enumerate(searches):
+        groups.setdefault((search.mode == "equal", len(search.axes)), []).append(i)
+    descended = list(starts)
+    for (equal, _), members in groups.items():
+        family = [searches[i] for i in members]
+        counts = [len(starts[i]) for i in members]
+        owner = np.repeat(np.arange(len(members)), counts)
+
+        def per_row(values: list[np.ndarray]) -> np.ndarray:
+            return np.stack(values)[owner]
+
+        axes = per_row([s.axes for s in family])
+        if equal:
+            out = _descend_equal(
+                axes,
+                per_row([s.middle_cos for s in family]),
+                per_row([s.middle_sin for s in family]),
+                np.concatenate([starts[i] for i in members]),
+                m, residual_tol,
+            )
+        else:
+            bounds = per_row([s.angles(np.array(s.box)) for s in family])
+            angles = np.concatenate([s.angles(starts[i]) for s, i in zip(family, members)])
+            out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m, residual_tol)
+        for s, i, chunk in zip(family, members, np.split(out, np.cumsum(counts)[:-1])):
+            descended[i] = chunk[:, [0, 2]] if s.mode == "fixed" else chunk
+    return descended
+
+
 def forward_oracle(
     m: np.ndarray,
     geom: TurnGeometry,
@@ -266,7 +371,8 @@ def forward_oracle(
     """Best residual-passing path found by seeded restarts plus refinement.
 
     The budget counts sampled angle vectors, split evenly across the audit
-    catalog's families.  Results are deterministic for a fixed seed.
+    catalog's families.  Each family's REFINE_TOP best samples are refined.
+    Results are deterministic for a fixed seed.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -286,15 +392,18 @@ def forward_oracle(
         best_residual = identity_residual
         best_family = "EMPTY"
 
-    for index, template in enumerate(families):
-        search = _FamilySearch(template, geom)
+    searches = [_FamilySearch(template, geom) for template in families]
+    starts = []
+    for index, search in enumerate(searches):
         rng = np.random.default_rng(seed + index)
         params = search.sample(rng, per_family)
         evaluations += per_family
         residuals = np.linalg.norm(search.compose_batch(params) - m, axis=(1, 2))
-        order = np.argsort(residuals)[:REFINE_TOP]
-        for i in order:
-            refined, res = search.refine(m, params[i], residual_tol)
+        starts.append(params[np.argsort(residuals)[:REFINE_TOP]])
+
+    for search, descended in zip(searches, _descend(searches, starts, m, residual_tol)):
+        for params in descended:
+            refined, res = search.refine(m, params, residual_tol)
             if res > residual_tol * 10.0:
                 continue
             segments = search.segments_for(refined)
@@ -306,7 +415,7 @@ def forward_oracle(
                 best_segments = segments
                 best_length = length
                 best_residual = res_canonical
-                best_family = template.tag
+                best_family = search.template.tag
 
     return OracleResult(
         segments=best_segments,

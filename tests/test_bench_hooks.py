@@ -5,9 +5,10 @@ install time when one is missing, so a rename fails here instead of in a
 traced benchmark run.
 """
 
+import math
 from pathlib import Path
 
-from sphere_dubins import linkage, planner
+from sphere_dubins import geometry, linkage, oracle, planner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +31,27 @@ def test_tracer_installs_and_restores(monkeypatch):
     for name, fn in solvers.items():
         assert getattr(linkage, name) is fn
         assert getattr(planner, name) is fn
+
+
+def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
+    # the tracer times refine once per restart and reads its (params, residual)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    geom = geometry.TurnGeometry.from_radius(0.71)
+    m = geometry.compose_path([geometry.R(0.7), geometry.L(math.pi), geometry.R(0.7)], geom)
+    families = [f for f in planner.family_catalog(geom.r, mode="all") if f.kinds]
+    modes = {oracle._FamilySearch(f, geom).mode for f in families}
+    assert modes == {"free", "fixed", "equal"}
+    refine = oracle._FamilySearch.refine
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert oracle._FamilySearch.refine is not refine
+        result = oracle.forward_oracle(m, geom, seed=0, budget=2000)
+    finally:
+        tracer.uninstall()
+    assert result.found
+    refines = [s for s in tracer.finished_spans() if s.name == "oracle.refine"]
+    assert len(refines) == oracle.REFINE_TOP * len(families)
+    assert oracle._FamilySearch.refine is refine

@@ -28,6 +28,24 @@ def test_rotation_full_turn_is_identity():
         assert np.max(np.abs(geo.rotation_about_axis(axis, 2 * math.pi) - np.eye(3))) <= 1e-12
 
 
+def test_rotations_about_axis_matches_scalar_rotation():
+    # one axis for every angle, one axis per angle, and (slots, 3) axes against (n, slots) angles
+    rng = np.random.default_rng(4)
+    axes = rng.standard_normal((6, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(-7.0, 7.0, size=(5, 6))
+    one = geo.rotations_about_axis(axes[0], angles[0])
+    per_row = geo.rotations_about_axis(axes, angles[0])
+    grid = geo.rotations_about_axis(axes, angles)
+    assert grid.shape == (5, 6, 3, 3)
+    for j in range(6):
+        assert np.array_equal(one[j], geo.rotation_about_axis(axes[0], angles[0, j]))
+        assert np.max(np.abs(per_row[j] - geo.rotation_about_axis(axes[j], angles[0, j]))) <= 1e-15
+        for i in range(5):
+            expected = geo.rotation_about_axis(axes[j], angles[i, j])
+            assert np.max(np.abs(grid[i, j] - expected)) <= 1e-15
+
+
 def test_rotation_rejects_non_unit_axis():
     with pytest.raises(InvalidInput):
         geo.rotation_about_axis(np.array([1.0, 1.0, 0.0]), 0.5)

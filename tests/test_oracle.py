@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import request_from_rotation
 from sphere_dubins import geometry as geo
@@ -67,3 +68,71 @@ def test_cross_family_audit_identity_instance():
     assert row.table_length == 0.0
     assert row.all_length == 0.0
     assert row.gap == 0.0
+
+
+def test_oracle_finds_published_four_chain():
+    # the RLRL of criterion 2 (r = 0.55, length 4.28538): the equal-middle search
+    geom = geo.TurnGeometry.from_radius(0.55)
+    m = geo.compose_path([geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)], geom)
+    result = orc.forward_oracle(m, geom, seed=1, budget=20_000)
+    assert result.found
+    assert result.family == "RLRL"
+    assert result.residual <= 1e-9
+    assert abs(result.length - 4.28538) <= 1e-3
+
+
+def _middle_traces(search, left, betas):
+    """tr(left^T B(beta)) with B the product of the interior turns at pi + beta."""
+    block = np.eye(3)
+    for axis in search.axes[1:-1]:
+        block = block @ geo.rotations_about_axis(axis, math.pi + betas)
+    return np.einsum("ij,nij->n", left, block)
+
+
+def _beta_step(search, left, beta):
+    return orc._beta_step(
+        search.middle_cos[None], search.middle_sin[None], left[None], np.array([beta])
+    )[0]
+
+
+@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
+@pytest.mark.parametrize("r", [0.55, 0.71, 0.8, math.sqrt(3.0) / 2.0])
+def test_beta_step_is_the_exact_maximum(pattern, r):
+    geom = geo.TurnGeometry.from_radius(r)
+    search = orc._FamilySearch(pl._template(pattern), geom)
+    grid = np.linspace(orc.BETA_LO, math.pi - orc.BETA_LO, 20001)
+    rng = np.random.default_rng(len(pattern) * 1000 + int(r * 100))
+    for _ in range(20):
+        left = orc.random_rotation(rng)
+        beta = _beta_step(search, left, rng.uniform(0.0, math.pi))
+        assert orc.BETA_LO <= beta <= math.pi - orc.BETA_LO
+        traced = _middle_traces(search, left, np.array([beta]))[0]
+        assert traced >= _middle_traces(search, left, grid).max() - 1e-12
+
+
+@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
+@pytest.mark.parametrize("outside", [-0.3, math.pi + 0.3])
+def test_beta_step_maximum_at_an_end(pattern, outside):
+    # left = B(outside): the trace peaks outside the search interval
+    geom = geo.TurnGeometry.from_radius(0.71)
+    search = orc._FamilySearch(pl._template(pattern), geom)
+    left = np.eye(3)
+    for axis in search.axes[1:-1]:
+        left = left @ geo.rotation_about_axis(axis, math.pi + outside)
+    grid = np.linspace(orc.BETA_LO, math.pi - orc.BETA_LO, 20001)
+    traces = _middle_traces(search, left, grid)
+    end = 0 if outside < 0.0 else len(grid) - 1
+    assert np.argmax(traces) == end
+    beta = _beta_step(search, left, math.pi / 2.0)
+    assert beta == grid[end]
+    assert _middle_traces(search, left, np.array([beta]))[0] >= traces.max() - 1e-12
+
+
+def test_trig_max_with_vanishing_top_coefficient():
+    # degree-2 rows: g = sin t with a top coefficient of 0 and of 1e-300, g = -cos 2t, g = 0
+    a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+    b = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1e-300], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    t, value = orc._trig_max(a, b, 0.1, 3.0)
+    assert np.all(np.abs(t[:3] - math.pi / 2.0) <= 1e-12)
+    assert np.all(np.abs(value[:3] - 1.0) <= 1e-15)
+    assert t[3] == 0.1 and value[3] == 0.0
