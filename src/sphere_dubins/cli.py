@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import sample_path
 from .lemmas import closed_replacement, shortcut_construction, sweep_grid
 from .oracle import forward_oracle, random_rotation, request_for_target
-from .planner import PlanRequest, PlanResult, Pose, normalize_problem, plan
+from .planner import MAX_RADIUS, PlanRequest, PlanResult, Pose, normalize_problem, plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,7 +38,17 @@ ADJUSTMENT_WARN = 1e-9   # pose inconsistencies above this are re-orthonormalize
 
 
 class InputError(Exception):
-    """Input document problem; the message names the failing field."""
+    """Input document or flag problem; the message names the failing field."""
+
+
+# Exit code of each error that ends a command; main prints it as "error: ...".
+EXIT_CODES = {
+    InputError: EXIT_VALIDATION,
+    MalformedConfiguration: EXIT_VALIDATION,
+    NoCandidateFound: EXIT_VALIDATION,
+    RadiusOutOfRange: EXIT_RADIUS,
+    OutOfRegime: EXIT_REGIME,
+}
 
 
 def _vector(doc: dict, path: str) -> list[float]:
@@ -147,31 +157,13 @@ def _warn_adjustment(result: PlanResult) -> None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        req = load_request(args.input)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    req = load_request(args.input)
     if args.samples is not None:
         if args.samples < 2:
-            print("error: --samples must be at least 2", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise InputError("--samples must be at least 2")
         if not args.samples_out:
-            print("error: --samples requires --samples-out", file=sys.stderr)
-            return EXIT_VALIDATION
-    try:
-        result = plan(
-            req,
-            mode=args.families,
-            best_effort=args.best_effort,
-            residual_tol=args.tol,
-        )
-    except RadiusOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RADIUS
-    except (MalformedConfiguration, NoCandidateFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+            raise InputError("--samples requires --samples-out")
+    result = plan(req, mode=args.families, best_effort=args.best_effort)
     _warn_adjustment(result)
     Path(args.output).write_text(json.dumps(plan_document(result), indent=2) + "\n")
     if args.samples is not None:
@@ -232,21 +224,14 @@ def _parse_r_values(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        r_values = _parse_r_values(args.r)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    r_values = _parse_r_values(args.r)
     if args.instances < 1:
-        print("error: --instances must be at least 1", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("--instances must be at least 1")
     if args.parallel < 1:
-        print("error: --parallel must be at least 1", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("--parallel must be at least 1")
     for r in r_values:
-        if not (0.0 < r <= math.sqrt(3.0) / 2.0):
-            print(f"error: --r value {r} outside (0, sqrt(3)/2]", file=sys.stderr)
-            return EXIT_VALIDATION
+        if not (0.0 < r <= MAX_RADIUS):
+            raise InputError(f"--r value {r} outside (0, sqrt(3)/2]")
 
     tasks = []
     instance_id = 0
@@ -291,33 +276,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f"min length delta {min_delta:.6g}"
         )
         return EXIT_OK if failures == 0 else EXIT_LEMMA_FAIL
-    try:
-        report = build(args.lemma, args.r, args.param)
-    except OutOfRegime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
+    if math.isnan(args.r) or math.isnan(args.param):
+        raise InputError("--r and --param are required without --grid")
+    report = build(args.lemma, args.r, args.param)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_LEMMA_FAIL
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        req = load_request(args.input)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    req = load_request(args.input)
     if args.budget < 1:
-        print("error: --budget must be at least 1", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        result = plan(req)
-        target, geom, _, _, _ = normalize_problem(req)
-    except RadiusOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RADIUS
-    except (MalformedConfiguration, NoCandidateFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("--budget must be at least 1")
+    result = plan(req)
+    target, geom, _, _, _ = normalize_problem(req)
     found = forward_oracle(target, geom, seed=args.seed, budget=args.budget)
     plan_length = result.best_candidate.physical_length
     oracle_length = found.length * req.sphere_radius if found.found else math.inf
@@ -342,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-out", default=None)
     p.add_argument("--families", choices=("table", "all"), default="table")
     p.add_argument("--best-effort", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="plan seeded random instances, write a CSV")
@@ -370,15 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate" and not args.grid:
-        if math.isnan(args.r) or math.isnan(args.param):
-            print("error: --r and --param are required without --grid", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         return args.func(args)
-    except OutOfRegime as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

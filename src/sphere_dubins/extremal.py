@@ -97,16 +97,6 @@ class ExtremalTrajectory:
     lam: int
     u_max: float
 
-    def state_at(self, index: int) -> ExtremalState:
-        return ExtremalState(
-            frame=self.frames[index],
-            h1=float(self.h1[index]),
-            h2=float(self.h2[index]),
-            H12=float(self.H12[index]),
-            lam=self.lam,
-            u_max=self.u_max,
-        )
-
     def complete_arc_angles(self, r: float) -> list[float]:
         """Turn angles of fully traversed arcs (between consecutive switches)."""
         return [(b - a) / r for a, b in zip(self.switches, self.switches[1:])]

@@ -126,12 +126,6 @@ class TurnGeometry:
             raise InvalidInput(f"turning radius must be in (0, 1), got {r}")
         return cls(r=r, u_max=math.sqrt(1.0 - r * r) / r)
 
-    @classmethod
-    def from_curvature_bound(cls, u_max: float) -> "TurnGeometry":
-        if u_max <= 0.0:
-            raise InvalidInput(f"curvature bound must be positive, got {u_max}")
-        return cls(r=1.0 / math.sqrt(1.0 + u_max**2), u_max=u_max)
-
 
 def turn_axis(kind: SegmentKind | str, geom: TurnGeometry) -> np.ndarray:
     """Unit rotation axis of a segment kind for the given turn geometry."""

@@ -26,9 +26,8 @@ import numpy as np
 from .errors import OutOfRegime
 from .geometry import L, R, Segment, TurnGeometry, compose_path, path_length
 from .linkage import solve_three
+from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
-HALF_SQRT2 = 1.0 / math.sqrt(2.0)
-SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 MAX_SHORTCUT_DELTA = 0.6    # perturbation range over which the constructions are exercised
 TAYLOR_DELTA = 1e-4         # probe size for finite-difference slope checks
 
@@ -89,11 +88,11 @@ class LemmaReport:
 
 
 def _in_low_regime(r: float) -> bool:
-    return 0.0 < r <= HALF_SQRT2
+    return 0.0 < r <= BOUNDARY_SQRT2
 
 
 def _in_high_regime(r: float) -> bool:
-    return HALF_SQRT2 < r <= SQRT3_OVER_2
+    return BOUNDARY_SQRT2 < r <= MAX_RADIUS
 
 
 BOUNDARY_BAND = 1e-3  # sweep grids stay this far from regime endpoints
@@ -104,9 +103,9 @@ def sweep_grid(kind: str, n_r: int = 20, n_param: int = 20) -> tuple[np.ndarray,
     neighborhoods of the regime endpoints where replacements degenerate."""
     kind = kind.lower()
     if kind in ("grg", "lrl5"):
-        r_values = np.linspace(0.02, HALF_SQRT2 - BOUNDARY_BAND, n_r)
+        r_values = np.linspace(0.02, BOUNDARY_SQRT2 - BOUNDARY_BAND, n_r)
     elif kind in ("rgl", "lrlr6"):
-        r_values = np.linspace(HALF_SQRT2 + BOUNDARY_BAND, SQRT3_OVER_2 - BOUNDARY_BAND, n_r)
+        r_values = np.linspace(BOUNDARY_SQRT2 + BOUNDARY_BAND, MAX_RADIUS - BOUNDARY_BAND, n_r)
     else:
         raise OutOfRegime(f"unknown lemma kind {kind!r}")
     if kind in ("grg", "rgl"):
@@ -120,40 +119,34 @@ def sweep_grid(kind: str, n_r: int = 20, n_param: int = 20) -> tuple[np.ndarray,
 # shortcut constructions solved through the linkage solver
 # ---------------------------------------------------------------------------
 
-def _grg_offsets(geom: TurnGeometry, delta: float) -> tuple[float, float, tuple[Segment, ...]]:
-    """Replacement offsets (p1, p2) and segments for the L_d R_pi L_d shortcut."""
-    original = (L(delta), R(math.pi), L(delta))
-    m = compose_path(original, geom)
-    best = None
-    for sol in solve_three(m, ("G", "R", "G"), geom, equal_outer=True):
-        t1, t2, _ = sol.angles
-        if t2 > math.pi + 1e-9:
-            continue
-        length = path_length(sol.segments(("G", "R", "G")), geom)
-        if best is None or length < best[0]:
-            best = (length, t1, t2, sol)
-    if best is None:
-        return math.nan, math.nan, ()
-    _, t1, t2, sol = best
-    return t1, t2 - math.pi, sol.segments(("G", "R", "G"))
+# Shortcut kind -> replacement pattern and its slot whose angle is at most pi
+# and enters the offsets as angle - pi.
+_SHORTCUTS = {"grg": ("GRG", 1), "rgl": ("RGL", 0)}
 
 
-def _rgl_offsets(geom: TurnGeometry, delta: float) -> tuple[float, float, tuple[Segment, ...]]:
-    """Replacement offsets (p1, p2) and segments for the L_d R_pi L_pi R_d shortcut."""
-    original = (L(delta), R(math.pi), L(math.pi), R(delta))
-    m = compose_path(original, geom)
-    best = None
-    for sol in solve_three(m, ("R", "G", "L"), geom, equal_outer=True):
-        t1, t2, _ = sol.angles
-        if t1 > math.pi + 1e-9:
-            continue
-        length = path_length(sol.segments(("R", "G", "L")), geom)
-        if best is None or length < best[0]:
-            best = (length, t1, t2, sol)
-    if best is None:
+def _shortcut_original(kind: str, delta: float) -> tuple[Segment, ...]:
+    if kind == "grg":
+        return (L(delta), R(math.pi), L(delta))
+    return (L(delta), R(math.pi), L(math.pi), R(delta))
+
+
+def _shortcut_offsets(
+    kind: str, geom: TurnGeometry, delta: float
+) -> tuple[float, float, tuple[Segment, ...]]:
+    """Replacement offsets (p1, p2) and segments of the shortest equal-outer
+    replacement of the `kind` shortcut at perturbation delta."""
+    pattern, bounded = _SHORTCUTS[kind]
+    m = compose_path(_shortcut_original(kind, delta), geom)
+    feasible = [
+        sol for sol in solve_three(m, pattern, geom, equal_outer=True)
+        if sol.angles[bounded] <= math.pi + 1e-9
+    ]
+    if not feasible:
         return math.nan, math.nan, ()
-    _, t1, t2, sol = best
-    return t1 - math.pi, t2, sol.segments(("R", "G", "L"))
+    best = min(feasible, key=lambda sol: path_length(sol.segments(pattern), geom))
+    offsets = list(best.angles[:2])
+    offsets[bounded] -= math.pi
+    return offsets[0], offsets[1], best.segments(pattern)
 
 
 def _taylor_slopes(kind: str, geom: TurnGeometry) -> tuple[float, float, float, float]:
@@ -162,10 +155,9 @@ def _taylor_slopes(kind: str, geom: TurnGeometry) -> tuple[float, float, float, 
     Two-point Richardson extrapolation at TAYLOR_DELTA removes the O(delta)
     bias of the one-sided slope, so the estimate carries only O(delta^2) error.
     """
-    solver = _grg_offsets if kind == "grg" else _rgl_offsets
     d = TAYLOR_DELTA
-    p1_d, p2_d, _ = solver(geom, d)
-    p1_h, p2_h, _ = solver(geom, d / 2.0)
+    p1_d, p2_d, _ = _shortcut_offsets(kind, geom, d)
+    p1_h, p2_h, _ = _shortcut_offsets(kind, geom, d / 2.0)
     a1 = (4.0 * p1_h - p1_d) / d
     a2 = (4.0 * p2_h - p2_d) / d
 
@@ -197,16 +189,14 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
         raise OutOfRegime(f"rgl construction needs r in (1/sqrt(2), sqrt(3)/2], got {r}")
 
     geom = TurnGeometry.from_radius(r)
+    original = _shortcut_original(kind, delta)
+    _, _, replacement = _shortcut_offsets(kind, geom, delta)
     if kind == "grg":
-        original = (L(delta), R(math.pi), L(delta))
-        _, _, replacement = _grg_offsets(geom, delta)
         s = math.sqrt(max(0.0, 1.0 - 2.0 * r * r))
         a1_closed = s * (1.0 - s) / r
         a2_closed = -2.0 * s
         identity_closed = 2.0 * (2.0 * r * r - 1.0)
     else:
-        original = (L(delta), R(math.pi), L(math.pi), R(delta))
-        _, _, replacement = _rgl_offsets(geom, delta)
         s = math.sqrt(max(0.0, 3.0 - 4.0 * r * r))
         a1_closed = 4.0 * r * r - 3.0 - math.sqrt(2.0) * s
         a2_closed = 2.0 * math.sqrt(2.0) * r * s

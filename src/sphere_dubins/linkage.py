@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateAlignment, InconsistentPair, InvalidInput
 from .geometry import (
+    TWO_PI,
     Segment,
     SegmentKind,
     TurnGeometry,
@@ -38,8 +39,6 @@ from .geometry import (
     skew,
     turn_axis,
 )
-
-TWO_PI = 2.0 * math.pi
 
 TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
 TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
@@ -98,7 +97,6 @@ def solve_one(
     m: np.ndarray,
     kind: SegmentKind | str,
     geom: TurnGeometry,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> CandidateSolution | None:
     """Angle phi with rotation(kind, phi) == m, or None when m moves the axis."""
     kind = SegmentKind(kind)
@@ -111,7 +109,7 @@ def solve_one(
     except (DegenerateAlignment, InconsistentPair):
         return None
     res = _residual(m, [phi], [axis])
-    if res > residual_tol:
+    if res > TOL_RESIDUAL:
         return None
     return CandidateSolution((phi,), res)
 
@@ -120,7 +118,6 @@ def solve_two(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
     """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m.
 
@@ -130,7 +127,7 @@ def solve_two(
     a1, a2 = axes
     if abs(float(a1 @ (m @ a2)) - float(a1 @ a2)) > TOL_SCALAR:
         return []
-    return _close_chain(m, axes, [()], residual_tol)
+    return _close_chain(m, axes, [()])
 
 
 def scalar_reduction(
@@ -201,14 +198,13 @@ def _close_chain(
     m: np.ndarray,
     axes: Sequence[np.ndarray],
     interiors: Sequence[tuple[float, ...]],
-    residual_tol: float,
     keep: Callable[[tuple[float, float], tuple[float, ...]], bool] | None = None,
 ) -> list[CandidateSolution]:
     """Step 2 for every interior solution of step 1 (see the module docstring).
 
     For each interior angle tuple: build the interior block, recover the
     outer angles, drop them unless `keep(outer, interior)` holds, and report
-    the full assignment if its matrix residual is within `residual_tol`.
+    the full assignment if its matrix residual is within TOL_RESIDUAL.
     """
     a_first, a_last = axes[0], axes[-1]
     solutions: list[CandidateSolution] = []
@@ -221,7 +217,7 @@ def _close_chain(
             continue
         angles = (outer[0],) + interior + (outer[1],)
         res = _residual(m, angles, axes)
-        if res <= residual_tol:
+        if res <= TOL_RESIDUAL:
             solutions.append(CandidateSolution(angles, res))
     return solutions
 
@@ -232,7 +228,6 @@ def solve_three(
     geom: TurnGeometry,
     fixed_middle: float | None = None,
     equal_outer: bool = False,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
     """All (phi1, phi2, phi3) whose three-rotation product equals m.
 
@@ -254,7 +249,7 @@ def solve_three(
     else:
         middles = _circle_roots(k2c, k3c, rhs - k1c)
     return _close_chain(
-        m, axes, [(phi2,) for phi2 in middles], residual_tol,
+        m, axes, [(phi2,) for phi2 in middles],
         keep=(lambda outer, _: abs(outer[0] - outer[1]) <= TOL_SYM) if equal_outer else None,
     )
 
@@ -327,7 +322,6 @@ def solve_equal_middle(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> list[CandidateSolution]:
     """Solve 4- and 5-segment alternating turn chains with equal middle arcs.
 
@@ -350,6 +344,6 @@ def solve_equal_middle(
     coeffs[len(mid_axes)] -= float(axes[0] @ (m @ axes[-1]))
     interiors = [(math.pi + beta,) * len(mid_axes) for beta in _interior_roots(coeffs)]
     return _close_chain(
-        m, axes, interiors, residual_tol,
+        m, axes, interiors,
         keep=lambda outer, interior: max(outer) <= interior[0] + 1e-9,
     )

@@ -123,13 +123,11 @@ class _FamilySearch:
     def _residual(self, params: np.ndarray, m: np.ndarray) -> float:
         return float(np.linalg.norm(self._endpoint(params) - m))
 
-    def refine(
-        self, m: np.ndarray, params: np.ndarray, residual_tol: float
-    ) -> tuple[np.ndarray, float]:
+    def refine(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, float]:
         """Finish one restart after the batched descent (`_descend`): its
         residual, and a polish when the descent stalled close to the target."""
         current = self._residual(params, m)
-        if residual_tol < current < POLISH_GATE:
+        if TOL_RESIDUAL < current < POLISH_GATE:
             params, current = self._polish(m, params, current)
         return params, current
 
@@ -256,10 +254,10 @@ def _beta_step(
     return np.where(value > _trig_values(a, b, beta[:, None])[:, 0], best, beta)
 
 
-def _lockstep(step, residual, params: np.ndarray, rows: tuple, residual_tol: float) -> np.ndarray:
+def _lockstep(step, residual, params: np.ndarray, rows: tuple) -> np.ndarray:
     """Sweep every restart with `step(params, *rows)` until its own stop rule
     holds: `residual(params, *rows)` gains less than 1e-16, reaches
-    residual_tol * 1e-3, or REFINE_SWEEPS sweeps pass.  `rows` holds
+    TOL_RESIDUAL * 1e-3, or REFINE_SWEEPS sweeps pass.  `rows` holds
     per-restart data; only the restarts still running are swept."""
     params = params.copy()
     current = residual(params, *rows)
@@ -270,13 +268,13 @@ def _lockstep(step, residual, params: np.ndarray, rows: tuple, residual_tol: flo
         data = tuple(x[active] for x in rows)
         params[active] = step(params[active], *data)
         after = residual(params[active], *data)
-        done = (current[active] - after < 1e-16) | (after <= residual_tol * 1e-3)
+        done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
         current[active] = after
         active = active[~done]
     return params
 
 
-def _descend_angles(axes, lo, hi, angles, m, residual_tol) -> np.ndarray:
+def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     """Free and pinned-middle chains: each sweep maximizes tr(R^T m) over one
     slot at a time, first to last; a pinned slot has lo == hi."""
     n_slots = axes.shape[1]
@@ -296,10 +294,10 @@ def _descend_angles(axes, lo, hi, angles, m, residual_tol) -> np.ndarray:
             rots[slot] = rotations_about_axis(ax[:, slot], p[:, slot])
         return p
 
-    return _lockstep(step, residual, angles, (axes, lo, hi), residual_tol)
+    return _lockstep(step, residual, angles, (axes, lo, hi))
 
 
-def _descend_equal(axes, middle_cos, middle_sin, params, m, residual_tol) -> np.ndarray:
+def _descend_equal(axes, middle_cos, middle_sin, params, m) -> np.ndarray:
     """Equal-middle chains (alpha, beta, gamma): alpha and gamma by the trace
     argmax within [0, pi + beta], then beta by the exact maximum of
     tr(left^T B(beta)), taken only where it beats the current beta."""
@@ -322,11 +320,11 @@ def _descend_equal(axes, middle_cos, middle_sin, params, m, residual_tol) -> np.
         top = math.pi + beta
         return np.column_stack([np.minimum(alpha, top), beta, np.minimum(gamma, top)])
 
-    return _lockstep(step, residual, params, (axes, middle_cos, middle_sin), residual_tol)
+    return _lockstep(step, residual, params, (axes, middle_cos, middle_sin))
 
 
 def _descend(
-    searches: list[_FamilySearch], starts: list[np.ndarray], m: np.ndarray, residual_tol: float
+    searches: list[_FamilySearch], starts: list[np.ndarray], m: np.ndarray
 ) -> list[np.ndarray]:
     """Coordinate descent of every family's restarts, one lockstep batch per
     chain shape: equal-middle chains of one slot count, or free and
@@ -350,12 +348,12 @@ def _descend(
                 per_row([s.middle_cos for s in family]),
                 per_row([s.middle_sin for s in family]),
                 np.concatenate([starts[i] for i in members]),
-                m, residual_tol,
+                m,
             )
         else:
             bounds = per_row([s.angles(np.array(s.box)) for s in family])
             angles = np.concatenate([s.angles(starts[i]) for s, i in zip(family, members)])
-            out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m, residual_tol)
+            out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m)
         for s, i, chunk in zip(family, members, np.split(out, np.cumsum(counts)[:-1])):
             descended[i] = chunk[:, [0, 2]] if s.mode == "fixed" else chunk
     return descended
@@ -366,7 +364,6 @@ def forward_oracle(
     geom: TurnGeometry,
     seed: int,
     budget: int,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> OracleResult:
     """Best residual-passing path found by seeded restarts plus refinement.
 
@@ -386,7 +383,7 @@ def forward_oracle(
     evaluations = 0
 
     identity_residual = float(np.linalg.norm(m - np.eye(3)))
-    if identity_residual <= residual_tol:
+    if identity_residual <= TOL_RESIDUAL:
         best_segments = ()
         best_length = 0.0
         best_residual = identity_residual
@@ -401,14 +398,14 @@ def forward_oracle(
         residuals = np.linalg.norm(search.compose_batch(params) - m, axis=(1, 2))
         starts.append(params[np.argsort(residuals)[:REFINE_TOP]])
 
-    for search, descended in zip(searches, _descend(searches, starts, m, residual_tol)):
+    for search, descended in zip(searches, _descend(searches, starts, m)):
         for params in descended:
-            refined, res = search.refine(m, params, residual_tol)
-            if res > residual_tol * 10.0:
+            refined, res = search.refine(m, params)
+            if res > TOL_RESIDUAL * 10.0:
                 continue
             segments = search.segments_for(refined)
             res_canonical = float(np.linalg.norm(compose_path(segments, geom) - m))
-            if res_canonical > residual_tol:
+            if res_canonical > TOL_RESIDUAL:
                 continue
             length = path_length(segments, geom)
             if length < best_length:

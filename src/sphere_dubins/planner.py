@@ -20,13 +20,14 @@ from .geometry import (
     Segment,
     SegmentKind,
     TurnGeometry,
-    compose_path,
+    compose_path,  # noqa: F401  perfbench/tracing.py wraps planner.compose_path
     orthonormalize_pose,
     path_length,
     relative_rotation,
 )
 from .linkage import (
     TOL_RESIDUAL,
+    CandidateSolution,
     solve_equal_middle,
     solve_one,
     solve_three,
@@ -240,28 +241,25 @@ def solve_family(
     m: np.ndarray,
     geom: TurnGeometry,
     regime_has_fixed_pi: bool,
-    residual_tol: float = TOL_RESIDUAL,
-) -> list[tuple[Segment, ...]]:
-    """Feasible segment sequences of one family reaching the target."""
+) -> list[CandidateSolution]:
+    """Feasible solutions of one family reaching the target, each with the
+    endpoint residual its solver computed."""
     kinds = template.kinds
     n = len(kinds)
     if n == 0:
-        if float(np.linalg.norm(m - np.eye(3))) <= residual_tol:
-            return [()]
-        return []
+        residual = float(np.linalg.norm(m - np.eye(3)))
+        return [CandidateSolution((), residual)] if residual <= TOL_RESIDUAL else []
     if n == 1:
-        sol = solve_one(m, kinds[0], geom, residual_tol=residual_tol)
+        sol = solve_one(m, kinds[0], geom)
         sols = [sol] if sol is not None else []
     elif n == 2:
-        sols = solve_two(m, kinds, geom, residual_tol=residual_tol)
+        sols = solve_two(m, kinds, geom)
     elif n == 3:
-        sols = solve_three(
-            m, kinds, geom, fixed_middle=template.fixed_middle, residual_tol=residual_tol
-        )
+        sols = solve_three(m, kinds, geom, fixed_middle=template.fixed_middle)
     else:
-        sols = solve_equal_middle(m, kinds, geom, residual_tol=residual_tol)
+        sols = solve_equal_middle(m, kinds, geom)
 
-    feasible: list[tuple[Segment, ...]] = []
+    feasible: list[CandidateSolution] = []
     for sol in sols:
         if template.fixed_middle is not None:
             alpha, _, gamma = sol.angles
@@ -270,7 +268,7 @@ def solve_family(
         elif template.is_free_middle_turn_triple:
             if not _middle_ok(sol.angles[1], regime_has_fixed_pi):
                 continue
-        feasible.append(sol.segments(kinds))
+        feasible.append(sol)
     return feasible
 
 
@@ -294,15 +292,14 @@ def plan(
     req: PlanRequest,
     mode: str = "table",
     best_effort: bool = False,
-    residual_tol: float = TOL_RESIDUAL,
 ) -> PlanResult:
     """Solve every catalog family against the request and rank by length.
 
     Candidates appear in catalog order (solutions within a family ordered by
     length, then total turning, then angles); `best` indexes the minimum
     physical length with ties already resolved by that ordering.  Raises
-    NoCandidateFound when filtering leaves nothing, which cannot happen for
-    valid targets at the default tolerance.
+    NoCandidateFound when filtering leaves nothing, which does not happen for
+    valid targets at the residual bound TOL_RESIDUAL.
     """
     m, geom, _, _, adjustment = normalize_problem(req, best_effort)
     heuristic = geom.r > MAX_RADIUS
@@ -313,13 +310,15 @@ def plan(
 
     candidates: list[PathCandidate] = []
     for template in families:
-        solved = solve_family(template, m, geom, regime_has_fixed_pi, residual_tol)
-        solved.sort(key=lambda segs: _candidate_sort_key(segs, geom))
-        for segments in solved:
+        solved = [
+            (sol.segments(template.kinds), sol.residual)
+            for sol in solve_family(template, m, geom, regime_has_fixed_pi)
+        ]
+        solved.sort(key=lambda item: _candidate_sort_key(item[0], geom))
+        for segments, residual in solved:
             if any(_is_duplicate(segments, c.segments) for c in candidates):
                 continue
             unit_len = path_length(segments, geom)
-            residual = float(np.linalg.norm(compose_path(segments, geom) - m))
             candidates.append(
                 PathCandidate(
                     family=template.tag,

@@ -14,6 +14,7 @@ from conftest import (
     request_from_segments,
 )
 from sphere_dubins import geometry as geo
+from sphere_dubins import linkage as lk
 from sphere_dubins import planner as pl
 from sphere_dubins.errors import MalformedConfiguration, NoCandidateFound, RadiusOutOfRange
 
@@ -209,10 +210,37 @@ def test_plan_best_effort_heuristic_label():
     assert result.best_candidate.residual <= 1e-9
 
 
-def test_plan_no_candidate_with_pathological_tolerance():
+def test_plan_no_candidate_with_pathological_tolerance(monkeypatch):
+    monkeypatch.setattr(lk, "TOL_RESIDUAL", 1e-18)
+    monkeypatch.setattr(pl, "TOL_RESIDUAL", 1e-18)
     req = request_from_rotation(random_rotation(np.random.default_rng(99)), 0.5)
     with pytest.raises(NoCandidateFound):
-        pl.plan(req, residual_tol=1e-18)
+        pl.plan(req)
+
+
+def test_plan_residual_is_the_recomposed_residual():
+    """Each candidate carries its solver's residual, which equals the
+    residual of the recomposed path bit for bit, for every family shape."""
+    shapes = set()
+    for r in (0.3, 0.5, 0.55, SQRT2_INV, 0.71, 0.85, math.sqrt(3.0) / 2.0):
+        rng = np.random.default_rng(7)
+        g = geo.TurnGeometry.from_radius(r)
+        paths = (
+            [geo.L(1.0)], [geo.R(2.5)], [geo.G(0.4)],
+            [geo.L(0.8), geo.R(1.9)], [geo.G(0.6), geo.L(1.2)],
+            [geo.R(0.7), geo.L(math.pi), geo.R(0.7)],
+        )
+        targets = [np.eye(3)] + [geo.compose_path(p, g) for p in paths]
+        targets += [random_rotation(rng) for _ in range(10)]
+        for target in targets:
+            req = request_from_rotation(target, r)
+            m, geom, _, _, _ = pl.normalize_problem(req)
+            for mode in ("table", "all"):
+                for c in pl.plan(req, mode=mode).candidates:
+                    recomposed = float(np.linalg.norm(geo.compose_path(c.segments, geom) - m))
+                    assert c.residual == recomposed, (r, mode, c.family)
+                    shapes.add("pi" if "pi" in c.family else len(c.segments))
+    assert shapes == {0, 1, 2, 3, 4, 5, "pi"}
 
 
 def test_plan_candidates_meet_residual_bound():
