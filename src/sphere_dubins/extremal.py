@@ -1,14 +1,15 @@
-"""Adjoint integration and phase-portrait invariants for extremal paths.
+"""Closed-form extremal flow and phase-portrait invariants for extremal paths.
 
-Along an extremal, three adjoint scalars (h1, h2, H12) evolve together with
-the moving frame; the control is bang-bang in the sign of H12 with a
-great-circle branch available only on the normal (lam = 1) solution set.
-Two quantities are conserved and serve as integration oracles: the quadratic
-invariant J = h1^2 + h2^2 + H12^2 and the phase-portrait radius f, the
+Along an extremal, the adjoint y = (h1, h2, H12) evolves with the moving
+frame F; the control kappa is bang-bang in the sign of H12, with a
+great-circle branch (kappa = 0) only on the normal (lam = 1) solution set.
+While kappa is constant both flows are rigid rotations at the rate
+w = sqrt(1 + kappa^2): y' = skew(w_a) y turns y about w_a = (-1, 0, kappa),
+and F' = F @ frame_generator(kappa) = F @ skew(w_f) turns F about
+w_f = (kappa, 0, 1).  So H12 = c + a cos(w t) + b sin(w t) along each arc,
+the paper's phase portrait.  Two conserved quantities check the flow
+independently: J = h1^2 + h2^2 + H12^2 and the phase-portrait radius f, the
 squared distance of (|H12|, dH12/ds) from the portrait center.
-
-The integrator is fixed-step RK4 with bisection-localized control switches,
-which keeps switch times reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInitialState, InvalidInput, OutOfDomain
-from .geometry import frame_generator
+from .geometry import rotations_about_axis
 
-ZERO_BRANCH_EPS = 1e-12   # |H12|, |h2| below this at start select the great-circle branch
-HAMILTONIAN_TOL = 1e-9    # accepted violation of the zero-Hamiltonian condition
-SWITCH_LOCATE_TOL = 1e-12  # arc-length resolution of switch bisection
+# The module's tolerances:
+ZERO_BRANCH_EPS = 1e-12  # |H12|, |h2| at or below it at the start count as zero
+HAMILTONIAN_TOL = 1e-9   # zero-Hamiltonian violation accepted in an initial state
+END_SLACK = 1e-15        # no sample step starts this close to the length
+LIVE_H12 = 1e-9          # |H12| at or below it is on the switching surface
 
 
 def _control(h12: float, u_max: float) -> float:
@@ -102,33 +105,48 @@ class ExtremalTrajectory:
         return [(b - a) / r for a, b in zip(self.switches, self.switches[1:])]
 
 
-def _rk4_step(
-    y: tuple[float, float, float, np.ndarray], kappa: float, omega: np.ndarray, h: float
-) -> tuple[float, float, float, np.ndarray]:
-    def rhs(h1: float, h2: float, h12: float, frame: np.ndarray):
-        return (-kappa * h2, h12 + kappa * h1, -h2, frame @ omega)
+def _switch_angle(w_a: np.ndarray, y: np.ndarray, side: int) -> float:
+    """Turn angle about w_a from y to the next sign change of H12, or inf.
+    Along the turn H12 = c + rho cos(theta - phi): it falls through zero at
+    phi + alpha and rises at phi - alpha (alpha = acos(-c / rho)), so side +1
+    leaves at the first and side -1 at the second.  A start on the surface
+    crosses at theta = 0 towards `side`, so it gets the next root."""
+    if side == 0:
+        return math.inf
+    w2 = float(w_a @ w_a)
+    c = w_a[2] * float(w_a @ y) / w2
+    a, b = y[2] - c, (w_a[0] * y[1] - w_a[1] * y[0]) / math.sqrt(w2)
+    rho = math.hypot(a, b)
+    if abs(c) >= rho:
+        return math.inf  # the portrait misses or only touches H12 = 0
+    return (math.atan2(b, a) + side * math.acos(-c / rho)) % (2.0 * math.pi)
 
-    h1, h2, h12, fr = y
-    k1 = rhs(h1, h2, h12, fr)
-    k2 = rhs(h1 + 0.5 * h * k1[0], h2 + 0.5 * h * k1[1], h12 + 0.5 * h * k1[2], fr + 0.5 * h * k1[3])
-    k3 = rhs(h1 + 0.5 * h * k2[0], h2 + 0.5 * h * k2[1], h12 + 0.5 * h * k2[2], fr + 0.5 * h * k2[3])
-    k4 = rhs(h1 + h * k3[0], h2 + h * k3[1], h12 + h * k3[2], fr + h * k3[3])
-    return (
-        h1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        h2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        h12 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        fr + h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
+
+def _arc_grid(s0: float, stop: float, length: float, step: float) -> np.ndarray:
+    """Sample positions after s0 up to the first at or past `stop`: every
+    `step` by repeated addition, as a step loop rounds, then one short step
+    onto `length` unless already within END_SLACK of it."""
+    n = int((min(stop, length) - s0) / step) + 2
+    g = np.add.accumulate(np.concatenate(([s0], np.full(n, step))))
+    t = g[1:][step <= length - g[:-1]]
+    if t.size < n and (t[-1] if t.size else s0) < length - END_SLACK:
+        t = np.append(t, length)
+    return t[: np.searchsorted(t, stop) + 1]
 
 
 def integrate_extremal(init: ExtremalState, length: float, step: float) -> ExtremalTrajectory:
-    """Integrate the adjoint/frame dynamics with localized control switches.
+    """Propagate the adjoint/frame dynamics exactly, one constant-control arc
+    at a time.
 
-    Fixed-step RK4 between switches; a sign change of H12 inside a step is
-    bisected to SWITCH_LOCATE_TOL in arc length, the switch is recorded, and
-    integration resumes with the flipped control.  The great-circle branch
-    (kappa = 0) is taken only when lam = 1 and both H12 and h2 start exactly
-    at zero (within ZERO_BRANCH_EPS); it is a fixed point of the adjoints.
+    With w_a, w_f and w = sqrt(1 + kappa^2) as in the module docstring, the
+    state t past the arc start s0 is y(s0 + t) = R(w_a / w, w t) y(s0) and
+    F(s0 + t) = F(s0) @ R(w_f / w, w t), one batched Rodrigues call per arc.
+    The arc ends at the first root of the sinusoid H12, where the switch is
+    recorded, H12 is snapped to zero and the control flips.  Samples fall
+    every `step` from the last switch, at each switch and at `length`; each
+    carries the control in effect after it.  The great-circle branch
+    (kappa = 0) is taken only when lam = 1 and H12 and h2 both start at zero
+    (within ZERO_BRANCH_EPS); it is a fixed point of the adjoints.
     """
     if step <= 0.0:
         raise InvalidInput(f"step must be positive, got {step}")
@@ -144,8 +162,7 @@ def integrate_extremal(init: ExtremalState, length: float, step: float) -> Extre
         raise InvalidInitialState("H12 identically zero is not an abnormal extremal")
 
     u = init.u_max
-    great_circle_branch = init.lam == 1 and on_zero and h2_zero
-    if great_circle_branch:
+    if init.lam == 1 and on_zero and h2_zero:
         side = 0
     elif on_zero:
         # crossing start: dH12/ds = -h2 gives the side H12 is about to take
@@ -154,58 +171,40 @@ def integrate_extremal(init: ExtremalState, length: float, step: float) -> Extre
         side = 1 if init.H12 > 0.0 else -1
     kappa = -u * side if side != 0 else 0.0
 
-    omegas = {k: frame_generator(k) for k in (kappa, -kappa)}
-    s_list = [0.0]
-    h1_list = [init.h1]
-    h2_list = [init.h2]
-    h12_list = [init.H12]
-    kappa_list = [kappa]
-    frame_list = [np.array(init.frame, dtype=float)]
-    switches: list[float] = []
-
-    def leaves_side(h12: float) -> bool:
-        return h12 == 0.0 or (h12 > 0.0) != (side > 0)
-
     s = 0.0
-    y = (init.h1, init.h2, init.H12, frame_list[0])
-    while s < length - 1e-15:
-        h = min(step, length - s)
-        omega = omegas[kappa]
-        y_next = _rk4_step(y, kappa, omega, h)
-        if side != 0 and leaves_side(y_next[2]):
-            lo, hi = 0.0, h
-            while hi - lo > SWITCH_LOCATE_TOL:
-                mid = 0.5 * (lo + hi)
-                if leaves_side(_rk4_step(y, kappa, omega, mid)[2]):
-                    hi = mid
-                else:
-                    lo = mid
-            tau = 0.5 * (lo + hi)
-            stepped = _rk4_step(y, kappa, omega, tau)
-            # snap onto the switching surface: |H12| here is below the locator
-            # tolerance times the slope, so zeroing it costs nothing measurable
-            y = (stepped[0], stepped[1], 0.0, stepped[3])
-            s += tau
-            switches.append(s)
+    y = np.array([init.h1, init.h2, init.H12])
+    frame = np.array(init.frame, dtype=float)
+    arcs = [(np.zeros(1), y[None], frame[None], np.array([kappa]))]
+    switches: list[float] = []
+    while s < length - END_SLACK:
+        w = math.sqrt(1.0 + kappa * kappa)
+        axes = np.array([[-1.0, 0.0, kappa], [kappa, 0.0, 1.0]])  # w_a, w_f
+        stop = s + _switch_angle(axes[0], y, side) / w
+        t = _arc_grid(s, stop, length, step)
+        kappas = np.full(t.size, kappa)
+        switched = t[-1] >= stop
+        if switched:
+            t[-1] = stop
+        rot = rotations_about_axis(axes[:, None] / w, w * (t - s))
+        y_arc = rot[0] @ y
+        frames = frame @ rot[1]
+        if switched:
+            y_arc[-1, 2] = 0.0  # snap onto the switching surface
+            switches.append(stop)
             side = -side
             kappa = -u * side
-        else:
-            y = y_next
-            s += h
-        s_list.append(s)
-        h1_list.append(y[0])
-        h2_list.append(y[1])
-        h12_list.append(y[2])
-        kappa_list.append(kappa)
-        frame_list.append(y[3])
+            kappas[-1] = kappa
+        s, y, frame = t[-1], y_arc[-1], frames[-1]
+        arcs.append((t, y_arc, frames, kappas))
 
+    s_all, y_all, frames_all, kappa_all = (np.concatenate(part) for part in zip(*arcs))
     return ExtremalTrajectory(
-        s=np.array(s_list),
-        h1=np.array(h1_list),
-        h2=np.array(h2_list),
-        H12=np.array(h12_list),
-        kappa=np.array(kappa_list),
-        frames=np.array(frame_list),
+        s=s_all,
+        h1=y_all[:, 0],
+        h2=y_all[:, 1],
+        H12=y_all[:, 2],
+        kappa=kappa_all,
+        frames=frames_all,
         switches=tuple(switches),
         lam=init.lam,
         u_max=init.u_max,
@@ -234,7 +233,7 @@ def phase_invariants(trajectory: ExtremalTrajectory) -> PhaseReport:
     j = trajectory.h1**2 + trajectory.h2**2 + trajectory.H12**2
     f = (np.abs(trajectory.H12) - center) ** 2 + trajectory.h2**2 / (1.0 + u * u)
     ham = np.abs(-lam + trajectory.h1 - trajectory.kappa * trajectory.H12)
-    live = np.abs(trajectory.H12) > 1e-9
+    live = np.abs(trajectory.H12) > LIVE_H12
     consistent = bool(
         np.all(trajectory.kappa[live] == -u * np.sign(trajectory.H12[live]))
     )

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite takes about two minutes on a 2-core machine, mostly
-criterion 6 (200 budget-100000 oracle runs, about 70 s) and criterion 7
-(extremal integration, about 50 s).
+lines; the whole suite takes under a minute on a 2-core machine, almost all
+of it criterion 6 (200 budget-100000 oracle runs, about 50 s); criterion 7
+(200 closed-form extremal trajectories) takes about 1 s.
 """
 
 import math

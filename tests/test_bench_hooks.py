@@ -8,7 +8,7 @@ traced benchmark run.
 import math
 from pathlib import Path
 
-from sphere_dubins import geometry, linkage, oracle, planner
+from sphere_dubins import extremal, geometry, linkage, oracle, planner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +55,25 @@ def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
     refines = [s for s in tracer.finished_spans() if s.name == "oracle.refine"]
     assert len(refines) == oracle.REFINE_TOP * len(families)
     assert oracle._FamilySearch.refine is refine
+
+
+def test_tracer_extremal_counters_read_the_trajectory(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    integrate, invariants = extremal.integrate_extremal, extremal.phase_invariants
+    state = extremal.switch_state(0, math.sqrt(1.0 - 0.6**2) / 0.6, h2=1.3)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traj = extremal.integrate_extremal(state, 3.0007, 1e-3)
+        extremal.phase_invariants(traj)
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.finished_spans()]
+    assert names == ["extremal.integrate_extremal", "extremal.phase_invariants"]
+    assert traj.switches
+    assert tracer.counts["extremal.steps"] == len(traj.s) - 1
+    assert tracer.counts["extremal.switches"] == len(traj.switches)
+    assert extremal.integrate_extremal is integrate
+    assert extremal.phase_invariants is invariants

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import request_from_rotation
+from conftest import request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
 from sphere_dubins import oracle as orc
 from sphere_dubins import planner as pl
@@ -79,6 +79,21 @@ def test_oracle_finds_published_four_chain():
     assert result.family == "RLRL"
     assert result.residual <= 1e-9
     assert abs(result.length - 4.28538) <= 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="singular RLR chain at a pi middle arc: a 1e-9 residual gate admits paths "
+    "shorter than the optimum by about sqrt(gate); fixing the oracle must un-xfail this",
+)
+@pytest.mark.parametrize("seed", [2, 3, 5, 6])
+def test_oracle_does_not_beat_the_published_rlpir(seed):
+    req = request_from_segments([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71)
+    best = pl.plan(req).best_candidate.physical_length
+    target, geom, _, _, _ = pl.normalize_problem(req)
+    found = orc.forward_oracle(target, geom, seed=seed, budget=20_000)
+    assert found.found
+    assert best <= found.length + 1e-6
 
 
 def _middle_traces(search, left, betas):
