@@ -1,13 +1,18 @@
 """Independent upper-bound search and cross-catalog audits.
 
 The forward oracle searches candidate-family angle vectors directly: seeded
-uniform restarts inside each family's feasible box, followed by coordinate
-descent on the endpoint residual.  It never consults the closed-form linkage
-solver, so agreement between the two is meaningful evidence.  The descent
-runs every kept restart of every family at once, one numpy batch per chain
-shape; each restart keeps its own bounds and stop rule.  The cross-family
-audit compares the planner's proven catalog against the audit catalog
-(great-circle sandwiches and unconditional 4/5-chains) on given instances.
+uniform restarts inside each family's feasible box, coordinate descent on
+the endpoint residual, then a Levenberg-Marquardt polish with the chain's
+analytic Jacobian.  It never consults the closed-form linkage solver, so
+agreement between the two is meaningful evidence.  The descent runs every
+kept restart of every family at once, one numpy batch per chain shape, and
+the polish one batch per family; each restart keeps its own bounds and stop
+rule.  The polish drives every near-root to float64 rounding, which matters
+at singular targets (a `CCC` middle arc of exactly pi): there a 1e-9
+residual still admits paths shorter than the optimum by about 1e-5.  The
+cross-family audit compares the planner's proven catalog against the audit
+catalog (great-circle sandwiches and unconditional 4/5-chains) on given
+instances.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import (
     Configuration,
@@ -26,6 +30,7 @@ from .geometry import (
     compose_path,
     path_length,
     rotations_about_axis,
+    skew,
     turn_axis,
 )
 from .linkage import TOL_RESIDUAL
@@ -33,8 +38,13 @@ from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
-POLISH_GATE = 0.05    # stalled residual below this gets a joint least-squares polish
-BETA_LO = 1e-9        # equal-middle descent and polish keep beta in [BETA_LO, pi - BETA_LO]
+ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # a refined restart above this is dropped
+POLISH_GATE = 0.05    # descended residual below this gets the Levenberg-Marquardt polish
+POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding of the chain)
+POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
+POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
+POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
+BETA_LO = 1e-9        # equal-middle descent and LM polish keep beta in [BETA_LO, pi - BETA_LO]
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,7 @@ class OracleResult:
     residual: float
     family: str
     evaluations: int
+    min_singular: float = math.nan  # of the winner's parameter Jacobian; nan if none or EMPTY
 
     @property
     def found(self) -> bool:
@@ -64,15 +75,21 @@ def _equal_angles(params: np.ndarray, n_slots: int) -> np.ndarray:
 
 
 class _FamilySearch:
-    """Sampling, composition and the per-restart finish for one family's
-    feasible box."""
+    """Sampling, composition, the Levenberg-Marquardt polish and the
+    per-restart finish for one family's feasible box."""
 
     def __init__(self, template: FamilyTemplate, geom: TurnGeometry):
         self.template = template
         self.axes = np.array([turn_axis(k, geom) for k in template.kinds])
+        self.generators = np.array([skew(a) for a in self.axes])
         n_slots = len(template.kinds)
+        # slots-by-params matrix d(angles)/d(params): the polish's Jacobian chain rule
+        self.slot_map = np.eye(n_slots)
         if template.equal_middles:
             self.mode = "equal"
+            self.slot_map = np.column_stack(
+                [self.slot_map[:, 0], self.slot_map[:, 1:-1].sum(axis=1), self.slot_map[:, -1]]
+            )
             self.box = (
                 np.array([0.0, BETA_LO, 0.0]),
                 np.array([2.0 * math.pi, math.pi - BETA_LO, 2.0 * math.pi]),
@@ -80,6 +97,7 @@ class _FamilySearch:
             self.middle_cos, self.middle_sin = _middle_fourier(self.axes[1:-1])
         elif template.fixed_middle is not None:
             self.mode = "fixed"
+            self.slot_map = self.slot_map[:, [0, 2]]
             self.box = (np.zeros(2), np.full(2, math.pi))
         else:
             self.mode = "free"
@@ -116,44 +134,96 @@ class _FamilySearch:
         angles = self.angles(params[None, :])[0]
         return tuple(Segment(k, a) for k, a in zip(self.template.kinds, angles))
 
-    # -- per-restart finish ------------------------------------------------
-    def _endpoint(self, params: np.ndarray) -> np.ndarray:
-        return _chain(self.axes, self.angles(params[None, :]))[0]
-
-    def _residual(self, params: np.ndarray, m: np.ndarray) -> float:
-        return float(np.linalg.norm(self._endpoint(params) - m))
-
+    # -- polish and per-restart finish -------------------------------------
     def refine(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, float]:
-        """Finish one restart after the batched descent (`_descend`): its
-        residual, and a polish when the descent stalled close to the target."""
-        current = self._residual(params, m)
-        if TOL_RESIDUAL < current < POLISH_GATE:
-            params, current = self._polish(m, params, current)
-        return params, current
+        """Finish one restart after the descent (`_descend`) and the polish
+        (`_polish`): its parameters and the endpoint residual that
+        `forward_oracle` gates on."""
+        end = _chain(self.axes, self.angles(params[None, :]))[0]
+        return params, float(np.linalg.norm(end - m))
 
-    def _polish(
-        self, m: np.ndarray, params: np.ndarray, current: float
-    ) -> tuple[np.ndarray, float]:
-        """Joint bounded least-squares step for starts where coordinate
-        descent stalls (flat valleys near the regime boundary)."""
-        lo, hi = self.box
+    def linearize(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch.
 
-        def entries(p: np.ndarray) -> np.ndarray:
-            return (self._endpoint(p) - m).ravel()
+        Slot j's column of d(endpoint)/d(angle) is prefix_j @ skew(a_j) @
+        suffix_j, with prefix_j the product of the slots before j and
+        suffix_j that of slot j onward; `slot_map` takes it to parameters.
+        The endpoint is `_chain`'s product, to the bit.
+        """
+        rots = rotations_about_axis(self.axes, self.angles(params))
+        n = rots.shape[1]
+        prefix = [rots[:, 0]]
+        for j in range(1, n):
+            prefix.append(prefix[-1] @ rots[:, j])
+        suffix = [rots[:, -1]]
+        for j in range(n - 2, -1, -1):
+            suffix.append(rots[:, j] @ suffix[-1])
+        suffix.reverse()
+        columns = [self.generators[0] @ suffix[0]]
+        columns += [prefix[j - 1] @ self.generators[j] @ suffix[j] for j in range(1, n)]
+        slots = np.stack(columns, axis=-1).reshape(len(params), 9, n)
+        return prefix[-1], slots @ self.slot_map
 
-        fit = optimize.least_squares(
-            entries, np.clip(params, lo, hi), bounds=(lo, hi),
-            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
-        )
-        polished = np.asarray(fit.x)
+    def _clamp(self, params: np.ndarray) -> np.ndarray:
+        """Into the box; equal-middle outer angles also to at most pi + beta."""
+        params = np.clip(params, *self.box)
         if self.mode == "equal":
-            outer_hi = math.pi + polished[1]
-            polished[0] = min(polished[0], outer_hi)
-            polished[2] = min(polished[2], outer_hi)
-        after = self._residual(polished, m)
-        if after < current:
-            return polished, after
-        return params, current
+            params[:, [0, 2]] = np.minimum(params[:, [0, 2]], math.pi + params[:, 1:2])
+        return params
+
+    def _polish(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levenberg-Marquardt on this family's descended restarts, all rows
+        at once: every row whose residual is below POLISH_GATE is driven to
+        POLISH_FLOOR.  Returns the parameters and the smallest singular value
+        of each row's parameter Jacobian there (nan above the gate).
+
+        The damped step comes from the SVD of J, not from J^T J, which
+        would square a near-zero singular value; the damping is relative to
+        the largest singular value squared and starts near 0, so the step
+        also moves along a nearly null direction.  A step is kept only where
+        it lowers the residual (the damping then drops tenfold, else it
+        rises a hundredfold), so no row ends worse than it started, and the
+        box (with outer angles <= pi + beta on equal-middle chains) is
+        enforced after every step.  A row stops at POLISH_FLOOR or once its
+        damping passes POLISH_DAMP_CAP; one that is still above ACCEPT_GATE
+        after POLISH_STEPS steps cannot be accepted and stops too.  A row
+        is never stopped on a small gain: at a singular root each step only
+        quarters the residual.
+
+        Honest limit: at a double root (a `CCC` middle arc of exactly pi)
+        the residual grows quadratically along the null direction, so a
+        float64 residual of a few eps fixes the angles, and hence the
+        length, only to about sqrt(eps) scale.  At the published RLpiR the
+        polished RLR lengths stay about 4e-7 below the optimum, half the
+        1e-6 dominance bound.
+        """
+        params = params.copy()
+        ends, jac = self.linearize(params)
+        res = (ends - m).reshape(len(params), 9)
+        norm = np.linalg.norm(res, axis=1)
+        rows = np.flatnonzero(norm < POLISH_GATE)
+        damping = np.full(len(params), POLISH_DAMP)
+        active = rows
+        for step in range(2 * POLISH_STEPS):
+            live = (norm[active] > POLISH_FLOOR) & (damping[active] <= POLISH_DAMP_CAP)
+            active = active[live & ((step < POLISH_STEPS) | (norm[active] <= ACCEPT_GATE))]
+            if active.size == 0:
+                break
+            u, s, vt = np.linalg.svd(jac[active], full_matrices=False)
+            lam = damping[active, None] * s[:, :1] ** 2
+            coef = s / (s * s + lam) * np.einsum("kip,ki->kp", u, res[active])
+            trial = self._clamp(params[active] - np.einsum("kpq,kp->kq", vt, coef))
+            ends, trial_jac = self.linearize(trial)
+            trial_res = (ends - m).reshape(len(active), 9)
+            trial_norm = np.linalg.norm(trial_res, axis=1)
+            better = trial_norm < norm[active]
+            kept = active[better]
+            params[kept], jac[kept] = trial[better], trial_jac[better]
+            res[kept], norm[kept] = trial_res[better], trial_norm[better]
+            damping[active] *= np.where(better, 0.1, 100.0)
+        singular = np.full(len(params), math.nan)
+        singular[rows] = np.linalg.svd(jac[rows], compute_uv=False)[:, -1]
+        return params, singular
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +438,10 @@ def forward_oracle(
     """Best residual-passing path found by seeded restarts plus refinement.
 
     The budget counts sampled angle vectors, split evenly across the audit
-    catalog's families.  Each family's REFINE_TOP best samples are refined.
-    Results are deterministic for a fixed seed.
+    catalog's families.  Each family's REFINE_TOP best samples are descended
+    and polished.  `min_singular` is the smallest singular value of the
+    winner's parameter Jacobian, from the polish.  Results are deterministic
+    for a fixed seed.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -380,6 +452,7 @@ def forward_oracle(
     best_length = math.inf
     best_residual = math.inf
     best_family = ""
+    best_singular = math.nan
     evaluations = 0
 
     identity_residual = float(np.linalg.norm(m - np.eye(3)))
@@ -399,9 +472,10 @@ def forward_oracle(
         starts.append(params[np.argsort(residuals)[:REFINE_TOP]])
 
     for search, descended in zip(searches, _descend(searches, starts, m)):
-        for params in descended:
+        polished, singular = search._polish(m, descended)
+        for params, min_singular in zip(polished, singular):
             refined, res = search.refine(m, params)
-            if res > TOL_RESIDUAL * 10.0:
+            if res > ACCEPT_GATE:
                 continue
             segments = search.segments_for(refined)
             res_canonical = float(np.linalg.norm(compose_path(segments, geom) - m))
@@ -413,6 +487,7 @@ def forward_oracle(
                 best_length = length
                 best_residual = res_canonical
                 best_family = search.template.tag
+                best_singular = float(min_singular)
 
     return OracleResult(
         segments=best_segments,
@@ -420,6 +495,7 @@ def forward_oracle(
         residual=best_residual,
         family=best_family,
         evaluations=evaluations,
+        min_singular=best_singular,
     )
 
 

@@ -239,6 +239,16 @@ def test_oracle_cmd(tmp_path, capsys):
     assert "OK" in captured.out
 
 
+def test_oracle_cmd_published_rlpir_is_dominated(tmp_path, capsys):
+    # the pi middle arc is a double root for the free RLR chain
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71)
+    code = cli.main(["oracle", "--input", str(inp), "--budget", "20000", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert "dominance (plan <= oracle + 1e-6): OK" in captured.out
+    assert code == 0
+
+
 def test_oracle_cmd_identity(tmp_path, capsys):
     inp = tmp_path / "in.json"
     write_request(inp, [], 0.5)

@@ -81,11 +81,6 @@ def test_oracle_finds_published_four_chain():
     assert abs(result.length - 4.28538) <= 1e-3
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="singular RLR chain at a pi middle arc: a 1e-9 residual gate admits paths "
-    "shorter than the optimum by about sqrt(gate); fixing the oracle must un-xfail this",
-)
 @pytest.mark.parametrize("seed", [2, 3, 5, 6])
 def test_oracle_does_not_beat_the_published_rlpir(seed):
     req = request_from_segments([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71)
@@ -94,6 +89,109 @@ def test_oracle_does_not_beat_the_published_rlpir(seed):
     found = orc.forward_oracle(target, geom, seed=seed, budget=20_000)
     assert found.found
     assert best <= found.length + 1e-6
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("outer", [(0.7, 0.7), (0.3, 1.1)])
+@pytest.mark.parametrize("r", [0.71, 0.8, math.sqrt(3.0) / 2.0])
+@pytest.mark.parametrize("pattern", ["RLR", "LRL"])
+def test_oracle_does_not_beat_the_plan_at_pi_middle_targets(pattern, r, outer, seed):
+    # a middle arc of exactly pi is a double root of the free three-turn chain
+    first, middle, last = (geo.SegmentKind(c) for c in pattern)
+    segments = [
+        geo.Segment(first, outer[0]), geo.Segment(middle, math.pi), geo.Segment(last, outer[1])
+    ]
+    req = request_from_segments(segments, r)
+    best = pl.plan(req).best_candidate.physical_length
+    target, geom, _, _, _ = pl.normalize_problem(req)
+    found = orc.forward_oracle(target, geom, seed=seed, budget=20_000)
+    assert found.found
+    assert best <= found.length + 1e-6
+
+
+# one family per search mode: free 1/2/3 slots, the free turn triple,
+# fixed pi, and equal-middle 4- and 5-chains
+JACOBIAN_FAMILIES = [("L", None), ("GR", None), ("LGL", None), ("RLR", None),
+                     ("RLR", math.pi), ("RLRL", None), ("LRLRL", None)]
+
+
+def _central_jacobian(endpoint, params, h=1e-6):
+    """(9, p) central differences of the 3x3 `endpoint(params)`."""
+    columns = []
+    for k in range(len(params)):
+        step = np.zeros(len(params))
+        step[k] = h
+        columns.append(((endpoint(params + step) - endpoint(params - step)) / (2.0 * h)).ravel())
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("pattern, fixed", JACOBIAN_FAMILIES)
+def test_polish_jacobian_matches_central_differences(pattern, fixed):
+    geom = geo.TurnGeometry.from_radius(0.8)
+    search = orc._FamilySearch(pl._template(pattern, fixed), geom)
+    params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20)
+    ends, jac = search.linearize(params)
+    assert np.array_equal(ends, search.compose_batch(params))
+    assert jac.shape == (20, 9, params.shape[1])
+    def endpoint(p):
+        return search.compose_batch(p[None, :])[0]
+
+    for row, analytic in zip(params, jac):
+        assert np.max(np.abs(analytic - _central_jacobian(endpoint, row))) <= 1e-7
+
+
+def _winner_endpoint(result, geom):
+    """The winner's parameter vector, read from its segments, and its
+    endpoint as a function of the parameters, composed with compose_path."""
+    template = next(f for f in pl.family_catalog(geom.r, mode="all") if f.tag == result.family)
+    angles = np.array([seg.angle for seg in result.segments])
+
+    def endpoint(p):
+        if template.equal_middles:
+            chain = [p[0]] + [math.pi + p[1]] * (len(template.kinds) - 2) + [p[2]]
+        elif template.fixed_middle is not None:
+            chain = [p[0], template.fixed_middle, p[1]]
+        else:
+            chain = list(p)
+        return geo.compose_path([geo.Segment(k, a) for k, a in zip(template.kinds, chain)], geom)
+
+    if template.equal_middles:
+        return np.array([angles[0], angles[1] - math.pi, angles[-1]]), endpoint
+    if template.fixed_middle is not None:
+        return angles[[0, 2]], endpoint
+    return angles, endpoint
+
+
+@pytest.mark.parametrize("case", ["generic", "rlpir"])
+def test_min_singular_is_the_winners_jacobian(case):
+    if case == "generic":
+        geom = geo.TurnGeometry.from_radius(0.5)
+        m = geo.compose_path([geo.L(1.1), geo.G(0.9), geo.L(2.0)], geom)
+    else:
+        geom = geo.TurnGeometry.from_radius(0.71)
+        m = geo.compose_path([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], geom)
+    result = orc.forward_oracle(m, geom, seed=2, budget=20_000)
+    assert result.found
+    params, endpoint = _winner_endpoint(result, geom)
+    expected = np.linalg.svd(_central_jacobian(endpoint, params), compute_uv=False)[-1]
+    assert abs(result.min_singular - expected) <= 1e-6
+    if case == "generic":
+        assert result.min_singular > 1e-3
+    else:  # the near-singular double root at a pi middle arc
+        assert result.family == "RLR" and result.min_singular < 1e-6
+
+
+def test_min_singular_is_nan_without_a_path(monkeypatch):
+    geom = geo.TurnGeometry.from_radius(0.5)
+    empty = orc.forward_oracle(np.eye(3), geom, seed=3, budget=500)
+    assert empty.family == "EMPTY"
+    assert math.isnan(empty.min_singular)
+    # nothing found: no restart passes an acceptance gate below every residual
+    monkeypatch.setattr(orc, "ACCEPT_GATE", -1.0)
+    m = geo.compose_path([geo.L(1.1), geo.G(0.9), geo.L(2.0)], geom)
+    missed = orc.forward_oracle(m, geom, seed=3, budget=500)
+    assert not missed.found
+    assert math.isnan(missed.min_singular)
 
 
 def _middle_traces(search, left, betas):

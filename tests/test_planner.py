@@ -274,12 +274,13 @@ def test_plan_upper_bound_and_endpoint_soundness(r):
 
 
 def test_planning_import_does_not_load_scipy():
-    """scipy serves only the verification lab; planning runs on numpy alone."""
+    """The package runs on numpy alone: planning, and the CLI with the oracle."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sphere_dubins.planner, sys; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
+    for module in ("sphere_dubins.planner", "sphere_dubins.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import {module}, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False", module
