@@ -51,6 +51,16 @@ EXIT_CODES = {
 }
 
 
+def _number(value: object, field: str) -> float:
+    """A JSON number (int or float; bool is not one) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{field}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{field}: expected a finite number") from None
+
+
 def _vector(doc: dict, path: str) -> list[float]:
     node: object = doc
     for key in path.split("."):
@@ -59,19 +69,13 @@ def _vector(doc: dict, path: str) -> list[float]:
         node = node[key]
     if not isinstance(node, list) or len(node) != 3:
         raise InputError(f"{path}: expected a list of 3 numbers")
-    try:
-        return [float(v) for v in node]
-    except (TypeError, ValueError):
-        raise InputError(f"{path}: expected a list of 3 numbers") from None
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(node)]
 
 
 def _scalar(doc: dict, key: str) -> float:
     if key not in doc:
         raise InputError(f"{key}: missing field")
-    try:
-        value = float(doc[key])
-    except (TypeError, ValueError):
-        raise InputError(f"{key}: expected a number") from None
+    value = _number(doc[key], key)
     if not math.isfinite(value):
         raise InputError(f"{key}: expected a finite number")
     return value

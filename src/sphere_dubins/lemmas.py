@@ -25,11 +25,12 @@ import numpy as np
 
 from .errors import OutOfRegime
 from .geometry import L, R, Segment, TurnGeometry, compose_path, path_length
-from .linkage import solve_three
+from .linkage import ARC_BOUND_SLACK, solve_three
 from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
 MAX_SHORTCUT_DELTA = 0.6    # perturbation range over which the constructions are exercised
 TAYLOR_DELTA = 1e-4         # probe size for finite-difference slope checks
+TOL_SYM = 1e-7              # max outer-angle mismatch of an equal-outer replacement
 
 RESIDUAL_PASS = 1e-8        # endpoint agreement required for a passing report
 
@@ -138,8 +139,9 @@ def _shortcut_offsets(
     pattern, bounded = _SHORTCUTS[kind]
     m = compose_path(_shortcut_original(kind, delta), geom)
     feasible = [
-        sol for sol in solve_three(m, pattern, geom, equal_outer=True)
-        if sol.angles[bounded] <= math.pi + 1e-9
+        sol for sol in solve_three(m, pattern, geom)
+        if abs(sol.angles[0] - sol.angles[2]) <= TOL_SYM
+        and sol.angles[bounded] <= math.pi + ARC_BOUND_SLACK
     ]
     if not feasible:
         return math.nan, math.nan, ()

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateAlignment, InconsistentPair, InvalidInput
 from .geometry import (
+    PERP_EPS,
     TWO_PI,
     Segment,
     SegmentKind,
@@ -42,9 +43,8 @@ from .geometry import (
 
 TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
 TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
-TOL_SYM = 1e-7          # max outer-angle mismatch under the equal-outer option
 ALIGN_FIX_TOL = 1e-7    # axis must be fixed this tightly for a 1-segment solution
-PERP_FALLBACK = 1e-7    # below this the secondary probe falls back to a basis probe
+ARC_BOUND_SLACK = 1e-9  # an arc may pass its upper bound (pi, or pi + beta) by this much
 
 # Equal-middle root selection.  The eliminated scalar equation is a
 # trigonometric polynomial in beta; its real roots are the eigenvalues z of
@@ -186,7 +186,7 @@ def _recover_outer(
         return None
     probe = a2 - float(a2 @ a1) * a1
     n = np.linalg.norm(probe)
-    probe = probe / n if n >= PERP_FALLBACK else probe_orthogonal(a1)
+    probe = probe / n if n >= PERP_EPS else probe_orthogonal(a1)
     try:
         phi1 = align_angle(a1, probe, q @ probe)
     except (DegenerateAlignment, InconsistentPair):
@@ -227,13 +227,11 @@ def solve_three(
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
     fixed_middle: float | None = None,
-    equal_outer: bool = False,
 ) -> list[CandidateSolution]:
     """All (phi1, phi2, phi3) whose three-rotation product equals m.
 
     Step 1 is a single sinusoid in phi2 with at most two roots (or, with
-    `fixed_middle`, a consistency check).  With `equal_outer`, solutions
-    whose outer angles differ are discarded.
+    `fixed_middle`, a consistency check).
     """
     axes = [turn_axis(k, geom) for k in kinds]
     a1, a2, a3 = axes
@@ -248,10 +246,7 @@ def solve_three(
         middles = [fm]
     else:
         middles = _circle_roots(k2c, k3c, rhs - k1c)
-    return _close_chain(
-        m, axes, [(phi2,) for phi2 in middles],
-        keep=(lambda outer, _: abs(outer[0] - outer[1]) <= TOL_SYM) if equal_outer else None,
-    )
+    return _close_chain(m, axes, [(phi2,) for phi2 in middles])
 
 
 def _laurent_coefficients(
@@ -345,5 +340,5 @@ def solve_equal_middle(
     interiors = [(math.pi + beta,) * len(mid_axes) for beta in _interior_roots(coeffs)]
     return _close_chain(
         m, axes, interiors,
-        keep=lambda outer, interior: max(outer) <= interior[0] + 1e-9,
+        keep=lambda outer, interior: max(outer) <= interior[0] + ARC_BOUND_SLACK,
     )

@@ -1,18 +1,20 @@
 """Independent upper-bound search and cross-catalog audits.
 
 The forward oracle searches candidate-family angle vectors directly: seeded
-uniform restarts inside each family's feasible box, coordinate descent on
-the endpoint residual, then a Levenberg-Marquardt polish with the chain's
-analytic Jacobian.  It never consults the closed-form linkage solver, so
-agreement between the two is meaningful evidence.  The descent runs every
-kept restart of every family at once, one numpy batch per chain shape, and
-the polish one batch per family; each restart keeps its own bounds and stop
-rule.  The polish drives every near-root to float64 rounding, which matters
-at singular targets (a `CCC` middle arc of exactly pi): there a 1e-9
-residual still admits paths shorter than the optimum by about 1e-5.  The
-cross-family audit compares the planner's proven catalog against the audit
-catalog (great-circle sandwiches and unconditional 4/5-chains) on given
-instances.
+uniform restarts inside each family's feasible box, then a
+Levenberg-Marquardt polish with the chain's analytic Jacobian.  Free and
+pinned-middle restarts are first brought near a root by coordinate descent
+on the endpoint residual; equal-middle restarts (interior arcs pi + beta)
+go to the polish as drawn.  The oracle never consults the closed-form
+linkage solver, so agreement between the two is meaningful evidence.  The
+descent runs the kept restarts of all free and pinned-middle families at
+once, one numpy batch per slot count, and the polish one batch per family;
+each restart keeps its own bounds and stop rule.  The polish drives every
+near-root to float64 rounding, which matters at singular targets (a `CCC`
+middle arc of exactly pi): there a 1e-9 residual still admits paths shorter
+than the optimum by about 1e-5.  The cross-family audit compares the
+planner's proven catalog against the audit catalog (great-circle sandwiches
+and unconditional 4/5-chains) on given instances.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
 ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # a refined restart above this is dropped
-POLISH_GATE = 0.05    # descended residual below this gets the Levenberg-Marquardt polish
 POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding of the chain)
 POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
-BETA_LO = 1e-9        # equal-middle descent and LM polish keep beta in [BETA_LO, pi - BETA_LO]
+BETA_LO = 1e-9        # the polish keeps equal-middle beta in [BETA_LO, pi - BETA_LO]
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,6 @@ def _chain(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return reduce(np.matmul, (rots[:, k] for k in range(1, angles.shape[1])), rots[:, 0])
 
 
-def _equal_angles(params: np.ndarray, n_slots: int) -> np.ndarray:
-    """(alpha, beta, gamma) rows to chain angles with every interior at pi + beta."""
-    mids = np.repeat(math.pi + params[:, 1:2], n_slots - 2, axis=1)
-    return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
-
-
 class _FamilySearch:
     """Sampling, composition, the Levenberg-Marquardt polish and the
     per-restart finish for one family's feasible box."""
@@ -94,7 +89,6 @@ class _FamilySearch:
                 np.array([0.0, BETA_LO, 0.0]),
                 np.array([2.0 * math.pi, math.pi - BETA_LO, 2.0 * math.pi]),
             )
-            self.middle_cos, self.middle_sin = _middle_fourier(self.axes[1:-1])
         elif template.fixed_middle is not None:
             self.mode = "fixed"
             self.slot_map = self.slot_map[:, [0, 2]]
@@ -120,8 +114,9 @@ class _FamilySearch:
         return rng.uniform(lows, highs, size=(n, len(self.axes)))
 
     def angles(self, params: np.ndarray) -> np.ndarray:
-        if self.mode == "equal":
-            return _equal_angles(params, len(self.axes))
+        if self.mode == "equal":  # (alpha, beta, gamma): every interior at pi + beta
+            mids = np.repeat(math.pi + params[:, 1:2], len(self.axes) - 2, axis=1)
+            return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
         if self.mode == "fixed":
             mid = np.full((params.shape[0], 1), self.template.fixed_middle)
             return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
@@ -136,9 +131,8 @@ class _FamilySearch:
 
     # -- polish and per-restart finish -------------------------------------
     def refine(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, float]:
-        """Finish one restart after the descent (`_descend`) and the polish
-        (`_polish`): its parameters and the endpoint residual that
-        `forward_oracle` gates on."""
+        """Finish one restart after the polish (`_polish`): its parameters
+        and the endpoint residual that `forward_oracle` gates on."""
         end = _chain(self.axes, self.angles(params[None, :]))[0]
         return params, float(np.linalg.norm(end - m))
 
@@ -172,10 +166,10 @@ class _FamilySearch:
         return params
 
     def _polish(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levenberg-Marquardt on this family's descended restarts, all rows
-        at once: every row whose residual is below POLISH_GATE is driven to
-        POLISH_FLOOR.  Returns the parameters and the smallest singular value
-        of each row's parameter Jacobian there (nan above the gate).
+        """Levenberg-Marquardt on this family's kept restarts, all rows at
+        once: every row is driven towards POLISH_FLOOR.  Returns the
+        parameters and the smallest singular value of each row's parameter
+        Jacobian there.
 
         The damped step comes from the SVD of J, not from J^T J, which
         would square a near-zero singular value; the damping is relative to
@@ -201,9 +195,8 @@ class _FamilySearch:
         ends, jac = self.linearize(params)
         res = (ends - m).reshape(len(params), 9)
         norm = np.linalg.norm(res, axis=1)
-        rows = np.flatnonzero(norm < POLISH_GATE)
         damping = np.full(len(params), POLISH_DAMP)
-        active = rows
+        active = np.arange(len(params))
         for step in range(2 * POLISH_STEPS):
             live = (norm[active] > POLISH_FLOOR) & (damping[active] <= POLISH_DAMP_CAP)
             active = active[live & ((step < POLISH_STEPS) | (norm[active] <= ACCEPT_GATE))]
@@ -221,18 +214,14 @@ class _FamilySearch:
             params[kept], jac[kept] = trial[better], trial_jac[better]
             res[kept], norm[kept] = trial_res[better], trial_norm[better]
             damping[active] *= np.where(better, 0.1, 100.0)
-        singular = np.full(len(params), math.nan)
-        singular[rows] = np.linalg.svd(jac[rows], compute_uv=False)[:, -1]
-        return params, singular
+        return params, np.linalg.svd(jac, compute_uv=False)[:, -1]
 
 
 # ---------------------------------------------------------------------------
 # batched coordinate descent
 # ---------------------------------------------------------------------------
 
-def _trace_argmax(
-    w: np.ndarray, axis: np.ndarray, lo: np.ndarray | float, hi: np.ndarray | float
-) -> np.ndarray:
+def _trace_argmax(w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
     closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a)."""
     const = np.einsum("ni,nij,nj->n", axis, w, axis)
@@ -242,7 +231,6 @@ def _trace_argmax(
         + axis[:, 1] * (w[:, 2, 0] - w[:, 0, 2])
         + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
     )
-    lo, hi = np.broadcast_to(lo, c_coef.shape), np.broadcast_to(hi, c_coef.shape)
     best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
     candidates = np.stack([lo, hi, best], axis=1)
     value = c_coef[:, None] * np.cos(candidates) + s_coef[:, None] * np.sin(candidates)
@@ -251,179 +239,56 @@ def _trace_argmax(
     return candidates[np.arange(len(best)), np.argmax(value, axis=1)]
 
 
-def _middle_fourier(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix Fourier coefficients of B(beta) = prod_k R(axes[k], pi + beta).
-
-    Each factor is I - sin(beta) K + (1 + cos(beta)) K^2, so B is a matrix
-    trigonometric polynomial of degree d = len(axes); 2d + 1 equally spaced
-    samples give its coefficients exactly: B = sum_k C[k] cos(k beta) + S[k] sin(k beta).
-    """
-    d = len(axes)
-    n = 2 * d + 1
-    t = 2.0 * math.pi * np.arange(n) / n
-    blocks = _chain(axes, np.repeat(math.pi + t[:, None], d, axis=1))
-    kt = np.outer(np.arange(d + 1), t)
-    weight = np.full((d + 1, 1), 2.0 / n)
-    weight[0] = 1.0 / n
-    return (
-        np.einsum("kj,jab->kab", weight * np.cos(kt), blocks),
-        np.einsum("kj,jab->kab", weight * np.sin(kt), blocks),
-    )
-
-
-def _trig_values(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """g(t) = sum_k a[:, k] cos(k t) + b[:, k] sin(k t) at angles t (n, c)."""
-    kt = t[:, :, None] * np.arange(a.shape[1])
-    return np.einsum("nck,nk->nc", np.cos(kt), a) + np.einsum("nck,nk->nc", np.sin(kt), b)
-
-
-def _trig_max(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the angle in [lo, hi] maximizing g(t) = sum_k a_k cos(k t) +
-    b_k sin(k t), and g there.
-
-    Candidates are the ends and the stationary points: with z = e^{it},
-    g'(t) = sum_k e_k z^k + conj(e_k) z^-k, e_k = k (b_k + i a_k) / 2, so
-    z^d g' is a degree-2d polynomial whose roots are batched companion
-    eigenvalues.  A top coefficient that vanishes (below 1e-13 of the
-    largest) lowers d instead of being divided by.  Every root's angle is a candidate, also one pushed off the
-    unit circle by rounding near a double root: a candidate that is not a
-    maximum only loses the comparison.
-    """
-    n, width = a.shape
-    k = np.arange(width)
-    e = 0.5 * k * (b + 1j * a)
-    size = np.abs(e)
-    degree = np.where(size > 1e-13 * size.max(axis=1, keepdims=True), k, 0).max(axis=1)
-    roots = np.full((n, 2 * (width - 1)), lo)
-    for d in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == d)
-        poly = np.zeros((len(rows), 2 * d + 1), dtype=complex)
-        poly[:, d - 1::-1] = e[rows, 1:d + 1]          # z^(d+k) for k = 1..d
-        poly[:, d + 1:] = np.conj(e[rows, 1:d + 1])    # z^(d-k)
-        companion = np.zeros((len(rows), 2 * d, 2 * d), dtype=complex)
-        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
-        roots[rows, :2 * d] = np.angle(np.linalg.eigvals(companion)) % (2.0 * math.pi)
-    t = np.column_stack([np.full(n, lo), np.full(n, hi), roots])
-    value = _trig_values(a, b, t)
-    value[(t < lo) | (t > hi)] = -np.inf
-    pick = (np.arange(n), np.argmax(value, axis=1))
-    return t[pick], value[pick]
-
-
-def _beta_step(
-    middle_cos: np.ndarray, middle_sin: np.ndarray, left: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Per row, the beta in [BETA_LO, pi - BETA_LO] maximizing
-    tr(left^T B(beta)), i.e. bringing the middle block closest to `left`,
-    where it beats the current `beta`; elsewhere the current `beta`.
-    B's Fourier coefficients come from `_middle_fourier`, one set per row."""
-    a = np.einsum("nij,nkij->nk", left, middle_cos)
-    b = np.einsum("nij,nkij->nk", left, middle_sin)
-    best, value = _trig_max(a, b, BETA_LO, math.pi - BETA_LO)
-    return np.where(value > _trig_values(a, b, beta[:, None])[:, 0], best, beta)
-
-
-def _lockstep(step, residual, params: np.ndarray, rows: tuple) -> np.ndarray:
-    """Sweep every restart with `step(params, *rows)` until its own stop rule
-    holds: `residual(params, *rows)` gains less than 1e-16, reaches
-    TOL_RESIDUAL * 1e-3, or REFINE_SWEEPS sweeps pass.  `rows` holds
-    per-restart data; only the restarts still running are swept."""
-    params = params.copy()
-    current = residual(params, *rows)
-    active = np.arange(len(params))
+def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
+    """Coordinate descent of free and pinned-middle chains, every restart at
+    once.  Each sweep maximizes tr(R^T m) over one slot at a time, first to
+    last; a pinned slot has lo == hi.  A restart stops once its residual
+    gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
+    REFINE_SWEEPS sweeps pass; only the restarts still running are swept."""
+    n_slots = axes.shape[1]
+    angles = angles.copy()
+    current = np.linalg.norm(_chain(axes, angles) - m, axis=(1, 2))
+    active = np.arange(len(angles))
     for _ in range(REFINE_SWEEPS):
         if active.size == 0:
             break
-        data = tuple(x[active] for x in rows)
-        params[active] = step(params[active], *data)
-        after = residual(params[active], *data)
-        done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
-        current[active] = after
-        active = active[~done]
-    return params
-
-
-def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
-    """Free and pinned-middle chains: each sweep maximizes tr(R^T m) over one
-    slot at a time, first to last; a pinned slot has lo == hi."""
-    n_slots = axes.shape[1]
-
-    def residual(p, ax, *_):
-        return np.linalg.norm(_chain(ax, p) - m, axis=(1, 2))
-
-    def step(p, ax, lo, hi):
+        ax, p = axes[active], angles[active]
         rots = [rotations_about_axis(ax[:, k], p[:, k]) for k in range(n_slots)]
         eye = np.broadcast_to(np.eye(3), rots[0].shape)
         for slot in range(n_slots):
             prefix = reduce(np.matmul, rots[:slot], eye)
             suffix = reduce(np.matmul, rots[slot + 1:], eye)
             p[:, slot] = _trace_argmax(
-                suffix @ m.T @ prefix, ax[:, slot], lo[:, slot], hi[:, slot]
+                suffix @ m.T @ prefix, ax[:, slot], lo[active, slot], hi[active, slot]
             )
             rots[slot] = rotations_about_axis(ax[:, slot], p[:, slot])
-        return p
-
-    return _lockstep(step, residual, angles, (axes, lo, hi))
-
-
-def _descend_equal(axes, middle_cos, middle_sin, params, m) -> np.ndarray:
-    """Equal-middle chains (alpha, beta, gamma): alpha and gamma by the trace
-    argmax within [0, pi + beta], then beta by the exact maximum of
-    tr(left^T B(beta)), taken only where it beats the current beta."""
-    n_slots = axes.shape[1]
-
-    def residual(p, ax, *_):
-        return np.linalg.norm(_chain(ax, _equal_angles(p, n_slots)) - m, axis=(1, 2))
-
-    def step(p, ax, mc, ms):
-        alpha, beta, gamma = p.T
-        top = math.pi + beta
-        mid = _chain(ax[:, 1:-1], np.repeat(top[:, None], n_slots - 2, axis=1))
-        last = rotations_about_axis(ax[:, -1], gamma)
-        alpha = _trace_argmax(mid @ last @ m.T, ax[:, 0], 0.0, top)
-        first = rotations_about_axis(ax[:, 0], alpha)
-        gamma = _trace_argmax(m.T @ first @ mid, ax[:, -1], 0.0, top)
-        last = rotations_about_axis(ax[:, -1], gamma)
-        left = np.swapaxes(first, 1, 2) @ m @ np.swapaxes(last, 1, 2)
-        beta = _beta_step(mc, ms, left, beta)
-        top = math.pi + beta
-        return np.column_stack([np.minimum(alpha, top), beta, np.minimum(gamma, top)])
-
-    return _lockstep(step, residual, params, (axes, middle_cos, middle_sin))
+        angles[active] = p
+        after = np.linalg.norm(_chain(ax, p) - m, axis=(1, 2))
+        done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
+        current[active] = after
+        active = active[~done]
+    return angles
 
 
 def _descend(
     searches: list[_FamilySearch], starts: list[np.ndarray], m: np.ndarray
 ) -> list[np.ndarray]:
-    """Coordinate descent of every family's restarts, one lockstep batch per
-    chain shape: equal-middle chains of one slot count, or free and
-    pinned-middle chains of one slot count."""
-    groups: dict[tuple[bool, int], list[int]] = {}
+    """Coordinate descent of the free and pinned-middle families' restarts,
+    one batch per slot count.  Equal-middle restarts are returned as drawn:
+    the polish alone refines them, since its Jacobian moves beta too."""
+    groups: dict[int, list[int]] = {}
     for i, search in enumerate(searches):
-        groups.setdefault((search.mode == "equal", len(search.axes)), []).append(i)
+        if search.mode != "equal":
+            groups.setdefault(len(search.axes), []).append(i)
     descended = list(starts)
-    for (equal, _), members in groups.items():
+    for members in groups.values():
         family = [searches[i] for i in members]
         counts = [len(starts[i]) for i in members]
         owner = np.repeat(np.arange(len(members)), counts)
-
-        def per_row(values: list[np.ndarray]) -> np.ndarray:
-            return np.stack(values)[owner]
-
-        axes = per_row([s.axes for s in family])
-        if equal:
-            out = _descend_equal(
-                axes,
-                per_row([s.middle_cos for s in family]),
-                per_row([s.middle_sin for s in family]),
-                np.concatenate([starts[i] for i in members]),
-                m,
-            )
-        else:
-            bounds = per_row([s.angles(np.array(s.box)) for s in family])
-            angles = np.concatenate([s.angles(starts[i]) for s, i in zip(family, members)])
-            out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m)
+        axes = np.stack([s.axes for s in family])[owner]
+        bounds = np.stack([s.angles(np.array(s.box)) for s in family])[owner]
+        angles = np.concatenate([s.angles(starts[i]) for s, i in zip(family, members)])
+        out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m)
         for s, i, chunk in zip(family, members, np.split(out, np.cumsum(counts)[:-1])):
             descended[i] = chunk[:, [0, 2]] if s.mode == "fixed" else chunk
     return descended
@@ -438,8 +303,8 @@ def forward_oracle(
     """Best residual-passing path found by seeded restarts plus refinement.
 
     The budget counts sampled angle vectors, split evenly across the audit
-    catalog's families.  Each family's REFINE_TOP best samples are descended
-    and polished.  `min_singular` is the smallest singular value of the
+    catalog's families.  Each family's REFINE_TOP best samples are polished,
+    those of free and pinned-middle families after a coordinate descent.  `min_singular` is the smallest singular value of the
     winner's parameter Jacobian, from the polish.  Results are deterministic
     for a fixed seed.
     """

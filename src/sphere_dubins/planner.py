@@ -26,6 +26,7 @@ from .geometry import (
     relative_rotation,
 )
 from .linkage import (
+    ARC_BOUND_SLACK,
     TOL_RESIDUAL,
     CandidateSolution,
     solve_equal_middle,
@@ -39,7 +40,6 @@ BOUNDARY_SQRT2 = 1.0 / math.sqrt(2.0)
 MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
 MIDDLE_PI_BAND = 1e-9        # free-middle roots this close to pi belong to the fixed-pi family
-OUTER_PI_SLACK = 1e-9        # numerical slack on the fixed-pi family outer bound
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
 
@@ -263,7 +263,7 @@ def solve_family(
     for sol in sols:
         if template.fixed_middle is not None:
             alpha, _, gamma = sol.angles
-            if alpha > math.pi + OUTER_PI_SLACK or gamma > math.pi + OUTER_PI_SLACK:
+            if alpha > math.pi + ARC_BOUND_SLACK or gamma > math.pi + ARC_BOUND_SLACK:
                 continue
         elif template.is_free_middle_turn_triple:
             if not _middle_ok(sol.angles[1], regime_has_fixed_pi):

@@ -67,6 +67,31 @@ def test_plan_cmd_validation_exit_code(tmp_path):
     assert cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sphere_radius", True),
+        ("turning_radius", "0.6"),
+        ("initial.tangent", [0, "1", 0]),
+        ("sphere_radius", 10 ** 400),
+    ],
+    ids=["bool-scalar", "string-scalar", "string-entry", "huge-int"],
+)
+def test_plan_cmd_rejects_non_numbers(tmp_path, capsys, field, value):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.G(1.0)], 0.5)
+    doc = json.loads(inp.read_text())
+    node = doc
+    *parents, key = field.split(".")
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    inp.write_text(json.dumps(doc))
+    code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_plan_output_roundtrip_recompose(tmp_path):
     inp = tmp_path / "in.json"
     out = tmp_path / "out.json"

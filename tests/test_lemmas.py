@@ -6,9 +6,24 @@ import pytest
 from sphere_dubins import geometry as geo
 from sphere_dubins import lemmas as lm
 from sphere_dubins.errors import OutOfRegime
+from sphere_dubins.linkage import solve_three
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
+
+
+def test_equal_outer_filter(monkeypatch):
+    # solve_three returns every root; the shortcut keeps only equal-outer replacements
+    g = geo.TurnGeometry.from_radius(0.5)
+    original = (geo.G(0.4), geo.R(1.0), geo.G(0.9))
+    unfiltered = solve_three(geo.compose_path(original, g), ("G", "R", "G"), g)
+    assert any(np.allclose(s.angles, (0.4, 1.0, 0.9), atol=1e-9) for s in unfiltered)
+    assert all(abs(s.angles[0] - s.angles[2]) > lm.TOL_SYM for s in unfiltered)
+    _, _, symmetric = lm._shortcut_offsets("grg", g, 0.3)
+    assert symmetric and abs(symmetric[0].angle - symmetric[2].angle) <= lm.TOL_SYM
+    monkeypatch.setattr(lm, "_shortcut_original", lambda kind, delta: original)
+    p1, p2, segments = lm._shortcut_offsets("grg", g, 0.3)
+    assert math.isnan(p1) and math.isnan(p2) and segments == ()
 
 
 # ---------------------------------------------------------------------------

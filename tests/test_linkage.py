@@ -194,15 +194,6 @@ def test_candidate_residual_recomputes_exactly():
         assert recomputed == sol.residual
 
 
-def test_equal_outer_filter():
-    g = geo.TurnGeometry.from_radius(0.5)
-    m = compose("GRG", (0.4, 1.0, 0.9), g)
-    symmetric = lk.solve_three(m, ("G", "R", "G"), g, equal_outer=True)
-    assert all(abs(s.angles[0] - s.angles[2]) <= 1e-7 for s in symmetric)
-    unfiltered = lk.solve_three(m, ("G", "R", "G"), g)
-    assert any(np.allclose(s.angles, (0.4, 1.0, 0.9), atol=1e-9) for s in unfiltered)
-
-
 def test_equal_middle_validation():
     """Equal-middle chains are 4 or 5 turns; anything else is rejected."""
     for pattern in ("RLGL", "LRL", "LRLRLR"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import request_from_rotation, request_from_segments
+from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
 from sphere_dubins import oracle as orc
 from sphere_dubins import planner as pl
@@ -194,58 +194,17 @@ def test_min_singular_is_nan_without_a_path(monkeypatch):
     assert math.isnan(missed.min_singular)
 
 
-def _middle_traces(search, left, betas):
-    """tr(left^T B(beta)) with B the product of the interior turns at pi + beta."""
-    block = np.eye(3)
-    for axis in search.axes[1:-1]:
-        block = block @ geo.rotations_about_axis(axis, math.pi + betas)
-    return np.einsum("ij,nij->n", left, block)
-
-
-def _beta_step(search, left, beta):
-    return orc._beta_step(
-        search.middle_cos[None], search.middle_sin[None], left[None], np.array([beta])
-    )[0]
-
-
-@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
-@pytest.mark.parametrize("r", [0.55, 0.71, 0.8, math.sqrt(3.0) / 2.0])
-def test_beta_step_is_the_exact_maximum(pattern, r):
+@pytest.mark.parametrize("r", [0.6, 0.8, math.sqrt(3.0) / 2.0])
+@pytest.mark.parametrize("pattern", ["LRLR", "RLRL", "LRLRL", "RLRLR"])
+def test_polish_alone_finds_equal_middle_families(monkeypatch, pattern, r):
+    # equal-middle restarts skip the coordinate descent: the polish must reach the root
+    template = next(f for f in pl.family_catalog(r, mode="all") if f.tag == pattern)
+    rng = np.random.default_rng(len(pattern) * 100 + int(r * 100))
+    segments = random_in_bounds_path(template, rng)
     geom = geo.TurnGeometry.from_radius(r)
-    search = orc._FamilySearch(pl._template(pattern), geom)
-    grid = np.linspace(orc.BETA_LO, math.pi - orc.BETA_LO, 20001)
-    rng = np.random.default_rng(len(pattern) * 1000 + int(r * 100))
-    for _ in range(20):
-        left = orc.random_rotation(rng)
-        beta = _beta_step(search, left, rng.uniform(0.0, math.pi))
-        assert orc.BETA_LO <= beta <= math.pi - orc.BETA_LO
-        traced = _middle_traces(search, left, np.array([beta]))[0]
-        assert traced >= _middle_traces(search, left, grid).max() - 1e-12
-
-
-@pytest.mark.parametrize("pattern", ["RLRL", "LRLRL"])
-@pytest.mark.parametrize("outside", [-0.3, math.pi + 0.3])
-def test_beta_step_maximum_at_an_end(pattern, outside):
-    # left = B(outside): the trace peaks outside the search interval
-    geom = geo.TurnGeometry.from_radius(0.71)
-    search = orc._FamilySearch(pl._template(pattern), geom)
-    left = np.eye(3)
-    for axis in search.axes[1:-1]:
-        left = left @ geo.rotation_about_axis(axis, math.pi + outside)
-    grid = np.linspace(orc.BETA_LO, math.pi - orc.BETA_LO, 20001)
-    traces = _middle_traces(search, left, grid)
-    end = 0 if outside < 0.0 else len(grid) - 1
-    assert np.argmax(traces) == end
-    beta = _beta_step(search, left, math.pi / 2.0)
-    assert beta == grid[end]
-    assert _middle_traces(search, left, np.array([beta]))[0] >= traces.max() - 1e-12
-
-
-def test_trig_max_with_vanishing_top_coefficient():
-    # degree-2 rows: g = sin t with a top coefficient of 0 and of 1e-300, g = -cos 2t, g = 0
-    a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
-    b = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1e-300], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    t, value = orc._trig_max(a, b, 0.1, 3.0)
-    assert np.all(np.abs(t[:3] - math.pi / 2.0) <= 1e-12)
-    assert np.all(np.abs(value[:3] - 1.0) <= 1e-15)
-    assert t[3] == 0.1 and value[3] == 0.0
+    m = geo.compose_path(segments, geom)
+    monkeypatch.setattr(orc, "family_catalog", lambda *_, **__: [template])
+    result = orc.forward_oracle(m, geom, seed=1, budget=20_000)
+    assert result.found and result.family == pattern
+    assert result.residual <= 1e-9
+    assert result.length <= geo.path_length(segments, geom) + 1e-9
