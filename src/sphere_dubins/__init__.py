@@ -51,6 +51,7 @@ from .planner import (
     Pose,
     family_catalog,
     plan,
+    plan_batch,
 )
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "family_catalog",
     "path_length",
     "plan",
+    "plan_batch",
     "relative_rotation",
     "rotation_about_axis",
     "sample_path",

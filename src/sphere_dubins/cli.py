@@ -25,7 +25,15 @@ from .errors import (
 from .geometry import sample_path
 from .lemmas import closed_replacement, shortcut_construction, sweep_grid
 from .oracle import forward_oracle, random_rotation, request_for_target
-from .planner import MAX_RADIUS, PlanRequest, PlanResult, Pose, normalize_problem, plan
+from .planner import (
+    MAX_RADIUS,
+    PlanRequest,
+    PlanResult,
+    Pose,
+    normalize_problem,
+    plan,
+    plan_batch,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,6 +43,7 @@ EXIT_LEMMA_FAIL = 5
 EXIT_DOMINANCE = 6
 
 ADJUSTMENT_WARN = 1e-9   # pose inconsistencies above this are re-orthonormalized loudly
+R_STEP_MIN = 1e-12       # sweep --r ranges round values to 12 decimals; finer steps repeat them
 
 
 class InputError(Exception):
@@ -177,10 +186,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_row(task: tuple[int, int, float]) -> str:
+def _sweep_row(task: tuple[int, int, float], result: PlanResult) -> str:
+    """One CSV row: the planned instance's best family and its runner-up."""
     instance_id, seed, r = task
-    target = random_rotation(np.random.default_rng(seed))
-    result = plan(request_for_target(target, r))
     best = result.best_candidate
     others = [c for c in result.candidates if c.family != best.family]
     if others:
@@ -198,6 +206,15 @@ def _sweep_row(task: tuple[int, int, float]) -> str:
     )
 
 
+def _sweep_rows(tasks: list[tuple[int, int, float]]) -> list[str]:
+    """Rows of a run of sweep tasks, planned in one batch."""
+    requests = [
+        request_for_target(random_rotation(np.random.default_rng(seed)), r)
+        for _, seed, r in tasks
+    ]
+    return [_sweep_row(task, result) for task, result in zip(tasks, plan_batch(requests))]
+
+
 def _parse_r_values(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -207,8 +224,12 @@ def _parse_r_values(spec: str) -> list[float]:
             start, stop, step_v = (float(p) for p in parts)
         except ValueError:
             raise InputError("--r range must contain numbers") from None
+        if not all(math.isfinite(v) for v in (start, stop, step_v)):
+            raise InputError("--r range must contain finite numbers")
         if step_v <= 0.0 or stop < start:
             raise InputError("--r range must have positive step and stop >= start")
+        if step_v < R_STEP_MIN:
+            raise InputError(f"--r range step must be at least {R_STEP_MIN:g}")
         values = []
         k = 0
         while True:
@@ -245,10 +266,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             instance_id += 1
 
     if args.parallel == 1:
-        rows = [_sweep_row(t) for t in tasks]
+        rows = _sweep_rows(tasks)
     else:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+        # one contiguous run of tasks per worker; batches never change a row
+        size = -(-len(tasks) // args.parallel)
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            rows = [row for chunk in pool.map(_sweep_rows, chunks) for row in chunk]
 
     header = (
         "instance_id,seed,r,best_family,best_length_unit,"

@@ -45,6 +45,7 @@ PERP_EPS = 1e-7
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
 _EZ = np.array([0.0, 0.0, 1.0])
+_EYE = np.eye(3)
 
 
 class SegmentKind(str, Enum):
@@ -79,7 +80,8 @@ class Segment:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", SegmentKind(self.kind))
+        if type(self.kind) is not SegmentKind:
+            object.__setattr__(self, "kind", SegmentKind(self.kind))
         object.__setattr__(self, "angle", canonical_angle(float(self.angle)))
 
     def arc_length(self, geom: "TurnGeometry") -> float:
@@ -145,7 +147,8 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, same bits, without its per-call overhead."""
+    """``np.cross`` of two 3-vectors, same bits, without its per-call overhead;
+    (3, K) operands give the K cross products of their columns."""
     ux, uy, uz = u
     vx, vy, vz = v
     return np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
@@ -189,7 +192,7 @@ def rotations_about_axis(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     k2 = k @ k
     s = np.sin(angles)[..., None, None]
     c = (1.0 - np.cos(angles))[..., None, None]
-    return np.eye(3) + s * k + c * k2
+    return _EYE + s * k + c * k2
 
 
 def segment_rotation(kind: SegmentKind | str, angle: float, geom: TurnGeometry) -> np.ndarray:
@@ -346,12 +349,57 @@ def align_angle(axis: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     w_perp = w - aw * axis
     if np.linalg.norm(v_perp) < PERP_EPS:
         raise DegenerateAlignment("probe vector is parallel to the rotation axis")
-    angle = math.atan2(float(axis @ cross(v_perp, w_perp)), float(v_perp @ w_perp))
+    return _turn_angle(float(axis @ cross(v_perp, w_perp)), float(v_perp @ w_perp))
+
+
+def _turn_angle(sine: float, cosine: float) -> float:
+    """atan2 taken to [0, 2*pi), with a full turn within 1e-12 read as 0."""
+    angle = math.atan2(sine, cosine)
     if angle < 0.0:
         angle += TWO_PI
     if TWO_PI - angle < 1e-12:
         angle = 0.0
     return angle
+
+
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of (K, 3) stacks; a (3,) operand serves
+    every row.  Each is a 1x3 @ 3x1 product, so it has the bits of
+    ``float(u[k] @ v[k])``."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each x[k] in a stack, with the bits of
+    ``np.linalg.norm(x[k])`` (the square root of one dot product)."""
+    flat = x.reshape(len(x), 1, -1)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def align_angles(
+    axes: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[list[float | None], list[bool]]:
+    """`align_angle` for every row of the (K, 3) stacks `v` and `w`, bit for
+    bit, about one axis (3,) or one axis per row (K, 3).
+
+    Returns the angles, None where a row raises, and which rows raise
+    DegenerateAlignment (the other None rows raise InconsistentPair).
+    """
+    av = row_dots(axes, v)
+    aw = row_dots(axes, w)
+    v_perp = v - av[:, None] * axes
+    w_perp = w - aw[:, None] * axes
+    squares = row_dots(v_perp, v_perp).tolist()
+    sines = row_dots(axes, cross(v_perp.T, w_perp.T).T).tolist()
+    cosines = row_dots(v_perp, w_perp).tolist()
+    angles: list[float | None] = []
+    degenerate: list[bool] = []
+    for a_v, a_w, square, sine, cosine in zip(av.tolist(), aw.tolist(), squares, sines, cosines):
+        consistent = not abs(a_v - a_w) > ALIGN_TOL
+        flat = consistent and math.sqrt(square) < PERP_EPS
+        angles.append(_turn_angle(sine, cosine) if consistent and not flat else None)
+        degenerate.append(flat)
+    return angles, degenerate
 
 
 def probe_orthogonal(axis: np.ndarray) -> np.ndarray:

@@ -15,12 +15,20 @@ two steps:
 `solve_two`, `solve_three` and `solve_equal_middle` do step 1 for their chain
 length and hand every interior solution to `_close_chain` for step 2;
 `solve_one` is a single alignment.
+
+Every solver takes one target m of shape (3, 3), or a stack of N targets of
+shape (N, 3, 3) and then returns one result per target.  A single target is
+solved as a stack of one, so both shapes run the same code; the axes and the
+eliminated-equation coefficients are built once per call, and each stacked
+operation reproduces the bits of its one-target form (dot products as 1x3 @
+3x1 matmuls, angles taken per root with `math`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,10 +41,14 @@ from .geometry import (
     SegmentKind,
     TurnGeometry,
     align_angle,
+    align_angles,
     canonical_angle,
     cross,
     probe_orthogonal,
-    rotation_about_axis,
+    rotation_about_axis,  # noqa: F401  perfbench/tracing.py counts linkage.rotation_about_axis
+    rotations_about_axis,
+    row_dots,
+    row_norms,
     skew,
     turn_axis,
 )
@@ -86,48 +98,56 @@ class CandidateSolution:
         return tuple(Segment(k, a) for k, a in zip(kinds, self.angles))
 
 
-def _residual(m: np.ndarray, angles: Sequence[float], axes: Sequence[np.ndarray]) -> float:
-    prod = np.eye(3)
-    for axis, angle in zip(axes, angles):
-        prod = prod @ rotation_about_axis(axis, angle)
-    return float(np.linalg.norm(prod - m))
+def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Targets as an (N, 3, 3) stack, and whether one (3, 3) target was given."""
+    m = np.asarray(m, dtype=float)
+    if m.shape == (3, 3):
+        return m[None], True
+    if m.ndim != 3 or m.shape[1:] != (3, 3):
+        raise InvalidInput(f"target must have shape (3, 3) or (N, 3, 3), got {m.shape}")
+    return m, False
 
 
 def solve_one(
     m: np.ndarray,
     kind: SegmentKind | str,
     geom: TurnGeometry,
-) -> CandidateSolution | None:
+) -> CandidateSolution | None | list[CandidateSolution | None]:
     """Angle phi with rotation(kind, phi) == m, or None when m moves the axis."""
-    kind = SegmentKind(kind)
-    axis = turn_axis(kind, geom)
-    if np.linalg.norm(m @ axis - axis) > ALIGN_FIX_TOL:
-        return None
-    probe = probe_orthogonal(axis)
-    try:
-        phi = canonical_angle(align_angle(axis, probe, m @ probe))
-    except (DegenerateAlignment, InconsistentPair):
-        return None
-    res = _residual(m, [phi], [axis])
-    if res > TOL_RESIDUAL:
-        return None
-    return CandidateSolution((phi,), res)
+    ms, single = _stacked(m)
+    axis = turn_axis(SegmentKind(kind), geom)
+    results: list[CandidateSolution | None] = [None] * len(ms)
+    fixed = np.nonzero(~(row_norms(ms @ axis - axis) > ALIGN_FIX_TOL))[0]
+    if fixed.size:
+        sub = ms[fixed]
+        probe = probe_orthogonal(axis)
+        phis, _ = align_angles(axis, np.repeat(probe[None], len(sub), axis=0), sub @ probe)
+        found = [k for k, phi in enumerate(phis) if phi is not None]
+        if found:
+            angles = [canonical_angle(phis[k]) for k in found]
+            residuals = row_norms(rotations_about_axis(axis, np.array(angles)) - sub[found])
+            for k, phi, res in zip(found, angles, residuals.tolist()):
+                if res <= TOL_RESIDUAL:
+                    results[fixed[k]] = CandidateSolution((phi,), res)
+    return results[0] if single else results
 
 
 def solve_two(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-) -> list[CandidateSolution]:
+) -> list[CandidateSolution] | list[list[CandidateSolution]]:
     """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m.
 
     There is no interior: step 1 is the check a1 . M a2 == a1 . a2.
     """
+    ms, single = _stacked(m)
     axes = [turn_axis(k, geom) for k in kinds]
     a1, a2 = axes
-    if abs(float(a1 @ (m @ a2)) - float(a1 @ a2)) > TOL_SCALAR:
-        return []
-    return _close_chain(m, axes, [()])
+    gaps = np.abs(row_dots(a1, ms @ a2) - float(a1 @ a2))
+    owners = np.nonzero(~(gaps > TOL_SCALAR))[0].tolist()
+    solutions = _close_chain(ms, axes, owners, [()] * len(owners))
+    return solutions[0] if single else solutions
 
 
 def scalar_reduction(
@@ -159,28 +179,41 @@ def _circle_roots(k2: float, k3: float, c: float) -> list[float]:
 def _recover_outer(
     m: np.ndarray,
     axes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    middle_block: np.ndarray,
-) -> tuple[float, float] | None:
-    """Outer angles (phi1, phi3) bracketing a known middle rotation block.
+    middle_blocks: np.ndarray,
+) -> list[tuple[float, float] | None]:
+    """Outer angles (phi1, phi3) bracketing each known middle rotation block.
 
-    `axes` are the first, second and last axis of the chain; the second only
-    orients the fallback probe.  When the middle block carries the last axis
-    onto +/- the first axis the outer rotations merge into one; the combined
-    angle is then recovered with a secondary probe and assigned entirely to
-    the first slot.
+    `m` and `middle_blocks` are (K, 3, 3) stacks, one row per (target,
+    interior) pair; a row gets None when no outer angles exist.  `axes` are
+    the first, second and last axis of the chain; the second only orients
+    the fallback probe of `_merged_outer`, which takes the rows whose probe
+    alignment is degenerate.
     """
     a1, a2, a3 = axes
-    v1 = middle_block @ a3
-    w1 = m @ a3
-    try:
-        phi1 = align_angle(a1, v1, w1)
-        phi3 = align_angle(a3, m.T @ a1, middle_block.T @ a1)
-        return canonical_angle(phi1), canonical_angle(phi3)
-    except DegenerateAlignment:
-        pass
-    except InconsistentPair:
-        return None
-    # degenerate: M @ middle_block.T must itself be a rotation about a1
+    rows = len(m)
+    # phi1 aligns about a1 (rows :K), phi3 about a3 (rows K:), in one call
+    angles, degenerate = align_angles(
+        np.repeat(np.stack([a1, a3]), rows, axis=0),
+        np.concatenate([middle_blocks @ a3, m.transpose(0, 2, 1) @ a1]),
+        np.concatenate([m @ a3, middle_blocks.transpose(0, 2, 1) @ a1]),
+    )
+    outer: list[tuple[float, float] | None] = []
+    for k, (first, last) in enumerate(zip(angles[:rows], angles[rows:])):
+        if first is not None and last is not None:
+            outer.append((canonical_angle(first), canonical_angle(last)))
+        elif degenerate[k] or (first is not None and degenerate[rows + k]):
+            outer.append(_merged_outer(m[k], a1, a2, middle_blocks[k]))
+        else:
+            outer.append(None)
+    return outer
+
+
+def _merged_outer(
+    m: np.ndarray, a1: np.ndarray, a2: np.ndarray, middle_block: np.ndarray
+) -> tuple[float, float] | None:
+    """Outer angles when the middle block carries the last axis onto +/- the
+    first: the outer rotations merge into one about a1, whose angle is
+    recovered with a secondary probe and assigned entirely to the first slot."""
     q = m @ middle_block.T
     if np.linalg.norm(q @ a1 - a1) > ALIGN_FIX_TOL:
         return None
@@ -197,28 +230,49 @@ def _recover_outer(
 def _close_chain(
     m: np.ndarray,
     axes: Sequence[np.ndarray],
+    owners: Sequence[int],
     interiors: Sequence[tuple[float, ...]],
     keep: Callable[[tuple[float, float], tuple[float, ...]], bool] | None = None,
-) -> list[CandidateSolution]:
+) -> list[list[CandidateSolution]]:
     """Step 2 for every interior solution of step 1 (see the module docstring).
 
-    For each interior angle tuple: build the interior block, recover the
-    outer angles, drop them unless `keep(outer, interior)` holds, and report
-    the full assignment if its matrix residual is within TOL_RESIDUAL.
+    `interiors[k]` solves step 1 for target `m[owners[k]]`.  For each pair:
+    build the interior block, recover the outer angles, drop them unless
+    `keep(outer, interior)` holds, and report the full assignment if its
+    matrix residual is within TOL_RESIDUAL.  Returns the solutions of each
+    target of the (N, 3, 3) stack `m`, in the order of `interiors`.
     """
-    a_first, a_last = axes[0], axes[-1]
-    solutions: list[CandidateSolution] = []
-    for interior in interiors:
-        block = np.eye(3)
-        for axis, angle in zip(axes[1:-1], interior):
-            block = block @ rotation_about_axis(axis, angle)
-        outer = _recover_outer(m, (a_first, axes[1], a_last), block)
-        if outer is None or (keep is not None and not keep(outer, interior)):
-            continue
-        angles = (outer[0],) + interior + (outer[1],)
-        res = _residual(m, angles, axes)
+    solutions: list[list[CandidateSolution]] = [[] for _ in range(len(m))]
+    if not owners:
+        return solutions
+    targets = m[list(owners)]
+    inner = len(axes) - 2
+    # (K, inner, 3, 3): the interior rotations of every pair, slot by slot
+    rotations = rotations_about_axis(
+        np.array(axes[1:-1]).reshape(inner, 3),
+        np.array(interiors, dtype=float).reshape(len(owners), inner),
+    )
+    if inner:
+        blocks = reduce(np.matmul, (rotations[:, j] for j in range(inner)))
+    else:
+        blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
+    outer = _recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)
+    kept = [
+        k for k, pair in enumerate(outer)
+        if pair is not None and (keep is None or keep(pair, interiors[k]))
+    ]
+    if not kept:
+        return solutions
+    ends = rotations_about_axis(np.stack([axes[0], axes[-1]]), np.array([outer[k] for k in kept]))
+    rotations = rotations[kept]
+    product = reduce(
+        np.matmul, [rotations[:, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
+    )
+    residuals = row_norms(product - targets[kept]).tolist()
+    for k, res in zip(kept, residuals):
         if res <= TOL_RESIDUAL:
-            solutions.append(CandidateSolution(angles, res))
+            angles = (outer[k][0],) + tuple(interiors[k]) + (outer[k][1],)
+            solutions[owners[k]].append(CandidateSolution(angles, res))
     return solutions
 
 
@@ -227,26 +281,34 @@ def solve_three(
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
     fixed_middle: float | None = None,
-) -> list[CandidateSolution]:
+) -> list[CandidateSolution] | list[list[CandidateSolution]]:
     """All (phi1, phi2, phi3) whose three-rotation product equals m.
 
     Step 1 is a single sinusoid in phi2 with at most two roots (or, with
     `fixed_middle`, a consistency check).
     """
+    ms, single = _stacked(m)
     axes = [turn_axis(k, geom) for k in kinds]
     a1, a2, a3 = axes
     k1c, k2c, k3c = scalar_reduction(a1, a2, a3)
-    rhs = float(a1 @ (m @ a3))
+    rhs = row_dots(a1, ms @ a3).tolist()
 
+    owners: list[int] = []
+    interiors: list[tuple[float, ...]] = []
     if fixed_middle is not None:
         fm = canonical_angle(fixed_middle)
         predicted = k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
-        if abs(predicted - rhs) > TOL_SCALAR:
-            return []
-        middles = [fm]
+        for i, value in enumerate(rhs):
+            if not abs(predicted - value) > TOL_SCALAR:
+                owners.append(i)
+                interiors.append((fm,))
     else:
-        middles = _circle_roots(k2c, k3c, rhs - k1c)
-    return _close_chain(m, axes, [(phi2,) for phi2 in middles])
+        for i, value in enumerate(rhs):
+            for phi2 in _circle_roots(k2c, k3c, value - k1c):
+                owners.append(i)
+                interiors.append((phi2,))
+    solutions = _close_chain(ms, axes, owners, interiors)
+    return solutions[0] if single else solutions
 
 
 def _laurent_coefficients(
@@ -270,29 +332,33 @@ def _laurent_coefficients(
     return row @ a_last
 
 
-def _trig_value(coeffs: np.ndarray, beta: float) -> tuple[float, float]:
-    """Value and derivative in beta of the real trig polynomial sum_k c_k e^{i k beta}."""
-    n = (len(coeffs) - 1) // 2
-    powers = np.exp(1j * beta * np.arange(1, n + 1))
-    upper = coeffs[n + 1:] * powers
-    value = coeffs[n].real + 2.0 * float(np.sum(upper).real)
-    slope = -2.0 * float(np.sum(np.arange(1, n + 1) * upper.imag))
+def _trig_values(coeffs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives in beta of the real trig polynomials
+    sum_k coeffs[j, k] e^{i k beta[j]}, one per row."""
+    n = (coeffs.shape[1] - 1) // 2
+    k = np.arange(1, n + 1)
+    upper = coeffs[:, n + 1:] * np.exp(1j * (beta[:, None] * k))
+    value = coeffs[:, n].real + 2.0 * upper.sum(axis=1).real
+    slope = -2.0 * (k * upper.imag).sum(axis=1)
     return value, slope
 
 
-def _polish(coeffs: np.ndarray, beta: float) -> float:
-    """Newton steps on the real gap (stop rule: see NEWTON_STEPS above)."""
-    value, slope = _trig_value(coeffs, beta)
+def _polish(coeffs: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Newton steps on the real gap of each row (stop rule: see NEWTON_STEPS above)."""
+    beta = beta.copy()
+    value, slope = _trig_values(coeffs, beta)
+    live = np.arange(len(beta))
     for _ in range(NEWTON_STEPS):
-        if value == 0.0 or slope == 0.0:
+        live = live[(value[live] != 0.0) & (slope[live] != 0.0)]
+        if not live.size:
             break
-        step = value / slope
-        new_value, new_slope = _trig_value(coeffs, beta - step)
-        if abs(new_value) >= abs(value):
-            break
-        beta, value, slope = beta - step, new_value, new_slope
-        if abs(step) <= NEWTON_STOP:
-            break
+        step = value[live] / slope[live]
+        new_value, new_slope = _trig_values(coeffs[live], beta[live] - step)
+        better = np.abs(new_value) < np.abs(value[live])
+        live, step = live[better], step[better]
+        beta[live] -= step
+        value[live], slope[live] = new_value[better], new_slope[better]
+        live = live[np.abs(step) > NEWTON_STOP]
     return beta
 
 
@@ -300,45 +366,80 @@ def _in_open_interval(beta: float) -> bool:
     return ROOT_END_BAND < beta < math.pi - ROOT_END_BAND
 
 
-def _interior_roots(coeffs: np.ndarray) -> list[float]:
-    """Real roots beta in (0, pi) of a trig polynomial, via companion eigenvalues."""
-    roots: list[float] = []
-    for z in np.roots(coeffs[::-1]):
-        beta = math.atan2(z.imag, z.real)
-        if abs(abs(z) - 1.0) > ROOT_UNIT_BAND or not _in_open_interval(beta):
-            continue
-        beta = _polish(coeffs, beta)
-        if _in_open_interval(beta) and all(abs(beta - b) > ROOT_MERGE for b in roots):
-            roots.append(beta)
-    return sorted(roots)
+def _polynomial_roots(coeffs: np.ndarray) -> list[list[complex]]:
+    """`np.roots` of each row of sum_k coeffs[:, k] z^k, as batched companion
+    eigenvalues.  The lowest and highest coefficients do not depend on the
+    target; a row where either is zero (np.roots trims it) is solved alone."""
+    p = coeffs[:, ::-1]
+    regular = (p[:, 0] != 0.0) & (p[:, -1] != 0.0)
+    roots: list[list[complex]] = [
+        [] if ok else np.roots(row).tolist() for ok, row in zip(regular.tolist(), p)
+    ]
+    rows = np.nonzero(regular)[0]
+    if rows.size:
+        d = p.shape[1] - 1
+        companion = np.zeros((rows.size, d, d), dtype=complex)
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, 0, :] = -p[rows, 1:] / p[rows, :1]
+        for i, values in zip(rows.tolist(), np.linalg.eigvals(companion).tolist()):
+            roots[i] = values
+    return roots
+
+
+def _interior_roots(coeffs: np.ndarray) -> list[list[float]]:
+    """Real roots beta in (0, pi) of each row's trig polynomial, via companion
+    eigenvalues."""
+    owners: list[int] = []
+    guesses: list[float] = []
+    for i, zs in enumerate(_polynomial_roots(coeffs)):
+        for z in zs:
+            beta = math.atan2(z.imag, z.real)
+            if abs(abs(z) - 1.0) <= ROOT_UNIT_BAND and _in_open_interval(beta):
+                owners.append(i)
+                guesses.append(beta)
+    roots: list[list[float]] = [[] for _ in range(len(coeffs))]
+    if guesses:
+        polished = _polish(coeffs[owners], np.array(guesses))
+        for i, beta in zip(owners, polished.tolist()):
+            if _in_open_interval(beta) and all(abs(beta - b) > ROOT_MERGE for b in roots[i]):
+                roots[i].append(beta)
+    return [sorted(found) for found in roots]
 
 
 def solve_equal_middle(
     m: np.ndarray,
     kinds: Sequence[SegmentKind | str],
     geom: TurnGeometry,
-) -> list[CandidateSolution]:
+) -> list[CandidateSolution] | list[list[CandidateSolution]]:
     """Solve 4- and 5-segment alternating turn chains with equal middle arcs.
 
     Interior arcs share one angle pi + beta with beta in (0, pi).  Step 1 is
     a trigonometric polynomial in beta of degree 2 (4-chains) or 3
-    (5-chains), built exactly from the axes.  Its roots are the unit-circle
-    eigenvalues of the degree-4/6 companion matrix in z = e^{i beta} (Boyd,
-    "Computing zeros of Fourier series by polynomial rootfinding", 2006),
-    polished by Newton steps; the bands and stop rule are documented beside
-    ROOT_UNIT_BAND.  Outer arcs must land in [0, pi + beta].
+    (5-chains), built exactly from the axes; only its constant term depends
+    on the target.  Its roots are the unit-circle eigenvalues of the
+    degree-4/6 companion matrix in z = e^{i beta} (Boyd, "Computing zeros of
+    Fourier series by polynomial rootfinding", 2006), polished by Newton
+    steps; the bands and stop rule are documented beside ROOT_UNIT_BAND.
+    Outer arcs must land in [0, pi + beta].
     """
     ks = tuple(SegmentKind(k) for k in kinds)
     if len(ks) not in (4, 5):
         raise InvalidInput("equal-middle chains have 4 or 5 segments")
     if any(not k.is_turn for k in ks):
         raise InvalidInput("equal-middle chains contain turn segments only")
+    ms, single = _stacked(m)
     axes = [turn_axis(k, geom) for k in ks]
-    mid_axes = axes[1:-1]
-    coeffs = _laurent_coefficients(axes[0], mid_axes, axes[-1])
-    coeffs[len(mid_axes)] -= float(axes[0] @ (m @ axes[-1]))
-    interiors = [(math.pi + beta,) * len(mid_axes) for beta in _interior_roots(coeffs)]
-    return _close_chain(
-        m, axes, interiors,
+    mid = len(axes) - 2
+    coeffs = np.repeat(_laurent_coefficients(axes[0], axes[1:-1], axes[-1])[None], len(ms), axis=0)
+    coeffs[:, mid] -= row_dots(axes[0], ms @ axes[-1])
+    owners: list[int] = []
+    interiors: list[tuple[float, ...]] = []
+    for i, betas in enumerate(_interior_roots(coeffs)):
+        for beta in betas:
+            owners.append(i)
+            interiors.append((math.pi + beta,) * mid)
+    solutions = _close_chain(
+        ms, axes, owners, interiors,
         keep=lambda outer, interior: max(outer) <= interior[0] + ARC_BOUND_SLACK,
     )
+    return solutions[0] if single else solutions

@@ -36,7 +36,8 @@ from .geometry import (
     turn_axis,
 )
 from .linkage import TOL_RESIDUAL
-from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan
+from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan_batch
+from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
@@ -432,17 +433,16 @@ def cross_family_audit(requests: list[PlanRequest], seed: int = 0) -> AuditRepor
     proven catalog, which would contradict the catalog's sufficiency; the
     expected outcome is a gap bounded by solver noise.
     """
-    rows = []
-    for req in requests:
-        table = plan(req, mode="table")
-        everything = plan(req, mode="all")
-        rows.append(
-            AuditRow(
-                unit_r=table.unit_r,
-                table_family=table.best_candidate.family,
-                table_length=table.best_candidate.physical_length,
-                all_family=everything.best_candidate.family,
-                all_length=everything.best_candidate.physical_length,
-            )
+    rows = tuple(
+        AuditRow(
+            unit_r=table.unit_r,
+            table_family=table.best_candidate.family,
+            table_length=table.best_candidate.physical_length,
+            all_family=everything.best_candidate.family,
+            all_length=everything.best_candidate.physical_length,
         )
-    return AuditReport(rows=tuple(rows), seed=seed)
+        for table, everything in zip(
+            plan_batch(requests, mode="table"), plan_batch(requests, mode="all")
+        )
+    )
+    return AuditReport(rows=rows, seed=seed)

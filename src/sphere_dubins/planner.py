@@ -4,13 +4,16 @@ The planner scales the problem to the unit sphere, enumerates the candidate
 family catalog for the turning-radius regime, solves every family through the
 linkage solver, applies per-family feasibility filters, and ranks the
 surviving candidates by physical length.  Output is deterministic for fixed
-inputs and options.
+inputs and options.  `plan_batch` plans many requests at once, solving each
+family once per turning radius on the stacked targets; `plan` is its
+one-request case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .geometry import (
     orthonormalize_pose,
     path_length,
     relative_rotation,
+    row_norms,
 )
 from .linkage import (
     ARC_BOUND_SLACK,
@@ -241,35 +245,45 @@ def solve_family(
     m: np.ndarray,
     geom: TurnGeometry,
     regime_has_fixed_pi: bool,
-) -> list[CandidateSolution]:
+) -> list[CandidateSolution] | list[list[CandidateSolution]]:
     """Feasible solutions of one family reaching the target, each with the
-    endpoint residual its solver computed."""
+    endpoint residual its solver computed.  `m` is one target (3, 3) or a
+    stack (N, 3, 3); a stack gets one list of solutions per target."""
+    single = np.ndim(m) == 2
     kinds = template.kinds
     n = len(kinds)
     if n == 0:
-        residual = float(np.linalg.norm(m - np.eye(3)))
-        return [CandidateSolution((), residual)] if residual <= TOL_RESIDUAL else []
-    if n == 1:
-        sol = solve_one(m, kinds[0], geom)
-        sols = [sol] if sol is not None else []
-    elif n == 2:
-        sols = solve_two(m, kinds, geom)
-    elif n == 3:
-        sols = solve_three(m, kinds, geom, fixed_middle=template.fixed_middle)
+        stack = np.asarray(m, dtype=float).reshape(-1, 3, 3)
+        residuals = row_norms(stack - np.eye(3)).tolist()
+        per_target = [
+            [CandidateSolution((), res)] if res <= TOL_RESIDUAL else [] for res in residuals
+        ]
+    elif n == 1:
+        found = solve_one(m, kinds[0], geom)
+        per_target = [[sol] if sol is not None else [] for sol in ([found] if single else found)]
     else:
-        sols = solve_equal_middle(m, kinds, geom)
+        if n == 2:
+            solved = solve_two(m, kinds, geom)
+        elif n == 3:
+            solved = solve_three(m, kinds, geom, fixed_middle=template.fixed_middle)
+        else:
+            solved = solve_equal_middle(m, kinds, geom)
+        per_target = [solved] if single else solved
 
-    feasible: list[CandidateSolution] = []
-    for sol in sols:
-        if template.fixed_middle is not None:
-            alpha, _, gamma = sol.angles
-            if alpha > math.pi + ARC_BOUND_SLACK or gamma > math.pi + ARC_BOUND_SLACK:
-                continue
-        elif template.is_free_middle_turn_triple:
-            if not _middle_ok(sol.angles[1], regime_has_fixed_pi):
-                continue
-        feasible.append(sol)
-    return feasible
+    feasible = [
+        [sol for sol in sols if _feasible(template, sol, regime_has_fixed_pi)]
+        for sols in per_target
+    ]
+    return feasible[0] if single else feasible
+
+
+def _feasible(template: FamilyTemplate, sol: CandidateSolution, regime_has_fixed_pi: bool) -> bool:
+    if template.fixed_middle is not None:
+        alpha, _, gamma = sol.angles
+        return alpha <= math.pi + ARC_BOUND_SLACK and gamma <= math.pi + ARC_BOUND_SLACK
+    if template.is_free_middle_turn_triple:
+        return _middle_ok(sol.angles[1], regime_has_fixed_pi)
+    return True
 
 
 def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tuple:
@@ -277,15 +291,111 @@ def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tu
     return (path_length(segments, geom), turn_sum, tuple(s.angle for s in segments))
 
 
-def _is_duplicate(a: tuple[Segment, ...], b: tuple[Segment, ...]) -> bool:
-    sa = [s for s in a if s.angle > 0.0]
-    sb = [s for s in b if s.angle > 0.0]
-    if len(sa) != len(sb):
-        return False
-    return all(
-        x.kind is y.kind and abs(x.angle - y.angle) <= DEDUP_ANGLE_TOL
-        for x, y in zip(sa, sb)
-    )
+def _path_key(segments: tuple[Segment, ...]) -> tuple[tuple[SegmentKind, ...], tuple[float, ...]]:
+    """Kinds and angles of a path's nonzero segments: what deduplication compares."""
+    present = [s for s in segments if s.angle > 0.0]
+    return tuple(s.kind for s in present), tuple(s.angle for s in present)
+
+
+def _is_duplicate(a: tuple, b: tuple) -> bool:
+    """Same nonzero kinds with every angle within DEDUP_ANGLE_TOL (`_path_key`s)."""
+    return a[0] == b[0] and all(abs(x - y) <= DEDUP_ANGLE_TOL for x, y in zip(a[1], b[1]))
+
+
+def _add_family(
+    candidates: list[PathCandidate],
+    seen: list[tuple],
+    template: FamilyTemplate,
+    solutions: list[CandidateSolution],
+    geom: TurnGeometry,
+    sphere_radius: float,
+) -> None:
+    """Append one family's solutions to a target's candidates, and their
+    `_path_key`s to `seen`: ordered by length, then total turning, then
+    angles, skipping duplicates of any earlier candidate."""
+    solved = []
+    for sol in solutions:
+        segments = sol.segments(template.kinds)
+        solved.append((_candidate_sort_key(segments, geom), segments, sol.residual))
+    solved.sort(key=lambda item: item[0])
+    for order, segments, residual in solved:
+        key = _path_key(segments)
+        if any(_is_duplicate(key, other) for other in seen):
+            continue
+        unit_len = order[0]
+        seen.append(key)
+        candidates.append(
+            PathCandidate(
+                family=template.tag,
+                segments=segments,
+                unit_length=unit_len,
+                physical_length=sphere_radius * unit_len,
+                residual=residual,
+            )
+        )
+
+
+def plan_batch(
+    requests: Sequence[PlanRequest],
+    mode: str = "table",
+    best_effort: bool = False,
+) -> list[PlanResult]:
+    """Plan every request; result i is exactly what `plan(requests[i])` returns.
+
+    Requests are validated and normalized in input order, so the batch raises
+    what the first failing request raises from `plan`.  They are then grouped
+    by unit turning radius, and each family is solved once per group on the
+    stacked targets; candidates are ordered, deduplicated and ranked per
+    request as in `plan`.  Neither the batch size nor the order or split of
+    the requests changes any result.  NoCandidateFound, which does not happen
+    for valid targets, is raised for the first such request once all are
+    solved.
+    """
+    prepared: list[tuple[np.ndarray, TurnGeometry, float]] = []
+    groups: dict[tuple[float, str], tuple[list[FamilyTemplate], list[int]]] = {}
+    for i, req in enumerate(requests):
+        m, geom, _, _, adjustment = normalize_problem(req, best_effort)
+        key = (geom.r, "all" if geom.r > MAX_RADIUS else mode)
+        if key not in groups:
+            groups[key] = (family_catalog(*key), [])
+        groups[key][1].append(i)
+        prepared.append((m, geom, adjustment))
+
+    candidates: list[list[PathCandidate]] = [[] for _ in requests]
+    seen: list[list[tuple]] = [[] for _ in requests]
+    for families, members in groups.values():
+        geom = prepared[members[0]][1]
+        regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
+        # a lone target goes in as (3, 3), so every solver returns its
+        # solutions as one flat list, as for a single `plan`
+        lone = len(members) == 1
+        targets = prepared[members[0]][0] if lone else np.stack([prepared[i][0] for i in members])
+        for template in families:
+            solved = solve_family(template, targets, geom, regime_has_fixed_pi)
+            for i, solutions in zip(members, [solved] if lone else solved):
+                _add_family(
+                    candidates[i], seen[i], template, solutions, geom, requests[i].sphere_radius
+                )
+
+    results = []
+    for req, (_, geom, adjustment), found in zip(requests, prepared, candidates):
+        if not found:
+            raise NoCandidateFound(
+                "no candidate family produced a residual-passing path; "
+                "this indicates pathological tolerances"
+            )
+        results.append(
+            PlanResult(
+                unit_r=geom.r,
+                sphere_radius=req.sphere_radius,
+                turning_radius=req.turning_radius,
+                candidates=tuple(found),
+                best=min(range(len(found)), key=lambda i: (found[i].physical_length, i)),
+                heuristic=geom.r > MAX_RADIUS,
+                input_adjustment=adjustment,
+            )
+        )
+    return results
 
 
 def plan(
@@ -299,48 +409,7 @@ def plan(
     length, then total turning, then angles); `best` indexes the minimum
     physical length with ties already resolved by that ordering.  Raises
     NoCandidateFound when filtering leaves nothing, which does not happen for
-    valid targets at the residual bound TOL_RESIDUAL.
+    valid targets at the residual bound TOL_RESIDUAL.  This is the one-request
+    case of `plan_batch`.
     """
-    m, geom, _, _, adjustment = normalize_problem(req, best_effort)
-    heuristic = geom.r > MAX_RADIUS
-    if heuristic:
-        mode = "all"
-    families = family_catalog(geom.r, mode=mode)
-    regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
-
-    candidates: list[PathCandidate] = []
-    for template in families:
-        solved = [
-            (sol.segments(template.kinds), sol.residual)
-            for sol in solve_family(template, m, geom, regime_has_fixed_pi)
-        ]
-        solved.sort(key=lambda item: _candidate_sort_key(item[0], geom))
-        for segments, residual in solved:
-            if any(_is_duplicate(segments, c.segments) for c in candidates):
-                continue
-            unit_len = path_length(segments, geom)
-            candidates.append(
-                PathCandidate(
-                    family=template.tag,
-                    segments=segments,
-                    unit_length=unit_len,
-                    physical_length=req.sphere_radius * unit_len,
-                    residual=residual,
-                )
-            )
-
-    if not candidates:
-        raise NoCandidateFound(
-            "no candidate family produced a residual-passing path; "
-            "this indicates pathological tolerances"
-        )
-    best = min(range(len(candidates)), key=lambda i: (candidates[i].physical_length, i))
-    return PlanResult(
-        unit_r=geom.r,
-        sphere_radius=req.sphere_radius,
-        turning_radius=req.turning_radius,
-        candidates=tuple(candidates),
-        best=best,
-        heuristic=heuristic,
-        input_adjustment=adjustment,
-    )
+    return plan_batch([req], mode=mode, best_effort=best_effort)[0]

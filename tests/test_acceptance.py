@@ -180,21 +180,22 @@ def test_criterion_6_optimality_audit():
     per_radius = 50
     worst_endpoint = 0.0
     worst_beat = -math.inf
-    requests = []
     start = time.perf_counter()
-    for base, r in zip((10_000, 20_000, 30_000, 40_000), radii):
-        for i in range(per_radius):
-            req = orc.random_request(r, seed=base + i)
-            requests.append(req)
-            result = pl.plan(req)
-            target, geom, initial, final, _ = pl.normalize_problem(req)
-            reached = initial.frame() @ geo.compose_path(result.best_candidate.segments, geom)
-            worst_endpoint = max(worst_endpoint, float(np.max(np.abs(reached - final.frame()))))
-            found = orc.forward_oracle(target, geom, seed=base + i, budget=100_000)
-            beat = result.best_candidate.physical_length - (
-                found.length if found.found else math.inf
-            )
-            worst_beat = max(worst_beat, beat)
+    instances = [
+        (base + i, orc.random_request(r, seed=base + i))
+        for base, r in zip((10_000, 20_000, 30_000, 40_000), radii)
+        for i in range(per_radius)
+    ]
+    requests = [req for _, req in instances]
+    for (seed, req), result in zip(instances, pl.plan_batch(requests)):
+        target, geom, initial, final, _ = pl.normalize_problem(req)
+        reached = initial.frame() @ geo.compose_path(result.best_candidate.segments, geom)
+        worst_endpoint = max(worst_endpoint, float(np.max(np.abs(reached - final.frame()))))
+        found = orc.forward_oracle(target, geom, seed=seed, budget=100_000)
+        beat = result.best_candidate.physical_length - (
+            found.length if found.found else math.inf
+        )
+        worst_beat = max(worst_beat, beat)
     audit = orc.cross_family_audit(requests, seed=0)
     elapsed = time.perf_counter() - start
     ok = worst_endpoint <= 1e-8 and worst_beat <= 1e-6 and audit.max_gap <= 1e-6

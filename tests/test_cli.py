@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,22 @@ def test_sweep_rejects_bad_flags(tmp_path):
                      "--output", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["sweep", "--r", "zzz", "--instances", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("spec", ["0.3:inf:0.1", "0.3:0.5:nan", "0.3:0.5:1e-300"])
+def test_sweep_rejects_runaway_range(tmp_path, spec):
+    """A non-finite part or a vanishing step is an input error, not an endless loop."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "sphere_dubins.cli", "sweep", "--r", spec,
+         "--instances", "1", "--output", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: --r range"), out.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_range_spec(tmp_path):
