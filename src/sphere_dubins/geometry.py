@@ -334,22 +334,16 @@ def align_angle(axis: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 
     Raises DegenerateAlignment when `v` is (nearly) parallel to the axis and
     InconsistentPair when the axial components of `v` and `w` disagree, i.e.
-    no such rotation exists.
+    no such rotation exists.  One row of `align_angles`.
     """
-    axis = np.asarray(axis, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    av = float(axis @ v)
-    aw = float(axis @ w)
-    if abs(av - aw) > ALIGN_TOL:
-        raise InconsistentPair(
-            f"axial components differ by {abs(av - aw):.3e} (tolerance {ALIGN_TOL})"
-        )
-    v_perp = v - av * axis
-    w_perp = w - aw * axis
-    if np.linalg.norm(v_perp) < PERP_EPS:
+    v = np.asarray(v, dtype=float)[None]
+    w = np.asarray(w, dtype=float)[None]
+    (angle,), (degenerate,) = align_angles(np.asarray(axis, dtype=float), v, w)
+    if degenerate:
         raise DegenerateAlignment("probe vector is parallel to the rotation axis")
-    return _turn_angle(float(axis @ cross(v_perp, w_perp)), float(v_perp @ w_perp))
+    if angle is None:
+        raise InconsistentPair(f"axial components differ by more than {ALIGN_TOL}")
+    return angle
 
 
 def _turn_angle(sine: float, cosine: float) -> float:
@@ -379,11 +373,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def align_angles(
     axes: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> tuple[list[float | None], list[bool]]:
-    """`align_angle` for every row of the (K, 3) stacks `v` and `w`, bit for
-    bit, about one axis (3,) or one axis per row (K, 3).
+    """Turn angles about one axis (3,) or one axis per row (K, 3) mapping
+    each row of the (K, 3) stack `v` onto the same row of `w`.
 
-    Returns the angles, None where a row raises, and which rows raise
-    DegenerateAlignment (the other None rows raise InconsistentPair).
+    Returns the angles, None where a row has no angle, and which rows are
+    degenerate (`v` parallel to the axis); the other None rows have axial
+    components that differ by more than ALIGN_TOL.  `align_angle` is one row.
     """
     av = row_dots(axes, v)
     aw = row_dots(axes, w)

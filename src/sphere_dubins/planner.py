@@ -33,6 +33,7 @@ from .linkage import (
     ARC_BOUND_SLACK,
     TOL_RESIDUAL,
     CandidateSolution,
+    _stacked,
     solve_equal_middle,
     solve_one,
     solve_three,
@@ -253,7 +254,7 @@ def solve_family(
     kinds = template.kinds
     n = len(kinds)
     if n == 0:
-        stack = np.asarray(m, dtype=float).reshape(-1, 3, 3)
+        stack, _ = _stacked(m)
         residuals = row_norms(stack - np.eye(3)).tolist()
         per_target = [
             [CandidateSolution((), res)] if res <= TOL_RESIDUAL else [] for res in residuals
@@ -342,14 +343,16 @@ def plan_batch(
 ) -> list[PlanResult]:
     """Plan every request; result i is exactly what `plan(requests[i])` returns.
 
-    Requests are validated and normalized in input order, so the batch raises
-    what the first failing request raises from `plan`.  They are then grouped
-    by unit turning radius, and each family is solved once per group on the
-    stacked targets; candidates are ordered, deduplicated and ranked per
-    request as in `plan`.  Neither the batch size nor the order or split of
-    the requests changes any result.  NoCandidateFound, which does not happen
-    for valid targets, is raised for the first such request once all are
-    solved.
+    Requests are validated and normalized in input order, so a batch holding
+    a bad request raises the input error of the first one, as `plan` on it
+    alone would.  They are then grouped by unit turning radius, and each
+    family is solved once per group on the stacked targets; candidates are
+    ordered, deduplicated and ranked per request as in `plan`.  Neither the
+    batch size nor the order or split of the requests changes any result.
+    Only when every request is valid is NoCandidateFound raised, for the
+    first request left without a candidate (this happens only for heuristic
+    radii above sqrt(3)/2), so an input error in a later request wins over
+    an earlier request's NoCandidateFound.
     """
     prepared: list[tuple[np.ndarray, TurnGeometry, float]] = []
     groups: dict[tuple[float, str], tuple[list[FamilyTemplate], list[int]]] = {}
@@ -366,8 +369,9 @@ def plan_batch(
     for families, members in groups.values():
         geom = prepared[members[0]][1]
         regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
-        # a lone target goes in as (3, 3), so every solver returns its
-        # solutions as one flat list, as for a single `plan`
+        # a lone target goes in as (3, 3) only so that tracers observing the
+        # solvers' results keep counting solutions, not targets, on one-request
+        # plans (a stack of one gives the same results)
         lone = len(members) == 1
         targets = prepared[members[0]][0] if lone else np.stack([prepared[i][0] for i in members])
         for template in families:

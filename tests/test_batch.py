@@ -4,8 +4,9 @@ Property tests over the edges of the catalog: radii within 1e-12 of the
 regime boundaries 1/2, 1/sqrt(2) and sqrt(3)/2, near-identity and antipodal
 targets, and the published RLpiR and RLRL instances.  A batch is planned
 whole, permuted and split, and every result must match the one-request plan
-bit for bit; a batch holding a bad request raises what the first bad
-request raises alone.
+bit for bit.  A batch holding a bad request raises the input error of the
+first bad request; when all are valid, it raises the NoCandidateFound of
+the first request without a candidate.
 """
 
 import math
@@ -19,11 +20,12 @@ from conftest import request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins import planner as pl
+from sphere_dubins.errors import NoCandidateFound
 from sphere_dubins.oracle import random_rotation
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
-PROPERTY = settings(max_examples=30, deadline=None)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 boundary_r = st.builds(
     lambda base, offset: min(base + offset, SQRT3_2),
@@ -100,6 +102,14 @@ def _raised(call) -> tuple[type, str] | None:
     return None
 
 
+def _batch_error(errors: list[tuple[type, str] | None]) -> tuple[type, str] | None:
+    """What a batch raises, given what each request raises alone: the first
+    input error, else the first NoCandidateFound."""
+    raised = [err for err in errors if err is not None]
+    inputs = [err for err in raised if err[0] is not NoCandidateFound]
+    return (inputs or raised or [None])[0]
+
+
 @PROPERTY
 @given(
     requests=st.lists(request, min_size=1, max_size=6),
@@ -115,7 +125,8 @@ def test_batch_matches_single_plans(requests, mode, data):
 
     def expected(reqs):
         outcomes = [alone(req) for req in reqs]
-        return next((o for o in outcomes if not isinstance(o[0], int)), outcomes)
+        error = _batch_error([o for o in outcomes if not isinstance(o[0], int)])
+        return error if error is not None else outcomes
 
     def batch(reqs):
         error = _raised(lambda: pl.plan_batch(reqs, mode=mode, best_effort=True))
@@ -173,8 +184,21 @@ def test_batch_raises_first_failing_request(requests, bad, best_effort):
         i = index % len(requests)
         requests[i] = _malformed(requests[i], how)
     alone = [_raised(lambda q=q: pl.plan(q, best_effort=best_effort)) for q in requests]
-    first = next((err for err in alone if err is not None), None)
-    assert _raised(lambda: pl.plan_batch(requests, best_effort=best_effort)) == first
+    assert _raised(lambda: pl.plan_batch(requests, best_effort=best_effort)) == _batch_error(alone)
+
+
+def test_input_error_wins_over_an_earlier_missing_candidate():
+    # the heuristic catalog above sqrt(3)/2 has no candidate for this target
+    stuck = request_from_rotation(random_rotation(np.random.default_rng(0)), 0.95)
+    with pytest.raises(NoCandidateFound):
+        pl.plan(stuck, best_effort=True)
+    valid = request_from_rotation(random_rotation(np.random.default_rng(1)), 0.6)
+    with pytest.raises(NoCandidateFound):
+        pl.plan_batch([valid, stuck, valid], best_effort=True)
+    bad = _malformed(valid, "negative_sphere")
+    expected = _raised(lambda: pl.plan(bad, best_effort=True))
+    assert expected is not None and expected[0] is not NoCandidateFound
+    assert _raised(lambda: pl.plan_batch([stuck, bad], best_effort=True)) == expected
 
 
 def test_empty_batch():
