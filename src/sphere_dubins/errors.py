@@ -26,7 +26,7 @@ class RadiusOutOfRange(SphereDubinsError):
 
 
 class NoCandidateFound(SphereDubinsError):
-    """No candidate path survived solving and filtering (pathological input)."""
+    """No candidate path survived solving and filtering (a heuristic radius or bad tolerances)."""
 
 
 class InvalidInitialState(SphereDubinsError):

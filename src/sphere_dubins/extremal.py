@@ -148,10 +148,10 @@ def integrate_extremal(init: ExtremalState, length: float, step: float) -> Extre
     (kappa = 0) is taken only when lam = 1 and H12 and h2 both start at zero
     (within ZERO_BRANCH_EPS); it is a fixed point of the adjoints.
     """
-    if step <= 0.0:
-        raise InvalidInput(f"step must be positive, got {step}")
-    if length <= 0.0:
-        raise InvalidInput(f"length must be positive, got {length}")
+    if not (0.0 < step < math.inf):
+        raise InvalidInput(f"step must be positive and finite, got {step}")
+    if not (0.0 < length < math.inf):
+        raise InvalidInput(f"length must be positive and finite, got {length}")
     if init.hamiltonian_residual() > HAMILTONIAN_TOL:
         raise InvalidInitialState(
             f"zero-Hamiltonian violated by {init.hamiltonian_residual():.3e}"

@@ -166,11 +166,9 @@ def frame_generator(u_g: float) -> np.ndarray:
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Proper rotation by `angle` about a unit `axis` (Rodrigues formula)."""
-    axis = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
         raise InvalidInput(f"rotation axis must be unit, got norm {np.linalg.norm(axis)}")
-    k = skew(axis)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return rotations_about_axis(axis, angle)
 
 
 # v @ _SKEW_ROWS is skew(v) flattened row by row (each entry is one signed
@@ -291,8 +289,8 @@ def sample_path(
     the segment that starts there, except the final sample which belongs to
     the last segment.  An empty path yields the single sample (0, start, -1).
     """
-    if step <= 0.0:
-        raise InvalidInput(f"step must be positive, got {step}")
+    if not (0.0 < step < math.inf):
+        raise InvalidInput(f"step must be positive and finite, got {step}")
     lengths = [seg.arc_length(geom) for seg in segments]
     total = sum(lengths)
     if not segments or total == 0.0:

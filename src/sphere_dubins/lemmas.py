@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import OutOfRegime
 from .geometry import L, R, Segment, TurnGeometry, compose_path, path_length
-from .linkage import ARC_BOUND_SLACK, solve_three
-from .planner import BOUNDARY_SQRT2, MAX_RADIUS
+from .linkage import solve_three
+from .planner import ARC_BOUND_SLACK, BOUNDARY_SQRT2, MAX_RADIUS
 
 MAX_SHORTCUT_DELTA = 0.6    # perturbation range over which the constructions are exercised
 TAYLOR_DELTA = 1e-4         # probe size for finite-difference slope checks

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .geometry import (
 TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
 TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
 ALIGN_FIX_TOL = 1e-7    # axis must be fixed this tightly for a 1-segment solution
-ARC_BOUND_SLACK = 1e-9  # an arc may pass its upper bound (pi, or pi + beta) by this much
 
 # Equal-middle root selection.  The eliminated scalar equation is a
 # trigonometric polynomial in beta; its real roots are the eigenvalues z of
@@ -79,7 +78,7 @@ ARC_BOUND_SLACK = 1e-9  # an arc may pass its upper bound (pi, or pi + beta) by 
 #   taken).  Eigenvalues of simple roots are already within a few ulps, so
 #   one or two steps are taken; near a tangential minimum Newton cannot
 #   reach zero and stops at the first step that does not shrink |gap|.
-# - ROOT_MERGE: polished roots closer than this are one root.
+# - ROOT_MERGE: roots closer than this are one root (also in `_circle_roots`).
 ROOT_UNIT_BAND = 1e-6
 ROOT_END_BAND = 1e-6
 NEWTON_STEPS = 8
@@ -171,7 +170,7 @@ def _circle_roots(k2: float, k3: float, c: float) -> list[float]:
     half = math.acos(max(-1.0, min(1.0, c / rho)))
     roots = [canonical_angle(base + half)]
     second = canonical_angle(base - half)
-    if min(abs(second - roots[0]), TWO_PI - abs(second - roots[0])) > 1e-9:
+    if min(abs(second - roots[0]), TWO_PI - abs(second - roots[0])) > ROOT_MERGE:
         roots.append(second)
     return roots
 
@@ -232,15 +231,13 @@ def _close_chain(
     axes: Sequence[np.ndarray],
     owners: Sequence[int],
     interiors: Sequence[tuple[float, ...]],
-    keep: Callable[[tuple[float, float], tuple[float, ...]], bool] | None = None,
 ) -> list[list[CandidateSolution]]:
     """Step 2 for every interior solution of step 1 (see the module docstring).
 
     `interiors[k]` solves step 1 for target `m[owners[k]]`.  For each pair:
-    build the interior block, recover the outer angles, drop them unless
-    `keep(outer, interior)` holds, and report the full assignment if its
-    matrix residual is within TOL_RESIDUAL.  Returns the solutions of each
-    target of the (N, 3, 3) stack `m`, in the order of `interiors`.
+    build the interior block, recover the outer angles, and report the full
+    assignment if its matrix residual is within TOL_RESIDUAL.  Returns the
+    solutions of each target of the (N, 3, 3) stack `m`, in `interiors` order.
     """
     solutions: list[list[CandidateSolution]] = [[] for _ in range(len(m))]
     if not owners:
@@ -257,10 +254,7 @@ def _close_chain(
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
     outer = _recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)
-    kept = [
-        k for k, pair in enumerate(outer)
-        if pair is not None and (keep is None or keep(pair, interiors[k]))
-    ]
+    kept = [k for k, pair in enumerate(outer) if pair is not None]
     if not kept:
         return solutions
     ends = rotations_about_axis(np.stack([axes[0], axes[-1]]), np.array([outer[k] for k in kept]))
@@ -420,7 +414,8 @@ def solve_equal_middle(
     degree-4/6 companion matrix in z = e^{i beta} (Boyd, "Computing zeros of
     Fourier series by polynomial rootfinding", 2006), polished by Newton
     steps; the bands and stop rule are documented beside ROOT_UNIT_BAND.
-    Outer arcs must land in [0, pi + beta].
+    Every residual-passing root is returned; the arc box (outer arcs at most
+    pi + beta) is the planner's to apply (`FamilyTemplate.feasible`).
     """
     ks = tuple(SegmentKind(k) for k in kinds)
     if len(ks) not in (4, 5):
@@ -438,8 +433,5 @@ def solve_equal_middle(
         for beta in betas:
             owners.append(i)
             interiors.append((math.pi + beta,) * mid)
-    solutions = _close_chain(
-        ms, axes, owners, interiors,
-        keep=lambda outer, interior: max(outer) <= interior[0] + ARC_BOUND_SLACK,
-    )
+    solutions = _close_chain(ms, axes, owners, interiors)
     return solutions[0] if single else solutions

@@ -72,69 +72,42 @@ def _chain(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 class _FamilySearch:
     """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for one family's feasible box."""
+    per-restart finish for one family's feasible box (`FamilyTemplate`)."""
 
     def __init__(self, template: FamilyTemplate, geom: TurnGeometry):
         self.template = template
         self.axes = np.array([turn_axis(k, geom) for k in template.kinds])
         self.generators = np.array([skew(a) for a in self.axes])
-        n_slots = len(template.kinds)
         # slots-by-params matrix d(angles)/d(params): the polish's Jacobian chain rule
-        self.slot_map = np.eye(n_slots)
-        if template.equal_middles:
-            self.mode = "equal"
-            self.slot_map = np.column_stack(
-                [self.slot_map[:, 0], self.slot_map[:, 1:-1].sum(axis=1), self.slot_map[:, -1]]
-            )
-            self.box = (
-                np.array([0.0, BETA_LO, 0.0]),
-                np.array([2.0 * math.pi, math.pi - BETA_LO, 2.0 * math.pi]),
-            )
-        elif template.fixed_middle is not None:
-            self.mode = "fixed"
-            self.slot_map = self.slot_map[:, [0, 2]]
-            self.box = (np.zeros(2), np.full(2, math.pi))
-        else:
-            self.mode = "free"
-            lows = np.zeros(n_slots)
-            if template.is_free_middle_turn_triple:
-                lows[1] = math.pi
-            self.box = (lows, np.full(n_slots, 2.0 * math.pi))
+        self.slot_map = template.slot_map
+        lows, highs = template.box
+        # beta's interval is open: the polish stays BETA_LO inside it
+        margin = np.array([0.0, BETA_LO, 0.0]) if template.equal_middles else 0.0
+        self.box = (lows + margin, highs - margin)
 
     # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.mode == "equal":
-            beta = rng.uniform(0.0, math.pi, size=n)
+        lows, highs = self.template.box
+        if self.template.equal_middles:  # outer arcs drawn up to pi + beta
+            beta = rng.uniform(lows[1], highs[1], size=n)
             outer_hi = math.pi + beta
-            alpha = rng.uniform(0.0, outer_hi)
-            gamma = rng.uniform(0.0, outer_hi)
+            alpha = rng.uniform(lows[0], outer_hi)
+            gamma = rng.uniform(lows[2], outer_hi)
             return np.column_stack([alpha, beta, gamma])
-        if self.mode == "fixed":
-            return rng.uniform(0.0, math.pi, size=(n, 2))
-        lows, highs = self.box
-        return rng.uniform(lows, highs, size=(n, len(self.axes)))
-
-    def angles(self, params: np.ndarray) -> np.ndarray:
-        if self.mode == "equal":  # (alpha, beta, gamma): every interior at pi + beta
-            mids = np.repeat(math.pi + params[:, 1:2], len(self.axes) - 2, axis=1)
-            return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
-        if self.mode == "fixed":
-            mid = np.full((params.shape[0], 1), self.template.fixed_middle)
-            return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
-        return params
+        return rng.uniform(lows, highs, size=(n, len(lows)))
 
     def compose_batch(self, params: np.ndarray) -> np.ndarray:
-        return _chain(self.axes, self.angles(params))
+        return _chain(self.axes, self.template.angles(params))
 
     def segments_for(self, params: np.ndarray) -> tuple[Segment, ...]:
-        angles = self.angles(params[None, :])[0]
+        angles = self.template.angles(params[None, :])[0]
         return tuple(Segment(k, a) for k, a in zip(self.template.kinds, angles))
 
     # -- polish and per-restart finish -------------------------------------
     def refine(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, float]:
         """Finish one restart after the polish (`_polish`): its parameters
         and the endpoint residual that `forward_oracle` gates on."""
-        end = _chain(self.axes, self.angles(params[None, :]))[0]
+        end = _chain(self.axes, self.template.angles(params[None, :]))[0]
         return params, float(np.linalg.norm(end - m))
 
     def linearize(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +118,7 @@ class _FamilySearch:
         suffix_j that of slot j onward; `slot_map` takes it to parameters.
         The endpoint is `_chain`'s product, to the bit.
         """
-        rots = rotations_about_axis(self.axes, self.angles(params))
+        rots = rotations_about_axis(self.axes, self.template.angles(params))
         n = rots.shape[1]
         prefix = [rots[:, 0]]
         for j in range(1, n):
@@ -162,7 +135,7 @@ class _FamilySearch:
     def _clamp(self, params: np.ndarray) -> np.ndarray:
         """Into the box; equal-middle outer angles also to at most pi + beta."""
         params = np.clip(params, *self.box)
-        if self.mode == "equal":
+        if self.template.equal_middles:
             params[:, [0, 2]] = np.minimum(params[:, [0, 2]], math.pi + params[:, 1:2])
         return params
 
@@ -279,7 +252,7 @@ def _descend(
     the polish alone refines them, since its Jacobian moves beta too."""
     groups: dict[int, list[int]] = {}
     for i, search in enumerate(searches):
-        if search.mode != "equal":
+        if not search.template.equal_middles:
             groups.setdefault(len(search.axes), []).append(i)
     descended = list(starts)
     for members in groups.values():
@@ -287,11 +260,11 @@ def _descend(
         counts = [len(starts[i]) for i in members]
         owner = np.repeat(np.arange(len(members)), counts)
         axes = np.stack([s.axes for s in family])[owner]
-        bounds = np.stack([s.angles(np.array(s.box)) for s in family])[owner]
-        angles = np.concatenate([s.angles(starts[i]) for s, i in zip(family, members)])
+        bounds = np.stack([s.template.angles(np.array(s.box)) for s in family])[owner]
+        angles = np.concatenate([s.template.angles(starts[i]) for s, i in zip(family, members)])
         out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m)
         for s, i, chunk in zip(family, members, np.split(out, np.cumsum(counts)[:-1])):
-            descended[i] = chunk[:, [0, 2]] if s.mode == "fixed" else chunk
+            descended[i] = chunk @ s.slot_map  # a column selection: the parameters' arcs
     return descended
 
 
@@ -305,9 +278,9 @@ def forward_oracle(
 
     The budget counts sampled angle vectors, split evenly across the audit
     catalog's families.  Each family's REFINE_TOP best samples are polished,
-    those of free and pinned-middle families after a coordinate descent.  `min_singular` is the smallest singular value of the
-    winner's parameter Jacobian, from the polish.  Results are deterministic
-    for a fixed seed.
+    those of free and pinned-middle families after a coordinate descent.
+    `min_singular` is the smallest singular value of the winner's parameter
+    Jacobian, from the polish.  Results are deterministic for a fixed seed.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .geometry import (
     row_norms,
 )
 from .linkage import (
-    ARC_BOUND_SLACK,
     TOL_RESIDUAL,
     CandidateSolution,
     _stacked,
@@ -44,7 +44,7 @@ HALF_RADIUS = 0.5
 BOUNDARY_SQRT2 = 1.0 / math.sqrt(2.0)
 MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
-MIDDLE_PI_BAND = 1e-9        # free-middle roots this close to pi belong to the fixed-pi family
+ARC_BOUND_SLACK = 1e-9       # an arc may pass a bound of its family's box by this much
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
 
@@ -71,12 +71,16 @@ class PlanRequest:
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """One candidate family: an axis pattern plus its middle-arc constraint."""
+    """One candidate family: an axis pattern, how its parameters become arc
+    angles, and the box they must stay in (said here and nowhere else)."""
 
     tag: str
     kinds: tuple[SegmentKind, ...]
     fixed_middle: float | None = None   # three-segment chains with a pinned middle arc
-    equal_middles: bool = False         # 4/5-chains share one interior angle
+
+    @property
+    def equal_middles(self) -> bool:  # 4/5-chains share one interior angle
+        return len(self.kinds) >= 4
 
     @property
     def is_free_middle_turn_triple(self) -> bool:
@@ -86,17 +90,56 @@ class FamilyTemplate:
             and all(k.is_turn for k in self.kinds)
         )
 
+    def angles(self, params: np.ndarray) -> np.ndarray:
+        """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
+        around a pinned middle, or (alpha, beta, gamma) with interior arcs pi + beta."""
+        if self.equal_middles:
+            mids = np.repeat(math.pi + params[:, 1:2], len(self.kinds) - 2, axis=1)
+            return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
+        if self.fixed_middle is not None:
+            mid = np.full((params.shape[0], 1), self.fixed_middle)
+            return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
+        return params
+
+    @cached_property
+    def slot_map(self) -> np.ndarray:
+        """Slots-by-parameters matrix d(angles)/d(params), all 0 or 1: `angles`
+        adds a parameter's own value to each of its arcs."""
+        p = len(self.box[0])
+        return (self.angles(np.eye(p)) - self.angles(np.zeros((1, p)))).T
+
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
+        middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi]; beta
+        in the open (0, pi), with outer arcs at most pi + beta (`feasible`)."""
+        if self.equal_middles:
+            return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
+        if self.fixed_middle is not None:
+            return np.zeros(2), np.full(2, math.pi)
+        lows = np.zeros(len(self.kinds))
+        if self.is_free_middle_turn_triple:
+            lows[1] = math.pi
+        return lows, np.full(len(self.kinds), 2.0 * math.pi)
+
+    @cached_property
+    def _arc_bounds(self) -> list[tuple[float, float]]:
+        lows, highs = self.angles(np.stack(self.box)).tolist()
+        return [(lo - ARC_BOUND_SLACK, hi + ARC_BOUND_SLACK) for lo, hi in zip(lows, highs)]
+
+    def feasible(self, angles: Sequence[float]) -> bool:
+        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, equal-middle
+        outer arcs also at most the interior arc pi + beta."""
+        if not all(lo <= a <= hi for (lo, hi), a in zip(self._arc_bounds, angles)):
+            return False
+        return not self.equal_middles or max(angles[0], angles[-1]) <= angles[1] + ARC_BOUND_SLACK
+
 
 def _template(pattern: str, fixed_middle: float | None = None) -> FamilyTemplate:
     """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""
     kinds = tuple(SegmentKind(c) for c in pattern)
     tag = pattern if fixed_middle is None else pattern[:2] + "pi" + pattern[2:]
-    return FamilyTemplate(
-        tag=tag,
-        kinds=kinds,
-        fixed_middle=fixed_middle,
-        equal_middles=len(kinds) >= 4,
-    )
+    return FamilyTemplate(tag, kinds, fixed_middle)
 
 
 _COMMON = (FamilyTemplate("EMPTY", ()),) + tuple(
@@ -235,12 +278,6 @@ def normalize_problem(
     return m, TurnGeometry.from_radius(r), initial, final, max(dev_i, dev_f)
 
 
-def _middle_ok(middle: float, regime_has_fixed_pi: bool) -> bool:
-    if regime_has_fixed_pi and abs(middle - math.pi) <= MIDDLE_PI_BAND:
-        return False  # the root belongs to the fixed-pi family
-    return middle >= math.pi - MIDDLE_PI_BAND
-
-
 def solve_family(
     template: FamilyTemplate,
     m: np.ndarray,
@@ -271,20 +308,17 @@ def solve_family(
             solved = solve_equal_middle(m, kinds, geom)
         per_target = [solved] if single else solved
 
+    # where the regime has the fixed-pi families, they own free turn-triple roots at middle pi
+    owned = regime_has_fixed_pi and template.is_free_middle_turn_triple
     feasible = [
-        [sol for sol in sols if _feasible(template, sol, regime_has_fixed_pi)]
+        [
+            sol for sol in sols
+            if template.feasible(sol.angles)
+            and not (owned and abs(sol.angles[1] - math.pi) <= ARC_BOUND_SLACK)
+        ]
         for sols in per_target
     ]
     return feasible[0] if single else feasible
-
-
-def _feasible(template: FamilyTemplate, sol: CandidateSolution, regime_has_fixed_pi: bool) -> bool:
-    if template.fixed_middle is not None:
-        alpha, _, gamma = sol.angles
-        return alpha <= math.pi + ARC_BOUND_SLACK and gamma <= math.pi + ARC_BOUND_SLACK
-    if template.is_free_middle_turn_triple:
-        return _middle_ok(sol.angles[1], regime_has_fixed_pi)
-    return True
 
 
 def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tuple:
@@ -350,9 +384,9 @@ def plan_batch(
     ordered, deduplicated and ranked per request as in `plan`.  Neither the
     batch size nor the order or split of the requests changes any result.
     Only when every request is valid is NoCandidateFound raised, for the
-    first request left without a candidate (this happens only for heuristic
-    radii above sqrt(3)/2), so an input error in a later request wins over
-    an earlier request's NoCandidateFound.
+    first request left without a candidate (only some targets at heuristic
+    radii above sqrt(3)/2 have none), so an input error in a later request
+    wins over an earlier request's NoCandidateFound.
     """
     prepared: list[tuple[np.ndarray, TurnGeometry, float]] = []
     groups: dict[tuple[float, str], tuple[list[FamilyTemplate], list[int]]] = {}
@@ -385,8 +419,10 @@ def plan_batch(
     for req, (_, geom, adjustment), found in zip(requests, prepared, candidates):
         if not found:
             raise NoCandidateFound(
-                "no candidate family produced a residual-passing path; "
-                "this indicates pathological tolerances"
+                "no candidate family produced a residual-passing path; " + (
+                    f"the catalog is heuristic at unit turning radius {geom.r:.6g} > sqrt(3)/2"
+                    if geom.r > MAX_RADIUS else "this indicates pathological tolerances"
+                )
             )
         results.append(
             PlanResult(
@@ -412,8 +448,8 @@ def plan(
     Candidates appear in catalog order (solutions within a family ordered by
     length, then total turning, then angles); `best` indexes the minimum
     physical length with ties already resolved by that ordering.  Raises
-    NoCandidateFound when filtering leaves nothing, which does not happen for
-    valid targets at the residual bound TOL_RESIDUAL.  This is the one-request
-    case of `plan_batch`.
+    NoCandidateFound when filtering leaves nothing, which only some targets
+    at heuristic radii above sqrt(3)/2 reach.  This is the one-request case
+    of `plan_batch`.
     """
     return plan_batch([req], mode=mode, best_effort=best_effort)[0]

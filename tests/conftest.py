@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 
 from sphere_dubins import geometry as geo
@@ -47,18 +45,10 @@ def request_from_rotation(m, unit_r: float, sphere_radius: float = 1.0) -> PlanR
 
 
 def random_in_bounds_path(template, rng: np.random.Generator) -> list[geo.Segment]:
-    """Random angle assignment satisfying the family's feasibility bounds."""
-    kinds = template.kinds
-    if template.equal_middles:
-        beta = rng.uniform(0.05, math.pi - 0.05)
-        middle = math.pi + beta
-        alpha = rng.uniform(0.0, middle)
-        gamma = rng.uniform(0.0, middle)
-        angles = [alpha] + [middle] * (len(kinds) - 2) + [gamma]
-    elif template.fixed_middle is not None:
-        angles = [rng.uniform(0.0, math.pi), template.fixed_middle, rng.uniform(0.0, math.pi)]
-    else:
-        angles = list(rng.uniform(0.0, 2.0 * math.pi, size=len(kinds)))
-        if template.is_free_middle_turn_triple:
-            angles[1] = rng.uniform(math.pi + 1e-6, 2.0 * math.pi - 1e-6)
-    return [geo.Segment(k, a) for k, a in zip(kinds, angles)]
+    """Random arcs in the family's box (`FamilyTemplate.box` and `feasible`),
+    every parameter at least 0.05 inside its bounds."""
+    lows, highs = template.box
+    while True:
+        angles = template.angles(rng.uniform(lows + 0.05, highs - 0.05)[None])[0]
+        if template.feasible(angles):
+            return [geo.Segment(k, a) for k, a in zip(template.kinds, angles)]

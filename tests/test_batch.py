@@ -214,8 +214,8 @@ def test_solvers_on_a_stack_match_single_targets(r):
     families = pl.family_catalog(r, mode="all")
     for f in families:
         if f.equal_middles:
-            stack.append(geo.compose_path([geo.Segment(k, a) for k, a in zip(
-                f.kinds, [0.4] + [math.pi + 0.9] * (len(f.kinds) - 2) + [1.3])], g))
+            angles = f.angles(np.array([[0.4, 0.9, 1.3]]))[0]
+            stack.append(geo.compose_path([geo.Segment(k, a) for k, a in zip(f.kinds, angles)], g))
     stack = np.stack(stack)
     for f in families:
         batched = pl.solve_family(f, stack, g, True)

@@ -41,8 +41,9 @@ def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
     geom = geometry.TurnGeometry.from_radius(0.71)
     m = geometry.compose_path([geometry.R(0.7), geometry.L(math.pi), geometry.R(0.7)], geom)
     families = [f for f in planner.family_catalog(geom.r, mode="all") if f.kinds]
-    modes = {oracle._FamilySearch(f, geom).mode for f in families}
-    assert modes == {"free", "fixed", "equal"}
+    # free, pinned-middle and equal-middle parametrizations all run
+    shapes = {(f.fixed_middle is not None, f.equal_middles) for f in families}
+    assert shapes == {(False, False), (True, False), (False, True)}
     refine = oracle._FamilySearch.refine
     tracer = Tracer()
     tracer.install()

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphere_dubins import extremal as ex
 from sphere_dubins import geometry as geo
-from sphere_dubins.errors import InvalidInitialState, OutOfDomain
+from sphere_dubins.errors import InvalidInitialState, InvalidInput, OutOfDomain
 
 
 def u_for_radius(r: float) -> float:
@@ -76,6 +80,36 @@ def test_small_portrait_radius_never_switches():
     traj = ex.integrate_extremal(ex.mid_arc_state(1, u, h12=center, h2=0.01), 10.0, 1e-3)
     assert traj.switches == ()
     assert np.min(traj.H12) > 0.0
+
+
+@pytest.mark.parametrize(
+    "length, step", [(math.nan, 1e-3), (10.0, math.nan), (10.0, math.inf)]
+)
+def test_non_finite_length_or_step_rejected(length, step):
+    state = ex.switch_state(0, u_for_radius(0.6), h2=1.3)
+    with pytest.raises(InvalidInput):
+        ex.integrate_extremal(state, length, step)
+
+
+def test_infinite_length_rejected():
+    """In a child process with a timeout: unchecked, an infinite length never returns."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import math\n"
+        "from sphere_dubins import extremal as ex\n"
+        "from sphere_dubins.errors import InvalidInput\n"
+        "state = ex.switch_state(0, math.sqrt(1.0 - 0.6**2) / 0.6, h2=1.3)\n"
+        "try:\n"
+        "    ex.integrate_extremal(state, math.inf, 1.0)\n"
+        "except InvalidInput:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert out.stdout.strip() == "rejected", out.stderr
 
 
 def test_invalid_initial_state():

@@ -161,6 +161,13 @@ def test_sample_path_empty():
     assert samples[0].configuration is start
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_sample_path_rejects_bad_step(step):
+    start = geo.Configuration.canonical()
+    with pytest.raises(InvalidInput):
+        geo.sample_path(start, [geo.G(1.0)], GEOM, step)
+
+
 def test_sample_path_end_frame_matches_compose():
     g = geo.TurnGeometry.from_radius(0.71)
     segs = [geo.R(0.7), geo.L(math.pi), geo.R(0.7)]

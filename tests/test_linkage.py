@@ -8,7 +8,7 @@ from conftest import random_in_bounds_path, random_unit
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins.errors import InvalidInput
-from sphere_dubins.planner import family_catalog
+from sphere_dubins.planner import family_catalog, solve_family
 
 GEOM5 = geo.TurnGeometry.from_radius(0.5)
 GEOM6 = geo.TurnGeometry.from_radius(0.6)
@@ -209,32 +209,17 @@ ROUNDTRIP_PATTERNS = [
 
 @pytest.mark.parametrize("pattern", ROUNDTRIP_PATTERNS)
 def test_roundtrip_500_random_assignments(pattern):
-    """Solving a forward-composed target recovers a solution matching it."""
+    """Solving a forward-composed in-box target recovers a solution matching it."""
     rng = np.random.default_rng(1000 + ROUNDTRIP_PATTERNS.index(pattern))
-    chains = {f.tag: f for f in family_catalog(0.8, mode="all") if f.equal_middles}
-    template = chains.get(pattern)
-    kinds = tuple(pattern)
+    template = next(f for f in family_catalog(0.8, mode="all") if f.tag == pattern)
+    kinds = template.kinds
     for i in range(500):
         r = float(rng.uniform(0.2, 0.85))
         g = geo.TurnGeometry.from_radius(r)
-        if template is not None:
-            segs = random_in_bounds_path(template, rng)
-        else:
-            segs = [
-                geo.Segment(k, float(rng.uniform(0.05, 2 * math.pi - 0.05)))
-                for k in pattern
-            ]
+        segs = random_in_bounds_path(template, rng)
         m = geo.compose_path(segs, g)
         gen_len = geo.path_length(segs, g)
-        if len(kinds) == 1:
-            sol = lk.solve_one(m, kinds[0], g)
-            sols = [sol] if sol else []
-        elif len(kinds) == 2:
-            sols = lk.solve_two(m, kinds, g)
-        elif len(kinds) == 3:
-            sols = lk.solve_three(m, kinds, g)
-        else:
-            sols = lk.solve_equal_middle(m, kinds, g)
+        sols = solve_family(template, m, g, regime_has_fixed_pi=False)
         matching = [
             s for s in sols
             if float(np.linalg.norm(geo.compose_path(s.segments(kinds), g) - m)) <= 1e-9

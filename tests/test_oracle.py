@@ -141,25 +141,19 @@ def test_polish_jacobian_matches_central_differences(pattern, fixed):
 
 
 def _winner_endpoint(result, geom):
-    """The winner's parameter vector, read from its segments, and its
-    endpoint as a function of the parameters, composed with compose_path."""
+    """The winner's parameter vector, read from its segments through the
+    template's slot map, and its endpoint as a function of the parameters,
+    composed with compose_path."""
     template = next(f for f in pl.family_catalog(geom.r, mode="all") if f.tag == result.family)
     angles = np.array([seg.angle for seg in result.segments])
+    offset = template.angles(np.zeros((1, template.slot_map.shape[1])))[0]
+    params = np.linalg.lstsq(template.slot_map, angles - offset, rcond=None)[0]
 
     def endpoint(p):
-        if template.equal_middles:
-            chain = [p[0]] + [math.pi + p[1]] * (len(template.kinds) - 2) + [p[2]]
-        elif template.fixed_middle is not None:
-            chain = [p[0], template.fixed_middle, p[1]]
-        else:
-            chain = list(p)
+        chain = template.angles(p[None, :])[0]
         return geo.compose_path([geo.Segment(k, a) for k, a in zip(template.kinds, chain)], geom)
 
-    if template.equal_middles:
-        return np.array([angles[0], angles[1] - math.pi, angles[-1]]), endpoint
-    if template.fixed_middle is not None:
-        return angles[[0, 2]], endpoint
-    return angles, endpoint
+    return params, endpoint
 
 
 @pytest.mark.parametrize("case", ["generic", "rlpir"])

@@ -214,8 +214,60 @@ def test_plan_no_candidate_with_pathological_tolerance(monkeypatch):
     monkeypatch.setattr(lk, "TOL_RESIDUAL", 1e-18)
     monkeypatch.setattr(pl, "TOL_RESIDUAL", 1e-18)
     req = request_from_rotation(random_rotation(np.random.default_rng(99)), 0.5)
-    with pytest.raises(NoCandidateFound):
+    with pytest.raises(NoCandidateFound, match="pathological tolerances"):
         pl.plan(req)
+
+
+def test_plan_no_candidate_at_a_heuristic_radius_names_it():
+    # above sqrt(3)/2 the heuristic catalog reaches no path to this target
+    req = request_from_rotation(random_rotation(np.random.default_rng(0)), 0.95)
+    with pytest.raises(NoCandidateFound, match=r"heuristic at unit turning radius 0\.95 "):
+        pl.plan(req, best_effort=True)
+
+
+@pytest.mark.parametrize(
+    "template", pl.family_catalog(0.8, mode="all")[1:], ids=lambda f: f.tag
+)
+def test_family_box_is_what_feasible_accepts(template):
+    """Box corners give feasible arcs and a step of twice ARC_BOUND_SLACK past
+    any bound does not; slot_map is exactly 0/1 and is the angles' slope."""
+    lows, highs = template.box
+    step = 2.0 * pl.ARC_BOUND_SLACK
+    for corner in (lows, highs):
+        assert template.feasible(template.angles(corner[None])[0])
+    assert set(np.unique(template.slot_map).tolist()) <= {0.0, 1.0}
+    center = (lows + highs) / 2.0
+    for j in range(len(lows)):
+        for corner, delta in ((lows, -step), (highs, step)):
+            moved = corner.copy()
+            moved[j] += delta
+            assert not template.feasible(template.angles(moved[None])[0]), (j, delta)
+        h = 0.25 * np.eye(len(lows))[j]
+        slope = (template.angles((center + h)[None]) - template.angles((center - h)[None]))[0]
+        assert np.allclose(slope / 0.5, template.slot_map[:, j], rtol=0.0, atol=1e-12)
+    if template.equal_middles:  # outer arcs up to pi + beta only
+        inside = np.array([math.pi + 0.5, 0.5, 1.0])
+        assert template.feasible(template.angles(inside[None])[0])
+        inside[0] += step
+        assert not template.feasible(template.angles(inside[None])[0])
+
+
+@pytest.mark.parametrize("pattern", ["LRLR", "RLRLR"])
+def test_equal_middle_box_is_applied_by_the_planner(pattern):
+    """solve_equal_middle returns every residual-passing root; solve_family
+    keeps those whose outer arcs are at most pi + beta."""
+    g = geo.TurnGeometry.from_radius(0.8)
+    template = next(f for f in pl.family_catalog(0.8) if f.tag == pattern)
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_rotation(rng) for _ in range(40)])
+    raw = lk.solve_equal_middle(stack, template.kinds, g)
+    kept = pl.solve_family(template, stack, g, True)
+    outside = 0
+    for sols, feasible in zip(raw, kept):
+        inside = [s for s in sols if max(s.angles[0], s.angles[-1]) <= s.angles[1] + 1e-9]
+        assert feasible == inside
+        outside += len(sols) - len(inside)
+    assert outside > 0
 
 
 def test_plan_residual_is_the_recomposed_residual():
