@@ -254,18 +254,18 @@ def _close_chain(
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
     outer = _recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)
-    kept = [k for k, pair in enumerate(outer) if pair is not None]
-    if not kept:
-        return solutions
-    ends = rotations_about_axis(np.stack([axes[0], axes[-1]]), np.array([outer[k] for k in kept]))
-    rotations = rotations[kept]
+    # every row is composed (one without outer angles at (0, 0), then skipped):
+    # each row's product has the same bits in any stack
+    ends = rotations_about_axis(
+        np.stack([axes[0], axes[-1]]), np.array([pair or (0.0, 0.0) for pair in outer])
+    )
     product = reduce(
         np.matmul, [rotations[:, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
     )
-    residuals = row_norms(product - targets[kept]).tolist()
-    for k, res in zip(kept, residuals):
-        if res <= TOL_RESIDUAL:
-            angles = (outer[k][0],) + tuple(interiors[k]) + (outer[k][1],)
+    residuals = row_norms(product - targets).tolist()
+    for k, (pair, res) in enumerate(zip(outer, residuals)):
+        if pair is not None and res <= TOL_RESIDUAL:
+            angles = (pair[0],) + tuple(interiors[k]) + (pair[1],)
             solutions[owners[k]].append(CandidateSolution(angles, res))
     return solutions
 
