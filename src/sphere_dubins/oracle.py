@@ -88,12 +88,13 @@ class _FamilySearch:
     # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lows, highs = self.template.box
-        if self.template.equal_middles:  # outer arcs drawn up to pi + beta
-            beta = rng.uniform(lows[1], highs[1], size=n)
-            outer_hi = math.pi + beta
-            alpha = rng.uniform(lows[0], outer_hi)
-            gamma = rng.uniform(lows[2], outer_hi)
-            return np.column_stack([alpha, beta, gamma])
+        if self.template.equal_middles:  # beta first, then outer arcs up to its cap
+            params = np.zeros((n, 3))
+            params[:, 1] = rng.uniform(lows[1], highs[1], size=n)
+            cap = self.template.outer_cap(self.template.angles(params).T)
+            params[:, 0] = rng.uniform(lows[0], cap)
+            params[:, 2] = rng.uniform(lows[2], cap)
+            return params
         return rng.uniform(lows, highs, size=(n, len(lows)))
 
     def compose_batch(self, params: np.ndarray) -> np.ndarray:
@@ -133,10 +134,11 @@ class _FamilySearch:
         return prefix[-1], slots @ self.slot_map
 
     def _clamp(self, params: np.ndarray) -> np.ndarray:
-        """Into the box; equal-middle outer angles also to at most pi + beta."""
+        """Into the box; equal-middle outer angles also to at most `outer_cap`."""
         params = np.clip(params, *self.box)
         if self.template.equal_middles:
-            params[:, [0, 2]] = np.minimum(params[:, [0, 2]], math.pi + params[:, 1:2])
+            cap = self.template.outer_cap(self.template.angles(params).T)
+            params[:, [0, 2]] = np.minimum(params[:, [0, 2]], cap[:, None])
         return params
 
     def _polish(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +153,7 @@ class _FamilySearch:
         also moves along a nearly null direction.  A step is kept only where
         it lowers the residual (the damping then drops tenfold, else it
         rises a hundredfold), so no row ends worse than it started, and the
-        box (with outer angles <= pi + beta on equal-middle chains) is
+        box (with outer angles up to `outer_cap` on equal-middle chains) is
         enforced after every step.  A row stops at POLISH_FLOOR or once its
         damping passes POLISH_DAMP_CAP; one that is still above ACCEPT_GATE
         after POLISH_STEPS steps cannot be accepted and stops too.  A row
@@ -287,26 +289,17 @@ def forward_oracle(
     families = [f for f in family_catalog(geom.r, mode="all") if f.kinds]
     per_family = max(1, budget // len(families))
 
-    best_segments: tuple[Segment, ...] | None = None
-    best_length = math.inf
-    best_residual = math.inf
-    best_family = ""
-    best_singular = math.nan
-    evaluations = 0
-
+    evaluations = per_family * len(families)
+    best = OracleResult(None, math.inf, math.inf, "", evaluations)
     identity_residual = float(np.linalg.norm(m - np.eye(3)))
     if identity_residual <= TOL_RESIDUAL:
-        best_segments = ()
-        best_length = 0.0
-        best_residual = identity_residual
-        best_family = "EMPTY"
+        best = OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
     searches = [_FamilySearch(template, geom) for template in families]
     starts = []
     for index, search in enumerate(searches):
         rng = np.random.default_rng(seed + index)
         params = search.sample(rng, per_family)
-        evaluations += per_family
         residuals = np.linalg.norm(search.compose_batch(params) - m, axis=(1, 2))
         starts.append(params[np.argsort(residuals)[:REFINE_TOP]])
 
@@ -321,21 +314,12 @@ def forward_oracle(
             if res_canonical > TOL_RESIDUAL:
                 continue
             length = path_length(segments, geom)
-            if length < best_length:
-                best_segments = segments
-                best_length = length
-                best_residual = res_canonical
-                best_family = search.template.tag
-                best_singular = float(min_singular)
-
-    return OracleResult(
-        segments=best_segments,
-        length=best_length,
-        residual=best_residual,
-        family=best_family,
-        evaluations=evaluations,
-        min_singular=best_singular,
-    )
+            if length < best.length:
+                best = OracleResult(
+                    segments, length, res_canonical, search.template.tag, evaluations,
+                    float(min_singular),
+                )
+    return best
 
 
 # ---------------------------------------------------------------------------

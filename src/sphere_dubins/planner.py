@@ -84,11 +84,8 @@ class FamilyTemplate:
 
     @property
     def is_free_middle_turn_triple(self) -> bool:
-        return (
-            len(self.kinds) == 3
-            and self.fixed_middle is None
-            and all(k.is_turn for k in self.kinds)
-        )
+        kinds = self.kinds
+        return len(kinds) == 3 and self.fixed_middle is None and all(k.is_turn for k in kinds)
 
     def angles(self, params: np.ndarray) -> np.ndarray:
         """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
@@ -110,9 +107,10 @@ class FamilyTemplate:
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
-        middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi]; beta
-        in the open (0, pi), with outer arcs at most pi + beta (`feasible`)."""
+        """Closed parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
+        middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi], beta in
+        [0, pi] (`outer_cap` bounds the outer arcs); the solver's open root interval
+        and the oracle's BETA_LO keep beta off its ends, where loops are full."""
         if self.equal_middles:
             return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
         if self.fixed_middle is not None:
@@ -127,12 +125,18 @@ class FamilyTemplate:
         lows, highs = self.angles(np.stack(self.box)).tolist()
         return [(lo - ARC_BOUND_SLACK, hi + ARC_BOUND_SLACK) for lo, hi in zip(lows, highs)]
 
+    def outer_cap(self, arcs):
+        """Bound on the outer arcs, from arcs indexed slot first (a path's, or a
+        batch's (slots, k) columns): the interior arc pi + beta, else inf."""
+        return arcs[1] if self.equal_middles else math.inf
+
     def feasible(self, angles: Sequence[float]) -> bool:
-        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, equal-middle
-        outer arcs also at most the interior arc pi + beta."""
+        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, the outer
+        arcs also at most `outer_cap`."""
         if not all(lo <= a <= hi for (lo, hi), a in zip(self._arc_bounds, angles)):
             return False
-        return not self.equal_middles or max(angles[0], angles[-1]) <= angles[1] + ARC_BOUND_SLACK
+        outer = max(angles[0], angles[-1]) if len(angles) else -math.inf
+        return outer <= self.outer_cap(angles) + ARC_BOUND_SLACK
 
 
 def _template(pattern: str, fixed_middle: float | None = None) -> FamilyTemplate:

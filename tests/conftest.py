@@ -45,10 +45,14 @@ def request_from_rotation(m, unit_r: float, sphere_radius: float = 1.0) -> PlanR
 
 
 def random_in_bounds_path(template, rng: np.random.Generator) -> list[geo.Segment]:
-    """Random arcs in the family's box (`FamilyTemplate.box` and `feasible`),
-    every parameter at least 0.05 inside its bounds."""
+    """Random arcs drawn from the family's whole box (`FamilyTemplate.box`),
+    kept where `feasible` accepts them; an equal-middle beta stays 0.05 off
+    its ends, where the interior arcs become full loops."""
     lows, highs = template.box
+    if template.equal_middles:
+        margin = np.array([0.0, 0.05, 0.0])
+        lows, highs = lows + margin, highs - margin
     while True:
-        angles = template.angles(rng.uniform(lows + 0.05, highs - 0.05)[None])[0]
+        angles = template.angles(rng.uniform(lows, highs)[None])[0]
         if template.feasible(angles):
             return [geo.Segment(k, a) for k, a in zip(template.kinds, angles)]

@@ -207,23 +207,44 @@ ROUNDTRIP_PATTERNS = [
 ]
 
 
+def _assert_recovers(sols, segs, g, label):
+    """Some solution reaches the endpoint of `segs`, none of those longer than it."""
+    kinds = tuple(s.kind for s in segs)
+    m = geo.compose_path(segs, g)
+    matching = [
+        s for s in sols
+        if float(np.linalg.norm(geo.compose_path(s.segments(kinds), g) - m)) <= 1e-9
+    ]
+    assert matching, f"no solution at {label}"
+    best = min(geo.path_length(s.segments(kinds), g) for s in matching)
+    assert best <= geo.path_length(segs, g) + 1e-9
+
+
 @pytest.mark.parametrize("pattern", ROUNDTRIP_PATTERNS)
 def test_roundtrip_500_random_assignments(pattern):
     """Solving a forward-composed in-box target recovers a solution matching it."""
     rng = np.random.default_rng(1000 + ROUNDTRIP_PATTERNS.index(pattern))
     template = next(f for f in family_catalog(0.8, mode="all") if f.tag == pattern)
-    kinds = template.kinds
     for i in range(500):
         r = float(rng.uniform(0.2, 0.85))
         g = geo.TurnGeometry.from_radius(r)
         segs = random_in_bounds_path(template, rng)
-        m = geo.compose_path(segs, g)
-        gen_len = geo.path_length(segs, g)
-        sols = solve_family(template, m, g, regime_has_fixed_pi=False)
-        matching = [
-            s for s in sols
-            if float(np.linalg.norm(geo.compose_path(s.segments(kinds), g) - m)) <= 1e-9
-        ]
-        assert matching, f"{pattern}: no solution at iteration {i} (r={r})"
-        best = min(geo.path_length(s.segments(kinds), g) for s in matching)
-        assert best <= gen_len + 1e-9
+        sols = solve_family(template, geo.compose_path(segs, g), g, regime_has_fixed_pi=False)
+        _assert_recovers(sols, segs, g, f"{pattern} iteration {i} (r={r})")
+
+
+@pytest.mark.parametrize("pattern", ["LRL", "RLR"])
+def test_solve_three_roundtrip_any_middle(pattern):
+    """solve_three returns free turn-triple roots for any middle arc, those
+    below pi too, which the family box leaves out."""
+    rng = np.random.default_rng(2000 + len(pattern) + (pattern[0] == "R"))
+    below_pi = 0
+    for i in range(500):
+        r = float(rng.uniform(0.2, 0.85))
+        g = geo.TurnGeometry.from_radius(r)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        below_pi += bool(angles[1] < math.pi)
+        segs = [geo.Segment(k, float(a)) for k, a in zip(pattern, angles)]
+        sols = lk.solve_three(geo.compose_path(segs, g), tuple(pattern), g)
+        _assert_recovers(sols, segs, g, f"{pattern} iteration {i} (r={r})")
+    assert below_pi > 200
