@@ -84,8 +84,11 @@ class FamilyTemplate:
 
     @property
     def is_free_middle_turn_triple(self) -> bool:
-        kinds = self.kinds
-        return len(kinds) == 3 and self.fixed_middle is None and all(k.is_turn for k in kinds)
+        return (
+            len(self.kinds) == 3
+            and self.fixed_middle is None
+            and all(k.is_turn for k in self.kinds)
+        )
 
     def angles(self, params: np.ndarray) -> np.ndarray:
         """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
@@ -109,8 +112,8 @@ class FamilyTemplate:
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
         middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi], beta in
-        [0, pi] (`outer_cap` bounds the outer arcs); the solver's open root interval
-        and the oracle's BETA_LO keep beta off its ends, where loops are full."""
+        [0, pi] with outer arcs up to `outer_cap`.  Beta's ends (interior arcs of full
+        loops) are kept out by the solver's open root interval and BETA_LO, not here."""
         if self.equal_middles:
             return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
         if self.fixed_middle is not None:
@@ -127,7 +130,8 @@ class FamilyTemplate:
 
     def outer_cap(self, arcs):
         """Bound on the outer arcs, from arcs indexed slot first (a path's, or a
-        batch's (slots, k) columns): the interior arc pi + beta, else inf."""
+        batch's (slots, k) columns): on equal-middle chains the interior arc
+        pi + beta, else inf."""
         return arcs[1] if self.equal_middles else math.inf
 
     def feasible(self, angles: Sequence[float]) -> bool:
