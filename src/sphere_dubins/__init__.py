@@ -38,13 +38,14 @@ from .geometry import (
 )
 from .linkage import (
     CandidateSolution,
+    FamilyTemplate,
+    solve_chain,
     solve_equal_middle,
     solve_one,
     solve_three,
     solve_two,
 )
 from .planner import (
-    FamilyTemplate,
     PathCandidate,
     PlanRequest,
     PlanResult,
@@ -89,6 +90,7 @@ __all__ = [
     "rotation_about_axis",
     "sample_path",
     "segment_rotation",
+    "solve_chain",
     "solve_equal_middle",
     "solve_one",
     "solve_three",

@@ -26,10 +26,10 @@ from .geometry import sample_path
 from .lemmas import closed_replacement, shortcut_construction, sweep_grid
 from .oracle import forward_oracle, random_rotation, request_for_target
 from .planner import (
-    MAX_RADIUS,
     PlanRequest,
     PlanResult,
     Pose,
+    beyond_proven,
     normalize_problem,
     plan,
     plan_batch,
@@ -255,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise InputError("--parallel must be at least 1")
     for r in r_values:
-        if not (0.0 < r <= MAX_RADIUS):
+        if not r > 0.0 or beyond_proven(r):
             raise InputError(f"--r value {r} outside (0, sqrt(3)/2]")
 
     tasks = []

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import OutOfRegime
 from .geometry import L, R, Segment, TurnGeometry, compose_path, path_length
-from .linkage import solve_three
-from .planner import ARC_BOUND_SLACK, BOUNDARY_SQRT2, MAX_RADIUS
+from .linkage import ARC_BOUND_SLACK, FamilyTemplate, solve_chain
+from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
 MAX_SHORTCUT_DELTA = 0.6    # perturbation range over which the constructions are exercised
 TAYLOR_DELTA = 1e-4         # probe size for finite-difference slope checks
@@ -120,9 +120,9 @@ def sweep_grid(kind: str, n_r: int = 20, n_param: int = 20) -> tuple[np.ndarray,
 # shortcut constructions solved through the linkage solver
 # ---------------------------------------------------------------------------
 
-# Shortcut kind -> replacement pattern and its slot whose angle is at most pi
-# and enters the offsets as angle - pi.
-_SHORTCUTS = {"grg": ("GRG", 1), "rgl": ("RGL", 0)}
+# Shortcut kind -> replacement family (its box is all of [0, 2pi]^3) and its
+# slot whose angle is at most pi and enters the offsets as angle - pi.
+_SHORTCUTS = {"grg": (FamilyTemplate.of("GRG"), 1), "rgl": (FamilyTemplate.of("RGL"), 0)}
 
 
 def _shortcut_original(kind: str, delta: float) -> tuple[Segment, ...]:
@@ -136,19 +136,19 @@ def _shortcut_offsets(
 ) -> tuple[float, float, tuple[Segment, ...]]:
     """Replacement offsets (p1, p2) and segments of the shortest equal-outer
     replacement of the `kind` shortcut at perturbation delta."""
-    pattern, bounded = _SHORTCUTS[kind]
+    template, bounded = _SHORTCUTS[kind]
     m = compose_path(_shortcut_original(kind, delta), geom)
     feasible = [
-        sol for sol in solve_three(m, pattern, geom)
+        sol for sol in solve_chain(template, m, geom)
         if abs(sol.angles[0] - sol.angles[2]) <= TOL_SYM
         and sol.angles[bounded] <= math.pi + ARC_BOUND_SLACK
     ]
     if not feasible:
         return math.nan, math.nan, ()
-    best = min(feasible, key=lambda sol: path_length(sol.segments(pattern), geom))
+    best = min(feasible, key=lambda sol: path_length(sol.segments(template.kinds), geom))
     offsets = list(best.angles[:2])
     offsets[bounded] -= math.pi
-    return offsets[0], offsets[1], best.segments(pattern)
+    return offsets[0], offsets[1], best.segments(template.kinds)
 
 
 def _taylor_slopes(kind: str, geom: TurnGeometry) -> tuple[float, float, float, float]:
@@ -261,6 +261,35 @@ def closed_form_phi(variant: str, r: float, beta: float) -> float:
     raise OutOfRegime(f"unknown variant {variant!r}")
 
 
+# Variant -> (interior arc count, regime check, regime text) of the chain pairs
+# L_pi R_(pi+beta) ... L/R_pi against L_phi R_(pi-beta) ... L/R_phi.
+_CHAIN_PAIRS = {
+    "triple": (1, _in_low_regime, "(0, 1/sqrt(2)]"),
+    "quad": (2, _in_high_regime, "(1/sqrt(2), sqrt(3)/2]"),
+}
+
+
+def _chain_pair(
+    variant: str, needs: str, r: float, beta: float, phi: float | None = None
+) -> tuple[float, tuple[Segment, ...], tuple[Segment, ...]]:
+    """Replacement angle phi (closed form unless given), the original chain and
+    its replacement, after the regime and beta checks (`needs` opens the
+    regime error: "lrl5 construction needs")."""
+    interior, in_regime, interval = _CHAIN_PAIRS[variant]
+    if not in_regime(r):
+        raise OutOfRegime(f"{needs} r in {interval}, got {r}")
+    if not (0.0 < beta < math.pi):
+        raise OutOfRegime(f"beta must be in (0, pi), got {beta}")
+    if phi is None:
+        phi = closed_form_phi(variant, r, beta)
+
+    def chain(outer: float, inner: float) -> tuple[Segment, ...]:
+        arcs = (outer,) + (inner,) * interior + (outer,)
+        return tuple(Segment(k, a) for k, a in zip("LRLR", arcs))
+
+    return phi, chain(math.pi, math.pi + beta), chain(phi, math.pi - beta)
+
+
 def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
     """Replace a chain of half-turn-plus arcs with the closed-form shorter chain.
 
@@ -270,25 +299,12 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
     kind = kind.lower()
     if kind not in ("lrl5", "lrlr6"):
         raise OutOfRegime(f"unknown replacement kind {kind!r}")
-    if not (0.0 < beta < math.pi):
-        raise OutOfRegime(f"beta must be in (0, pi), got {beta}")
-    if kind == "lrl5" and not _in_low_regime(r):
-        raise OutOfRegime(f"lrl5 construction needs r in (0, 1/sqrt(2)], got {r}")
-    if kind == "lrlr6" and not _in_high_regime(r):
-        raise OutOfRegime(f"lrlr6 construction needs r in (1/sqrt(2), sqrt(3)/2], got {r}")
+    variant = "triple" if kind == "lrl5" else "quad"
+    phi, original, replacement = _chain_pair(variant, f"{kind} construction needs", r, beta)
+    sincos = _triple_phi_sincos if variant == "triple" else _quad_phi_sincos
+    sp_closed, cp_closed = sincos(r, beta)
 
     geom = TurnGeometry.from_radius(r)
-    if kind == "lrl5":
-        phi = closed_form_phi("triple", r, beta)
-        original = (L(math.pi), R(math.pi + beta), L(math.pi))
-        replacement = (L(phi), R(math.pi - beta), L(phi))
-        sp_closed, cp_closed = _triple_phi_sincos(r, beta)
-    else:
-        phi = closed_form_phi("quad", r, beta)
-        original = (L(math.pi), R(math.pi + beta), L(math.pi + beta), R(math.pi))
-        replacement = (L(phi), R(math.pi - beta), L(math.pi - beta), R(phi))
-        sp_closed, cp_closed = _quad_phi_sincos(r, beta)
-
     residual = float(
         np.linalg.norm(compose_path(original, geom) - compose_path(replacement, geom))
     )
@@ -577,37 +593,21 @@ def appendix_products(
     With `phi` omitted, the closed-form replacement angle is used, in which
     case the replacement product reproduces the original product entrywise.
     """
-    if variant == "triple":
-        if not _in_low_regime(r):
-            raise OutOfRegime(f"triple tables need r in (0, 1/sqrt(2)], got {r}")
-    elif variant == "quad":
-        if not _in_high_regime(r):
-            raise OutOfRegime(f"quad tables need r in (1/sqrt(2), sqrt(3)/2], got {r}")
-    else:
+    if variant not in _CHAIN_PAIRS:
         raise OutOfRegime(f"unknown variant {variant!r}")
-    if not (0.0 < beta < math.pi):
-        raise OutOfRegime(f"beta must be in (0, pi), got {beta}")
-
-    if phi is None:
-        phi = closed_form_phi(variant, r, beta)
+    phi, original, replacement = _chain_pair(variant, f"{variant} tables need", r, beta, phi)
     geom = TurnGeometry.from_radius(r)
-    if variant == "triple":
-        original = (L(math.pi), R(math.pi + beta), L(math.pi))
-        replacement = (L(phi), R(math.pi - beta), L(phi))
-        original_formula = triple_turn_pi_entries(r, beta)
-        replacement_formula = triple_turn_entries(r, beta, phi)
-    else:
-        original = (L(math.pi), R(math.pi + beta), L(math.pi + beta), R(math.pi))
-        replacement = (L(phi), R(math.pi - beta), L(math.pi - beta), R(phi))
-        original_formula = quad_turn_pi_entries(r, beta)
-        replacement_formula = quad_turn_entries(r, beta, phi)
+    pi_entries, entries = (
+        (triple_turn_pi_entries, triple_turn_entries) if variant == "triple"
+        else (quad_turn_pi_entries, quad_turn_entries)
+    )
     return AppendixTables(
         variant=variant,
         r=r,
         beta=beta,
         phi=phi,
-        original_formula=original_formula,
+        original_formula=pi_entries(r, beta),
         original_product=compose_path(original, geom),
-        replacement_formula=replacement_formula,
+        replacement_formula=entries(r, beta, phi),
         replacement_product=compose_path(replacement, geom),
     )

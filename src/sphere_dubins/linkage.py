@@ -1,20 +1,23 @@
 """Inverse kinematics for products of fixed-axis rotations.
 
 Every candidate family is a chain R(a_1, phi_1) B R(a_n, phi_n) = M, with B
-the product of the interior rotations, and every chain is solved in the same
-two steps:
+the product of the interior rotations.  `solve_chain` is the one solver: it
+reads the family's parametrization and arc box from its `FamilyTemplate`
+once, and solves every chain in the same two steps:
 
 1. Eliminate the interior.  The outer rotations fix their own axes, so
    a_1 . B a_n = a_1 . M a_n: one scalar equation in the interior angles, a
-   trigonometric polynomial of degree 0 (a consistency check), 1 (a free
-   middle) or 2/3 (equal middles).
+   trigonometric polynomial of degree 0 (a consistency check: no interior,
+   or a middle pinned at pi), 1 (a free middle) or 2/3 (equal middles).
 2. Recover the outer angles by aligning probe vectors about the outer axes,
-   which avoids the branch ambiguity of matrix logarithms near half-turns,
-   and keep the assignment only if its full matrix residual passes.
+   which avoids the branch ambiguity of matrix logarithms near half-turns.
+   The family box is applied to the recovered angles before anything is
+   composed; an assignment inside it is kept if its full matrix residual
+   passes.
 
-`solve_two`, `solve_three` and `solve_equal_middle` do step 1 for their chain
-length and hand every interior solution to `_close_chain` for step 2;
-`solve_one` is a single alignment.
+The empty chain is an identity check and a single arc one alignment
+(`solve_one`).  `solve_two`, `solve_three` and `solve_equal_middle` are
+`solve_chain` on the template of their arguments.
 
 Every solver takes one target m of shape (3, 3), or a stack of N targets of
 shape (N, 3, 3) and then returns one result per target.  A single target is
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +59,7 @@ from .geometry import (
 TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
 TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
 ALIGN_FIX_TOL = 1e-7    # axis must be fixed this tightly for a 1-segment solution
+ARC_BOUND_SLACK = 1e-9  # an arc may pass a bound of its family's box by this much
 
 # Equal-middle root selection.  The eliminated scalar equation is a
 # trigonometric polynomial in beta; its real roots are the eigenvalues z of
@@ -86,6 +90,9 @@ NEWTON_STOP = 1e-15
 ROOT_MERGE = 1e-9
 
 
+Kinds = Sequence[SegmentKind | str]
+
+
 @dataclass(frozen=True)
 class CandidateSolution:
     """Angle assignment solving one linkage problem, with its residual."""
@@ -93,8 +100,94 @@ class CandidateSolution:
     angles: tuple[float, ...]
     residual: float
 
-    def segments(self, kinds: Sequence[SegmentKind | str]) -> tuple[Segment, ...]:
+    def segments(self, kinds: Kinds) -> tuple[Segment, ...]:
         return tuple(Segment(k, a) for k, a in zip(kinds, self.angles))
+
+
+Solutions = list[CandidateSolution] | list[list[CandidateSolution]]  # or one list per target
+
+
+@dataclass(frozen=True)
+class FamilyTemplate:
+    """One candidate family: an axis pattern, how its parameters become arc
+    angles, and the box they must stay in (said here and nowhere else)."""
+
+    tag: str
+    kinds: tuple[SegmentKind, ...]
+    fixed_middle: float | None = None   # three-segment chains with a pinned middle arc
+
+    def __post_init__(self) -> None:
+        if len(self.kinds) > 5 or (self.equal_middles and not all(k.is_turn for k in self.kinds)):
+            raise InvalidInput("equal-middle chains have 4 or 5 segments, turns only")
+
+    @classmethod
+    def of(cls, pattern: Kinds, fixed_middle: float | None = None) -> FamilyTemplate:
+        """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""
+        kinds = tuple(SegmentKind(k) for k in pattern)
+        tag = "".join(k.value for k in kinds)
+        pinned = "" if fixed_middle is None else "pi"
+        return cls(tag[:2] + pinned + tag[2:], kinds, fixed_middle)
+
+    @property
+    def equal_middles(self) -> bool:  # 4/5-chains share one interior angle
+        return len(self.kinds) >= 4
+
+    @property
+    def is_free_middle_turn_triple(self) -> bool:
+        turns = all(k.is_turn for k in self.kinds)
+        return len(self.kinds) == 3 and self.fixed_middle is None and turns
+
+    def angles(self, params: np.ndarray) -> np.ndarray:
+        """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
+        around a pinned middle, or (alpha, beta, gamma) with interior arcs pi + beta."""
+        if self.equal_middles:
+            mids = np.repeat(math.pi + params[:, 1:2], len(self.kinds) - 2, axis=1)
+            return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
+        if self.fixed_middle is not None:
+            mid = np.full((params.shape[0], 1), self.fixed_middle)
+            return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
+        return params
+
+    @cached_property
+    def slot_map(self) -> np.ndarray:
+        """Slots-by-parameters matrix d(angles)/d(params), all 0 or 1: `angles`
+        adds a parameter's own value to each of its arcs."""
+        p = len(self.box[0])
+        return (self.angles(np.eye(p)) - self.angles(np.zeros((1, p)))).T
+
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
+        middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi], beta in
+        [0, pi] with outer arcs up to `outer_cap`.  Beta's ends (interior arcs of full
+        loops) are kept out by the solver's open root interval and BETA_LO, not here."""
+        if self.equal_middles:
+            return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
+        if self.fixed_middle is not None:
+            return np.zeros(2), np.full(2, math.pi)
+        lows = np.zeros(len(self.kinds))
+        if self.is_free_middle_turn_triple:
+            lows[1] = math.pi
+        return lows, np.full(len(self.kinds), 2.0 * math.pi)
+
+    @cached_property
+    def _arc_bounds(self) -> list[tuple[float, float]]:
+        lows, highs = self.angles(np.stack(self.box)).tolist()
+        return [(lo - ARC_BOUND_SLACK, hi + ARC_BOUND_SLACK) for lo, hi in zip(lows, highs)]
+
+    def outer_cap(self, arcs):
+        """Bound on the outer arcs, from arcs indexed slot first (a path's, or a
+        batch's (slots, k) columns): on equal-middle chains the interior arc
+        pi + beta, else inf."""
+        return arcs[1] if self.equal_middles else math.inf
+
+    def feasible(self, angles: Sequence[float]) -> bool:
+        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, the outer
+        arcs also at most `outer_cap`."""
+        if not all(lo <= a <= hi for (lo, hi), a in zip(self._arc_bounds, angles)):
+            return False
+        outer = max(angles[0], angles[-1]) if len(angles) else -math.inf
+        return outer <= self.outer_cap(angles) + ARC_BOUND_SLACK
 
 
 def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -131,22 +224,70 @@ def solve_one(
     return results[0] if single else results
 
 
-def solve_two(
-    m: np.ndarray,
-    kinds: Sequence[SegmentKind | str],
-    geom: TurnGeometry,
-) -> list[CandidateSolution] | list[list[CandidateSolution]]:
-    """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m.
-
-    There is no interior: step 1 is the check a1 . M a2 == a1 . a2.
-    """
+def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> Solutions:
+    """Every solution of the family's chain inside its box that reaches m,
+    with its endpoint residual.  `m` is one target (3, 3) or a stack
+    (N, 3, 3); a stack gets one list of solutions per target.  The empty
+    chain and a single arc (canonical angles) always lie in their box."""
     ms, single = _stacked(m)
-    axes = [turn_axis(k, geom) for k in kinds]
-    a1, a2 = axes
-    gaps = np.abs(row_dots(a1, ms @ a2) - float(a1 @ a2))
-    owners = np.nonzero(~(gaps > TOL_SCALAR))[0].tolist()
-    solutions = _close_chain(ms, axes, owners, [()] * len(owners))
+    kinds = template.kinds
+    if not kinds:
+        residuals = row_norms(ms - np.eye(3)).tolist()
+        solutions = [[CandidateSolution((), r)] if r <= TOL_RESIDUAL else [] for r in residuals]
+    elif len(kinds) == 1:
+        found = solve_one(m, kinds[0], geom)
+        solutions = [[sol] if sol is not None else [] for sol in ([found] if single else found)]
+    else:
+        axes = [turn_axis(k, geom) for k in kinds]
+        owners, interiors = _eliminate(template, axes, ms)
+        solutions = _close_chain(ms, axes, owners, interiors, template)
     return solutions[0] if single else solutions
+
+
+def _eliminate(
+    template: FamilyTemplate, axes: Sequence[np.ndarray], ms: np.ndarray
+) -> tuple[list[int], list[tuple[float, ...]]]:
+    """Step 1 for two or more arcs: every interior solution, as the index of
+    its target in the stack `ms` and its interior angles.
+
+    a_1 . B a_n = a_1 . M a_n is a consistency check for a fixed interior (no
+    interior, or a middle pinned at `fixed_middle`), a sinusoid in a free
+    middle, or, on equal middles pi + beta, a trigonometric polynomial in beta
+    of degree 2 (4-chains) or 3 (5-chains) whose constant term alone depends
+    on the target.  Its roots are the unit-circle eigenvalues of the
+    companion matrix in z = e^{i beta} (Boyd, "Computing zeros of Fourier
+    series by polynomial rootfinding", 2006), polished by Newton steps (bands
+    and stop rule beside ROOT_UNIT_BAND).
+    """
+    rhs = row_dots(axes[0], ms @ axes[-1])
+    owners: list[int] = []
+    interiors: list[tuple[float, ...]] = []
+    if template.equal_middles:
+        mid = len(axes) - 2
+        coeffs = np.repeat(
+            _laurent_coefficients(axes[0], axes[1:-1], axes[-1])[None], len(ms), axis=0
+        )
+        coeffs[:, mid] -= rhs
+        for i, betas in enumerate(_interior_roots(coeffs)):
+            for beta in betas:
+                owners.append(i)
+                interiors.append((math.pi + beta,) * mid)
+    elif len(axes) == 3 and template.fixed_middle is None:
+        k1c, k2c, k3c = scalar_reduction(*axes)
+        for i, value in enumerate(rhs.tolist()):
+            for phi2 in _circle_roots(k2c, k3c, value - k1c):
+                owners.append(i)
+                interiors.append((phi2,))
+    else:
+        if len(axes) == 2:
+            interior, predicted = (), float(axes[0] @ axes[1])
+        else:
+            fm = canonical_angle(template.fixed_middle)
+            k1c, k2c, k3c = scalar_reduction(*axes)
+            interior, predicted = (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
+        owners = np.nonzero(~(np.abs(rhs - predicted) > TOL_SCALAR))[0].tolist()
+        interiors = [interior] * len(owners)
+    return owners, interiors
 
 
 def scalar_reduction(
@@ -231,13 +372,15 @@ def _close_chain(
     axes: Sequence[np.ndarray],
     owners: Sequence[int],
     interiors: Sequence[tuple[float, ...]],
+    template: FamilyTemplate,
 ) -> list[list[CandidateSolution]]:
     """Step 2 for every interior solution of step 1 (see the module docstring).
 
     `interiors[k]` solves step 1 for target `m[owners[k]]`.  For each pair:
-    build the interior block, recover the outer angles, and report the full
-    assignment if its matrix residual is within TOL_RESIDUAL.  Returns the
-    solutions of each target of the (N, 3, 3) stack `m`, in `interiors` order.
+    build the interior block, recover the outer angles, keep the assignment
+    if `template.feasible` accepts it, and only then compose it and report it
+    if its matrix residual is within TOL_RESIDUAL.  Returns the solutions of
+    each target of the (N, 3, 3) stack `m`, in `interiors` order.
     """
     solutions: list[list[CandidateSolution]] = [[] for _ in range(len(m))]
     if not owners:
@@ -253,56 +396,28 @@ def _close_chain(
         blocks = reduce(np.matmul, (rotations[:, j] for j in range(inner)))
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
-    outer = _recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)
-    # every row is composed (one without outer angles at (0, 0), then skipped):
+    rows: list[int] = []
+    assignments: list[tuple[float, ...]] = []
+    for k, pair in enumerate(_recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)):
+        if pair is not None:
+            angles = (pair[0],) + tuple(interiors[k]) + (pair[1],)
+            if template.feasible(angles):
+                rows.append(k)
+                assignments.append(angles)
+    if not rows:
+        return solutions
     # each row's product has the same bits in any stack
     ends = rotations_about_axis(
-        np.stack([axes[0], axes[-1]]), np.array([pair or (0.0, 0.0) for pair in outer])
+        np.stack([axes[0], axes[-1]]), np.array([(a[0], a[-1]) for a in assignments])
     )
     product = reduce(
-        np.matmul, [rotations[:, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
+        np.matmul, [rotations[rows, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
     )
-    residuals = row_norms(product - targets).tolist()
-    for k, (pair, res) in enumerate(zip(outer, residuals)):
-        if pair is not None and res <= TOL_RESIDUAL:
-            angles = (pair[0],) + tuple(interiors[k]) + (pair[1],)
+    residuals = row_norms(product - targets[rows]).tolist()
+    for k, angles, res in zip(rows, assignments, residuals):
+        if res <= TOL_RESIDUAL:
             solutions[owners[k]].append(CandidateSolution(angles, res))
     return solutions
-
-
-def solve_three(
-    m: np.ndarray,
-    kinds: Sequence[SegmentKind | str],
-    geom: TurnGeometry,
-    fixed_middle: float | None = None,
-) -> list[CandidateSolution] | list[list[CandidateSolution]]:
-    """All (phi1, phi2, phi3) whose three-rotation product equals m.
-
-    Step 1 is a single sinusoid in phi2 with at most two roots (or, with
-    `fixed_middle`, a consistency check).
-    """
-    ms, single = _stacked(m)
-    axes = [turn_axis(k, geom) for k in kinds]
-    a1, a2, a3 = axes
-    k1c, k2c, k3c = scalar_reduction(a1, a2, a3)
-    rhs = row_dots(a1, ms @ a3).tolist()
-
-    owners: list[int] = []
-    interiors: list[tuple[float, ...]] = []
-    if fixed_middle is not None:
-        fm = canonical_angle(fixed_middle)
-        predicted = k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
-        for i, value in enumerate(rhs):
-            if not abs(predicted - value) > TOL_SCALAR:
-                owners.append(i)
-                interiors.append((fm,))
-    else:
-        for i, value in enumerate(rhs):
-            for phi2 in _circle_roots(k2c, k3c, value - k1c):
-                owners.append(i)
-                interiors.append((phi2,))
-    solutions = _close_chain(ms, axes, owners, interiors)
-    return solutions[0] if single else solutions
 
 
 def _laurent_coefficients(
@@ -400,38 +515,24 @@ def _interior_roots(coeffs: np.ndarray) -> list[list[float]]:
     return [sorted(found) for found in roots]
 
 
-def solve_equal_middle(
-    m: np.ndarray,
-    kinds: Sequence[SegmentKind | str],
-    geom: TurnGeometry,
-) -> list[CandidateSolution] | list[list[CandidateSolution]]:
-    """Solve 4- and 5-segment alternating turn chains with equal middle arcs.
+def solve_two(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> Solutions:
+    """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m."""
+    return solve_chain(FamilyTemplate.of(kinds), m, geom)
 
-    Interior arcs share one angle pi + beta with beta in (0, pi).  Step 1 is
-    a trigonometric polynomial in beta of degree 2 (4-chains) or 3
-    (5-chains), built exactly from the axes; only its constant term depends
-    on the target.  Its roots are the unit-circle eigenvalues of the
-    degree-4/6 companion matrix in z = e^{i beta} (Boyd, "Computing zeros of
-    Fourier series by polynomial rootfinding", 2006), polished by Newton
-    steps; the bands and stop rule are documented beside ROOT_UNIT_BAND.
-    Every residual-passing root is returned; the arc box (outer arcs at most
-    pi + beta) is the planner's to apply (`FamilyTemplate.feasible`).
-    """
-    ks = tuple(SegmentKind(k) for k in kinds)
-    if len(ks) not in (4, 5):
-        raise InvalidInput("equal-middle chains have 4 or 5 segments")
-    if any(not k.is_turn for k in ks):
-        raise InvalidInput("equal-middle chains contain turn segments only")
-    ms, single = _stacked(m)
-    axes = [turn_axis(k, geom) for k in ks]
-    mid = len(axes) - 2
-    coeffs = np.repeat(_laurent_coefficients(axes[0], axes[1:-1], axes[-1])[None], len(ms), axis=0)
-    coeffs[:, mid] -= row_dots(axes[0], ms @ axes[-1])
-    owners: list[int] = []
-    interiors: list[tuple[float, ...]] = []
-    for i, betas in enumerate(_interior_roots(coeffs)):
-        for beta in betas:
-            owners.append(i)
-            interiors.append((math.pi + beta,) * mid)
-    solutions = _close_chain(ms, axes, owners, interiors)
-    return solutions[0] if single else solutions
+
+def solve_three(
+    m: np.ndarray, kinds: Kinds, geom: TurnGeometry, fixed_middle: float | None = None
+) -> Solutions:
+    """All (phi1, phi2, phi3) in the family box whose three-rotation product
+    equals m: a free turn-triple middle is at least pi, outer arcs around a
+    `fixed_middle` at most pi."""
+    return solve_chain(FamilyTemplate.of(kinds, fixed_middle), m, geom)
+
+
+def solve_equal_middle(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> Solutions:
+    """Solve 4- and 5-segment alternating turn chains whose interior arcs share
+    one angle pi + beta, beta in (0, pi), inside the family box (outer arcs at
+    most pi + beta); step 1 is described in `_eliminate`."""
+    if len(kinds) < 4:
+        raise InvalidInput("equal-middle chains have 4 or 5 segments, turns only")
+    return solve_chain(FamilyTemplate.of(kinds), m, geom)

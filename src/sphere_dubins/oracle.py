@@ -35,8 +35,8 @@ from .geometry import (
     skew,
     turn_axis,
 )
-from .linkage import TOL_RESIDUAL
-from .planner import FamilyTemplate, PlanRequest, Pose, family_catalog, plan_batch
+from .linkage import TOL_RESIDUAL, FamilyTemplate
+from .planner import PlanRequest, Pose, family_catalog, plan_batch
 from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
@@ -279,7 +279,9 @@ def forward_oracle(
     """Best residual-passing path found by seeded restarts plus refinement.
 
     The budget counts sampled angle vectors, split evenly across the audit
-    catalog's families.  Each family's REFINE_TOP best samples are polished,
+    catalog's families with at least one per family, so the reported
+    `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
+    above.  Each family's REFINE_TOP best samples are polished,
     those of free and pinned-middle families after a coordinate descent.
     `min_singular` is the smallest singular value of the winner's parameter
     Jacobian, from the polish.  Results are deterministic for a fixed seed.

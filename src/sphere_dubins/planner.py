@@ -1,19 +1,18 @@
-"""End-to-end planning: normalize, enumerate families, solve, filter, rank.
+"""End-to-end planning: normalize, enumerate families, solve, rank.
 
 The planner scales the problem to the unit sphere, enumerates the candidate
-family catalog for the turning-radius regime, solves every family through the
-linkage solver, applies per-family feasibility filters, and ranks the
-surviving candidates by physical length.  Output is deterministic for fixed
-inputs and options.  `plan_batch` plans many requests at once, solving each
-family once per turning radius on the stacked targets; `plan` is its
-one-request case.
+family catalog for the turning-radius regime, solves every family inside its
+box through `linkage.solve_chain`, lets the pinned-middle families own the
+free turn-triple roots at middle pi, and ranks the candidates by physical
+length.  Output is deterministic for fixed inputs and options.  `plan_batch`
+plans many requests at once, solving each family once per turning radius on
+the stacked targets; `plan` is its one-request case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,23 +27,15 @@ from .geometry import (
     orthonormalize_pose,
     path_length,
     relative_rotation,
-    row_norms,
 )
-from .linkage import (
-    TOL_RESIDUAL,
-    CandidateSolution,
-    _stacked,
-    solve_equal_middle,
-    solve_one,
-    solve_three,
-    solve_two,
-)
+from .linkage import ARC_BOUND_SLACK, CandidateSolution, FamilyTemplate, Solutions, solve_chain
+# perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
+from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
 HALF_RADIUS = 0.5
 BOUNDARY_SQRT2 = 1.0 / math.sqrt(2.0)
 MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
-ARC_BOUND_SLACK = 1e-9       # an arc may pass a bound of its family's box by this much
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
 
@@ -69,101 +60,22 @@ class PlanRequest:
     final: Pose
 
 
-@dataclass(frozen=True)
-class FamilyTemplate:
-    """One candidate family: an axis pattern, how its parameters become arc
-    angles, and the box they must stay in (said here and nowhere else)."""
-
-    tag: str
-    kinds: tuple[SegmentKind, ...]
-    fixed_middle: float | None = None   # three-segment chains with a pinned middle arc
-
-    @property
-    def equal_middles(self) -> bool:  # 4/5-chains share one interior angle
-        return len(self.kinds) >= 4
-
-    @property
-    def is_free_middle_turn_triple(self) -> bool:
-        return (
-            len(self.kinds) == 3
-            and self.fixed_middle is None
-            and all(k.is_turn for k in self.kinds)
-        )
-
-    def angles(self, params: np.ndarray) -> np.ndarray:
-        """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
-        around a pinned middle, or (alpha, beta, gamma) with interior arcs pi + beta."""
-        if self.equal_middles:
-            mids = np.repeat(math.pi + params[:, 1:2], len(self.kinds) - 2, axis=1)
-            return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
-        if self.fixed_middle is not None:
-            mid = np.full((params.shape[0], 1), self.fixed_middle)
-            return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
-        return params
-
-    @cached_property
-    def slot_map(self) -> np.ndarray:
-        """Slots-by-parameters matrix d(angles)/d(params), all 0 or 1: `angles`
-        adds a parameter's own value to each of its arcs."""
-        p = len(self.box[0])
-        return (self.angles(np.eye(p)) - self.angles(np.zeros((1, p)))).T
-
-    @cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closed parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
-        middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi], beta in
-        [0, pi] with outer arcs up to `outer_cap`.  Beta's ends (interior arcs of full
-        loops) are kept out by the solver's open root interval and BETA_LO, not here."""
-        if self.equal_middles:
-            return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
-        if self.fixed_middle is not None:
-            return np.zeros(2), np.full(2, math.pi)
-        lows = np.zeros(len(self.kinds))
-        if self.is_free_middle_turn_triple:
-            lows[1] = math.pi
-        return lows, np.full(len(self.kinds), 2.0 * math.pi)
-
-    @cached_property
-    def _arc_bounds(self) -> list[tuple[float, float]]:
-        lows, highs = self.angles(np.stack(self.box)).tolist()
-        return [(lo - ARC_BOUND_SLACK, hi + ARC_BOUND_SLACK) for lo, hi in zip(lows, highs)]
-
-    def outer_cap(self, arcs):
-        """Bound on the outer arcs, from arcs indexed slot first (a path's, or a
-        batch's (slots, k) columns): on equal-middle chains the interior arc
-        pi + beta, else inf."""
-        return arcs[1] if self.equal_middles else math.inf
-
-    def feasible(self, angles: Sequence[float]) -> bool:
-        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, the outer
-        arcs also at most `outer_cap`."""
-        if not all(lo <= a <= hi for (lo, hi), a in zip(self._arc_bounds, angles)):
-            return False
-        outer = max(angles[0], angles[-1]) if len(angles) else -math.inf
-        return outer <= self.outer_cap(angles) + ARC_BOUND_SLACK
-
-
-def _template(pattern: str, fixed_middle: float | None = None) -> FamilyTemplate:
-    """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""
-    kinds = tuple(SegmentKind(c) for c in pattern)
-    tag = pattern if fixed_middle is None else pattern[:2] + "pi" + pattern[2:]
-    return FamilyTemplate(tag, kinds, fixed_middle)
-
-
 _COMMON = (FamilyTemplate("EMPTY", ()),) + tuple(
-    _template(p)
+    FamilyTemplate.of(p)
     for p in ("G", "L", "R", "LG", "RG", "GL", "GR", "LR", "RL",
               "LGL", "LGR", "RGL", "RGR", "LRL", "RLR")
 )
-_FIXED_PI = (_template("LRL", fixed_middle=math.pi), _template("RLR", fixed_middle=math.pi))
-_FOUR = (_template("LRLR"), _template("RLRL"))
-_FIVE = (_template("LRLRL"), _template("RLRLR"))
+_FIXED_PI = tuple(FamilyTemplate.of(p, fixed_middle=math.pi) for p in ("LRL", "RLR"))
+_FOUR = tuple(FamilyTemplate.of(p) for p in ("LRLR", "RLRL"))
+_FIVE = tuple(FamilyTemplate.of(p) for p in ("LRLRL", "RLRLR"))
 
 # Families each regime adds to the common set.
 _REGIME_FAMILIES = {"low": (), "sqrt2": (), "four": _FOUR, "high": _FIXED_PI + _FOUR + _FIVE}
 
 # Families mode="all" appends (when not already present), regardless of regime.
-_AUDIT = tuple(_template(p) for p in ("GLG", "GRG", "GLR", "GRL", "LRG", "RLG")) + _FOUR + _FIVE
+_AUDIT = tuple(
+    FamilyTemplate.of(p) for p in ("GLG", "GRG", "GLR", "GRL", "LRG", "RLG")
+) + _FOUR + _FIVE
 
 
 def catalog_regime(r: float) -> str:
@@ -184,28 +96,31 @@ def catalog_regime(r: float) -> str:
     return "low"
 
 
+def beyond_proven(r: float) -> bool:
+    """Whether unit turning radius r is past sqrt(3)/2 by more than REGIME_BAND: a
+    quotient rounded just above the proven maximum keeps the proven catalog."""
+    return r - MAX_RADIUS > REGIME_BAND
+
+
 def family_catalog(r: float, mode: str = "table") -> list[FamilyTemplate]:
     """Ordered candidate families for unit-sphere turning radius r.
 
     mode="table" returns the proven catalog for the regime of r and raises
-    RadiusOutOfRange beyond sqrt(3)/2.  mode="all" additionally appends audit
-    families (great-circle sandwiches and 4/5-chains regardless of regime).
+    RadiusOutOfRange beyond sqrt(3)/2 (`beyond_proven`).  mode="all"
+    additionally appends audit families (great-circle sandwiches and
+    4/5-chains regardless of regime).
     """
     if mode not in ("table", "all"):
         raise ValueError(f"mode must be 'table' or 'all', got {mode!r}")
     if r <= 0.0:
         raise RadiusOutOfRange(f"turning radius must be positive, got {r}")
-    if mode == "table" and r > MAX_RADIUS:
+    if mode == "table" and beyond_proven(r):
         raise RadiusOutOfRange(
             f"unit turning radius {r:.6g} exceeds sqrt(3)/2; "
             "use best-effort mode for a heuristic answer"
         )
-
-    if r > MAX_RADIUS:
-        regime = "high"  # best-effort: largest proven catalog plus audit families
-    else:
-        regime = catalog_regime(r)
-    families = list(_COMMON + _REGIME_FAMILIES[regime])
+    # above sqrt(3)/2 (best effort) this is the largest proven catalog, "high"
+    families = list(_COMMON + _REGIME_FAMILIES[catalog_regime(r)])
     if mode == "all":
         families.extend(f for f in _AUDIT if f not in families)
     return families
@@ -275,7 +190,7 @@ def normalize_problem(
         raise RadiusOutOfRange(
             f"unit turning radius {r:.6g} is not below 1; no tight turn exists"
         )
-    if r > MAX_RADIUS and not best_effort:
+    if beyond_proven(r) and not best_effort:
         raise RadiusOutOfRange(
             f"unit turning radius {r:.6g} exceeds sqrt(3)/2 "
             "(pass best_effort for a heuristic answer)"
@@ -287,46 +202,22 @@ def normalize_problem(
 
 
 def solve_family(
-    template: FamilyTemplate,
-    m: np.ndarray,
-    geom: TurnGeometry,
-    regime_has_fixed_pi: bool,
-) -> list[CandidateSolution] | list[list[CandidateSolution]]:
-    """Feasible solutions of one family reaching the target, each with the
-    endpoint residual its solver computed.  `m` is one target (3, 3) or a
-    stack (N, 3, 3); a stack gets one list of solutions per target."""
-    single = np.ndim(m) == 2
-    kinds = template.kinds
-    n = len(kinds)
-    if n == 0:
-        stack, _ = _stacked(m)
-        residuals = row_norms(stack - np.eye(3)).tolist()
-        per_target = [
-            [CandidateSolution((), res)] if res <= TOL_RESIDUAL else [] for res in residuals
-        ]
-    elif n == 1:
-        found = solve_one(m, kinds[0], geom)
-        per_target = [[sol] if sol is not None else [] for sol in ([found] if single else found)]
-    else:
-        if n == 2:
-            solved = solve_two(m, kinds, geom)
-        elif n == 3:
-            solved = solve_three(m, kinds, geom, fixed_middle=template.fixed_middle)
-        else:
-            solved = solve_equal_middle(m, kinds, geom)
-        per_target = [solved] if single else solved
-
+    template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry, regime_has_fixed_pi: bool
+) -> Solutions:
+    """Solutions of one family reaching the target inside its box, each with
+    the endpoint residual its solver computed (`linkage.solve_chain`).  `m` is
+    one target (3, 3) or a stack (N, 3, 3); a stack gets one list of
+    solutions per target."""
+    solved = solve_chain(template, m, geom)
+    if not (regime_has_fixed_pi and template.is_free_middle_turn_triple):
+        return solved
     # where the regime has the fixed-pi families, they own free turn-triple roots at middle pi
-    owned = regime_has_fixed_pi and template.is_free_middle_turn_triple
-    feasible = [
-        [
-            sol for sol in sols
-            if template.feasible(sol.angles)
-            and not (owned and abs(sol.angles[1] - math.pi) <= ARC_BOUND_SLACK)
-        ]
-        for sols in per_target
+    single = np.ndim(m) == 2
+    kept = [
+        [sol for sol in sols if abs(sol.angles[1] - math.pi) > ARC_BOUND_SLACK]
+        for sols in ([solved] if single else solved)
     ]
-    return feasible[0] if single else feasible
+    return kept[0] if single else kept
 
 
 def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tuple:
@@ -400,7 +291,7 @@ def plan_batch(
     groups: dict[tuple[float, str], tuple[list[FamilyTemplate], list[int]]] = {}
     for i, req in enumerate(requests):
         m, geom, _, _, adjustment = normalize_problem(req, best_effort)
-        key = (geom.r, "all" if geom.r > MAX_RADIUS else mode)
+        key = (geom.r, "all" if beyond_proven(geom.r) else mode)
         if key not in groups:
             groups[key] = (family_catalog(*key), [])
         groups[key][1].append(i)
@@ -429,7 +320,7 @@ def plan_batch(
             raise NoCandidateFound(
                 "no candidate family produced a residual-passing path; " + (
                     f"the catalog is heuristic at unit turning radius {geom.r:.6g} > sqrt(3)/2"
-                    if geom.r > MAX_RADIUS else "this indicates pathological tolerances"
+                    if beyond_proven(geom.r) else "this indicates pathological tolerances"
                 )
             )
         results.append(
@@ -439,7 +330,7 @@ def plan_batch(
                 turning_radius=req.turning_radius,
                 candidates=tuple(found),
                 best=min(range(len(found)), key=lambda i: (found[i].physical_length, i)),
-                heuristic=geom.r > MAX_RADIUS,
+                heuristic=beyond_proven(geom.r),
                 input_adjustment=adjustment,
             )
         )

@@ -225,6 +225,14 @@ def test_sweep_rejects_bad_flags(tmp_path):
                      "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_sweep_accepts_the_proven_maximum_rounded_up(tmp_path):
+    # one ulp above sqrt(3)/2, within the regime band: the proven catalog
+    out = tmp_path / "max.csv"
+    assert cli.main(["sweep", "--r", "0.8660254037844387", "--instances", "2",
+                     "--seed", "1", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("spec", ["0.3:inf:0.1", "0.3:0.5:nan", "0.3:0.5:1e-300"])
 def test_sweep_rejects_runaway_range(tmp_path, spec):
     """A non-finite part or a vanishing step is an input error, not an endless loop."""

@@ -235,9 +235,13 @@ def test_roundtrip_500_random_assignments(pattern):
 
 @pytest.mark.parametrize("pattern", ["LRL", "RLR"])
 def test_solve_three_roundtrip_any_middle(pattern):
-    """solve_three returns free turn-triple roots for any middle arc, those
-    below pi too, which the family box leaves out."""
+    """A free turn triple returns only roots in its box (middle at least pi);
+    the full-box triple on the same outer axes (a great-circle middle)
+    recovers middles anywhere in [0, 2pi], so both `_circle_roots` roots stay
+    covered, those below pi too."""
     rng = np.random.default_rng(2000 + len(pattern) + (pattern[0] == "R"))
+    template = lk.FamilyTemplate.of(pattern)
+    full_box = pattern[0] + "G" + pattern[2]
     below_pi = 0
     for i in range(500):
         r = float(rng.uniform(0.2, 0.85))
@@ -246,5 +250,10 @@ def test_solve_three_roundtrip_any_middle(pattern):
         below_pi += bool(angles[1] < math.pi)
         segs = [geo.Segment(k, float(a)) for k, a in zip(pattern, angles)]
         sols = lk.solve_three(geo.compose_path(segs, g), tuple(pattern), g)
-        _assert_recovers(sols, segs, g, f"{pattern} iteration {i} (r={r})")
+        assert all(template.feasible(s.angles) for s in sols)
+        if angles[1] >= math.pi:
+            _assert_recovers(sols, segs, g, f"{pattern} iteration {i} (r={r})")
+        segs = [geo.Segment(k, float(a)) for k, a in zip(full_box, angles)]
+        sols = lk.solve_three(geo.compose_path(segs, g), tuple(full_box), g)
+        _assert_recovers(sols, segs, g, f"{full_box} iteration {i} (r={r})")
     assert below_pi > 200

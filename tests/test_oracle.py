@@ -128,7 +128,7 @@ def _central_jacobian(endpoint, params, h=1e-6):
 @pytest.mark.parametrize("pattern, fixed", JACOBIAN_FAMILIES)
 def test_polish_jacobian_matches_central_differences(pattern, fixed):
     geom = geo.TurnGeometry.from_radius(0.8)
-    search = orc._FamilySearch(pl._template(pattern, fixed), geom)
+    search = orc._FamilySearch(pl.FamilyTemplate.of(pattern, fixed), geom)
     params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20)
     ends, jac = search.linearize(params)
     assert np.array_equal(ends, search.compose_batch(params))

@@ -210,9 +210,45 @@ def test_plan_best_effort_heuristic_label():
     assert result.best_candidate.residual <= 1e-9
 
 
+@pytest.mark.parametrize("sphere_radius", [1.5, 3.0])
+def test_plan_proven_maximum_radius_at_any_sphere_radius(sphere_radius):
+    """turning_radius / sphere_radius rounds one ulp above sqrt(3)/2 here; that
+    quotient still gets the proven catalog, in table mode and not heuristic."""
+    req = request_from_rotation(
+        random_rotation(np.random.default_rng(1)), pl.MAX_RADIUS, sphere_radius
+    )
+    assert req.turning_radius / req.sphere_radius > pl.MAX_RADIUS
+    result = pl.plan(req)
+    assert not result.heuristic
+    assert {c.family for c in result.candidates} <= {f.tag for f in pl.family_catalog(0.8)}
+    assert pl.plan_batch([req, req])[1] == result
+
+
+def test_plan_radius_past_the_band_still_raises():
+    req = request_from_rotation(np.eye(3), pl.MAX_RADIUS + 1e-11)
+    with pytest.raises(RadiusOutOfRange):
+        pl.plan(req)
+    with pytest.raises(RadiusOutOfRange):
+        pl.family_catalog(pl.MAX_RADIUS + 1e-11)
+    assert pl.plan(req, best_effort=True).heuristic
+
+
+@pytest.mark.parametrize(
+    "boundary,expected",
+    [
+        (0.5, {-1e-11: "low", -1e-13: "four", 0.0: "low", 1e-13: "four", 1e-11: "four"}),
+        (SQRT2_INV, {-1e-11: "four", -1e-13: "high", 0.0: "sqrt2", 1e-13: "high", 1e-11: "high"}),
+    ],
+)
+def test_catalog_regime_band(boundary, expected):
+    """Quotients within REGIME_BAND of a boundary, but not on it, get the
+    larger catalog; the boundary itself and quotients past the band do not."""
+    for offset, regime in expected.items():
+        assert pl.catalog_regime(boundary + offset) == regime, offset
+
+
 def test_plan_no_candidate_with_pathological_tolerance(monkeypatch):
     monkeypatch.setattr(lk, "TOL_RESIDUAL", 1e-18)
-    monkeypatch.setattr(pl, "TOL_RESIDUAL", 1e-18)
     req = request_from_rotation(random_rotation(np.random.default_rng(99)), 0.5)
     with pytest.raises(NoCandidateFound, match="pathological tolerances"):
         pl.plan(req)
@@ -253,17 +289,22 @@ def test_family_box_is_what_feasible_accepts(template):
 
 
 @pytest.mark.parametrize("pattern", ["LRLR", "RLRLR"])
-def test_equal_middle_box_is_applied_by_the_planner(pattern):
-    """solve_equal_middle returns every residual-passing root; solve_family
-    keeps those whose outer arcs are at most pi + beta."""
+def test_equal_middle_box_is_applied_by_the_planner(pattern, monkeypatch):
+    """solve_chain, and so the planner, returns the residual-passing roots
+    whose outer arcs are at most pi + beta; the stack also has roots outside
+    that box, which a box that admits everything lets through."""
     g = geo.TurnGeometry.from_radius(0.8)
     template = next(f for f in pl.family_catalog(0.8) if f.tag == pattern)
     rng = np.random.default_rng(7)
     stack = np.stack([random_rotation(rng) for _ in range(40)])
-    raw = lk.solve_equal_middle(stack, template.kinds, g)
-    kept = pl.solve_family(template, stack, g, True)
+    kept = lk.solve_chain(template, stack, g)
+    assert pl.solve_family(template, stack, g, True) == kept
+    with monkeypatch.context() as patch:
+        patch.setattr(lk.FamilyTemplate, "feasible", lambda self, angles: True)
+        everything = lk.solve_chain(template, stack, g)
     outside = 0
-    for sols, feasible in zip(raw, kept):
+    for sols, feasible in zip(everything, kept):
+        assert all(template.feasible(s.angles) for s in feasible)
         inside = [s for s in sols if max(s.angles[0], s.angles[-1]) <= s.angles[1] + 1e-9]
         assert feasible == inside
         outside += len(sols) - len(inside)
