@@ -221,7 +221,6 @@ def test_plan_proven_maximum_radius_at_any_sphere_radius(sphere_radius):
     result = pl.plan(req)
     assert not result.heuristic
     assert {c.family for c in result.candidates} <= {f.tag for f in pl.family_catalog(0.8)}
-    assert pl.plan_batch([req, req])[1] == result
 
 
 def test_plan_radius_past_the_band_still_raises():
