@@ -254,6 +254,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError("--instances must be at least 1")
     if args.parallel < 1:
         raise InputError("--parallel must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     for r in r_values:
         if not r > 0.0 or beyond_proven(r):
             raise InputError(f"--r value {r} outside (0, sqrt(3)/2]")
@@ -315,6 +317,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     req = load_request(args.input)
     if args.budget < 1:
         raise InputError("--budget must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     result = plan(req)
     target, geom, _, _, _ = normalize_problem(req)
     found = forward_oracle(target, geom, seed=args.seed, budget=args.budget)

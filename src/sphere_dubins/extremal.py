@@ -51,11 +51,12 @@ class ExtremalState:
     def __post_init__(self) -> None:
         if self.lam not in (0, 1):
             raise InvalidInput(f"lam must be 0 or 1, got {self.lam}")
-        if self.u_max <= 0.0:
-            raise InvalidInput(f"u_max must be positive, got {self.u_max}")
+        if not (0.0 < self.u_max < math.inf):
+            raise InvalidInput(f"u_max must be positive and finite, got {self.u_max}")
         frame = np.array(self.frame, dtype=float)
-        if frame.shape != (3, 3):
-            raise InvalidInput("frame must be 3x3")
+        finite = np.isfinite([self.h1, self.h2, self.H12, *frame.flat])
+        if frame.shape != (3, 3) or not finite.all():
+            raise InvalidInput("frame must be 3x3, and frame, h1, h2 and H12 finite")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 

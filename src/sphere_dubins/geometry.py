@@ -35,7 +35,9 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Segment angles below this are canonicalized to exactly zero (absent segment).
+# Angle resolution: angles closer than this are one angle.  It snaps an absent
+# segment to exactly zero, merges roots, is the slack on a family-box bound,
+# and beta's margin from its excluded ends in the oracle's polish.
 ANGLE_EPS = 1e-9
 # Maximum axial-component mismatch tolerated by align_angle.
 ALIGN_TOL = 1e-7
@@ -102,31 +104,22 @@ def G(angle: float) -> Segment:
 
 @dataclass(frozen=True)
 class TurnGeometry:
-    """Turning radius r on the unit sphere and the matching curvature bound.
-
-    The two fields are redundant (``r = 1 / sqrt(1 + u_max^2)``); the
-    constructor enforces consistency so either one determines the other.
-    """
+    """Turning radius r on the unit sphere; the curvature bound u_max follows
+    from it (``r = 1 / sqrt(1 + u_max^2)``)."""
 
     r: float
-    u_max: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise InvalidInput(f"turning radius must be in (0, 1), got {self.r}")
-        if self.u_max <= 0.0:
-            raise InvalidInput(f"curvature bound must be positive, got {self.u_max}")
-        if abs(self.r - 1.0 / math.sqrt(1.0 + self.u_max**2)) > 1e-12:
-            raise InvalidInput(
-                f"inconsistent pair r={self.r}, u_max={self.u_max}: "
-                "expected r = 1/sqrt(1 + u_max^2)"
-            )
+
+    @property
+    def u_max(self) -> float:
+        return math.sqrt(1.0 - self.r * self.r) / self.r
 
     @classmethod
     def from_radius(cls, r: float) -> "TurnGeometry":
-        if not (0.0 < r < 1.0):
-            raise InvalidInput(f"turning radius must be in (0, 1), got {r}")
-        return cls(r=r, u_max=math.sqrt(1.0 - r * r) / r)
+        return cls(r=r)
 
 
 def turn_axis(kind: SegmentKind | str, geom: TurnGeometry) -> np.ndarray:
@@ -232,9 +225,10 @@ class Configuration:
         tan = np.array(self.tangent, dtype=float)
         if pos.shape != (3,) or tan.shape != (3,):
             raise MalformedConfiguration("position and tangent must be 3-vectors")
-        if abs(np.linalg.norm(pos) - 1.0) > 1e-12 or abs(np.linalg.norm(tan) - 1.0) > 1e-12:
+        unit = abs(np.linalg.norm(pos) - 1.0) <= 1e-12 and abs(np.linalg.norm(tan) - 1.0) <= 1e-12
+        if not unit:
             raise MalformedConfiguration("position and tangent must be unit vectors")
-        if abs(float(pos @ tan)) > 1e-10:
+        if not abs(float(pos @ tan)) <= 1e-10:
             raise MalformedConfiguration("tangent must be orthogonal to position")
         pos.setflags(write=False)
         tan.setflags(write=False)
@@ -254,7 +248,7 @@ class Configuration:
         frame = np.asarray(frame, dtype=float)
         if frame.shape != (3, 3):
             raise MalformedConfiguration("frame must be a 3x3 matrix")
-        if np.max(np.abs(frame.T @ frame - np.eye(3))) > 1e-10:
+        if not np.max(np.abs(frame.T @ frame - np.eye(3))) <= 1e-10:
             raise MalformedConfiguration("frame must be orthonormal")
         if np.linalg.det(frame) < 0.0:
             raise MalformedConfiguration("frame must be proper (det = +1)")

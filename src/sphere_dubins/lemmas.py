@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRegime
-from .geometry import L, R, Segment, TurnGeometry, compose_path, path_length
-from .linkage import ARC_BOUND_SLACK, FamilyTemplate, solve_chain
+from .geometry import ANGLE_EPS, L, R, Segment, TurnGeometry, compose_path, path_length
+from .linkage import FamilyTemplate, solve_chain
 from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
 MAX_SHORTCUT_DELTA = 0.6    # perturbation range over which the constructions are exercised
@@ -141,7 +141,7 @@ def _shortcut_offsets(
     feasible = [
         sol for sol in solve_chain(template, m, geom)
         if abs(sol.angles[0] - sol.angles[2]) <= TOL_SYM
-        and sol.angles[bounded] <= math.pi + ARC_BOUND_SLACK
+        and sol.angles[bounded] <= math.pi + ANGLE_EPS
     ]
     if not feasible:
         return math.nan, math.nan, ()

@@ -15,6 +15,12 @@ once, and solves every chain in the same two steps:
    composed; an assignment inside it is kept if its full matrix residual
    passes.
 
+Every decision reads two tolerances: the gate TOL_RESIDUAL on the residual
+||M - P|| (Frobenius) of the composed path P, and the angle resolution
+ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
+|a.(M - P)b| and ||(M - P)a|| (unit a, b) are at most ||M - P||, so none drops
+a row the gate accepts; they only skip composing rows that cannot pass.
+
 The empty chain is an identity check and a single arc one alignment
 (`solve_one`).  `solve_two`, `solve_three` and `solve_equal_middle` are
 `solve_chain` on the template of their arguments.
@@ -38,6 +44,7 @@ import numpy as np
 
 from .errors import DegenerateAlignment, InconsistentPair, InvalidInput
 from .geometry import (
+    ANGLE_EPS,
     PERP_EPS,
     TWO_PI,
     Segment,
@@ -56,10 +63,7 @@ from .geometry import (
     turn_axis,
 )
 
-TOL_RESIDUAL = 1e-9     # max Frobenius residual of a reported solution
-TOL_SCALAR = 1e-8       # consistency tolerance on eliminated-angle scalars
-ALIGN_FIX_TOL = 1e-7    # axis must be fixed this tightly for a 1-segment solution
-ARC_BOUND_SLACK = 1e-9  # an arc may pass a bound of its family's box by this much
+TOL_RESIDUAL = 1e-9  # max Frobenius residual of a reported solution, and every pre-filter's bound
 
 # Equal-middle root selection.  The eliminated scalar equation is a
 # trigonometric polynomial in beta; its real roots are the eigenvalues z of
@@ -82,12 +86,10 @@ ARC_BOUND_SLACK = 1e-9  # an arc may pass a bound of its family's box by this mu
 #   taken).  Eigenvalues of simple roots are already within a few ulps, so
 #   one or two steps are taken; near a tangential minimum Newton cannot
 #   reach zero and stops at the first step that does not shrink |gap|.
-# - ROOT_MERGE: roots closer than this are one root (also in `_circle_roots`).
 ROOT_UNIT_BAND = 1e-6
 ROOT_END_BAND = 1e-6
 NEWTON_STEPS = 8
 NEWTON_STOP = 1e-15
-ROOT_MERGE = 1e-9
 
 
 Kinds = Sequence[SegmentKind | str]
@@ -159,8 +161,8 @@ class FamilyTemplate:
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed parameter bounds (lows, highs): arcs in [0, 2pi], a free turn-triple
         middle in [pi, 2pi], outer arcs around a pinned middle in [0, pi], beta in
-        [0, pi] with outer arcs up to `outer_cap`.  Beta's ends (interior arcs of full
-        loops) are kept out by the solver's open root interval and BETA_LO, not here."""
+        [0, pi] with outer arcs up to `outer_cap`.  Beta's ends (full loops) are kept
+        out by the solver's open root interval and the oracle's ANGLE_EPS margin."""
         if self.equal_middles:
             return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
         if self.fixed_middle is not None:
@@ -173,7 +175,7 @@ class FamilyTemplate:
     @cached_property
     def _arc_bounds(self) -> list[tuple[float, float]]:
         lows, highs = self.angles(np.stack(self.box)).tolist()
-        return [(lo - ARC_BOUND_SLACK, hi + ARC_BOUND_SLACK) for lo, hi in zip(lows, highs)]
+        return [(lo - ANGLE_EPS, hi + ANGLE_EPS) for lo, hi in zip(lows, highs)]
 
     def outer_cap(self, arcs):
         """Bound on the outer arcs, from arcs indexed slot first (a path's, or a
@@ -182,12 +184,12 @@ class FamilyTemplate:
         return arcs[1] if self.equal_middles else math.inf
 
     def feasible(self, angles: Sequence[float]) -> bool:
-        """Whether the arcs lie in the box up to ARC_BOUND_SLACK, the outer
+        """Whether the arcs lie in the box up to ANGLE_EPS, the outer
         arcs also at most `outer_cap`."""
         if not all(lo <= a <= hi for (lo, hi), a in zip(self._arc_bounds, angles)):
             return False
         outer = max(angles[0], angles[-1]) if len(angles) else -math.inf
-        return outer <= self.outer_cap(angles) + ARC_BOUND_SLACK
+        return outer <= self.outer_cap(angles) + ANGLE_EPS
 
 
 def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -209,7 +211,7 @@ def solve_one(
     ms, single = _stacked(m)
     axis = turn_axis(SegmentKind(kind), geom)
     results: list[CandidateSolution | None] = [None] * len(ms)
-    fixed = np.nonzero(~(row_norms(ms @ axis - axis) > ALIGN_FIX_TOL))[0]
+    fixed = np.nonzero(~(row_norms(ms @ axis - axis) > TOL_RESIDUAL))[0]
     if fixed.size:
         sub = ms[fixed]
         probe = probe_orthogonal(axis)
@@ -285,7 +287,7 @@ def _eliminate(
             fm = canonical_angle(template.fixed_middle)
             k1c, k2c, k3c = scalar_reduction(*axes)
             interior, predicted = (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
-        owners = np.nonzero(~(np.abs(rhs - predicted) > TOL_SCALAR))[0].tolist()
+        owners = np.nonzero(~(np.abs(rhs - predicted) > TOL_RESIDUAL))[0].tolist()
         interiors = [interior] * len(owners)
     return owners, interiors
 
@@ -303,15 +305,13 @@ def scalar_reduction(
 def _circle_roots(k2: float, k3: float, c: float) -> list[float]:
     """Roots phi in [0, 2*pi) of k2*cos(phi) + k3*sin(phi) = c (up to two)."""
     rho = math.hypot(k2, k3)
-    if rho < 1e-13:
-        return []
-    if abs(c) > rho + TOL_SCALAR:
+    if rho < 1e-13 or abs(c) > rho + TOL_RESIDUAL:
         return []
     base = math.atan2(k3, k2)
     half = math.acos(max(-1.0, min(1.0, c / rho)))
     roots = [canonical_angle(base + half)]
     second = canonical_angle(base - half)
-    if min(abs(second - roots[0]), TWO_PI - abs(second - roots[0])) > ROOT_MERGE:
+    if min(abs(second - roots[0]), TWO_PI - abs(second - roots[0])) > ANGLE_EPS:
         roots.append(second)
     return roots
 
@@ -355,7 +355,7 @@ def _merged_outer(
     first: the outer rotations merge into one about a1, whose angle is
     recovered with a secondary probe and assigned entirely to the first slot."""
     q = m @ middle_block.T
-    if np.linalg.norm(q @ a1 - a1) > ALIGN_FIX_TOL:
+    if np.linalg.norm(q @ a1 - a1) > TOL_RESIDUAL:
         return None
     probe = a2 - float(a2 @ a1) * a1
     n = np.linalg.norm(probe)
@@ -510,7 +510,7 @@ def _interior_roots(coeffs: np.ndarray) -> list[list[float]]:
     if guesses:
         polished = _polish(coeffs[owners], np.array(guesses))
         for i, beta in zip(owners, polished.tolist()):
-            if _in_open_interval(beta) and all(abs(beta - b) > ROOT_MERGE for b in roots[i]):
+            if _in_open_interval(beta) and all(abs(beta - b) > ANGLE_EPS for b in roots[i]):
                 roots[i].append(beta)
     return [sorted(found) for found in roots]
 

@@ -26,6 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import (
+    ANGLE_EPS,
     Configuration,
     Segment,
     TurnGeometry,
@@ -46,7 +47,6 @@ POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding 
 POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
-BETA_LO = 1e-9        # the polish keeps equal-middle beta in [BETA_LO, pi - BETA_LO]
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class _FamilySearch:
         # slots-by-params matrix d(angles)/d(params): the polish's Jacobian chain rule
         self.slot_map = template.slot_map
         lows, highs = template.box
-        # beta's interval is open: the polish stays BETA_LO inside it
-        margin = np.array([0.0, BETA_LO, 0.0]) if template.equal_middles else 0.0
+        # beta's interval is open: the polish stays ANGLE_EPS inside it
+        margin = np.array([0.0, ANGLE_EPS, 0.0]) if template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
 
     # -- sampling ----------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import MalformedConfiguration, NoCandidateFound, RadiusOutOfRange
 from .geometry import (
+    ANGLE_EPS,
     Configuration,
     Segment,
     SegmentKind,
@@ -28,7 +29,7 @@ from .geometry import (
     path_length,
     relative_rotation,
 )
-from .linkage import ARC_BOUND_SLACK, CandidateSolution, FamilyTemplate, Solutions, solve_chain
+from .linkage import CandidateSolution, FamilyTemplate, Solutions, solve_chain
 # perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
 from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
@@ -214,7 +215,7 @@ def solve_family(
     # where the regime has the fixed-pi families, they own free turn-triple roots at middle pi
     single = np.ndim(m) == 2
     kept = [
-        [sol for sol in sols if abs(sol.angles[1] - math.pi) > ARC_BOUND_SLACK]
+        [sol for sol in sols if abs(sol.angles[1] - math.pi) > ANGLE_EPS]
         for sols in ([solved] if single else solved)
     ]
     return kept[0] if single else kept

@@ -223,6 +223,9 @@ def test_sweep_rejects_bad_flags(tmp_path):
                      "--output", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["sweep", "--r", "zzz", "--instances", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
+    assert cli.main(["sweep", "--r", "0.5", "--instances", "1", "--seed", "-5",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_accepts_the_proven_maximum_rounded_up(tmp_path):
@@ -300,6 +303,14 @@ def test_oracle_cmd_published_rlpir_is_dominated(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "dominance (plan <= oracle + 1e-6): OK" in captured.out
     assert code == 0
+
+
+def test_oracle_cmd_rejects_negative_seed(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.L(1.0)], 0.5)
+    code = cli.main(["oracle", "--input", str(inp), "--budget", "100", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
 
 def test_oracle_cmd_identity(tmp_path, capsys):

@@ -91,6 +91,16 @@ def test_non_finite_length_or_step_rejected(length, step):
         ex.integrate_extremal(state, length, step)
 
 
+@pytest.mark.parametrize("field", ["u_max", "h1", "h2", "H12", "frame"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_state_rejected(field, bad):
+    """Unchecked, a NaN state reaches integrate_extremal and dies in int(nan)."""
+    fields = dict(frame=np.eye(3), h1=1.0, h2=0.0, H12=0.0, lam=1, u_max=1.0)
+    fields[field] = np.full((3, 3), bad) if field == "frame" else bad
+    with pytest.raises(InvalidInput):
+        ex.ExtremalState(**fields)
+
+
 def test_infinite_length_rejected():
     """In a child process with a timeout: unchecked, an infinite length never returns."""
     src = str(Path(__file__).resolve().parents[1] / "src")

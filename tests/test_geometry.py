@@ -5,7 +5,12 @@ import pytest
 
 from conftest import random_configuration, random_unit
 from sphere_dubins import geometry as geo
-from sphere_dubins.errors import DegenerateAlignment, InconsistentPair, InvalidInput
+from sphere_dubins.errors import (
+    DegenerateAlignment,
+    InconsistentPair,
+    InvalidInput,
+    MalformedConfiguration,
+)
 from sphere_dubins.lemmas import triple_turn_pi_entries
 
 GEOM = geo.TurnGeometry.from_radius(0.5)
@@ -59,10 +64,28 @@ def test_turn_axes():
 
 
 def test_turn_geometry_consistency():
+    """u_max follows from r, the one field; a radius outside (0, 1), NaN
+    included, is rejected."""
     g = geo.TurnGeometry.from_radius(0.71)
     assert abs(g.r - 1.0 / math.sqrt(1.0 + g.u_max**2)) <= 1e-12
-    with pytest.raises(InvalidInput):
-        geo.TurnGeometry(r=0.5, u_max=1.0)
+    assert g == geo.TurnGeometry(0.71)
+    for r in (float("nan"), 0.0, 1.0, -0.5, float("inf")):
+        with pytest.raises(InvalidInput):
+            geo.TurnGeometry(r)
+
+
+@pytest.mark.parametrize(
+    "position, tangent",
+    [([math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, math.nan, 0.0])],
+)
+def test_configuration_rejects_nan(position, tangent):
+    with pytest.raises(MalformedConfiguration):
+        geo.Configuration(position=position, tangent=tangent)
+
+
+def test_configuration_from_frame_rejects_nan():
+    with pytest.raises(MalformedConfiguration):
+        geo.Configuration.from_frame(np.full((3, 3), math.nan))
 
 
 def test_segment_generators_are_skew_with_matching_axis():

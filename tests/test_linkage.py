@@ -257,3 +257,39 @@ def test_solve_three_roundtrip_any_middle(pattern):
         sols = lk.solve_three(geo.compose_path(segs, g), tuple(full_box), g)
         _assert_recovers(sols, segs, g, f"{full_box} iteration {i} (r={r})")
     assert below_pi > 200
+
+
+@pytest.mark.parametrize("r", [0.5, 0.8])
+def test_no_prefilter_is_stricter_than_the_gate(r):
+    """Targets a rotation of eps about a random axis away from in-box 1-3 arc
+    paths lie sqrt(2) eps = 8.5e-10 < TOL_RESIDUAL from them in Frobenius
+    norm; every one is still solved, so no scalar or fixed-axis pre-filter
+    rejects a target that the residual gate accepts."""
+    eps = 6e-10
+    assert math.sqrt(2.0) * eps < lk.TOL_RESIDUAL
+    g = geo.TurnGeometry.from_radius(r)
+    rng = np.random.default_rng(12)
+    templates = [f for f in family_catalog(r, mode="all") if 1 <= len(f.kinds) <= 3]
+    assert any(f.fixed_middle is not None for f in templates) == (r > 0.71)
+    for template in templates:
+        targets = np.stack([
+            geo.compose_path(random_in_bounds_path(template, rng), g)
+            @ geo.rotation_about_axis(random_unit(rng), eps)
+            for _ in range(40)
+        ])
+        unsolved = [k for k, sols in enumerate(lk.solve_chain(template, targets, g)) if not sols]
+        assert not unsolved, (template.tag, unsolved)
+
+
+def test_tangent_and_merged_prefilters_admit_the_gate_bound():
+    """The two pre-filters random near-gate targets do not reach: a tangent
+    free middle keeps its root while |c| <= rho + TOL_RESIDUAL, and merged
+    outer rotations are recovered while the first axis moves by less than
+    TOL_RESIDUAL."""
+    delta = 0.6 * lk.TOL_RESIDUAL
+    assert len(lk._circle_roots(0.6, 0.8, 1.0 + delta)) == 1
+    a1 = geo.turn_axis("L", GEOM5)
+    off_axis = geo.probe_orthogonal(a1)
+    m = geo.segment_rotation("L", 1.1, GEOM5) @ geo.rotation_about_axis(off_axis, delta)
+    merged = lk._merged_outer(m, a1, geo.turn_axis("G", GEOM5), np.eye(3))
+    assert merged is not None and abs(merged[0] - 1.1) <= 1e-8

@@ -264,10 +264,10 @@ def test_plan_no_candidate_at_a_heuristic_radius_names_it():
     "template", pl.family_catalog(0.8, mode="all")[1:], ids=lambda f: f.tag
 )
 def test_family_box_is_what_feasible_accepts(template):
-    """Box corners give feasible arcs and a step of twice ARC_BOUND_SLACK past
+    """Box corners give feasible arcs and a step of twice ANGLE_EPS past
     any bound does not; slot_map is exactly 0/1 and is the angles' slope."""
     lows, highs = template.box
-    step = 2.0 * pl.ARC_BOUND_SLACK
+    step = 2.0 * geo.ANGLE_EPS
     for corner in (lows, highs):
         assert template.feasible(template.angles(corner[None])[0])
     assert set(np.unique(template.slot_map).tolist()) <= {0.0, 1.0}
