@@ -159,7 +159,7 @@ def frame_generator(u_g: float) -> np.ndarray:
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Proper rotation by `angle` about a unit `axis` (Rodrigues formula)."""
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
         raise InvalidInput(f"rotation axis must be unit, got norm {np.linalg.norm(axis)}")
     return rotations_about_axis(axis, angle)
 
@@ -204,7 +204,7 @@ def path_length(
     segments: Iterable[Segment], geom: TurnGeometry, sphere_radius: float = 1.0
 ) -> float:
     """Arc length of a path, scaled to a sphere of the given radius."""
-    if sphere_radius <= 0.0:
+    if not (sphere_radius > 0.0):
         raise InvalidInput(f"sphere radius must be positive, got {sphere_radius}")
     return sphere_radius * sum(seg.arc_length(geom) for seg in segments)
 

@@ -26,18 +26,21 @@ The empty chain is an identity check and a single arc one alignment
 `solve_chain` on the template of their arguments.
 
 Every solver takes one target m of shape (3, 3), or a stack of N targets of
-shape (N, 3, 3) and then returns one result per target.  A single target is
-solved as a stack of one, so both shapes run the same code; the axes and the
-eliminated-equation coefficients are built once per call, and each stacked
-operation reproduces the bits of its one-target form (dot products as 1x3 @
-3x1 matmuls, angles taken per root with `math`).
+shape (N, 3, 3) and then returns one result per target; `solve_chain` also
+takes several families of one shape and solves them in one pass over
+(family, target) rows, reading their axes and step-1 coefficients from
+`chain_shapes`, cached per (r, families).  Each stacked operation keeps the
+bits of its one-target, one-family form: a row takes its own operands in the
+same shapes, e.g. (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a
+gemm across families such as ms @ A.T, which rounds differently; dot
+products are 1x3 @ 3x1 matmuls and angles are taken per root with `math`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -202,55 +205,143 @@ def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
     return m, False
 
 
+def _row_apply(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """ms[k] @ vs[k] for (K, 3, 3) and (K, 3) stacks, each with the bits of
+    one matrix-vector product."""
+    return (ms @ vs[..., None])[..., 0]
+
+
+@dataclass(frozen=True, eq=False)
+class ChainShape:
+    """Families of one shape (chain length and step-1 kind) at one turning
+    radius, with one read-only row per family of every constant their solve
+    reads: the axes, the interior and outer axes `_close_chain` turns about,
+    and for step 1 a single arc's probes, a free middle's `scalar_reduction`
+    triple, a fixed interior with its predicted a_1 . B a_n, or the
+    equal-middle Laurent coefficients."""
+
+    templates: tuple[FamilyTemplate, ...]
+    axes: np.ndarray                    # (F, n, 3)
+    inner: np.ndarray | None = None     # (F, n - 2, 3)
+    ends: np.ndarray | None = None      # (F, 2, 3)
+    probes: np.ndarray | None = None
+    reductions: tuple[tuple[float, float, float], ...] = ()
+    interiors: tuple[tuple[float, ...], ...] = ()
+    predicted: np.ndarray | None = None
+    laurent: np.ndarray | None = None
+
+
+CACHE_SIZE = 256  # (r, families) entries of `chain_shapes`, each a few small arrays
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[ChainShape, ...]:
+    """The families grouped by shape, in order of first appearance, with the
+    constants of each group at unit turning radius r.  Built on first use;
+    a tuple of several shapes shares its groups' own cache entries."""
+    groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
+    for t in templates:
+        groups.setdefault((len(t.kinds), t.fixed_middle is not None), []).append(t)
+    if len(groups) != 1:
+        return tuple(chain_shapes(r, tuple(group))[0] for group in groups.values())
+    geom, first, n = TurnGeometry(r), templates[0], len(templates[0].kinds)
+    axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
+    axes = axes.reshape(len(templates), n, 3)
+    fields: dict = {}
+    if n == 1:
+        fields["probes"] = np.array([probe_orthogonal(a[0]) for a in axes])
+    elif first.equal_middles:
+        fields["laurent"] = np.array([_laurent_coefficients(a[0], a[1:-1], a[-1]) for a in axes])
+    elif n == 3 and first.fixed_middle is None:
+        fields["reductions"] = tuple(scalar_reduction(*a) for a in axes)
+    elif n:
+        interiors, predicted = zip(*(_fixed_interior(t, a) for t, a in zip(templates, axes)))
+        fields.update(interiors=interiors, predicted=np.array(predicted))
+    if n >= 2:
+        fields.update(inner=axes[:, 1:-1].copy(), ends=axes[:, [0, -1]])
+    for value in (axes, *fields.values()):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return (ChainShape(templates, axes, **fields),)
+
+
+def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """A fixed interior (none, or a pinned middle) and its a_1 . B a_n."""
+    if template.fixed_middle is None:
+        return (), float(a[0] @ a[1])
+    fm = canonical_angle(template.fixed_middle)
+    k1c, k2c, k3c = scalar_reduction(*a)
+    return (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
+
+
 def solve_one(
     m: np.ndarray,
     kind: SegmentKind | str,
     geom: TurnGeometry,
 ) -> CandidateSolution | None | list[CandidateSolution | None]:
     """Angle phi with rotation(kind, phi) == m, or None when m moves the axis."""
-    ms, single = _stacked(m)
-    axis = turn_axis(SegmentKind(kind), geom)
-    results: list[CandidateSolution | None] = [None] * len(ms)
-    fixed = np.nonzero(~(row_norms(ms @ axis - axis) > TOL_RESIDUAL))[0]
-    if fixed.size:
-        sub = ms[fixed]
-        probe = probe_orthogonal(axis)
-        phis, _ = align_angles(axis, np.repeat(probe[None], len(sub), axis=0), sub @ probe)
-        found = [k for k, phi in enumerate(phis) if phi is not None]
-        if found:
-            angles = [canonical_angle(phis[k]) for k in found]
-            residuals = row_norms(rotations_about_axis(axis, np.array(angles)) - sub[found])
-            for k, phi, res in zip(found, angles, residuals.tolist()):
-                if res <= TOL_RESIDUAL:
-                    results[fixed[k]] = CandidateSolution((phi,), res)
-    return results[0] if single else results
+    found = solve_chain(FamilyTemplate.of((kind,)), m, geom)
+    if np.ndim(m) == 2:
+        return found[0] if found else None
+    return [sols[0] if sols else None for sols in found]
 
 
-def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> Solutions:
+def solve_chain(
+    templates: FamilyTemplate | Sequence[FamilyTemplate], m: np.ndarray, geom: TurnGeometry
+) -> Solutions | list[Solutions]:
     """Every solution of the family's chain inside its box that reaches m,
     with its endpoint residual.  `m` is one target (3, 3) or a stack
     (N, 3, 3); a stack gets one list of solutions per target.  The empty
-    chain and a single arc (canonical angles) always lie in their box."""
+    chain and a single arc (canonical angles) always lie in their box.
+    Several families of one shape (`chain_shapes`) get one result each."""
     ms, single = _stacked(m)
-    kinds = template.kinds
-    if not kinds:
-        residuals = row_norms(ms - np.eye(3)).tolist()
+    one = isinstance(templates, FamilyTemplate)
+    shapes = chain_shapes(geom.r, (templates,) if one else tuple(templates))
+    if len(shapes) != 1:
+        raise InvalidInput("solve_chain takes one family or several of one shape")
+    shape = shapes[0]
+    count, n = len(shape.templates), len(ms)
+    rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
+    fam = np.repeat(np.arange(count), n)
+    if not shape.axes.shape[1]:
+        residuals = row_norms(rows - np.eye(3)).tolist()
         solutions = [[CandidateSolution((), r)] if r <= TOL_RESIDUAL else [] for r in residuals]
-    elif len(kinds) == 1:
-        found = solve_one(m, kinds[0], geom)
-        solutions = [[sol] if sol is not None else [] for sol in ([found] if single else found)]
+    elif shape.probes is not None:
+        solutions = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
     else:
-        axes = [turn_axis(k, geom) for k in kinds]
-        owners, interiors = _eliminate(template, axes, ms)
-        solutions = _close_chain(ms, axes, owners, interiors, template)
-    return solutions[0] if single else solutions
+        owners, interiors = _eliminate(shape, rows, fam)
+        solutions = _close_chain(rows, shape, fam, owners, interiors)
+    per_family = [solutions[f * n:(f + 1) * n] for f in range(count)]
+    if single:
+        per_family = [sols[0] for sols in per_family]
+    return per_family[0] if one else per_family
+
+
+def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[CandidateSolution]]:
+    """The canonical angle phi with R(axes[k], phi) == ms[k] of every row
+    whose target fixes its axis, found by aligning its probe."""
+    solutions: list[list[CandidateSolution]] = [[] for _ in range(len(ms))]
+    fixed = np.nonzero(~(row_norms(_row_apply(ms, axes) - axes) > TOL_RESIDUAL))[0]
+    if fixed.size:
+        sub, axes, probes = ms[fixed], axes[fixed], probes[fixed]
+        phis, _ = align_angles(axes, probes, _row_apply(sub, probes))
+        found = [k for k, phi in enumerate(phis) if phi is not None]
+        if found:
+            angles = [canonical_angle(phis[k]) for k in found]
+            turns = rotations_about_axis(axes[found][:, None], np.array(angles)[:, None])
+            residuals = row_norms(turns[:, 0] - sub[found])
+            for k, phi, res in zip(found, angles, residuals.tolist()):
+                if res <= TOL_RESIDUAL:
+                    solutions[fixed[k]].append(CandidateSolution((phi,), res))
+    return solutions
 
 
 def _eliminate(
-    template: FamilyTemplate, axes: Sequence[np.ndarray], ms: np.ndarray
+    shape: ChainShape, ms: np.ndarray, fam: np.ndarray
 ) -> tuple[list[int], list[tuple[float, ...]]]:
     """Step 1 for two or more arcs: every interior solution, as the index of
-    its target in the stack `ms` and its interior angles.
+    its row in the stack `ms` (family `fam[k]` of `shape` on target `ms[k]`)
+    and its interior angles.
 
     a_1 . B a_n = a_1 . M a_n is a consistency check for a fixed interior (no
     interior, or a middle pinned at `fixed_middle`), a sinusoid in a free
@@ -261,34 +352,27 @@ def _eliminate(
     series by polynomial rootfinding", 2006), polished by Newton steps (bands
     and stop rule beside ROOT_UNIT_BAND).
     """
-    rhs = row_dots(axes[0], ms @ axes[-1])
+    ends = shape.ends[fam]
+    rhs = row_dots(ends[:, 0], _row_apply(ms, ends[:, 1]))
     owners: list[int] = []
     interiors: list[tuple[float, ...]] = []
-    if template.equal_middles:
-        mid = len(axes) - 2
-        coeffs = np.repeat(
-            _laurent_coefficients(axes[0], axes[1:-1], axes[-1])[None], len(ms), axis=0
-        )
+    if shape.laurent is not None:
+        mid = shape.inner.shape[1]
+        coeffs = shape.laurent[fam]
         coeffs[:, mid] -= rhs
         for i, betas in enumerate(_interior_roots(coeffs)):
             for beta in betas:
                 owners.append(i)
                 interiors.append((math.pi + beta,) * mid)
-    elif len(axes) == 3 and template.fixed_middle is None:
-        k1c, k2c, k3c = scalar_reduction(*axes)
-        for i, value in enumerate(rhs.tolist()):
+    elif shape.reductions:
+        for i, (f, value) in enumerate(zip(fam.tolist(), rhs.tolist())):
+            k1c, k2c, k3c = shape.reductions[f]
             for phi2 in _circle_roots(k2c, k3c, value - k1c):
                 owners.append(i)
                 interiors.append((phi2,))
     else:
-        if len(axes) == 2:
-            interior, predicted = (), float(axes[0] @ axes[1])
-        else:
-            fm = canonical_angle(template.fixed_middle)
-            k1c, k2c, k3c = scalar_reduction(*axes)
-            interior, predicted = (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
-        owners = np.nonzero(~(np.abs(rhs - predicted) > TOL_RESIDUAL))[0].tolist()
-        interiors = [interior] * len(owners)
+        owners = np.nonzero(~(np.abs(rhs - shape.predicted[fam]) > TOL_RESIDUAL))[0].tolist()
+        interiors = [shape.interiors[f] for f in fam[owners].tolist()]
     return owners, interiors
 
 
@@ -325,24 +409,24 @@ def _recover_outer(
 
     `m` and `middle_blocks` are (K, 3, 3) stacks, one row per (target,
     interior) pair; a row gets None when no outer angles exist.  `axes` are
-    the first, second and last axis of the chain; the second only orients
-    the fallback probe of `_merged_outer`, which takes the rows whose probe
-    alignment is degenerate.
+    (K, 3) stacks of each row's first, second and last chain axis; the
+    second only orients the fallback probe of `_merged_outer`, which takes
+    the rows whose probe alignment is degenerate.
     """
     a1, a2, a3 = axes
     rows = len(m)
     # phi1 aligns about a1 (rows :K), phi3 about a3 (rows K:), in one call
     angles, degenerate = align_angles(
-        np.repeat(np.stack([a1, a3]), rows, axis=0),
-        np.concatenate([middle_blocks @ a3, m.transpose(0, 2, 1) @ a1]),
-        np.concatenate([m @ a3, middle_blocks.transpose(0, 2, 1) @ a1]),
+        np.concatenate([a1, a3]),
+        np.concatenate([_row_apply(middle_blocks, a3), _row_apply(m.transpose(0, 2, 1), a1)]),
+        np.concatenate([_row_apply(m, a3), _row_apply(middle_blocks.transpose(0, 2, 1), a1)]),
     )
     outer: list[tuple[float, float] | None] = []
     for k, (first, last) in enumerate(zip(angles[:rows], angles[rows:])):
         if first is not None and last is not None:
             outer.append((canonical_angle(first), canonical_angle(last)))
         elif degenerate[k] or (first is not None and degenerate[rows + k]):
-            outer.append(_merged_outer(m[k], a1, a2, middle_blocks[k]))
+            outer.append(_merged_outer(m[k], a1[k], a2[k], middle_blocks[k]))
         else:
             outer.append(None)
     return outer
@@ -369,47 +453,48 @@ def _merged_outer(
 
 def _close_chain(
     m: np.ndarray,
-    axes: Sequence[np.ndarray],
+    shape: ChainShape,
+    fam: np.ndarray,
     owners: Sequence[int],
     interiors: Sequence[tuple[float, ...]],
-    template: FamilyTemplate,
 ) -> list[list[CandidateSolution]]:
     """Step 2 for every interior solution of step 1 (see the module docstring).
 
-    `interiors[k]` solves step 1 for target `m[owners[k]]`.  For each pair:
-    build the interior block, recover the outer angles, keep the assignment
-    if `template.feasible` accepts it, and only then compose it and report it
-    if its matrix residual is within TOL_RESIDUAL.  Returns the solutions of
-    each target of the (N, 3, 3) stack `m`, in `interiors` order.
+    `interiors[k]` solves step 1 for row `owners[k]`: family `fam[owners[k]]`
+    of `shape` on target `m[owners[k]]`.  For each pair: build the interior
+    block, recover the outer angles, keep the assignment if the family's
+    `feasible` accepts it, and only then compose it and report it if its
+    matrix residual is within TOL_RESIDUAL.  Returns the solutions of each
+    row of the (K, 3, 3) stack `m`, in `interiors` order.
     """
     solutions: list[list[CandidateSolution]] = [[] for _ in range(len(m))]
     if not owners:
         return solutions
     targets = m[list(owners)]
-    inner = len(axes) - 2
+    families = fam[list(owners)]
+    inner = shape.inner.shape[1]
     # (K, inner, 3, 3): the interior rotations of every pair, slot by slot
     rotations = rotations_about_axis(
-        np.array(axes[1:-1]).reshape(inner, 3),
-        np.array(interiors, dtype=float).reshape(len(owners), inner),
+        shape.inner[families], np.array(interiors, dtype=float).reshape(len(owners), inner)
     )
     if inner:
         blocks = reduce(np.matmul, (rotations[:, j] for j in range(inner)))
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
+    ends = shape.ends[families]
+    outer = _recover_outer(targets, (ends[:, 0], shape.axes[families, 1], ends[:, 1]), blocks)
     rows: list[int] = []
     assignments: list[tuple[float, ...]] = []
-    for k, pair in enumerate(_recover_outer(targets, (axes[0], axes[1], axes[-1]), blocks)):
+    for k, (f, pair) in enumerate(zip(families.tolist(), outer)):
         if pair is not None:
             angles = (pair[0],) + tuple(interiors[k]) + (pair[1],)
-            if template.feasible(angles):
+            if shape.templates[f].feasible(angles):
                 rows.append(k)
                 assignments.append(angles)
     if not rows:
         return solutions
     # each row's product has the same bits in any stack
-    ends = rotations_about_axis(
-        np.stack([axes[0], axes[-1]]), np.array([(a[0], a[-1]) for a in assignments])
-    )
+    ends = rotations_about_axis(ends[rows], np.array([(a[0], a[-1]) for a in assignments]))
     product = reduce(
         np.matmul, [rotations[rows, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
     )

@@ -5,8 +5,9 @@ family catalog for the turning-radius regime, solves every family inside its
 box through `linkage.solve_chain`, lets the pinned-middle families own the
 free turn-triple roots at middle pi, and ranks the candidates by physical
 length.  Output is deterministic for fixed inputs and options.  `plan_batch`
-plans many requests at once, solving each family once per turning radius on
-the stacked targets; `plan` is its one-request case.
+plans many requests at once, solving the families of each chain shape in
+one call per turning radius on the stacked targets; `plan` is its
+one-request case.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import (
     path_length,
     relative_rotation,
 )
-from .linkage import CandidateSolution, FamilyTemplate, Solutions, solve_chain
+from .linkage import CandidateSolution, FamilyTemplate, Solutions, chain_shapes, solve_chain
 # perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
 from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
@@ -208,17 +209,22 @@ def solve_family(
     """Solutions of one family reaching the target inside its box, each with
     the endpoint residual its solver computed (`linkage.solve_chain`).  `m` is
     one target (3, 3) or a stack (N, 3, 3); a stack gets one list of
-    solutions per target."""
+    solutions per target.  `plan_batch` solves whole shapes at once, and
+    this is its one-family case."""
+    single = np.ndim(m) == 2
     solved = solve_chain(template, m, geom)
+    kept = _owned(template, [solved] if single else solved, regime_has_fixed_pi)
+    return kept[0] if single else kept
+
+
+def _owned(
+    template: FamilyTemplate, solved: list[list[CandidateSolution]], regime_has_fixed_pi: bool
+) -> list[list[CandidateSolution]]:
+    """Each target's solutions without the free turn-triple roots at middle
+    pi, which the fixed-pi families own where the regime has them."""
     if not (regime_has_fixed_pi and template.is_free_middle_turn_triple):
         return solved
-    # where the regime has the fixed-pi families, they own free turn-triple roots at middle pi
-    single = np.ndim(m) == 2
-    kept = [
-        [sol for sol in sols if abs(sol.angles[1] - math.pi) > ANGLE_EPS]
-        for sols in ([solved] if single else solved)
-    ]
-    return kept[0] if single else kept
+    return [[sol for sol in sols if abs(sol.angles[1] - math.pi) > ANGLE_EPS] for sols in solved]
 
 
 def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tuple:
@@ -279,10 +285,12 @@ def plan_batch(
 
     Requests are validated and normalized in input order, so a batch holding
     a bad request raises the input error of the first one, as `plan` on it
-    alone would.  They are then grouped by unit turning radius, and each
-    family is solved once per group on the stacked targets; candidates are
-    ordered, deduplicated and ranked per request as in `plan`.  Neither the
-    batch size nor the order or split of the requests changes any result.
+    alone would.  They are then grouped by unit turning radius, and the
+    families of each shape (`linkage.chain_shapes`) are solved in one call
+    per group on the stacked targets; candidates are ordered, deduplicated
+    and ranked per request as in `plan`, family by family in catalog order.
+    Neither the batch size nor the order or split of the requests changes
+    any result.
     Only when every request is valid is NoCandidateFound raised, for the
     first request left without a candidate (only some targets at heuristic
     radii above sqrt(3)/2 have none), so an input error in a later request
@@ -303,14 +311,14 @@ def plan_batch(
     for families, members in groups.values():
         geom = prepared[members[0]][1]
         regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
-        # a lone target goes in as (3, 3) only so that tracers observing the
-        # solvers' results keep counting solutions, not targets, on one-request
-        # plans (a stack of one gives the same results)
-        lone = len(members) == 1
-        targets = prepared[members[0]][0] if lone else np.stack([prepared[i][0] for i in members])
+        targets = np.stack([prepared[i][0] for i in members])
+        solved: dict[FamilyTemplate, list[list[CandidateSolution]]] = {}
+        for shape in chain_shapes(geom.r, tuple(families)):
+            solved.update(zip(shape.templates, solve_chain(shape.templates, targets, geom)))
+        # catalog order decides candidate order and deduplication
         for template in families:
-            solved = solve_family(template, targets, geom, regime_has_fixed_pi)
-            for i, solutions in zip(members, [solved] if lone else solved):
+            owned = _owned(template, solved[template], regime_has_fixed_pi)
+            for i, solutions in zip(members, owned):
                 _add_family(
                     candidates[i], seen[i], template, solutions, geom, requests[i].sphere_radius
                 )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import request_from_rotation, request_from_segments
+from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins import planner as pl
@@ -245,3 +245,58 @@ def test_equal_middle_stack_with_vanishing_end_coefficients():
     stack = np.stack([random_rotation(rng) for _ in range(3)] + [np.eye(3)])
     batched = lk.solve_equal_middle(stack, "LRLRL", g)
     assert batched == [lk.solve_equal_middle(m, "LRLRL", g) for m in stack]
+
+
+def _bits(per_target: list[list[lk.CandidateSolution]]) -> list[list[tuple]]:
+    return [[(tuple(map(repr, s.angles)), repr(s.residual)) for s in sols] for sols in per_target]
+
+
+@st.composite
+def target_stack(draw, r: float) -> np.ndarray:
+    """One to five targets: random rotations, the identity, paths of a
+    catalog family, and free turn triples with middle pi (which the fixed-pi
+    families own where the regime has them)."""
+    g = geo.TurnGeometry.from_radius(r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    families = [f for f in pl.family_catalog(r, mode="all") if f.kinds]
+    stack = []
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(["random", "identity", "path", "middle_pi"]))
+        if how == "random":
+            stack.append(random_rotation(rng))
+        elif how == "identity":
+            stack.append(np.eye(3))
+        else:
+            if how == "path":
+                segments = random_in_bounds_path(draw(st.sampled_from(families)), rng)
+            else:
+                outer, inner = draw(st.sampled_from(["LR", "RL"]))
+                a, b = rng.uniform(0.0, math.pi, 2)
+                kinds, angles = (outer, inner, outer), (a, math.pi, b)
+                segments = [geo.Segment(k, x) for k, x in zip(kinds, angles)]
+            stack.append(geo.compose_path(segments, g))
+    return np.stack(stack)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("mode", ["table", "all"])
+@pytest.mark.parametrize("r", [0.3, 0.6, SQRT2_INV, 0.8, SQRT3_2])
+def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
+    """One stacked solve per chain shape, with the fixed-pi ownership rule
+    applied per family, gives each family on each target alone bit for bit;
+    in `all` mode the great-circle sandwiches share the free-middle pass with
+    the turn triples, whose box differs."""
+    g = geo.TurnGeometry.from_radius(r)
+    stack = data.draw(target_stack(r))
+    families = pl.family_catalog(r, mode=mode)
+    fixed_pi = any(f.fixed_middle is not None for f in families)
+    shapes = lk.chain_shapes(r, tuple(families))
+    tags = sorted(f.tag for shape in shapes for f in shape.templates)
+    assert tags == sorted(f.tag for f in families)
+    for shape in shapes:
+        stacked = lk.solve_chain(shape.templates, stack, g)
+        assert len(stacked) == len(shape.templates)
+        for template, per_target in zip(shape.templates, stacked):
+            alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]
+            assert _bits(pl._owned(template, per_target, fixed_pi)) == _bits(alone), template.tag

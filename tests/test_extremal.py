@@ -147,6 +147,12 @@ def test_middle_arc_angle_values():
         ex.middle_arc_angle(0.4, 1.0)
 
 
+@pytest.mark.parametrize("lambda_h12, u_max", [(math.nan, 1.0), (1.0, math.nan)])
+def test_middle_arc_angle_rejects_nan(lambda_h12, u_max):
+    with pytest.raises(InvalidInput):
+        ex.middle_arc_angle(lambda_h12, u_max)
+
+
 def test_random_valid_states_conserve():
     rng = np.random.default_rng(31)
     for lam in (0, 1):

@@ -56,6 +56,11 @@ def test_rotation_rejects_non_unit_axis():
         geo.rotation_about_axis(np.array([1.0, 1.0, 0.0]), 0.5)
 
 
+def test_rotation_rejects_nan_axis():
+    with pytest.raises(InvalidInput):
+        geo.rotation_about_axis(np.array([math.nan, 0.0, 1.0]), 0.5)
+
+
 def test_turn_axes():
     g = geo.TurnGeometry.from_radius(0.6)
     assert np.allclose(geo.turn_axis("G", g), [0.0, 0.0, 1.0])
@@ -205,6 +210,11 @@ def test_path_length_arithmetic_and_scaling():
     segs = [geo.G(math.pi / 2), geo.L(math.pi)]
     assert geo.path_length(segs, GEOM) == pytest.approx(math.pi, abs=1e-15)
     assert geo.path_length(segs, GEOM, sphere_radius=2.0) == pytest.approx(2 * math.pi, abs=1e-14)
+
+
+def test_path_length_rejects_nan_sphere_radius():
+    with pytest.raises(InvalidInput):
+        geo.path_length([geo.G(1.0)], GEOM, sphere_radius=math.nan)
 
 
 def test_path_length_matches_published_example():

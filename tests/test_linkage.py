@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from conftest import random_in_bounds_path, random_unit
+from conftest import random_in_bounds_path, random_unit, request_from_rotation
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins.errors import InvalidInput
-from sphere_dubins.planner import family_catalog, solve_family
+from sphere_dubins.oracle import random_rotation
+from sphere_dubins.planner import family_catalog, plan, solve_family
 
 GEOM5 = geo.TurnGeometry.from_radius(0.5)
 GEOM6 = geo.TurnGeometry.from_radius(0.6)
@@ -293,3 +294,40 @@ def test_tangent_and_merged_prefilters_admit_the_gate_bound():
     m = geo.segment_rotation("L", 1.1, GEOM5) @ geo.rotation_about_axis(off_axis, delta)
     merged = lk._merged_outer(m, a1, geo.turn_axis("G", GEOM5), np.eye(3))
     assert merged is not None and abs(merged[0] - 1.1) <= 1e-8
+
+
+def test_chain_constants_are_cached_read_only_and_per_radius():
+    """`chain_shapes` entries are read-only, radii one ulp apart get their
+    own entries, and planning r1, r2, r1 again gives r1's bits both times."""
+    r1 = 0.8
+    r2 = math.nextafter(r1, 1.0)
+    catalog = tuple(family_catalog(r1, mode="all"))
+    shapes = lk.chain_shapes(r1, catalog)
+    assert lk.chain_shapes(r1, catalog) is shapes
+    arrays = [
+        value for shape in shapes for value in vars(shape).values() if isinstance(value, np.ndarray)
+    ]
+    assert len(arrays) >= 2 * len(shapes)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 0.0
+    other = lk.chain_shapes(r2, catalog)
+    assert all(a is not b for a, b in zip(other, shapes))
+    turns = next(shape for shape in other if len(shape.templates[0].kinds) == 1)
+    assert [a[0].tolist() for a in turns.axes] == [
+        geo.turn_axis(t.kinds[0], geo.TurnGeometry(r2)).tolist() for t in turns.templates
+    ]
+    before = next(s for s in shapes if s.templates == turns.templates)
+    assert not np.array_equal(turns.axes, before.axes)
+
+    m = random_rotation(np.random.default_rng(3))
+
+    def bits(r):
+        result = plan(request_from_rotation(m, r), mode="all")
+        return [(c.family, [repr(s.angle) for s in c.segments], repr(c.residual))
+                for c in result.candidates]
+
+    lk.chain_shapes.cache_clear()
+    fresh = bits(r1)
+    assert bits(r2) != fresh
+    assert bits(r1) == fresh
