@@ -253,8 +253,8 @@ def middle_arc_angle(lambda_h12: float, u_max: float) -> float:
     u_max / (1 + u_max^2); the result is pi + beta with beta in (0, pi),
     approaching pi as the radius grows.
     """
-    if not (u_max > 0.0):
-        raise InvalidInput(f"u_max must be positive, got {u_max}")
+    if not (0.0 < u_max < math.inf):
+        raise InvalidInput(f"u_max must be positive and finite, got {u_max}")
     if math.isnan(lambda_h12):
         raise InvalidInput("portrait radius must be a number, got nan")
     bound = u_max / (1.0 + u_max * u_max)

@@ -481,8 +481,9 @@ def _close_chain(
         blocks = reduce(np.matmul, (rotations[:, j] for j in range(inner)))
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
-    ends = shape.ends[families]
-    outer = _recover_outer(targets, (ends[:, 0], shape.axes[families, 1], ends[:, 1]), blocks)
+    end_axes = shape.ends[families]
+    axes = (end_axes[:, 0], shape.axes[families, 1], end_axes[:, 1])
+    outer = _recover_outer(targets, axes, blocks)
     rows: list[int] = []
     assignments: list[tuple[float, ...]] = []
     for k, (f, pair) in enumerate(zip(families.tolist(), outer)):
@@ -494,7 +495,7 @@ def _close_chain(
     if not rows:
         return solutions
     # each row's product has the same bits in any stack
-    ends = rotations_about_axis(ends[rows], np.array([(a[0], a[-1]) for a in assignments]))
+    ends = rotations_about_axis(end_axes[rows], np.array([(a[0], a[-1]) for a in assignments]))
     product = reduce(
         np.matmul, [rotations[rows, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
     )

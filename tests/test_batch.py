@@ -232,6 +232,8 @@ def test_solvers_reject_bad_target_shapes():
     g = geo.TurnGeometry.from_radius(0.6)
     with pytest.raises(geo.InvalidInput):
         lk.solve_two(np.zeros((2, 3)), ("L", "R"), g)
+    with pytest.raises(geo.InvalidInput):  # one stacked call takes one shape
+        lk.solve_chain([lk.FamilyTemplate.of("LR"), lk.FamilyTemplate.of("LRL")], np.eye(3), g)
 
 
 def test_equal_middle_stack_with_vanishing_end_coefficients():

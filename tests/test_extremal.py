@@ -147,8 +147,8 @@ def test_middle_arc_angle_values():
         ex.middle_arc_angle(0.4, 1.0)
 
 
-@pytest.mark.parametrize("lambda_h12, u_max", [(math.nan, 1.0), (1.0, math.nan)])
-def test_middle_arc_angle_rejects_nan(lambda_h12, u_max):
+@pytest.mark.parametrize("lambda_h12, u_max", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_middle_arc_angle_rejects_non_finite_input(lambda_h12, u_max):
     with pytest.raises(InvalidInput):
         ex.middle_arc_angle(lambda_h12, u_max)
 
