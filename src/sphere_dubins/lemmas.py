@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRegime
-from .geometry import ANGLE_EPS, L, R, Segment, TurnGeometry, compose_path, path_length
+from .geometry import ANGLE_EPS, TWO_PI, L, R, Segment, TurnGeometry, compose_path, path_length
 from .linkage import FamilyTemplate, solve_chain
 from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
@@ -309,8 +309,10 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
         np.linalg.norm(compose_path(original, geom) - compose_path(replacement, geom))
     )
     delta_len = path_length(original, geom) - path_length(replacement, geom)
+    # the angle of the rationalized (sin, cos), on phi's branch
+    phi_closed = phi + math.remainder(math.atan2(sp_closed, cp_closed) - phi, TWO_PI)
     checks = (
-        CoefficientCheck("phi", phi, phi),
+        CoefficientCheck("phi", phi_closed, phi),
         CoefficientCheck("sin(phi)", sp_closed, math.sin(phi)),
         CoefficientCheck("cos(phi)", cp_closed, math.cos(phi)),
     )

@@ -1,9 +1,9 @@
 """Inverse kinematics for products of fixed-axis rotations.
 
 Every candidate family is a chain R(a_1, phi_1) B R(a_n, phi_n) = M, with B
-the product of the interior rotations.  `solve_chain` is the one solver: it
-reads the family's parametrization and arc box from its `FamilyTemplate`
-once, and solves every chain in the same two steps:
+the product of the interior rotations.  `solve_chain(template, m, geom)` is
+the one per-family solver: it reads the family's parametrization and arc box
+from its `FamilyTemplate`, and solves every chain in the same two steps:
 
 1. Eliminate the interior.  The outer rotations fix their own axes, so
    a_1 . B a_n = a_1 . M a_n: one scalar equation in the interior angles, a
@@ -11,9 +11,16 @@ once, and solves every chain in the same two steps:
    or a middle pinned at pi), 1 (a free middle) or 2/3 (equal middles).
 2. Recover the outer angles by aligning probe vectors about the outer axes,
    which avoids the branch ambiguity of matrix logarithms near half-turns.
-   The family box is applied to the recovered angles before anything is
+   Where B carries a_n onto +/- a_1 the two outer rotations merge into one
+   about a_1, and the row is the single arc M B^T with phi_n = 0.  The
+   family box is applied to the recovered angles before anything is
    composed; an assignment inside it is kept if its full matrix residual
    passes.
+
+The empty chain is an identity check and a single arc one alignment
+(`_one_arc`, which merged outer rotations reuse).  `solve_one`, `solve_two`,
+`solve_three` and `solve_equal_middle` are `solve_chain` on the template of
+their arguments.
 
 Every decision reads two tolerances: the gate TOL_RESIDUAL on the residual
 ||M - P|| (Frobenius) of the composed path P, and the angle resolution
@@ -21,19 +28,15 @@ ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
 |a.(M - P)b| and ||(M - P)a|| (unit a, b) are at most ||M - P||, so none drops
 a row the gate accepts; they only skip composing rows that cannot pass.
 
-The empty chain is an identity check and a single arc one alignment
-(`solve_one`).  `solve_two`, `solve_three` and `solve_equal_middle` are
-`solve_chain` on the template of their arguments.
-
-Every solver takes one target m of shape (3, 3), or a stack of N targets of
-shape (N, 3, 3) and then returns one result per target; `solve_chain` also
-takes several families of one shape and solves them in one pass over
-(family, target) rows, reading their axes and step-1 coefficients from
-`chain_shapes`, cached per (r, families).  Each stacked operation keeps the
-bits of its one-target, one-family form: a row takes its own operands in the
-same shapes, e.g. (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a
-gemm across families such as ms @ A.T, which rounds differently; dot
-products are 1x3 @ 3x1 matmuls and angles are taken per root with `math`.
+`solve_chain` takes one target m (3, 3), or a stack (N, 3, 3) and then
+returns one list of solutions per target.  `solve_shape` solves every family
+of one `chain_shapes` entry (families of one shape, their axes and step-1
+coefficients cached per (r, families)) on a stack in one pass over (family,
+target) rows.  Each stacked operation keeps the bits of its one-target,
+one-family form: a row takes its own operands in the same shapes, e.g.
+(K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm across
+families such as ms @ A.T, which rounds differently; dot products are
+1x3 @ 3x1 matmuls and angles are taken per root with `math`.
 """
 
 from __future__ import annotations
@@ -45,15 +48,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateAlignment, InconsistentPair, InvalidInput
+from .errors import InvalidInput
 from .geometry import (
     ANGLE_EPS,
-    PERP_EPS,
     TWO_PI,
     Segment,
     SegmentKind,
     TurnGeometry,
-    align_angle,
     align_angles,
     canonical_angle,
     cross,
@@ -107,9 +108,6 @@ class CandidateSolution:
 
     def segments(self, kinds: Kinds) -> tuple[Segment, ...]:
         return tuple(Segment(k, a) for k, a in zip(kinds, self.angles))
-
-
-Solutions = list[CandidateSolution] | list[list[CandidateSolution]]  # or one list per target
 
 
 @dataclass(frozen=True)
@@ -274,32 +272,25 @@ def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[floa
     return (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
 
 
-def solve_one(
-    m: np.ndarray,
-    kind: SegmentKind | str,
-    geom: TurnGeometry,
-) -> CandidateSolution | None | list[CandidateSolution | None]:
-    """Angle phi with rotation(kind, phi) == m, or None when m moves the axis."""
-    found = solve_chain(FamilyTemplate.of((kind,)), m, geom)
-    if np.ndim(m) == 2:
-        return found[0] if found else None
-    return [sols[0] if sols else None for sols in found]
+def solve_one(m: np.ndarray, kind: SegmentKind | str, geom: TurnGeometry) -> list:
+    """The angle phi with rotation(kind, phi) == m, none when m moves the axis."""
+    return solve_chain(FamilyTemplate.of((kind,)), m, geom)
 
 
-def solve_chain(
-    templates: FamilyTemplate | Sequence[FamilyTemplate], m: np.ndarray, geom: TurnGeometry
-) -> Solutions | list[Solutions]:
+def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> list:
     """Every solution of the family's chain inside its box that reaches m,
     with its endpoint residual.  `m` is one target (3, 3) or a stack
     (N, 3, 3); a stack gets one list of solutions per target.  The empty
-    chain and a single arc (canonical angles) always lie in their box.
-    Several families of one shape (`chain_shapes`) get one result each."""
+    chain and a single arc (canonical angles) always lie in their box."""
     ms, single = _stacked(m)
-    one = isinstance(templates, FamilyTemplate)
-    shapes = chain_shapes(geom.r, (templates,) if one else tuple(templates))
-    if len(shapes) != 1:
-        raise InvalidInput("solve_chain takes one family or several of one shape")
-    shape = shapes[0]
+    (solved,) = solve_shape(chain_shapes(geom.r, (template,))[0], ms)
+    return solved[0] if single else solved
+
+
+def solve_shape(shape: ChainShape, ms: np.ndarray) -> list[list[list[CandidateSolution]]]:
+    """`solve_chain` for every family of `shape` on the (N, 3, 3) stack `ms`,
+    in one pass over (family, target) rows: for each family, one list of
+    solutions per target."""
     count, n = len(shape.templates), len(ms)
     rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
     fam = np.repeat(np.arange(count), n)
@@ -311,10 +302,7 @@ def solve_chain(
     else:
         owners, interiors = _eliminate(shape, rows, fam)
         solutions = _close_chain(rows, shape, fam, owners, interiors)
-    per_family = [solutions[f * n:(f + 1) * n] for f in range(count)]
-    if single:
-        per_family = [sols[0] for sols in per_family]
-    return per_family[0] if one else per_family
+    return [solutions[f * n:(f + 1) * n] for f in range(count)]
 
 
 def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[CandidateSolution]]:
@@ -401,19 +389,18 @@ def _circle_roots(k2: float, k3: float, c: float) -> list[float]:
 
 
 def _recover_outer(
-    m: np.ndarray,
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    middle_blocks: np.ndarray,
+    m: np.ndarray, ends: np.ndarray, middle_blocks: np.ndarray
 ) -> list[tuple[float, float] | None]:
-    """Outer angles (phi1, phi3) bracketing each known middle rotation block.
+    """Outer angles (phi_1, phi_n) bracketing each known middle rotation block.
 
     `m` and `middle_blocks` are (K, 3, 3) stacks, one row per (target,
-    interior) pair; a row gets None when no outer angles exist.  `axes` are
-    (K, 3) stacks of each row's first, second and last chain axis; the
-    second only orients the fallback probe of `_merged_outer`, which takes
-    the rows whose probe alignment is degenerate.
+    interior) pair, and `ends` the (K, 2, 3) stack of each row's first and
+    last axis; a row gets None when no outer angles exist.  Where the block
+    carries a_n onto +/- a_1, probe alignment is degenerate: the outer
+    rotations merge into one about a_1, and those rows are the single arc
+    q = M B^T, solved in one `_one_arc` call, with phi_n = 0.
     """
-    a1, a2, a3 = axes
+    a1, a3 = ends[:, 0], ends[:, 1]
     rows = len(m)
     # phi1 aligns about a1 (rows :K), phi3 about a3 (rows K:), in one call
     angles, degenerate = align_angles(
@@ -422,33 +409,21 @@ def _recover_outer(
         np.concatenate([_row_apply(m, a3), _row_apply(middle_blocks.transpose(0, 2, 1), a1)]),
     )
     outer: list[tuple[float, float] | None] = []
+    merged: list[int] = []
     for k, (first, last) in enumerate(zip(angles[:rows], angles[rows:])):
         if first is not None and last is not None:
             outer.append((canonical_angle(first), canonical_angle(last)))
-        elif degenerate[k] or (first is not None and degenerate[rows + k]):
-            outer.append(_merged_outer(m[k], a1[k], a2[k], middle_blocks[k]))
-        else:
-            outer.append(None)
+            continue
+        outer.append(None)
+        if degenerate[k] or (first is not None and degenerate[rows + k]):
+            merged.append(k)
+    if merged:
+        q = m[merged] @ middle_blocks[merged].transpose(0, 2, 1)
+        probes = np.array([probe_orthogonal(a) for a in a1[merged]])
+        for k, found in zip(merged, _one_arc(q, a1[merged], probes)):
+            if found:
+                outer[k] = (found[0].angles[0], 0.0)
     return outer
-
-
-def _merged_outer(
-    m: np.ndarray, a1: np.ndarray, a2: np.ndarray, middle_block: np.ndarray
-) -> tuple[float, float] | None:
-    """Outer angles when the middle block carries the last axis onto +/- the
-    first: the outer rotations merge into one about a1, whose angle is
-    recovered with a secondary probe and assigned entirely to the first slot."""
-    q = m @ middle_block.T
-    if np.linalg.norm(q @ a1 - a1) > TOL_RESIDUAL:
-        return None
-    probe = a2 - float(a2 @ a1) * a1
-    n = np.linalg.norm(probe)
-    probe = probe / n if n >= PERP_EPS else probe_orthogonal(a1)
-    try:
-        phi1 = align_angle(a1, probe, q @ probe)
-    except (DegenerateAlignment, InconsistentPair):
-        return None
-    return canonical_angle(phi1), 0.0
 
 
 def _close_chain(
@@ -482,8 +457,7 @@ def _close_chain(
     else:
         blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
     end_axes = shape.ends[families]
-    axes = (end_axes[:, 0], shape.axes[families, 1], end_axes[:, 1])
-    outer = _recover_outer(targets, axes, blocks)
+    outer = _recover_outer(targets, end_axes, blocks)
     rows: list[int] = []
     assignments: list[tuple[float, ...]] = []
     for k, (f, pair) in enumerate(zip(families.tolist(), outer)):
@@ -601,21 +575,21 @@ def _interior_roots(coeffs: np.ndarray) -> list[list[float]]:
     return [sorted(found) for found in roots]
 
 
-def solve_two(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> Solutions:
+def solve_two(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> list:
     """All (alpha, gamma) with rotation(k1, alpha) @ rotation(k2, gamma) == m."""
     return solve_chain(FamilyTemplate.of(kinds), m, geom)
 
 
 def solve_three(
     m: np.ndarray, kinds: Kinds, geom: TurnGeometry, fixed_middle: float | None = None
-) -> Solutions:
+) -> list:
     """All (phi1, phi2, phi3) in the family box whose three-rotation product
     equals m: a free turn-triple middle is at least pi, outer arcs around a
     `fixed_middle` at most pi."""
     return solve_chain(FamilyTemplate.of(kinds, fixed_middle), m, geom)
 
 
-def solve_equal_middle(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> Solutions:
+def solve_equal_middle(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> list:
     """Solve 4- and 5-segment alternating turn chains whose interior arcs share
     one angle pi + beta, beta in (0, pi), inside the family box (outer arcs at
     most pi + beta); step 1 is described in `_eliminate`."""

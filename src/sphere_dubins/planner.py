@@ -2,7 +2,7 @@
 
 The planner scales the problem to the unit sphere, enumerates the candidate
 family catalog for the turning-radius regime, solves every family inside its
-box through `linkage.solve_chain`, lets the pinned-middle families own the
+box through the linkage solver, lets the pinned-middle families own the
 free turn-triple roots at middle pi, and ranks the candidates by physical
 length.  Output is deterministic for fixed inputs and options.  `plan_batch`
 plans many requests at once, solving the families of each chain shape in
@@ -30,7 +30,7 @@ from .geometry import (
     path_length,
     relative_rotation,
 )
-from .linkage import CandidateSolution, FamilyTemplate, Solutions, chain_shapes, solve_chain
+from .linkage import CandidateSolution, FamilyTemplate, chain_shapes, solve_chain, solve_shape
 # perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
 from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
@@ -114,7 +114,7 @@ def family_catalog(r: float, mode: str = "table") -> list[FamilyTemplate]:
     """
     if mode not in ("table", "all"):
         raise ValueError(f"mode must be 'table' or 'all', got {mode!r}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise RadiusOutOfRange(f"turning radius must be positive, got {r}")
     if mode == "table" and beyond_proven(r):
         raise RadiusOutOfRange(
@@ -188,6 +188,11 @@ def normalize_problem(
     if not (req.turning_radius > 0.0) or not math.isfinite(req.turning_radius):
         raise MalformedConfiguration(f"turning_radius must be positive, got {req.turning_radius}")
     r = req.turning_radius / req.sphere_radius
+    if not r > 0.0:
+        raise RadiusOutOfRange(
+            f"unit turning radius {req.turning_radius:.6g} / {req.sphere_radius:.6g} "
+            "underflows to 0"
+        )
     if r >= 1.0:
         raise RadiusOutOfRange(
             f"unit turning radius {r:.6g} is not below 1; no tight turn exists"
@@ -205,7 +210,7 @@ def normalize_problem(
 
 def solve_family(
     template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry, regime_has_fixed_pi: bool
-) -> Solutions:
+) -> list:
     """Solutions of one family reaching the target inside its box, each with
     the endpoint residual its solver computed (`linkage.solve_chain`).  `m` is
     one target (3, 3) or a stack (N, 3, 3); a stack gets one list of
@@ -286,9 +291,10 @@ def plan_batch(
     Requests are validated and normalized in input order, so a batch holding
     a bad request raises the input error of the first one, as `plan` on it
     alone would.  They are then grouped by unit turning radius, and the
-    families of each shape (`linkage.chain_shapes`) are solved in one call
-    per group on the stacked targets; candidates are ordered, deduplicated
-    and ranked per request as in `plan`, family by family in catalog order.
+    families of each shape (`linkage.chain_shapes`) are solved in one
+    `linkage.solve_shape` call per group on the stacked targets; candidates
+    are ordered, deduplicated and ranked per request as in `plan`, family by
+    family in catalog order.
     Neither the batch size nor the order or split of the requests changes
     any result.
     Only when every request is valid is NoCandidateFound raised, for the
@@ -314,7 +320,7 @@ def plan_batch(
         targets = np.stack([prepared[i][0] for i in members])
         solved: dict[FamilyTemplate, list[list[CandidateSolution]]] = {}
         for shape in chain_shapes(geom.r, tuple(families)):
-            solved.update(zip(shape.templates, solve_chain(shape.templates, targets, geom)))
+            solved.update(zip(shape.templates, solve_shape(shape, targets)))
         # catalog order decides candidate order and deduplication
         for template in families:
             owned = _owned(template, solved[template], regime_has_fixed_pi)

@@ -228,12 +228,45 @@ def test_solvers_on_a_stack_match_single_targets(r):
     assert len(lk.solve_one(stack, "G", g)) == len(stack)
 
 
+def test_merged_outer_rows_in_a_stack_match_single_targets(monkeypatch):
+    """At r = 1/sqrt(2) a middle turn of pi carries the last axis onto minus
+    the first, so the outer rotations merge and `_recover_outer` solves those
+    rows as one arc; in a stack with random targets, a pinned `RLpiR`, a free
+    `LRL` and the other two triples give every target its single-target bits."""
+    g = geo.TurnGeometry.from_radius(SQRT2_INV)
+    rng = np.random.default_rng(14)
+    merged = [
+        geo.compose_path([geo.Segment(o, a), geo.Segment(i, math.pi), geo.Segment(o, b)], g)
+        for o, i, a, b in (("R", "L", 0.8, 0.0), ("R", "L", 1.2, 0.3),
+                           ("L", "R", 1.1, 0.4), ("L", "R", 2.0, 0.0))
+    ]
+    order = rng.permutation(8)
+    stack = np.stack(merged + [random_rotation(rng) for _ in range(4)])[order]
+    merged_at = [int(np.nonzero(order == k)[0][0]) for k in range(4)]
+    one_arc_rows = []
+    one_arc = lk._one_arc
+
+    def spy(ms, *args):
+        one_arc_rows.append(len(ms))
+        return one_arc(ms, *args)
+
+    monkeypatch.setattr(lk, "_one_arc", spy)
+    templates = [lk.FamilyTemplate.of(p, fixed_middle=math.pi) for p in ("RLR", "LRL")]
+    templates += [lk.FamilyTemplate.of(p) for p in ("RLR", "LRL")]
+    for template in templates:
+        del one_arc_rows[:]
+        stacked = lk.solve_chain(template, stack, g)
+        assert sum(one_arc_rows) >= 2, template.tag
+        assert _bits(stacked) == _bits([lk.solve_chain(template, m, g) for m in stack])
+        outer = template.kinds[0].value
+        for i in merged_at[:2] if outer == "R" else merged_at[2:]:
+            assert any(s.angles[-1] == 0.0 for s in stacked[i]), (template.tag, i)
+
+
 def test_solvers_reject_bad_target_shapes():
     g = geo.TurnGeometry.from_radius(0.6)
     with pytest.raises(geo.InvalidInput):
         lk.solve_two(np.zeros((2, 3)), ("L", "R"), g)
-    with pytest.raises(geo.InvalidInput):  # one stacked call takes one shape
-        lk.solve_chain([lk.FamilyTemplate.of("LR"), lk.FamilyTemplate.of("LRL")], np.eye(3), g)
 
 
 def test_equal_middle_stack_with_vanishing_end_coefficients():
@@ -297,7 +330,7 @@ def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
     tags = sorted(f.tag for shape in shapes for f in shape.templates)
     assert tags == sorted(f.tag for f in families)
     for shape in shapes:
-        stacked = lk.solve_chain(shape.templates, stack, g)
+        stacked = lk.solve_shape(shape, stack)
         assert len(stacked) == len(shape.templates)
         for template, per_target in zip(shape.templates, stacked):
             alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]

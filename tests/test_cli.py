@@ -62,6 +62,17 @@ def test_plan_cmd_radius_exit_code(tmp_path):
     assert code == 3
 
 
+def test_plan_cmd_underflowing_radius_exit_code(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.G(1.0)], 0.5, sphere_radius=1e10)
+    doc = json.loads(inp.read_text())
+    doc["turning_radius"] = 1e-320  # 1e-320 / 1e10 underflows to 0
+    inp.write_text(json.dumps(doc))
+    code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == 3
+    assert "underflows" in capsys.readouterr().err
+
+
 def test_plan_cmd_validation_exit_code(tmp_path):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"sphere_radius": 1.0}))

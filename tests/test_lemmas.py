@@ -59,6 +59,24 @@ def test_closed_replacement_reproductions(kind, r, param):
     assert 0.0 < phi <= math.pi
 
 
+def test_closed_replacement_phi_row_compares_the_rationalized_angle(monkeypatch):
+    """The phi row compares phi with the angle of the rationalized (sin, cos):
+    they agree to rounding, and a perturbed sine/cosine makes the row fail."""
+    for kind, r in (("lrl5", 0.3), ("lrl5", SQRT2_INV), ("lrlr6", 0.8), ("lrlr6", SQRT3_2)):
+        for beta in (0.05, 1.0, 2.0, math.pi - 0.05):
+            assert _check_named(lm.closed_replacement(kind, r, beta), "phi").abs_error <= 1e-15
+    exact = lm._triple_phi_sincos
+
+    def perturbed(r, beta):
+        sp, cp = exact(r, beta)
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        return sp * c + cp * s, cp * c - sp * s
+
+    monkeypatch.setattr(lm, "_triple_phi_sincos", perturbed)
+    row = _check_named(lm.closed_replacement("lrl5", 0.55, 1.0), "phi")
+    assert abs(row.abs_error - 1e-6) <= 1e-12
+
+
 def test_grg_sign_conventions():
     report = lm.shortcut_construction("grg", 0.5, 0.5)
     g1, mid, g3 = report.replacement

@@ -22,20 +22,19 @@ def compose(pattern: str, angles, geom) -> np.ndarray:
 
 
 def test_solve_one_identity():
-    sol = lk.solve_one(np.eye(3), "G", GEOM5)
-    assert sol is not None and sol.angles == (0.0,)
+    sols = lk.solve_one(np.eye(3), "G", GEOM5)
+    assert len(sols) == 1 and sols[0].angles == (0.0,)
 
 
 def test_solve_one_forward():
     m = geo.segment_rotation("G", 1.3, GEOM5)
-    sol = lk.solve_one(m, "G", GEOM5)
-    assert sol is not None
+    (sol,) = lk.solve_one(m, "G", GEOM5)
     assert abs(sol.angles[0] - 1.3) <= 1e-10
 
 
 def test_solve_one_axis_mismatch():
     m = geo.segment_rotation("L", 1.0, GEOM5)
-    assert lk.solve_one(m, "G", GEOM5) is None
+    assert lk.solve_one(m, "G", GEOM5) == []
 
 
 def test_solve_two_identity():
@@ -292,8 +291,9 @@ def test_tangent_and_merged_prefilters_admit_the_gate_bound():
     a1 = geo.turn_axis("L", GEOM5)
     off_axis = geo.probe_orthogonal(a1)
     m = geo.segment_rotation("L", 1.1, GEOM5) @ geo.rotation_about_axis(off_axis, delta)
-    merged = lk._merged_outer(m, a1, geo.turn_axis("G", GEOM5), np.eye(3))
-    assert merged is not None and abs(merged[0] - 1.1) <= 1e-8
+    # an identity block carries a_n = a_1 onto a_1: the outer rotations merge
+    (merged,) = lk._recover_outer(m[None], np.stack([a1, a1])[None], np.eye(3)[None])
+    assert merged is not None and abs(merged[0] - 1.1) <= 1e-8 and merged[1] == 0.0
 
 
 def test_chain_constants_are_cached_read_only_and_per_radius():

@@ -223,6 +223,22 @@ def test_plan_proven_maximum_radius_at_any_sphere_radius(sphere_radius):
     assert {c.family for c in result.candidates} <= {f.tag for f in pl.family_catalog(0.8)}
 
 
+def test_underflowing_unit_radius_is_out_of_range():
+    """A turning radius whose quotient by the sphere radius underflows to 0
+    is out of range, not a geometry error."""
+    req = request_from_rotation(np.eye(3), 0.5, sphere_radius=1e10)
+    tiny = pl.PlanRequest(1e10, 1e-320, req.initial, req.final)
+    assert tiny.turning_radius / tiny.sphere_radius == 0.0
+    with pytest.raises(RadiusOutOfRange, match="underflows"):
+        pl.plan(tiny)
+
+
+def test_family_catalog_rejects_nan_radius():
+    for mode in ("table", "all"):
+        with pytest.raises(RadiusOutOfRange):
+            pl.family_catalog(math.nan, mode)
+
+
 def test_plan_radius_past_the_band_still_raises():
     req = request_from_rotation(np.eye(3), pl.MAX_RADIUS + 1e-11)
     with pytest.raises(RadiusOutOfRange):
