@@ -33,6 +33,9 @@ TAYLOR_DELTA = 1e-4         # probe size for finite-difference slope checks
 TOL_SYM = 1e-7              # max outer-angle mismatch of an equal-outer replacement
 
 RESIDUAL_PASS = 1e-8        # endpoint agreement required for a passing report
+SLOPE_PASS = 1e-3           # Taylor-slope rows: finite differences against closed forms
+IDENTITY_PASS = 1e-9        # constraint-identity rows between closed forms
+CLOSED_FORM_PASS = 1e-10    # phi, sin(phi), cos(phi): rationalized forms against atan2's
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,18 @@ class CoefficientCheck:
     name: str
     closed_form: float
     numeric: float
+    bound: float  # on `error`; a report passes only if every row meets its bound
+
+    @property
+    def error(self) -> float:
+        """Error relative to the closed form, or absolute where that is below
+        1 in size: a slope that vanishes (a2 at r = 1/sqrt(2)) keeps the
+        finite differences' absolute error."""
+        return self.abs_error / max(abs(self.closed_form), 1.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.error <= self.bound
 
     @property
     def abs_error(self) -> float:
@@ -66,7 +81,11 @@ class LemmaReport:
 
     @property
     def passed(self) -> bool:
-        return self.endpoint_residual <= RESIDUAL_PASS and self.length_delta > 0.0
+        return (
+            self.endpoint_residual <= RESIDUAL_PASS
+            and self.length_delta > 0.0
+            and all(c.passed for c in self.coefficient_checks)
+        )
 
     def format(self) -> str:
         lines = [
@@ -82,7 +101,8 @@ class LemmaReport:
             for c in self.coefficient_checks:
                 lines.append(
                     f"    {c.name:<12} closed={c.closed_form:+.9e} "
-                    f"numeric={c.numeric:+.9e} abs_err={c.abs_error:.3e}"
+                    f"numeric={c.numeric:+.9e} abs_err={c.abs_error:.3e} "
+                    f"{'ok' if c.passed else 'FAIL'} (bound {c.bound:.0e})"
                 )
         lines.append(f"  verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -215,13 +235,14 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
 
     a1_num, a2_num, b1_num, b2_num = _taylor_slopes(kind, geom)
     checks = [
-        CoefficientCheck("a1", a1_closed, a1_num),
-        CoefficientCheck("a2", a2_closed, a2_num),
-        CoefficientCheck("2r*a1+a2", identity_closed, 2.0 * r * a1_closed + a2_closed),
+        CoefficientCheck("a1", a1_closed, a1_num, SLOPE_PASS),
+        CoefficientCheck("a2", a2_closed, a2_num, SLOPE_PASS),
+        CoefficientCheck(
+            "2r*a1+a2", identity_closed, 2.0 * r * a1_closed + a2_closed, IDENTITY_PASS
+        ),
     ]
-    first_order_ok = all(c.rel_error <= 1e-3 for c in checks[:2])
-    if first_order_ok:
-        checks.append(CoefficientCheck("2r*b1+b2", 0.0, 2.0 * r * b1_num + b2_num))
+    if all(c.passed for c in checks[:2]):  # the second-order slopes only after the first
+        checks.append(CoefficientCheck("2r*b1+b2", 0.0, 2.0 * r * b1_num + b2_num, SLOPE_PASS))
 
     return LemmaReport(
         kind=kind,
@@ -312,9 +333,9 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
     # the angle of the rationalized (sin, cos), on phi's branch
     phi_closed = phi + math.remainder(math.atan2(sp_closed, cp_closed) - phi, TWO_PI)
     checks = (
-        CoefficientCheck("phi", phi_closed, phi),
-        CoefficientCheck("sin(phi)", sp_closed, math.sin(phi)),
-        CoefficientCheck("cos(phi)", cp_closed, math.cos(phi)),
+        CoefficientCheck("phi", phi_closed, phi, CLOSED_FORM_PASS),
+        CoefficientCheck("sin(phi)", sp_closed, math.sin(phi), CLOSED_FORM_PASS),
+        CoefficientCheck("cos(phi)", cp_closed, math.cos(phi), CLOSED_FORM_PASS),
     )
     return LemmaReport(
         kind=kind,

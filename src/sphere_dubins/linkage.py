@@ -123,6 +123,9 @@ class FamilyTemplate:
         if len(self.kinds) > 5 or (self.equal_middles and not all(k.is_turn for k in self.kinds)):
             raise InvalidInput("equal-middle chains have 4 or 5 segments, turns only")
 
+    def __hash__(self) -> int:  # equal templates have equal tags; kinds hash slowly
+        return hash(self.tag)
+
     @classmethod
     def of(cls, pattern: Kinds, fixed_middle: float | None = None) -> FamilyTemplate:
         """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""

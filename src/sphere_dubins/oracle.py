@@ -2,19 +2,23 @@
 
 The forward oracle searches candidate-family angle vectors directly: seeded
 uniform restarts inside each family's feasible box, then a
-Levenberg-Marquardt polish with the chain's analytic Jacobian.  Free and
-pinned-middle restarts are first brought near a root by coordinate descent
-on the endpoint residual; equal-middle restarts (interior arcs pi + beta)
-go to the polish as drawn.  The oracle never consults the closed-form
-linkage solver, so agreement between the two is meaningful evidence.  The
-descent runs the kept restarts of all free and pinned-middle families at
-once, one numpy batch per slot count, and the polish one batch per family;
-each restart keeps its own bounds and stop rule.  The polish drives every
-near-root to float64 rounding, which matters at singular targets (a `CCC`
-middle arc of exactly pi): there a 1e-9 residual still admits paths shorter
-than the optimum by about 1e-5.  The cross-family audit compares the
-planner's proven catalog against the audit catalog (great-circle sandwiches
-and unconditional 4/5-chains) on given instances.
+Levenberg-Marquardt polish with the chain's analytic Jacobian.  Samples are
+composed as unit quaternions and ranked by tr(m^T R), which orders them as
+the endpoint residual does; the ranking only chooses the restarts, and every
+gate reads residuals of rotation matrices.  Free and pinned-middle restarts
+are first brought near a root by coordinate descent on the endpoint
+residual; equal-middle restarts (interior arcs pi + beta) go to the polish
+as drawn.  The oracle never consults the closed-form linkage solver, so
+agreement between the two is meaningful evidence.  The descent and the
+polish run the kept restarts of all families of one parameter shape (free
+1/2/3 slots, pinned pi, equal-middle 4 and 5) as one numpy batch; each row
+keeps its own axes, bounds and stop rule, and gets the same bits as in a
+batch of its family alone.  The polish drives every near-root to float64
+rounding, which matters at singular targets (a `CCC` middle arc of exactly
+pi): there a 1e-9 residual still admits paths shorter than the optimum by
+about 1e-5.  The cross-family audit compares the planner's proven catalog
+against the audit catalog (great-circle sandwiches and unconditional
+4/5-chains) on given instances.
 """
 
 from __future__ import annotations
@@ -70,20 +74,64 @@ def _chain(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return reduce(np.matmul, (rots[:, k] for k in range(1, angles.shape[1])), rots[:, 0])
 
 
+def _right_product(a: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix of q -> q (0, a), a quaternion's product on the right
+    with the pure quaternion of axis a; quaternions are (w, x, y, z)."""
+    x, y, z = a
+    return np.array([[0.0, -x, -y, -z], [x, 0.0, z, -y], [y, -z, 0.0, x], [z, y, -x, 0.0]])
+
+
+def _davenport(m: np.ndarray) -> np.ndarray:
+    """Davenport's symmetric K(m), with q^T K q = tr(m^T R(q)) for a unit
+    quaternion q of rotation R(q)."""
+    trace = np.trace(m)
+    z = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    k = np.empty((4, 4))
+    k[0, 0] = trace
+    k[0, 1:] = k[1:, 0] = z
+    k[1:, 1:] = m + m.T - trace * np.eye(3)
+    return k
+
+
+def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
+    """Indices of the REFINE_TOP samples, best first, by tr(m^T R) = q^T K q
+    of their quaternions (`compose_batch`, `_davenport`): the order of the
+    endpoint residual, since |R - m|^2 = 3 + |m|^2 - 2 tr(m^T R)."""
+    return np.argsort(-np.einsum("ni,ni->n", q @ davenport, q))[:REFINE_TOP]
+
+
 class _FamilySearch:
     """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for one family's feasible box (`FamilyTemplate`)."""
+    per-restart finish for one family's feasible box (`FamilyTemplate`).
+    `stack` joins the restarts of several families of one parameter shape
+    for the descent and the polish."""
 
     def __init__(self, template: FamilyTemplate, geom: TurnGeometry):
         self.template = template
         self.axes = np.array([turn_axis(k, geom) for k in template.kinds])
         self.generators = np.array([skew(a) for a in self.axes])
+        self.quaternion_steps = np.array([_right_product(a).T for a in self.axes])
         # slots-by-params matrix d(angles)/d(params): the polish's Jacobian chain rule
         self.slot_map = template.slot_map
         lows, highs = template.box
         # beta's interval is open: the polish stays ANGLE_EPS inside it
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
+
+    @classmethod
+    def stack(cls, searches: list[_FamilySearch], counts: list[int]) -> _FamilySearch:
+        """One search over `counts[i]` restarts of each `searches[i]`, all of one
+        parameter shape (slots and parameters, hence `angles`, `slot_map` and
+        `outer_cap`): each row keeps its family's axes, generators and box.
+        A stack descends and polishes; it does not sample or compose."""
+        owner = np.repeat(np.arange(len(searches)), counts)
+        stacked = cls.__new__(cls)
+        stacked.template = searches[0].template
+        stacked.slot_map = stacked.template.slot_map
+        stacked.axes = np.stack([s.axes for s in searches])[owner]
+        stacked.generators = np.stack([s.generators for s in searches])[owner]
+        stacked.box = tuple(np.stack(bound)[owner] for bound in zip(*(s.box for s in searches)))
+        return stacked
 
     # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -98,7 +146,17 @@ class _FamilySearch:
         return rng.uniform(lows, highs, size=(n, len(lows)))
 
     def compose_batch(self, params: np.ndarray) -> np.ndarray:
-        return _chain(self.axes, self.template.angles(params))
+        """Unit quaternions (n, 4) of the sampled chains: slot by slot,
+        q <- cos(angle/2) q + sin(angle/2) q (0, axis).  They only rank the
+        samples (`forward_oracle`) to choose restarts; every gate reads the
+        residuals of `_chain` and `compose_path`."""
+        half = 0.5 * self.template.angles(params)
+        cos, sin = np.cos(half), np.sin(half)
+        q = np.zeros((len(params), 4))
+        q[:, 0] = 1.0
+        for slot, step in enumerate(self.quaternion_steps):
+            q = cos[:, slot, None] * q + sin[:, slot, None] * (q @ step)
+        return q
 
     def segments_for(self, params: np.ndarray) -> tuple[Segment, ...]:
         angles = self.template.angles(params[None, :])[0]
@@ -111,15 +169,17 @@ class _FamilySearch:
         end = _chain(self.axes, self.template.angles(params[None, :]))[0]
         return params, float(np.linalg.norm(end - m))
 
-    def linearize(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch.
+    def linearize(self, params: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch;
+        on a stack, `params` holds its `rows`.
 
         Slot j's column of d(endpoint)/d(angle) is prefix_j @ skew(a_j) @
         suffix_j, with prefix_j the product of the slots before j and
         suffix_j that of slot j onward; `slot_map` takes it to parameters.
         The endpoint is `_chain`'s product, to the bit.
         """
-        rots = rotations_about_axis(self.axes, self.template.angles(params))
+        generators = self.generators[rows]
+        rots = rotations_about_axis(self.axes[rows], self.template.angles(params))
         n = rots.shape[1]
         prefix = [rots[:, 0]]
         for j in range(1, n):
@@ -128,24 +188,26 @@ class _FamilySearch:
         for j in range(n - 2, -1, -1):
             suffix.append(rots[:, j] @ suffix[-1])
         suffix.reverse()
-        columns = [self.generators[0] @ suffix[0]]
-        columns += [prefix[j - 1] @ self.generators[j] @ suffix[j] for j in range(1, n)]
+        columns = [generators[..., 0, :, :] @ suffix[0]]
+        columns += [prefix[j - 1] @ generators[..., j, :, :] @ suffix[j] for j in range(1, n)]
         slots = np.stack(columns, axis=-1).reshape(len(params), 9, n)
         return prefix[-1], slots @ self.slot_map
 
-    def _clamp(self, params: np.ndarray) -> np.ndarray:
+    def _clamp(self, params: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Into the box; equal-middle outer angles also to at most `outer_cap`."""
-        params = np.clip(params, *self.box)
+        lows, highs = self.box
+        params = np.clip(params, lows[rows], highs[rows])
         if self.template.equal_middles:
             cap = self.template.outer_cap(self.template.angles(params).T)
             params[:, [0, 2]] = np.minimum(params[:, [0, 2]], cap[:, None])
         return params
 
     def _polish(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levenberg-Marquardt on this family's kept restarts, all rows at
-        once: every row is driven towards POLISH_FLOOR.  Returns the
-        parameters and the smallest singular value of each row's parameter
-        Jacobian there.
+        """Levenberg-Marquardt on a stack's restarts (`stack`), all rows at
+        once, each with its own axes and box: every row is driven towards
+        POLISH_FLOOR.  Returns the parameters and the smallest singular
+        value of each row's parameter Jacobian there.  Every product is one
+        row's own, so a row gets the same bits in any stack.
 
         The damped step comes from the SVD of J, not from J^T J, which
         would square a near-zero singular value; the damping is relative to
@@ -181,8 +243,8 @@ class _FamilySearch:
             u, s, vt = np.linalg.svd(jac[active], full_matrices=False)
             lam = damping[active, None] * s[:, :1] ** 2
             coef = s / (s * s + lam) * np.einsum("kip,ki->kp", u, res[active])
-            trial = self._clamp(params[active] - np.einsum("kpq,kp->kq", vt, coef))
-            ends, trial_jac = self.linearize(trial)
+            trial = self._clamp(params[active] - np.einsum("kpq,kp->kq", vt, coef), active)
+            ends, trial_jac = self.linearize(trial, active)
             trial_res = (ends - m).reshape(len(active), 9)
             trial_norm = np.linalg.norm(trial_res, axis=1)
             better = trial_norm < norm[active]
@@ -246,28 +308,11 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     return angles
 
 
-def _descend(
-    searches: list[_FamilySearch], starts: list[np.ndarray], m: np.ndarray
-) -> list[np.ndarray]:
-    """Coordinate descent of the free and pinned-middle families' restarts,
-    one batch per slot count.  Equal-middle restarts are returned as drawn:
-    the polish alone refines them, since its Jacobian moves beta too."""
-    groups: dict[int, list[int]] = {}
-    for i, search in enumerate(searches):
-        if not search.template.equal_middles:
-            groups.setdefault(len(search.axes), []).append(i)
-    descended = list(starts)
-    for members in groups.values():
-        family = [searches[i] for i in members]
-        counts = [len(starts[i]) for i in members]
-        owner = np.repeat(np.arange(len(members)), counts)
-        axes = np.stack([s.axes for s in family])[owner]
-        bounds = np.stack([s.template.angles(np.array(s.box)) for s in family])[owner]
-        angles = np.concatenate([s.template.angles(starts[i]) for s, i in zip(family, members)])
-        out = _descend_angles(axes, bounds[:, 0], bounds[:, 1], angles, m)
-        for s, i, chunk in zip(family, members, np.split(out, np.cumsum(counts)[:-1])):
-            descended[i] = chunk @ s.slot_map  # a column selection: the parameters' arcs
-    return descended
+def _descend(stack: _FamilySearch, params: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Coordinate descent of a free or pinned-middle stack's restarts."""
+    lo, hi = (stack.template.angles(bound) for bound in stack.box)
+    angles = _descend_angles(stack.axes, lo, hi, stack.template.angles(params), m)
+    return angles @ stack.slot_map  # a column selection: the parameters' arcs
 
 
 def forward_oracle(
@@ -281,8 +326,9 @@ def forward_oracle(
     The budget counts sampled angle vectors, split evenly across the audit
     catalog's families with at least one per family, so the reported
     `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
-    above.  Each family's REFINE_TOP best samples are polished,
-    those of free and pinned-middle families after a coordinate descent.
+    above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
+    polished, those of free and pinned-middle families after a coordinate
+    descent; the descent and the polish run one stack per parameter shape.
     `min_singular` is the smallest singular value of the winner's parameter
     Jacobian, from the polish.  Results are deterministic for a fixed seed.
     """
@@ -298,16 +344,30 @@ def forward_oracle(
         best = OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
     searches = [_FamilySearch(template, geom) for template in families]
+    davenport = _davenport(m)
     starts = []
     for index, search in enumerate(searches):
         rng = np.random.default_rng(seed + index)
         params = search.sample(rng, per_family)
-        residuals = np.linalg.norm(search.compose_batch(params) - m, axis=(1, 2))
-        starts.append(params[np.argsort(residuals)[:REFINE_TOP]])
+        starts.append(params[_top_restarts(search.compose_batch(params), davenport)])
 
-    for search, descended in zip(searches, _descend(searches, starts, m)):
-        polished, singular = search._polish(m, descended)
-        for params, min_singular in zip(polished, singular):
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for index, search in enumerate(searches):
+        shapes.setdefault(search.slot_map.shape, []).append(index)
+    polished = [None] * len(searches)  # per family: its restarts' parameters and min singular
+    for members in shapes.values():
+        counts = [len(starts[i]) for i in members]
+        stack = _FamilySearch.stack([searches[i] for i in members], counts)
+        params = np.concatenate([starts[i] for i in members])
+        if not stack.template.equal_middles:  # equal middles: the polish moves beta too
+            params = _descend(stack, params, m)
+        params, singular = stack._polish(m, params)
+        splits = np.cumsum(counts)[:-1]
+        for i, rows, values in zip(members, np.split(params, splits), np.split(singular, splits)):
+            polished[i] = (rows, values)
+
+    for search, restarts in zip(searches, polished):
+        for params, min_singular in zip(*restarts):
             refined, res = search.refine(m, params)
             if res > ACCEPT_GATE:
                 continue

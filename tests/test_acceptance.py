@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite takes about 40 s on a shared 2-core machine, almost
-all of it criterion 6 (200 budget-100000 oracle runs, 34-39 s); criterion 7
+lines; the whole suite takes about 30 s on a shared 2-core machine, almost
+all of it criterion 6 (200 budget-100000 oracle runs, 23-27 s); criterion 7
 (200 closed-form extremal trajectories) takes about 1 s.
 """
 

@@ -288,6 +288,13 @@ def test_validate_cmd_passes(lemma, r, param, capsys):
     assert "PASS" in captured.out
 
 
+@pytest.mark.parametrize("lemma", ["grg", "rgl", "lrl5", "lrlr6"])
+def test_validate_grid_passes(lemma, capsys):
+    # every row of every report, coefficient checks included, meets its bound
+    assert cli.main(["validate", "--lemma", lemma, "--grid"]) == 0
+    assert " 0 failures" in capsys.readouterr().out
+
+
 def test_validate_cmd_out_of_regime():
     assert cli.main(["validate", "--lemma", "rgl", "--r", "0.5", "--param", "0.3"]) == 4
 

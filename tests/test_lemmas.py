@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere_dubins import cli
 from sphere_dubins import geometry as geo
 from sphere_dubins import lemmas as lm
 from sphere_dubins.errors import OutOfRegime
@@ -75,6 +76,26 @@ def test_closed_replacement_phi_row_compares_the_rationalized_angle(monkeypatch)
     monkeypatch.setattr(lm, "_triple_phi_sincos", perturbed)
     row = _check_named(lm.closed_replacement("lrl5", 0.55, 1.0), "phi")
     assert abs(row.abs_error - 1e-6) <= 1e-12
+
+
+def test_a_wrong_closed_form_fails_the_report_and_the_grid(monkeypatch, capsys):
+    """The coefficient rows count toward the verdict: sin/cos of phi rotated
+    by 1e-3 leave the residual and the length delta passing, not the report."""
+    assert lm.closed_replacement("lrl5", 0.55, 1.0).passed
+    exact = lm._triple_phi_sincos
+
+    def rotated(r, beta):
+        sp, cp = exact(r, beta)
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        return sp * c + cp * s, cp * c - sp * s
+
+    monkeypatch.setattr(lm, "_triple_phi_sincos", rotated)
+    report = lm.closed_replacement("lrl5", 0.55, 1.0)
+    assert report.endpoint_residual <= lm.RESIDUAL_PASS and report.length_delta > 0.0
+    assert not report.passed
+    assert "verdict: FAIL" in report.format()
+    assert cli.main(["validate", "--lemma", "lrl5", "--grid"]) == cli.EXIT_LEMMA_FAIL
+    assert "400 failures" in capsys.readouterr().out
 
 
 def test_grg_sign_conventions():

@@ -331,3 +331,10 @@ def test_chain_constants_are_cached_read_only_and_per_radius():
     fresh = bits(r1)
     assert bits(r2) != fresh
     assert bits(r1) == fresh
+
+
+def test_family_template_hashes_on_its_tag():
+    lrl, pinned = lk.FamilyTemplate.of("LRL"), lk.FamilyTemplate.of("LRL", math.pi)
+    assert pinned.tag == "LRpiL" and lrl != pinned
+    assert hash(lk.FamilyTemplate.of("LRL")) == hash(lrl) == hash("LRL")
+    assert {lrl: 1, pinned: 2}[lk.FamilyTemplate.of("LRL")] == 1

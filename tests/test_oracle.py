@@ -8,6 +8,8 @@ from sphere_dubins import geometry as geo
 from sphere_dubins import oracle as orc
 from sphere_dubins import planner as pl
 
+SQRT2_INV = 1.0 / math.sqrt(2.0)
+
 
 def test_oracle_identity():
     geom = geo.TurnGeometry.from_radius(0.5)
@@ -131,13 +133,102 @@ def test_polish_jacobian_matches_central_differences(pattern, fixed):
     search = orc._FamilySearch(pl.FamilyTemplate.of(pattern, fixed), geom)
     params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20)
     ends, jac = search.linearize(params)
-    assert np.array_equal(ends, search.compose_batch(params))
+    assert np.array_equal(ends, orc._chain(search.axes, search.template.angles(params)))
     assert jac.shape == (20, 9, params.shape[1])
     def endpoint(p):
-        return search.compose_batch(p[None, :])[0]
+        return orc._chain(search.axes, search.template.angles(p[None, :]))[0]
 
     for row, analytic in zip(params, jac):
         assert np.max(np.abs(analytic - _central_jacobian(endpoint, row))) <= 1e-7
+
+
+def _audit_searches(r):
+    geom = geo.TurnGeometry.from_radius(r)
+    return geom, [orc._FamilySearch(f, geom) for f in pl.family_catalog(r, mode="all") if f.kinds]
+
+
+@pytest.mark.parametrize("r", [0.3, 0.8])
+def test_quaternion_ranking_keeps_the_residual_order(r):
+    geom, searches = _audit_searches(r)
+    m = orc.random_rotation(np.random.default_rng(int(r * 100)))
+    davenport = orc._davenport(m)
+    for index, search in enumerate(searches):
+        params = search.sample(np.random.default_rng(index), 2000)
+        q = search.compose_batch(params)
+        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-12
+        chains = orc._chain(search.axes, search.template.angles(params))
+        residual = np.linalg.norm(chains - m, axis=(1, 2))
+        trace = np.einsum("nij,ij->n", chains, m)
+        assert np.max(np.abs(np.einsum("ni,ni->n", q @ davenport, q) - trace)) <= 1e-12
+        expected = np.argsort(residual)[:orc.REFINE_TOP]
+        assert np.array_equal(orc._top_restarts(q, davenport), expected), search.template.tag
+
+
+@pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
+def test_stacked_polish_matches_each_family_alone(r):
+    """Polishing every family of a parameter shape in one stack gives each
+    row the bits of polishing its family alone, on seeded restarts (after
+    the descent, as in `forward_oracle`) and on restarts 1e-9 off a root."""
+    geom, searches = _audit_searches(r)
+    rng = np.random.default_rng(int(r * 1000))
+    m = geo.compose_path(random_in_bounds_path(pl.FamilyTemplate.of("LRLR"), rng), geom)
+    shapes = {}
+    for search in searches:
+        shapes.setdefault(search.slot_map.shape, []).append(search)
+    assert len(shapes) == (6 if r > SQRT2_INV else 5)
+    near_roots = 0
+    for family in shapes.values():
+        starts = []
+        for search in family:
+            alone = orc._FamilySearch.stack([search], [6])
+            seeded = search.sample(rng, 6)
+            if not search.template.equal_middles:
+                seeded = orc._descend(alone, seeded, m)
+            polished, _ = alone._polish(m, seeded)
+            ends, _ = alone.linearize(polished)
+            roots = polished[np.linalg.norm(ends - m, axis=(1, 2)) <= orc.ACCEPT_GATE]
+            near_roots += len(roots)
+            near = roots + 1e-9 * rng.standard_normal(roots.shape)
+            near = orc._FamilySearch.stack([search], [len(near)])._clamp(near)
+            starts.append(np.concatenate([seeded, near]))
+        counts = [len(rows) for rows in starts]
+        stack = orc._FamilySearch.stack(family, counts)
+        params, singular = stack._polish(m, np.concatenate(starts))
+        splits = np.cumsum(counts)[:-1]
+        for search, rows, got, got_singular in zip(
+            family, starts, np.split(params, splits), np.split(singular, splits)
+        ):
+            alone, alone_singular = orc._FamilySearch.stack([search], [len(rows)])._polish(m, rows)
+            assert np.array_equal(got, alone), search.template.tag
+            assert np.array_equal(got_singular, alone_singular), search.template.tag
+    assert near_roots >= 10
+
+
+# family and length of forward_oracle at budget 20000, recorded before the
+# oracle ranked samples by quaternion and polished one stack per shape
+PINNED_RESULTS = [
+    (0.3, 601, "RGL", 1.5710300505009287),
+    (0.45, 602, "LGR", 2.813910542814579),
+    (0.55, 603, "LGL", 4.04648559435525),
+    (0.6, 604, "LGL", 3.9122082723071254),
+    (0.71, 605, "RLR", 4.482229614751496),
+    (0.8, 606, "LRL", 6.806959173613749),
+    (0.85, 607, "RLRL", 8.362634615771196),
+    (math.sqrt(3.0) / 2.0, 608, "RLRL", 7.74048822135834),
+    (0.71, None, "RLR", 3.224530420341459),  # the published RLpiR, oracle seed 2
+]
+
+
+@pytest.mark.parametrize("r, seed, family, length", PINNED_RESULTS)
+def test_oracle_results_are_pinned(r, seed, family, length):
+    if seed is None:
+        req = request_from_segments([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], r)
+    else:
+        req = orc.random_request(r, seed=seed)
+    target, geom, _, _, _ = pl.normalize_problem(req)
+    found = orc.forward_oracle(target, geom, seed=2 if seed is None else seed, budget=20_000)
+    assert found.family == family
+    assert abs(found.length - length) <= 1e-12
 
 
 def _winner_endpoint(result, geom):
