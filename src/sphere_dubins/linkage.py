@@ -29,21 +29,26 @@ ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
 a row the gate accepts; they only skip composing rows that cannot pass.
 
 `solve_chain` takes one target m (3, 3), or a stack (N, 3, 3) and then
-returns one list of solutions per target.  `solve_shape` solves every family
-of one `chain_shapes` entry (families of one shape, their axes and step-1
-coefficients cached per (r, families)) on a stack in one pass over (family,
-target) rows.  Each stacked operation keeps the bits of its one-target,
+returns one list of solutions per target.  `solve_shapes` solves the families
+of several `chain_shapes` entries (families of one shape, their axes and
+step-1 coefficients cached per (r, families)) on a stack: step 1 per shape,
+the 4- and 5-chains sharing one root filter and polish, then one step 2 over
+every shape's (row, interior) pairs, so `plan_batch` makes one step-2 pass
+per radius group.  Each stacked operation keeps the bits of its one-target,
 one-family form: a row takes its own operands in the same shapes, e.g.
 (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm across
 families such as ms @ A.T, which rounds differently; dot products are
-1x3 @ 3x1 matmuls and angles are taken per root with `math`.
+1x3 @ 3x1 matmuls and angles are taken per root with `math`.  Shared passes
+pad rows instead, with exact no-ops: interiors to three slots turned by 0,
+which `rotations_about_axis` makes exactly I, and 4-chain coefficients to the
+5-chain width with zeros, which add exact zeros to each value and slope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -223,7 +228,7 @@ class ChainShape:
 
     templates: tuple[FamilyTemplate, ...]
     axes: np.ndarray                    # (F, n, 3)
-    inner: np.ndarray | None = None     # (F, n - 2, 3)
+    inner: np.ndarray | None = None     # (F, 3, 3): interior axes, padded to three slots
     ends: np.ndarray | None = None      # (F, 2, 3)
     probes: np.ndarray | None = None
     reductions: tuple[tuple[float, float, float], ...] = ()
@@ -259,7 +264,10 @@ def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[Chain
         interiors, predicted = zip(*(_fixed_interior(t, a) for t, a in zip(templates, axes)))
         fields.update(interiors=interiors, predicted=np.array(predicted))
     if n >= 2:
-        fields.update(inner=axes[:, 1:-1].copy(), ends=axes[:, [0, -1]])
+        inner = np.zeros((len(templates), 3, 3))
+        inner[:, :, 2] = 1.0  # a pad slot turns by 0 about e_z: the identity
+        inner[:, :n - 2] = axes[:, 1:-1]
+        fields.update(inner=inner, ends=axes[:, [0, -1]])
     for value in (axes, *fields.values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -275,6 +283,12 @@ def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[floa
     return (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
 
 
+# a shape with its stack of rows and one solution list per row; step 1's
+# interior solutions of a shape: their rows and interior angles
+Chain = tuple[ChainShape, np.ndarray, list[list[CandidateSolution]]]
+Interiors = tuple[list[int], list[tuple[float, ...]]]
+
+
 def solve_one(m: np.ndarray, kind: SegmentKind | str, geom: TurnGeometry) -> list:
     """The angle phi with rotation(kind, phi) == m, none when m moves the axis."""
     return solve_chain(FamilyTemplate.of((kind,)), m, geom)
@@ -286,26 +300,36 @@ def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> 
     (N, 3, 3); a stack gets one list of solutions per target.  The empty
     chain and a single arc (canonical angles) always lie in their box."""
     ms, single = _stacked(m)
-    (solved,) = solve_shape(chain_shapes(geom.r, (template,))[0], ms)
+    (solved,) = solve_shapes(chain_shapes(geom.r, (template,)), ms)
     return solved[0] if single else solved
 
 
-def solve_shape(shape: ChainShape, ms: np.ndarray) -> list[list[list[CandidateSolution]]]:
-    """`solve_chain` for every family of `shape` on the (N, 3, 3) stack `ms`,
-    in one pass over (family, target) rows: for each family, one list of
-    solutions per target."""
-    count, n = len(shape.templates), len(ms)
-    rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
-    fam = np.repeat(np.arange(count), n)
-    if not shape.axes.shape[1]:
-        residuals = row_norms(rows - np.eye(3)).tolist()
-        solutions = [[CandidateSolution((), r)] if r <= TOL_RESIDUAL else [] for r in residuals]
-    elif shape.probes is not None:
-        solutions = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
-    else:
-        owners, interiors = _eliminate(shape, rows, fam)
-        solutions = _close_chain(rows, shape, fam, owners, interiors)
-    return [solutions[f * n:(f + 1) * n] for f in range(count)]
+def solve_shapes(
+    shapes: Sequence[ChainShape], ms: np.ndarray
+) -> list[list[list[CandidateSolution]]]:
+    """`solve_chain` for every family of `shapes` on the (N, 3, 3) stack
+    `ms`: for each family of each shape in turn, one list of solutions per
+    target.  Step 1 runs per shape over its (family, target) rows, step 2
+    once over the interior solutions of every shape (`_close_chain`)."""
+    n = len(ms)
+    solved: list[list[list[CandidateSolution]]] = []
+    chains: list[Chain] = []
+    for shape in shapes:
+        count = len(shape.templates)
+        rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
+        if not shape.axes.shape[1]:
+            residuals = row_norms(rows - np.eye(3)).tolist()
+            solutions = [[CandidateSolution((), r)] if r <= TOL_RESIDUAL else [] for r in residuals]
+        elif shape.probes is not None:
+            fam = np.repeat(np.arange(count), n)
+            solutions = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
+        else:
+            solutions = [[] for _ in range(len(rows))]
+            chains.append((shape, rows, solutions))
+        solved += [solutions[f * n:(f + 1) * n] for f in range(count)]
+    if chains:
+        _close_chain(ms, chains, _eliminate(chains, n))
+    return solved
 
 
 def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[CandidateSolution]]:
@@ -327,12 +351,10 @@ def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[
     return solutions
 
 
-def _eliminate(
-    shape: ChainShape, ms: np.ndarray, fam: np.ndarray
-) -> tuple[list[int], list[tuple[float, ...]]]:
-    """Step 1 for two or more arcs: every interior solution, as the index of
-    its row in the stack `ms` (family `fam[k]` of `shape` on target `ms[k]`)
-    and its interior angles.
+def _eliminate(chains: Sequence[Chain], n: int) -> list[Interiors]:
+    """Step 1 for shapes of two or more arcs, each with its stack of rows
+    (row f * n + i is family f on target i): per shape, every interior
+    solution, as the index of its row and its interior angles.
 
     a_1 . B a_n = a_1 . M a_n is a consistency check for a fixed interior (no
     interior, or a middle pinned at `fixed_middle`), a sinusoid in a free
@@ -341,30 +363,38 @@ def _eliminate(
     on the target.  Its roots are the unit-circle eigenvalues of the
     companion matrix in z = e^{i beta} (Boyd, "Computing zeros of Fourier
     series by polynomial rootfinding", 2006), polished by Newton steps (bands
-    and stop rule beside ROOT_UNIT_BAND).
+    and stop rule beside ROOT_UNIT_BAND); the equal-middle shapes share one
+    polish (`_interior_roots`).
     """
-    ends = shape.ends[fam]
-    rhs = row_dots(ends[:, 0], _row_apply(ms, ends[:, 1]))
-    owners: list[int] = []
-    interiors: list[tuple[float, ...]] = []
-    if shape.laurent is not None:
-        mid = shape.inner.shape[1]
-        coeffs = shape.laurent[fam]
-        coeffs[:, mid] -= rhs
-        for i, betas in enumerate(_interior_roots(coeffs)):
-            for beta in betas:
-                owners.append(i)
-                interiors.append((math.pi + beta,) * mid)
-    elif shape.reductions:
-        for i, (f, value) in enumerate(zip(fam.tolist(), rhs.tolist())):
-            k1c, k2c, k3c = shape.reductions[f]
-            for phi2 in _circle_roots(k2c, k3c, value - k1c):
-                owners.append(i)
-                interiors.append((phi2,))
-    else:
-        owners = np.nonzero(~(np.abs(rhs - shape.predicted[fam]) > TOL_RESIDUAL))[0].tolist()
-        interiors = [shape.interiors[f] for f in fam[owners].tolist()]
-    return owners, interiors
+    found: list[Interiors] = []
+    polynomials: list[np.ndarray] = []
+    for shape, ms, _ in chains:
+        fam = np.repeat(np.arange(len(shape.templates)), n)
+        ends = shape.ends[fam]
+        rhs = row_dots(ends[:, 0], _row_apply(ms, ends[:, 1]))
+        owners: list[int] = []
+        interiors: list[tuple[float, ...]] = []
+        if shape.laurent is not None:
+            coeffs = shape.laurent[fam]
+            coeffs[:, shape.axes.shape[1] - 2] -= rhs
+            polynomials.append(coeffs)
+        elif shape.reductions:
+            for i, (f, value) in enumerate(zip(fam.tolist(), rhs.tolist())):
+                k1c, k2c, k3c = shape.reductions[f]
+                for phi2 in _circle_roots(k2c, k3c, value - k1c):
+                    owners.append(i)
+                    interiors.append((phi2,))
+        else:
+            owners = np.nonzero(~(np.abs(rhs - shape.predicted[fam]) > TOL_RESIDUAL))[0].tolist()
+            interiors = [shape.interiors[f] for f in fam[owners].tolist()]
+        found.append((owners, interiors))
+    roots = iter(_interior_roots(polynomials) if polynomials else ())
+    for (shape, rows, _), (owners, interiors) in zip(chains, found):
+        if shape.laurent is not None:
+            for i, betas in zip(range(len(rows)), roots):
+                owners += [i] * len(betas)
+                interiors += [(math.pi + beta,) * (shape.axes.shape[1] - 2) for beta in betas]
+    return found
 
 
 def scalar_reduction(
@@ -429,58 +459,59 @@ def _recover_outer(
     return outer
 
 
-def _close_chain(
-    m: np.ndarray,
-    shape: ChainShape,
-    fam: np.ndarray,
-    owners: Sequence[int],
-    interiors: Sequence[tuple[float, ...]],
-) -> list[list[CandidateSolution]]:
-    """Step 2 for every interior solution of step 1 (see the module docstring).
+def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interiors]) -> None:
+    """Step 2 for every interior solution of step 1 (see the module
+    docstring), of every shape in one pass.
 
-    `interiors[k]` solves step 1 for row `owners[k]`: family `fam[owners[k]]`
-    of `shape` on target `m[owners[k]]`.  For each pair: build the interior
-    block, recover the outer angles, keep the assignment if the family's
-    `feasible` accepts it, and only then compose it and report it if its
-    matrix residual is within TOL_RESIDUAL.  Returns the solutions of each
-    row of the (K, 3, 3) stack `m`, in `interiors` order.
+    `found[c]` holds step 1's solutions of `chains[c]`, a shape with its
+    stack of rows (row f * n + i is family f on target `ms[i]`) and one list
+    per row that receives that row's solutions, in step 1's order.  For each
+    (row, interior) pair: build the interior block, recover the outer angles,
+    keep the assignment if the family's `feasible` accepts it, and only then
+    compose it and report it if its matrix residual is within TOL_RESIDUAL.
+    Interiors are padded to three slots with angle 0, whose rotation is I
+    exactly, so every pair turns through the same three slots.
     """
-    solutions: list[list[CandidateSolution]] = [[] for _ in range(len(m))]
-    if not owners:
-        return solutions
-    targets = m[list(owners)]
-    families = fam[list(owners)]
-    inner = shape.inner.shape[1]
-    # (K, inner, 3, 3): the interior rotations of every pair, slot by slot
-    rotations = rotations_about_axis(
-        shape.inner[families], np.array(interiors, dtype=float).reshape(len(owners), inner)
-    )
-    if inner:
-        blocks = reduce(np.matmul, (rotations[:, j] for j in range(inner)))
-    else:
-        blocks = np.repeat(np.eye(3)[None], len(owners), axis=0)
-    end_axes = shape.ends[families]
+    n = len(ms)
+    targets: list[int] = []
+    families: list[int] = []
+    interiors: list[tuple[float, ...]] = []
+    sinks: list[list[CandidateSolution]] = []
+    offset = 0
+    for (shape, _, solutions), (owners, mids) in zip(chains, found):
+        targets += [k % n for k in owners]
+        families += [offset + k // n for k in owners]
+        sinks += [solutions[k] for k in owners]
+        interiors += mids
+        offset += len(shape.templates)
+    if not sinks:
+        return
+    templates = [t for shape, _, _ in chains for t in shape.templates]
+    inner = np.concatenate([shape.inner for shape, _, _ in chains])[families]
+    end_axes = np.concatenate([shape.ends for shape, _, _ in chains])[families]
+    targets = ms[targets]
+    padded = np.array([mid + (0.0,) * (3 - len(mid)) for mid in interiors])
+    rotations = rotations_about_axis(inner, padded)  # (K, 3, 3, 3), slot by slot
+    blocks = rotations[:, 0] @ rotations[:, 1] @ rotations[:, 2]
     outer = _recover_outer(targets, end_axes, blocks)
     rows: list[int] = []
     assignments: list[tuple[float, ...]] = []
-    for k, (f, pair) in enumerate(zip(families.tolist(), outer)):
+    for k, (f, pair) in enumerate(zip(families, outer)):
         if pair is not None:
-            angles = (pair[0],) + tuple(interiors[k]) + (pair[1],)
-            if shape.templates[f].feasible(angles):
+            angles = (pair[0],) + interiors[k] + (pair[1],)
+            if templates[f].feasible(angles):
                 rows.append(k)
                 assignments.append(angles)
     if not rows:
-        return solutions
+        return
     # each row's product has the same bits in any stack
     ends = rotations_about_axis(end_axes[rows], np.array([(a[0], a[-1]) for a in assignments]))
-    product = reduce(
-        np.matmul, [rotations[rows, j] for j in range(inner)] + [ends[:, 1]], ends[:, 0]
-    )
+    turns = rotations[rows]
+    product = ends[:, 0] @ turns[:, 0] @ turns[:, 1] @ turns[:, 2] @ ends[:, 1]
     residuals = row_norms(product - targets[rows]).tolist()
     for k, angles, res in zip(rows, assignments, residuals):
         if res <= TOL_RESIDUAL:
-            solutions[owners[k]].append(CandidateSolution(angles, res))
-    return solutions
+            sinks[k].append(CandidateSolution(angles, res))
 
 
 def _laurent_coefficients(
@@ -558,12 +589,21 @@ def _polynomial_roots(coeffs: np.ndarray) -> list[list[complex]]:
     return roots
 
 
-def _interior_roots(coeffs: np.ndarray) -> list[list[float]]:
-    """Real roots beta in (0, pi) of each row's trig polynomial, via companion
-    eigenvalues."""
+def _interior_roots(blocks: Sequence[np.ndarray]) -> list[list[float]]:
+    """Real roots beta in (0, pi) of each row's trig polynomial, the rows of
+    all blocks in turn: companion eigenvalues per block (one degree each),
+    then one root filter and one polish over the rows zero-padded to the
+    widest block (a zero coefficient adds exact zeros to value and slope)."""
+    width = max(block.shape[1] for block in blocks)
+    coeffs = np.zeros((sum(map(len, blocks)), width), dtype=complex)
+    eigenvalues: list[list[complex]] = []
+    for block in blocks:
+        pad = (width - block.shape[1]) // 2
+        coeffs[len(eigenvalues):len(eigenvalues) + len(block), pad:width - pad] = block
+        eigenvalues += _polynomial_roots(block)
     owners: list[int] = []
     guesses: list[float] = []
-    for i, zs in enumerate(_polynomial_roots(coeffs)):
+    for i, zs in enumerate(eigenvalues):
         for z in zs:
             beta = math.atan2(z.imag, z.real)
             if abs(abs(z) - 1.0) <= ROOT_UNIT_BAND and _in_open_interval(beta):

@@ -282,16 +282,18 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     once.  Each sweep maximizes tr(R^T m) over one slot at a time, first to
     last; a pinned slot has lo == hi.  A restart stops once its residual
     gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
-    REFINE_SWEEPS sweeps pass; only the restarts still running are swept."""
+    REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
+    The slot rotations of those restarts carry over from sweep to sweep, and
+    the residuals are read from their product (`_chain`'s)."""
     n_slots = axes.shape[1]
     angles = angles.copy()
-    current = np.linalg.norm(_chain(axes, angles) - m, axis=(1, 2))
+    rots = [rotations_about_axis(axes[:, k], angles[:, k]) for k in range(n_slots)]
+    current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
     active = np.arange(len(angles))
     for _ in range(REFINE_SWEEPS):
         if active.size == 0:
             break
         ax, p = axes[active], angles[active]
-        rots = [rotations_about_axis(ax[:, k], p[:, k]) for k in range(n_slots)]
         eye = np.broadcast_to(np.eye(3), rots[0].shape)
         for slot in range(n_slots):
             prefix = reduce(np.matmul, rots[:slot], eye)
@@ -301,10 +303,11 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
             )
             rots[slot] = rotations_about_axis(ax[:, slot], p[:, slot])
         angles[active] = p
-        after = np.linalg.norm(_chain(ax, p) - m, axis=(1, 2))
+        after = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
         done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
         current[active] = after
         active = active[~done]
+        rots = [rot[~done] for rot in rots]
     return angles
 
 

@@ -5,9 +5,8 @@ family catalog for the turning-radius regime, solves every family inside its
 box through the linkage solver, lets the pinned-middle families own the
 free turn-triple roots at middle pi, and ranks the candidates by physical
 length.  Output is deterministic for fixed inputs and options.  `plan_batch`
-plans many requests at once, solving the families of each chain shape in
-one call per turning radius on the stacked targets; `plan` is its
-one-request case.
+plans many requests at once, solving every family in one call per turning
+radius on the stacked targets; `plan` is its one-request case.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .geometry import (
     path_length,
     relative_rotation,
 )
-from .linkage import CandidateSolution, FamilyTemplate, chain_shapes, solve_chain, solve_shape
+from .linkage import CandidateSolution, FamilyTemplate, chain_shapes, solve_chain, solve_shapes
 # perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
 from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
@@ -290,11 +289,11 @@ def plan_batch(
 
     Requests are validated and normalized in input order, so a batch holding
     a bad request raises the input error of the first one, as `plan` on it
-    alone would.  They are then grouped by unit turning radius, and the
-    families of each shape (`linkage.chain_shapes`) are solved in one
-    `linkage.solve_shape` call per group on the stacked targets; candidates
-    are ordered, deduplicated and ranked per request as in `plan`, family by
-    family in catalog order.
+    alone would.  They are then grouped by unit turning radius, and each
+    group's catalog, split into chain shapes (`linkage.chain_shapes`), is
+    solved in one `linkage.solve_shapes` call on the stacked targets;
+    candidates are ordered, deduplicated and ranked per request as in
+    `plan`, family by family in catalog order.
     Neither the batch size nor the order or split of the requests changes
     any result.
     Only when every request is valid is NoCandidateFound raised, for the
@@ -318,9 +317,9 @@ def plan_batch(
         geom = prepared[members[0]][1]
         regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
         targets = np.stack([prepared[i][0] for i in members])
-        solved: dict[FamilyTemplate, list[list[CandidateSolution]]] = {}
-        for shape in chain_shapes(geom.r, tuple(families)):
-            solved.update(zip(shape.templates, solve_shape(shape, targets)))
+        shapes = chain_shapes(geom.r, tuple(families))
+        templates = [t for shape in shapes for t in shape.templates]
+        solved = dict(zip(templates, solve_shapes(shapes, targets)))
         # catalog order decides candidate order and deduplication
         for template in families:
             owned = _owned(template, solved[template], regime_has_fixed_pi)

@@ -318,20 +318,62 @@ def target_stack(draw, r: float) -> np.ndarray:
 @pytest.mark.parametrize("mode", ["table", "all"])
 @pytest.mark.parametrize("r", [0.3, 0.6, SQRT2_INV, 0.8, SQRT3_2])
 def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
-    """One stacked solve per chain shape, with the fixed-pi ownership rule
-    applied per family, gives each family on each target alone bit for bit;
-    in `all` mode the great-circle sandwiches share the free-middle pass with
-    the turn triples, whose box differs."""
+    """One stacked solve over every chain shape of the catalog, with the
+    fixed-pi ownership rule applied per family, gives each family on each
+    target alone bit for bit; in `all` mode the great-circle sandwiches share
+    the free-middle pass with the turn triples, whose box differs."""
     g = geo.TurnGeometry.from_radius(r)
     stack = data.draw(target_stack(r))
     families = pl.family_catalog(r, mode=mode)
     fixed_pi = any(f.fixed_middle is not None for f in families)
     shapes = lk.chain_shapes(r, tuple(families))
-    tags = sorted(f.tag for shape in shapes for f in shape.templates)
-    assert tags == sorted(f.tag for f in families)
-    for shape in shapes:
-        stacked = lk.solve_shape(shape, stack)
-        assert len(stacked) == len(shape.templates)
-        for template, per_target in zip(shape.templates, stacked):
-            alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]
-            assert _bits(pl._owned(template, per_target, fixed_pi)) == _bits(alone), template.tag
+    templates = [f for shape in shapes for f in shape.templates]
+    assert sorted(f.tag for f in templates) == sorted(f.tag for f in families)
+    stacked = lk.solve_shapes(shapes, stack)
+    assert len(stacked) == len(templates)
+    for template, per_target in zip(templates, stacked):
+        alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]
+        assert _bits(pl._owned(template, per_target, fixed_pi)) == _bits(alone), template.tag
+
+
+def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
+    """At r = 1/sqrt(2) in `all` mode one `solve_shapes` call closes 0-, 1-,
+    2- and 3-slot interiors in one step-2 pass, with merged outer rotations
+    (a free `RLR` middle of pi carries the last axis onto minus the first)
+    and the 4- and 5-chain roots polished together; it gives every family on
+    every target the bits of `solve_shapes` on its shape alone."""
+    r = SQRT2_INV
+    g = geo.TurnGeometry.from_radius(r)
+    rng = np.random.default_rng(16)
+    shapes = lk.chain_shapes(r, tuple(pl.family_catalog(r, mode="all")))
+    equal_middle = [f for shape in shapes for f in shape.templates if f.equal_middles]
+    paths = [random_in_bounds_path(f, rng) for f in equal_middle for _ in range(2)]
+    paths.append([geo.Segment("R", 0.8), geo.Segment("L", math.pi), geo.Segment("R", 0.3)])
+    stack = np.stack([geo.compose_path(p, g) for p in paths] + [random_rotation(rng)])
+
+    closed, polished = [], []
+    close_chain, interior_roots = lk._close_chain, lk._interior_roots
+
+    def close_spy(ms, chains, found):
+        closed.append(sorted({len(mids[0]) for _, mids in found if mids}))
+        return close_chain(ms, chains, found)
+
+    def roots_spy(blocks):
+        found = interior_roots(blocks)
+        ends = np.cumsum([len(b) for b in blocks])
+        counts = [sum(map(len, found[end - len(b):end])) for b, end in zip(blocks, ends)]
+        polished.append([(b.shape[1], count) for b, count in zip(blocks, counts)])
+        return found
+
+    monkeypatch.setattr(lk, "_close_chain", close_spy)
+    monkeypatch.setattr(lk, "_interior_roots", roots_spy)
+    together = lk.solve_shapes(shapes, stack)
+    assert closed == [[0, 1, 2, 3]] and len(polished) == 1
+    assert [width for width, _ in polished[0]] == [5, 7]
+    assert all(roots > 0 for _, roots in polished[0])
+    # the merged branch reports the single arc M B^T as phi_1, with phi_n = 0
+    rlr = [f.tag for shape in shapes for f in shape.templates].index("RLR")
+    assert any(s.angles[1] == math.pi and s.angles[-1] == 0.0 for s in together[rlr][-2])
+    shape_by_shape = [sols for shape in shapes for sols in lk.solve_shapes([shape], stack)]
+    assert len(closed) == 1 + sum(s.axes.shape[1] >= 2 for s in shapes)
+    assert [_bits(sols) for sols in together] == [_bits(sols) for sols in shape_by_shape]

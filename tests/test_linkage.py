@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -338,3 +339,110 @@ def test_family_template_hashes_on_its_tag():
     assert pinned.tag == "LRpiL" and lrl != pinned
     assert hash(lk.FamilyTemplate.of("LRL")) == hash(lrl) == hash("LRL")
     assert {lrl: 1, pinned: 2}[lk.FamilyTemplate.of("LRL")] == 1
+
+
+# -- an independent count of the equal-middle roots ---------------------------
+
+Poly = list  # Fraction coefficients, lowest degree first
+
+
+def _poly_mul(p: Poly, q: Poly) -> Poly:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _trimmed(p: Poly) -> Poly:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _tangent_half_polynomial(coeffs, shift: Fraction = Fraction(0)) -> Poly:
+    """(1 + t^2)^n times the real trig polynomial c_0 + 2 Re sum_k c_k e^{ik beta}
+    that `_trig_values` evaluates, in t = tan(beta / 2), exactly: e^{i beta} =
+    (1 + it)^2 / (1 + t^2).  `shift` moves the constant term."""
+    n = (len(coeffs) - 1) // 2
+    one_t2 = [Fraction(1), Fraction(0), Fraction(1)]
+    total = [Fraction(coeffs[n].real) + shift]
+    for _ in range(n):
+        total = _poly_mul(total, one_t2)
+    re, im = [Fraction(1)], [Fraction(0)]  # (1 + it)^(2k), real and imaginary parts
+    for k in range(1, n + 1):
+        for _ in range(2):
+            re, im = _poly_add(re, [Fraction(0)] + [-x for x in im]), _poly_add(im, [Fraction(0)] + re)
+        a, b = 2 * Fraction(coeffs[n + k].real), -2 * Fraction(coeffs[n + k].imag)
+        term = _poly_add([a * x for x in re], [b * x for x in im])
+        for _ in range(n - k):
+            term = _poly_mul(term, one_t2)
+        total = _poly_add(total, term)
+    return _trimmed(total)
+
+
+def _sturm_count(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of p in (lo, hi], by Sturm's theorem."""
+    derivative = _trimmed([i * c for i, c in enumerate(p)][1:] or [Fraction(0)])
+    chain = [p, derivative]
+    while any(chain[-1]) and len(chain[-1]) > 1:
+        rem = list(chain[-2])
+        div = chain[-1]
+        while len(rem) >= len(div) and any(rem):
+            factor = rem[-1] / div[-1]
+            offset = len(rem) - len(div)
+            for i, c in enumerate(div):
+                rem[offset + i] -= factor * c
+            rem = _trimmed(rem[:-1]) if len(rem) > 1 else rem
+        chain.append([-c for c in rem])
+
+    def changes(x: Fraction) -> int:
+        signs = [s for s in (sum(c * x**i for i, c in enumerate(q)) for q in chain) if s != 0]
+        return sum((a > 0) != (b > 0) for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+@pytest.mark.parametrize("r", [0.55, 0.71, 0.8, 0.85, math.sqrt(3.0) / 2.0])
+def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
+    """The root pass (`_interior_roots`: companion eigenvalues, the unit band,
+    Newton polish) finds as many roots in beta in (ROOT_END_BAND,
+    pi - ROOT_END_BAND) as an exact Sturm count of each row's polynomial in
+    t = tan(beta / 2), on random targets and in-box 4- and 5-chain paths.
+    Rows whose count changes when the constant term moves by +-1e-9 (roots
+    that close to a double root or a band end) are excluded; at most 2 of
+    each radius's 88 rows may be, and none is."""
+    g = geo.TurnGeometry.from_radius(r)
+    rng = np.random.default_rng(int(r * 1e4))
+    templates = [lk.FamilyTemplate.of(p) for p in ("LRLR", "RLRL", "LRLRL", "RLRLR")]
+    targets = [random_rotation(rng) for _ in range(10)]
+    targets += [geo.compose_path(random_in_bounds_path(t, rng), g) for t in templates for _ in range(3)]
+    seen = []
+    interior_roots = lk._interior_roots
+
+    def spy(blocks):
+        found = interior_roots(blocks)
+        seen.extend(zip((row for block in blocks for row in block), found))
+        return found
+
+    monkeypatch.setattr(lk, "_interior_roots", spy)
+    for template in templates:
+        lk.solve_chain(template, np.stack(targets), g)
+    lo = Fraction(math.tan(0.5 * lk.ROOT_END_BAND))
+    hi = Fraction(math.tan(0.5 * (math.pi - lk.ROOT_END_BAND)))
+    counted = excluded = 0
+    for coeffs, betas in seen:
+        count = _sturm_count(_tangent_half_polynomial(coeffs), lo, hi)
+        moved = {_sturm_count(_tangent_half_polynomial(coeffs, d * Fraction(1e-9)), lo, hi)
+                 for d in (-1, 1)}
+        if moved != {count}:
+            excluded += 1
+            continue
+        counted += count
+        assert len(betas) == count, (coeffs.tolist(), betas, count)
+    assert len(seen) == 4 * len(targets) and excluded <= 2 and counted >= 12
