@@ -7,8 +7,6 @@ analytic facts the planner relies on.
 """
 
 from .errors import (
-    DegenerateAlignment,
-    InconsistentPair,
     InvalidInitialState,
     InvalidInput,
     MalformedConfiguration,
@@ -27,7 +25,6 @@ from .geometry import (
     Segment,
     SegmentKind,
     TurnGeometry,
-    align_angle,
     compose_path,
     path_length,
     relative_rotation,
@@ -58,10 +55,8 @@ from .planner import (
 __all__ = [
     "CandidateSolution",
     "Configuration",
-    "DegenerateAlignment",
     "FamilyTemplate",
     "G",
-    "InconsistentPair",
     "InvalidInitialState",
     "InvalidInput",
     "L",
@@ -80,7 +75,6 @@ __all__ = [
     "SegmentKind",
     "SphereDubinsError",
     "TurnGeometry",
-    "align_angle",
     "compose_path",
     "family_catalog",
     "path_length",

@@ -13,14 +13,6 @@ class MalformedConfiguration(InvalidInput):
     """A pose is not a valid point-plus-tangent on the sphere."""
 
 
-class DegenerateAlignment(SphereDubinsError):
-    """Angle recovery attempted with a probe vector parallel to the axis."""
-
-
-class InconsistentPair(SphereDubinsError):
-    """Angle recovery attempted for vectors with different axial components."""
-
-
 class RadiusOutOfRange(SphereDubinsError):
     """Turning radius outside the range the candidate catalog covers."""
 

@@ -26,12 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateAlignment,
-    InconsistentPair,
-    InvalidInput,
-    MalformedConfiguration,
-)
+from .errors import InvalidInput, MalformedConfiguration
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +34,7 @@ TWO_PI = 2.0 * math.pi
 # segment to exactly zero, merges roots, is the slack on a family-box bound,
 # and beta's margin from its excluded ends in the oracle's polish.
 ANGLE_EPS = 1e-9
-# Maximum axial-component mismatch tolerated by align_angle.
+# Maximum axial-component mismatch tolerated by align_angles.
 ALIGN_TOL = 1e-7
 # Minimum off-axis component required for angle recovery.
 PERP_EPS = 1e-7
@@ -145,11 +140,6 @@ def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     ux, uy, uz = u
     vx, vy, vz = v
     return np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
-
-
-def segment_generator(kind: SegmentKind | str, geom: TurnGeometry) -> np.ndarray:
-    """Unit-axis skew generator of a segment: d(rotation)/d(angle) at 0."""
-    return skew(turn_axis(kind, geom))
 
 
 def frame_generator(u_g: float) -> np.ndarray:
@@ -321,23 +311,6 @@ def sample_path(
     return samples
 
 
-def align_angle(axis: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """Angle in [0, 2*pi) whose rotation about `axis` maps `v` onto `w`.
-
-    Raises DegenerateAlignment when `v` is (nearly) parallel to the axis and
-    InconsistentPair when the axial components of `v` and `w` disagree, i.e.
-    no such rotation exists.  One row of `align_angles`.
-    """
-    v = np.asarray(v, dtype=float)[None]
-    w = np.asarray(w, dtype=float)[None]
-    (angle,), (degenerate,) = align_angles(np.asarray(axis, dtype=float), v, w)
-    if degenerate:
-        raise DegenerateAlignment("probe vector is parallel to the rotation axis")
-    if angle is None:
-        raise InconsistentPair(f"axial components differ by more than {ALIGN_TOL}")
-    return angle
-
-
 def _turn_angle(sine: float, cosine: float) -> float:
     """atan2 taken to [0, 2*pi), with a full turn within 1e-12 read as 0."""
     angle = math.atan2(sine, cosine)
@@ -370,7 +343,7 @@ def align_angles(
 
     Returns the angles, None where a row has no angle, and which rows are
     degenerate (`v` parallel to the axis); the other None rows have axial
-    components that differ by more than ALIGN_TOL.  `align_angle` is one row.
+    components that differ by more than ALIGN_TOL.
     """
     av = row_dots(axes, v)
     aw = row_dots(axes, w)

@@ -140,6 +140,12 @@ class FamilyTemplate:
         return cls(tag[:2] + pinned + tag[2:], kinds, fixed_middle)
 
     @property
+    def shape(self) -> tuple[int, bool]:
+        """Chain length and whether the middle is pinned: families of one
+        shape share `angles`, `slot_map` and `outer_cap`, and one solve."""
+        return len(self.kinds), self.fixed_middle is not None
+
+    @property
     def equal_middles(self) -> bool:  # 4/5-chains share one interior angle
         return len(self.kinds) >= 4
 
@@ -219,12 +225,12 @@ def _row_apply(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChainShape:
-    """Families of one shape (chain length and step-1 kind) at one turning
-    radius, with one read-only row per family of every constant their solve
-    reads: the axes, the interior and outer axes `_close_chain` turns about,
-    and for step 1 a single arc's probes, a free middle's `scalar_reduction`
-    triple, a fixed interior with its predicted a_1 . B a_n, or the
-    equal-middle Laurent coefficients."""
+    """Families of one `FamilyTemplate.shape` (chain length and step-1 kind)
+    at one turning radius, with one read-only row per family of every
+    constant their solve reads: the axes, the interior and outer axes
+    `_close_chain` turns about, and for step 1 a single arc's probes, a free
+    middle's `scalar_reduction` triple, a fixed interior with its predicted
+    a_1 . B a_n, or the equal-middle Laurent coefficients."""
 
     templates: tuple[FamilyTemplate, ...]
     axes: np.ndarray                    # (F, n, 3)
@@ -247,7 +253,7 @@ def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[Chain
     a tuple of several shapes shares its groups' own cache entries."""
     groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
     for t in templates:
-        groups.setdefault((len(t.kinds), t.fixed_middle is not None), []).append(t)
+        groups.setdefault(t.shape, []).append(t)
     if len(groups) != 1:
         return tuple(chain_shapes(r, tuple(group))[0] for group in groups.values())
     geom, first, n = TurnGeometry(r), templates[0], len(templates[0].kinds)

@@ -9,16 +9,17 @@ gate reads residuals of rotation matrices.  Free and pinned-middle restarts
 are first brought near a root by coordinate descent on the endpoint
 residual; equal-middle restarts (interior arcs pi + beta) go to the polish
 as drawn.  The oracle never consults the closed-form linkage solver, so
-agreement between the two is meaningful evidence.  The descent and the
-polish run the kept restarts of all families of one parameter shape (free
-1/2/3 slots, pinned pi, equal-middle 4 and 5) as one numpy batch; each row
-keeps its own axes, bounds and stop rule, and gets the same bits as in a
-batch of its family alone.  The polish drives every near-root to float64
-rounding, which matters at singular targets (a `CCC` middle arc of exactly
-pi): there a 1e-9 residual still admits paths shorter than the optimum by
-about 1e-5.  The cross-family audit compares the planner's proven catalog
-against the audit catalog (great-circle sandwiches and unconditional
-4/5-chains) on given instances.
+agreement between the two is meaningful evidence.  One search object
+serves each parameter shape (`FamilyTemplate.shape`: free 1/2/3 slots,
+pinned pi, equal-middle 4 and 5), with one row of axes and bounds per
+family; it descends and polishes the kept restarts of all its families as
+one numpy batch, each row with its own family's axes, bounds and stop
+rule and the same bits as in a batch of its family alone.  The polish
+drives every near-root to float64 rounding, which matters at singular
+targets (a `CCC` middle arc of exactly pi): there a 1e-9 residual still
+admits paths shorter than the optimum by about 1e-5.  The cross-family
+audit compares the planner's proven catalog against the audit catalog
+(great-circle sandwiches and unconditional 4/5-chains) on given instances.
 """
 
 from __future__ import annotations
@@ -101,41 +102,29 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
 
 
 class _FamilySearch:
-    """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for one family's feasible box (`FamilyTemplate`).
-    `stack` joins the restarts of several families of one parameter shape
-    for the descent and the polish."""
+    """Sampling, composition, descent, the Levenberg-Marquardt polish and
+    the per-restart finish for the families of one parameter shape
+    (`FamilyTemplate.shape`), with one row per family of its axes,
+    generators, quaternion steps and margined box.  `template` (the first
+    family) gives the shape's `angles`, `slot_map` and `outer_cap`.  A batch
+    of restarts names its rows' families (indices into `templates`) in
+    `owner`; every product is one row's own, so a row gets the same bits in
+    any batch."""
 
-    def __init__(self, template: FamilyTemplate, geom: TurnGeometry):
-        self.template = template
-        self.axes = np.array([turn_axis(k, geom) for k in template.kinds])
-        self.generators = np.array([skew(a) for a in self.axes])
-        self.quaternion_steps = np.array([_right_product(a).T for a in self.axes])
-        # slots-by-params matrix d(angles)/d(params): the polish's Jacobian chain rule
-        self.slot_map = template.slot_map
-        lows, highs = template.box
+    def __init__(self, templates: list[FamilyTemplate], geom: TurnGeometry):
+        self.templates = tuple(templates)
+        self.template = templates[0]
+        self.axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
+        self.generators = np.array([[skew(a) for a in row] for row in self.axes])
+        self.quaternion_steps = np.array([[_right_product(a).T for a in row] for row in self.axes])
+        lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in templates)))
         # beta's interval is open: the polish stays ANGLE_EPS inside it
-        margin = np.array([0.0, ANGLE_EPS, 0.0]) if template.equal_middles else 0.0
+        margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
 
-    @classmethod
-    def stack(cls, searches: list[_FamilySearch], counts: list[int]) -> _FamilySearch:
-        """One search over `counts[i]` restarts of each `searches[i]`, all of one
-        parameter shape (slots and parameters, hence `angles`, `slot_map` and
-        `outer_cap`): each row keeps its family's axes, generators and box.
-        A stack descends and polishes; it does not sample or compose."""
-        owner = np.repeat(np.arange(len(searches)), counts)
-        stacked = cls.__new__(cls)
-        stacked.template = searches[0].template
-        stacked.slot_map = stacked.template.slot_map
-        stacked.axes = np.stack([s.axes for s in searches])[owner]
-        stacked.generators = np.stack([s.generators for s in searches])[owner]
-        stacked.box = tuple(np.stack(bound)[owner] for bound in zip(*(s.box for s in searches)))
-        return stacked
-
     # -- sampling ----------------------------------------------------------
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lows, highs = self.template.box
+    def sample(self, rng: np.random.Generator, n: int, family: int) -> np.ndarray:
+        lows, highs = self.templates[family].box
         if self.template.equal_middles:  # beta first, then outer arcs up to its cap
             params = np.zeros((n, 3))
             params[:, 1] = rng.uniform(lows[1], highs[1], size=n)
@@ -145,41 +134,36 @@ class _FamilySearch:
             return params
         return rng.uniform(lows, highs, size=(n, len(lows)))
 
-    def compose_batch(self, params: np.ndarray) -> np.ndarray:
-        """Unit quaternions (n, 4) of the sampled chains: slot by slot,
-        q <- cos(angle/2) q + sin(angle/2) q (0, axis).  They only rank the
-        samples (`forward_oracle`) to choose restarts; every gate reads the
-        residuals of `_chain` and `compose_path`."""
+    def compose_batch(self, params: np.ndarray, family: int) -> np.ndarray:
+        """Unit quaternions (n, 4) of one family's sampled chains: slot by
+        slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis).  They only rank
+        the samples (`forward_oracle`) to choose restarts; every gate reads
+        the residuals of `_chain` and `compose_path`."""
         half = 0.5 * self.template.angles(params)
         cos, sin = np.cos(half), np.sin(half)
         q = np.zeros((len(params), 4))
         q[:, 0] = 1.0
-        for slot, step in enumerate(self.quaternion_steps):
+        for slot, step in enumerate(self.quaternion_steps[family]):
             q = cos[:, slot, None] * q + sin[:, slot, None] * (q @ step)
         return q
 
-    def segments_for(self, params: np.ndarray) -> tuple[Segment, ...]:
-        angles = self.template.angles(params[None, :])[0]
-        return tuple(Segment(k, a) for k, a in zip(self.template.kinds, angles))
-
-    # -- polish and per-restart finish -------------------------------------
-    def refine(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, float]:
+    # -- descent, polish and per-restart finish ----------------------------
+    def refine(self, m: np.ndarray, params: np.ndarray, family: int) -> tuple[np.ndarray, float]:
         """Finish one restart after the polish (`_polish`): its parameters
         and the endpoint residual that `forward_oracle` gates on."""
-        end = _chain(self.axes, self.template.angles(params[None, :]))[0]
+        end = _chain(self.axes[family], self.template.angles(params[None, :]))[0]
         return params, float(np.linalg.norm(end - m))
 
-    def linearize(self, params: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch;
-        on a stack, `params` holds its `rows`.
+    def linearize(self, params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch.
 
         Slot j's column of d(endpoint)/d(angle) is prefix_j @ skew(a_j) @
         suffix_j, with prefix_j the product of the slots before j and
         suffix_j that of slot j onward; `slot_map` takes it to parameters.
         The endpoint is `_chain`'s product, to the bit.
         """
-        generators = self.generators[rows]
-        rots = rotations_about_axis(self.axes[rows], self.template.angles(params))
+        generators = self.generators[owner]
+        rots = rotations_about_axis(self.axes[owner], self.template.angles(params))
         n = rots.shape[1]
         prefix = [rots[:, 0]]
         for j in range(1, n):
@@ -188,26 +172,33 @@ class _FamilySearch:
         for j in range(n - 2, -1, -1):
             suffix.append(rots[:, j] @ suffix[-1])
         suffix.reverse()
-        columns = [generators[..., 0, :, :] @ suffix[0]]
-        columns += [prefix[j - 1] @ generators[..., j, :, :] @ suffix[j] for j in range(1, n)]
+        columns = [generators[:, 0] @ suffix[0]]
+        columns += [prefix[j - 1] @ generators[:, j] @ suffix[j] for j in range(1, n)]
         slots = np.stack(columns, axis=-1).reshape(len(params), 9, n)
-        return prefix[-1], slots @ self.slot_map
+        return prefix[-1], slots @ self.template.slot_map
 
-    def _clamp(self, params: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def _clamp(self, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Into the box; equal-middle outer angles also to at most `outer_cap`."""
         lows, highs = self.box
-        params = np.clip(params, lows[rows], highs[rows])
+        params = np.clip(params, lows[owner], highs[owner])
         if self.template.equal_middles:
             cap = self.template.outer_cap(self.template.angles(params).T)
             params[:, [0, 2]] = np.minimum(params[:, [0, 2]], cap[:, None])
         return params
 
-    def _polish(self, m: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levenberg-Marquardt on a stack's restarts (`stack`), all rows at
-        once, each with its own axes and box: every row is driven towards
+    def _descend(self, m: np.ndarray, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Coordinate descent (`_descend_angles`) of free or pinned-middle restarts."""
+        lo, hi = (self.template.angles(bound[owner]) for bound in self.box)
+        angles = _descend_angles(self.axes[owner], lo, hi, self.template.angles(params), m)
+        return angles @ self.template.slot_map  # a column selection: the parameters' arcs
+
+    def _polish(
+        self, m: np.ndarray, params: np.ndarray, owner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Levenberg-Marquardt on a batch of restarts, all rows at once, each
+        with its own family's axes and box: every row is driven towards
         POLISH_FLOOR.  Returns the parameters and the smallest singular
-        value of each row's parameter Jacobian there.  Every product is one
-        row's own, so a row gets the same bits in any stack.
+        value of each row's parameter Jacobian there.
 
         The damped step comes from the SVD of J, not from J^T J, which
         would square a near-zero singular value; the damping is relative to
@@ -230,7 +221,7 @@ class _FamilySearch:
         1e-6 dominance bound.
         """
         params = params.copy()
-        ends, jac = self.linearize(params)
+        ends, jac = self.linearize(params, owner)
         res = (ends - m).reshape(len(params), 9)
         norm = np.linalg.norm(res, axis=1)
         damping = np.full(len(params), POLISH_DAMP)
@@ -243,8 +234,9 @@ class _FamilySearch:
             u, s, vt = np.linalg.svd(jac[active], full_matrices=False)
             lam = damping[active, None] * s[:, :1] ** 2
             coef = s / (s * s + lam) * np.einsum("kip,ki->kp", u, res[active])
-            trial = self._clamp(params[active] - np.einsum("kpq,kp->kq", vt, coef), active)
-            ends, trial_jac = self.linearize(trial, active)
+            rows = owner[active]
+            trial = self._clamp(params[active] - np.einsum("kpq,kp->kq", vt, coef), rows)
+            ends, trial_jac = self.linearize(trial, rows)
             trial_res = (ends - m).reshape(len(active), 9)
             trial_norm = np.linalg.norm(trial_res, axis=1)
             better = trial_norm < norm[active]
@@ -311,13 +303,6 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     return angles
 
 
-def _descend(stack: _FamilySearch, params: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Coordinate descent of a free or pinned-middle stack's restarts."""
-    lo, hi = (stack.template.angles(bound) for bound in stack.box)
-    angles = _descend_angles(stack.axes, lo, hi, stack.template.angles(params), m)
-    return angles @ stack.slot_map  # a column selection: the parameters' arcs
-
-
 def forward_oracle(
     m: np.ndarray,
     geom: TurnGeometry,
@@ -331,9 +316,12 @@ def forward_oracle(
     `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
     above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
     polished, those of free and pinned-middle families after a coordinate
-    descent; the descent and the polish run one stack per parameter shape.
-    `min_singular` is the smallest singular value of the winner's parameter
-    Jacobian, from the polish.  Results are deterministic for a fixed seed.
+    descent.  One search (`_FamilySearch`) per parameter shape samples and
+    ranks each of its families, then descends and polishes all their
+    restarts in one batch; the restarts are finished in catalog order, so
+    the first of two equal lengths wins.  `min_singular` is the smallest
+    singular value of the winner's parameter Jacobian, from the polish.
+    Results are deterministic for a fixed seed.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -346,44 +334,40 @@ def forward_oracle(
     if identity_residual <= TOL_RESIDUAL:
         best = OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
-    searches = [_FamilySearch(template, geom) for template in families]
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for index, template in enumerate(families):
+        groups.setdefault(template.shape, []).append(index)
     davenport = _davenport(m)
-    starts = []
-    for index, search in enumerate(searches):
-        rng = np.random.default_rng(seed + index)
-        params = search.sample(rng, per_family)
-        starts.append(params[_top_restarts(search.compose_batch(params), davenport)])
+    restarts = []  # (catalog index, search, family, parameters, min singular) per restart
+    for members in groups.values():
+        search = _FamilySearch([families[i] for i in members], geom)
+        starts = []
+        for family, index in enumerate(members):
+            params = search.sample(np.random.default_rng(seed + index), per_family, family)
+            starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
+        owner = np.repeat(np.arange(len(members)), [len(rows) for rows in starts])
+        params = np.concatenate(starts)
+        if not search.template.equal_middles:  # equal middles: the polish moves beta too
+            params = search._descend(m, params, owner)
+        params, singular = search._polish(m, params, owner)
+        restarts += [(members[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
 
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for index, search in enumerate(searches):
-        shapes.setdefault(search.slot_map.shape, []).append(index)
-    polished = [None] * len(searches)  # per family: its restarts' parameters and min singular
-    for members in shapes.values():
-        counts = [len(starts[i]) for i in members]
-        stack = _FamilySearch.stack([searches[i] for i in members], counts)
-        params = np.concatenate([starts[i] for i in members])
-        if not stack.template.equal_middles:  # equal middles: the polish moves beta too
-            params = _descend(stack, params, m)
-        params, singular = stack._polish(m, params)
-        splits = np.cumsum(counts)[:-1]
-        for i, rows, values in zip(members, np.split(params, splits), np.split(singular, splits)):
-            polished[i] = (rows, values)
-
-    for search, restarts in zip(searches, polished):
-        for params, min_singular in zip(*restarts):
-            refined, res = search.refine(m, params)
-            if res > ACCEPT_GATE:
-                continue
-            segments = search.segments_for(refined)
-            res_canonical = float(np.linalg.norm(compose_path(segments, geom) - m))
-            if res_canonical > TOL_RESIDUAL:
-                continue
-            length = path_length(segments, geom)
-            if length < best.length:
-                best = OracleResult(
-                    segments, length, res_canonical, search.template.tag, evaluations,
-                    float(min_singular),
-                )
+    restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
+    for _, search, family, params, min_singular in restarts:
+        refined, res = search.refine(m, params, family)
+        if res > ACCEPT_GATE:
+            continue
+        template = search.templates[family]
+        angles = template.angles(refined[None, :])[0]
+        segments = tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
+        res_canonical = float(np.linalg.norm(compose_path(segments, geom) - m))
+        if res_canonical > TOL_RESIDUAL:
+            continue
+        length = path_length(segments, geom)
+        if length < best.length:
+            best = OracleResult(
+                segments, length, res_canonical, template.tag, evaluations, float(min_singular)
+            )
     return best
 
 

@@ -5,12 +5,7 @@ import pytest
 
 from conftest import random_configuration, random_unit
 from sphere_dubins import geometry as geo
-from sphere_dubins.errors import (
-    DegenerateAlignment,
-    InconsistentPair,
-    InvalidInput,
-    MalformedConfiguration,
-)
+from sphere_dubins.errors import InvalidInput, MalformedConfiguration
 from sphere_dubins.lemmas import triple_turn_pi_entries
 
 GEOM = geo.TurnGeometry.from_radius(0.5)
@@ -96,7 +91,7 @@ def test_configuration_from_frame_rejects_nan():
 def test_segment_generators_are_skew_with_matching_axis():
     g = geo.TurnGeometry.from_radius(0.71)
     for kind in ("L", "R", "G"):
-        gen = geo.segment_generator(kind, g)
+        gen = geo.skew(geo.turn_axis(kind, g))
         assert np.max(np.abs(gen + gen.T)) == 0.0
         axis = geo.turn_axis(kind, g)
         recovered = np.array([gen[2, 1], gen[0, 2], gen[1, 0]])
@@ -223,19 +218,28 @@ def test_path_length_matches_published_example():
     assert abs(geo.path_length(segs, g) - 3.2245) <= 5e-4
 
 
+def _align_one(axis, v, w):
+    """`align_angles` on one row: the angle (None if there is none) and
+    whether the row is degenerate."""
+    (angle,), (degenerate,) = geo.align_angles(axis, v[None], w[None])
+    return angle, degenerate
+
+
 def test_align_angle_basics():
     z = np.array([0.0, 0.0, 1.0])
     v = np.array([1.0, 0.0, 0.0])
-    assert geo.align_angle(z, v, v) == 0.0
-    assert geo.align_angle(z, v, np.array([0.0, 1.0, 0.0])) == pytest.approx(math.pi / 2)
+    assert _align_one(z, v, v) == (0.0, False)
+    angle, degenerate = _align_one(z, v, np.array([0.0, 1.0, 0.0]))
+    assert not degenerate
+    assert angle == pytest.approx(math.pi / 2)
 
 
 def test_align_angle_errors():
     z = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateAlignment):
-        geo.align_angle(z, z, z)
-    with pytest.raises(InconsistentPair):
-        geo.align_angle(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    # a probe parallel to the axis is degenerate and has no angle
+    assert _align_one(z, z, z) == (None, True)
+    # axial components that differ: no angle, and not degenerate
+    assert _align_one(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])) == (None, False)
 
 
 def test_align_angle_roundtrip_property():
@@ -247,7 +251,8 @@ def test_align_angle_roundtrip_property():
             continue
         angle = rng.uniform(0.0, 2 * math.pi)
         w = geo.rotation_about_axis(axis, angle) @ v
-        recovered = geo.align_angle(axis, v, w)
+        recovered, degenerate = _align_one(axis, v, w)
+        assert not degenerate and recovered is not None
         assert np.max(np.abs(geo.rotation_about_axis(axis, recovered) @ v - w)) <= 1e-7
 
 

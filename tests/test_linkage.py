@@ -408,20 +408,48 @@ def _sturm_count(p: Poly, lo: Fraction, hi: Fraction) -> int:
     return changes(lo) - changes(hi)
 
 
+def _near_double_targets(template, g, rng) -> list[np.ndarray]:
+    """One target per interior extremum beta* of a_1 . B(beta) a_n in (0, pi):
+    an in-box chain composed at beta* +- delta, delta in [5e-5, 5e-4], so
+    a_1 . M a_n sits just past the extremum and the trig polynomial has a
+    root pair 1e-4 to 1e-3 apart."""
+    pattern = "".join(k.value for k in template.kinds)
+    grid = np.linspace(0.0, math.pi, 401)[1:-1]
+    gap = np.array([_interior_gap(pattern, g, b) for b in grid])
+    targets = []
+    for i in np.flatnonzero(np.diff(np.sign(np.diff(gap)))):
+        sign = 1.0 if gap[i + 1] > gap[i] else -1.0  # a maximum, else a minimum
+        peak = optimize.minimize_scalar(
+            lambda b: -sign * _interior_gap(pattern, g, b),
+            bracket=(grid[i], grid[i + 1], grid[i + 2]), tol=1e-12,
+        ).x
+        beta = peak + rng.choice([-1.0, 1.0]) * rng.uniform(5e-5, 5e-4)
+        outer = rng.uniform(0.0, math.pi + beta, size=2)
+        angles = [outer[0]] + [math.pi + beta] * (len(pattern) - 2) + [outer[1]]
+        targets.append(compose(pattern, angles, g))
+    return targets
+
+
 @pytest.mark.parametrize("r", [0.55, 0.71, 0.8, 0.85, math.sqrt(3.0) / 2.0])
 def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
     """The root pass (`_interior_roots`: companion eigenvalues, the unit band,
     Newton polish) finds as many roots in beta in (ROOT_END_BAND,
     pi - ROOT_END_BAND) as an exact Sturm count of each row's polynomial in
-    t = tan(beta / 2), on random targets and in-box 4- and 5-chain paths.
-    Rows whose count changes when the constant term moves by +-1e-9 (roots
-    that close to a double root or a band end) are excluded; at most 2 of
-    each radius's 88 rows may be, and none is."""
+    t = tan(beta / 2), on random targets, in-box 4- and 5-chain paths and
+    near-double targets beside every interior extremum of each family
+    (`_near_double_targets`), whose eigenvalues sit farthest off the unit
+    circle; each near-double row keeps its root pair unless excluded.  Rows
+    whose count changes when the constant term moves by +-1e-9 (roots that
+    close to a double root or a band end) are excluded; at most 2 of each
+    radius's rows may be, and one is: at r = 0.71 a 5-chain pair 1.1e-4
+    apart, with a third root 1.1e-5 from pi."""
     g = geo.TurnGeometry.from_radius(r)
     rng = np.random.default_rng(int(r * 1e4))
     templates = [lk.FamilyTemplate.of(p) for p in ("LRLR", "RLRL", "LRLRL", "RLRLR")]
     targets = [random_rotation(rng) for _ in range(10)]
     targets += [geo.compose_path(random_in_bounds_path(t, rng), g) for t in templates for _ in range(3)]
+    near_doubles = [m for t in templates for m in _near_double_targets(t, g, rng)]
+    targets += near_doubles
     seen = []
     interior_roots = lk._interior_roots
 
@@ -435,7 +463,7 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
         lk.solve_chain(template, np.stack(targets), g)
     lo = Fraction(math.tan(0.5 * lk.ROOT_END_BAND))
     hi = Fraction(math.tan(0.5 * (math.pi - lk.ROOT_END_BAND)))
-    counted = excluded = 0
+    counted = excluded = pairs = 0
     for coeffs, betas in seen:
         count = _sturm_count(_tangent_half_polynomial(coeffs), lo, hi)
         moved = {_sturm_count(_tangent_half_polynomial(coeffs, d * Fraction(1e-9)), lo, hi)
@@ -445,4 +473,6 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
             continue
         counted += count
         assert len(betas) == count, (coeffs.tolist(), betas, count)
+        pairs += any(0.0 < b - a <= 1e-3 for a, b in zip(sorted(betas), sorted(betas)[1:]))
     assert len(seen) == 4 * len(targets) and excluded <= 2 and counted >= 12
+    assert len(near_doubles) >= 4 and pairs >= len(near_doubles) - excluded

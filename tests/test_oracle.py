@@ -130,77 +130,80 @@ def _central_jacobian(endpoint, params, h=1e-6):
 @pytest.mark.parametrize("pattern, fixed", JACOBIAN_FAMILIES)
 def test_polish_jacobian_matches_central_differences(pattern, fixed):
     geom = geo.TurnGeometry.from_radius(0.8)
-    search = orc._FamilySearch(pl.FamilyTemplate.of(pattern, fixed), geom)
-    params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20)
-    ends, jac = search.linearize(params)
-    assert np.array_equal(ends, orc._chain(search.axes, search.template.angles(params)))
+    search = orc._FamilySearch([pl.FamilyTemplate.of(pattern, fixed)], geom)
+    params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20, 0)
+    owner = np.zeros(20, dtype=int)
+    ends, jac = search.linearize(params, owner)
+    assert np.array_equal(ends, orc._chain(search.axes[owner], search.template.angles(params)))
     assert jac.shape == (20, 9, params.shape[1])
     def endpoint(p):
-        return orc._chain(search.axes, search.template.angles(p[None, :]))[0]
+        return orc._chain(search.axes[0], search.template.angles(p[None, :]))[0]
 
     for row, analytic in zip(params, jac):
         assert np.max(np.abs(analytic - _central_jacobian(endpoint, row))) <= 1e-7
 
 
 def _audit_searches(r):
+    """The oracle's searches at r, one per parameter shape, and the audit catalog."""
     geom = geo.TurnGeometry.from_radius(r)
-    return geom, [orc._FamilySearch(f, geom) for f in pl.family_catalog(r, mode="all") if f.kinds]
+    families = [f for f in pl.family_catalog(r, mode="all") if f.kinds]
+    shapes = {}
+    for template in families:
+        shapes.setdefault(template.shape, []).append(template)
+    return geom, [orc._FamilySearch(group, geom) for group in shapes.values()], families
 
 
 @pytest.mark.parametrize("r", [0.3, 0.8])
 def test_quaternion_ranking_keeps_the_residual_order(r):
-    geom, searches = _audit_searches(r)
+    geom, searches, families = _audit_searches(r)
     m = orc.random_rotation(np.random.default_rng(int(r * 100)))
     davenport = orc._davenport(m)
-    for index, search in enumerate(searches):
-        params = search.sample(np.random.default_rng(index), 2000)
-        q = search.compose_batch(params)
-        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-12
-        chains = orc._chain(search.axes, search.template.angles(params))
-        residual = np.linalg.norm(chains - m, axis=(1, 2))
-        trace = np.einsum("nij,ij->n", chains, m)
-        assert np.max(np.abs(np.einsum("ni,ni->n", q @ davenport, q) - trace)) <= 1e-12
-        expected = np.argsort(residual)[:orc.REFINE_TOP]
-        assert np.array_equal(orc._top_restarts(q, davenport), expected), search.template.tag
+    for search in searches:
+        for family, template in enumerate(search.templates):
+            params = search.sample(np.random.default_rng(families.index(template)), 2000, family)
+            q = search.compose_batch(params, family)
+            assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-12
+            chains = orc._chain(search.axes[family], search.template.angles(params))
+            residual = np.linalg.norm(chains - m, axis=(1, 2))
+            trace = np.einsum("nij,ij->n", chains, m)
+            assert np.max(np.abs(np.einsum("ni,ni->n", q @ davenport, q) - trace)) <= 1e-12
+            expected = np.argsort(residual)[:orc.REFINE_TOP]
+            assert np.array_equal(orc._top_restarts(q, davenport), expected), template.tag
 
 
 @pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
 def test_stacked_polish_matches_each_family_alone(r):
-    """Polishing every family of a parameter shape in one stack gives each
-    row the bits of polishing its family alone, on seeded restarts (after
-    the descent, as in `forward_oracle`) and on restarts 1e-9 off a root."""
-    geom, searches = _audit_searches(r)
+    """Polishing every family of a parameter shape in one batch gives each
+    row the bits of a search built for its family alone, on seeded restarts
+    (after the descent, as in `forward_oracle`) and on restarts 1e-9 off a
+    root."""
+    geom, searches, _ = _audit_searches(r)
     rng = np.random.default_rng(int(r * 1000))
     m = geo.compose_path(random_in_bounds_path(pl.FamilyTemplate.of("LRLR"), rng), geom)
-    shapes = {}
-    for search in searches:
-        shapes.setdefault(search.slot_map.shape, []).append(search)
-    assert len(shapes) == (6 if r > SQRT2_INV else 5)
+    assert len(searches) == (6 if r > SQRT2_INV else 5)
     near_roots = 0
-    for family in shapes.values():
-        starts = []
-        for search in family:
-            alone = orc._FamilySearch.stack([search], [6])
-            seeded = search.sample(rng, 6)
-            if not search.template.equal_middles:
-                seeded = orc._descend(alone, seeded, m)
-            polished, _ = alone._polish(m, seeded)
-            ends, _ = alone.linearize(polished)
+    for search in searches:
+        starts, owners = [], []
+        for family, template in enumerate(search.templates):
+            alone = orc._FamilySearch([template], geom)
+            seeded = alone.sample(rng, 6, 0)
+            if not template.equal_middles:
+                seeded = alone._descend(m, seeded, np.zeros(6, dtype=int))
+            polished, _ = alone._polish(m, seeded, np.zeros(6, dtype=int))
+            ends, _ = alone.linearize(polished, np.zeros(6, dtype=int))
             roots = polished[np.linalg.norm(ends - m, axis=(1, 2)) <= orc.ACCEPT_GATE]
             near_roots += len(roots)
             near = roots + 1e-9 * rng.standard_normal(roots.shape)
-            near = orc._FamilySearch.stack([search], [len(near)])._clamp(near)
+            near = alone._clamp(near, np.zeros(len(near), dtype=int))
             starts.append(np.concatenate([seeded, near]))
-        counts = [len(rows) for rows in starts]
-        stack = orc._FamilySearch.stack(family, counts)
-        params, singular = stack._polish(m, np.concatenate(starts))
-        splits = np.cumsum(counts)[:-1]
-        for search, rows, got, got_singular in zip(
-            family, starts, np.split(params, splits), np.split(singular, splits)
-        ):
-            alone, alone_singular = orc._FamilySearch.stack([search], [len(rows)])._polish(m, rows)
-            assert np.array_equal(got, alone), search.template.tag
-            assert np.array_equal(got_singular, alone_singular), search.template.tag
+            owners.append(np.full(len(starts[-1]), family))
+        owner = np.concatenate(owners)
+        params, singular = search._polish(m, np.concatenate(starts), owner)
+        for family, (template, rows) in enumerate(zip(search.templates, starts)):
+            alone = orc._FamilySearch([template], geom)
+            got, got_singular = alone._polish(m, rows, np.zeros(len(rows), dtype=int))
+            assert np.array_equal(params[owner == family], got), template.tag
+            assert np.array_equal(singular[owner == family], got_singular), template.tag
     assert near_roots >= 10
 
 
