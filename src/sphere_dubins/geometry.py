@@ -38,6 +38,10 @@ ANGLE_EPS = 1e-9
 ALIGN_TOL = 1e-7
 # Minimum off-axis component required for angle recovery.
 PERP_EPS = 1e-7
+# A Configuration's position and tangent are unit within CONFIG_UNIT_TOL and
+# orthogonal within CONFIG_ORTHO_TOL.
+CONFIG_UNIT_TOL = 1e-12
+CONFIG_ORTHO_TOL = 1e-10
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -215,10 +219,13 @@ class Configuration:
         tan = np.array(self.tangent, dtype=float)
         if pos.shape != (3,) or tan.shape != (3,):
             raise MalformedConfiguration("position and tangent must be 3-vectors")
-        unit = abs(np.linalg.norm(pos) - 1.0) <= 1e-12 and abs(np.linalg.norm(tan) - 1.0) <= 1e-12
+        unit = (
+            abs(np.linalg.norm(pos) - 1.0) <= CONFIG_UNIT_TOL
+            and abs(np.linalg.norm(tan) - 1.0) <= CONFIG_UNIT_TOL
+        )
         if not unit:
             raise MalformedConfiguration("position and tangent must be unit vectors")
-        if not abs(float(pos @ tan)) <= 1e-10:
+        if not abs(float(pos @ tan)) <= CONFIG_ORTHO_TOL:
             raise MalformedConfiguration("tangent must be orthogonal to position")
         pos.setflags(write=False)
         tan.setflags(write=False)
@@ -370,29 +377,3 @@ def probe_orthogonal(axis: np.ndarray) -> np.ndarray:
         if n >= PERP_EPS:
             return p / n
     raise InvalidInput("axis has no orthogonal complement (not a unit vector?)")
-
-
-def orthonormalize_pose(
-    position: np.ndarray, tangent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Project a near-valid pose onto the sphere (modified Gram-Schmidt).
-
-    Returns the unit position, the unit tangent re-orthogonalized against it,
-    and the largest adjustment that was needed (0 means input was exact).
-    """
-    position = np.asarray(position, dtype=float)
-    tangent = np.asarray(tangent, dtype=float)
-    pn = np.linalg.norm(position)
-    tn = np.linalg.norm(tangent)
-    if pn == 0.0 or tn == 0.0:
-        raise MalformedConfiguration("position and tangent must be nonzero")
-    x = position / pn
-    t = tangent / tn
-    ortho = float(x @ t)
-    t = t - ortho * x
-    t_norm = np.linalg.norm(t)
-    if t_norm < 1e-6:
-        raise MalformedConfiguration("tangent is parallel to position")
-    t = t / t_norm
-    deviation = max(abs(pn - 1.0), abs(tn - 1.0), abs(ortho))
-    return x, t, deviation

@@ -389,16 +389,20 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+_START = Configuration.canonical()  # every `request_for_target` starts here
+_START_FRAME = _START.frame()
+_START_FRAME.setflags(write=False)
+
+
 def request_for_target(
     m: np.ndarray, unit_r: float, sphere_radius: float = 1.0
 ) -> PlanRequest:
     """Plan request from the canonical start to the frame reached by m."""
-    start = Configuration.canonical()
-    final_frame = start.frame() @ m
+    final_frame = _START_FRAME @ m
     return PlanRequest(
         sphere_radius=sphere_radius,
         turning_radius=unit_r * sphere_radius,
-        initial=Pose(start.position * sphere_radius, start.tangent),
+        initial=Pose(_START.position * sphere_radius, _START.tangent),
         final=Pose(final_frame[:, 0] * sphere_radius, final_frame[:, 1]),
     )
 

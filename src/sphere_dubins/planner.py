@@ -4,32 +4,52 @@ The planner scales the problem to the unit sphere, enumerates the candidate
 family catalog for the turning-radius regime, solves every family inside its
 box through the linkage solver, lets the pinned-middle families own the
 free turn-triple roots at middle pi, and ranks the candidates by physical
-length.  Output is deterministic for fixed inputs and options.  `plan_batch`
-plans many requests at once, solving every family in one call per turning
-radius on the stacked targets; `plan` is its one-request case.
+length.  Output is deterministic for fixed inputs and options.
+
+`plan_batch` plans many requests on arrays, and `plan` is its one-request
+case.  `normalize_requests` normalizes every request at once on stacks of
+poses, then checks the requests in input order and raises the first failing
+request's first failing check; `normalize_problem` is its one-request case.
+Each unit turning radius's catalog is solved in one `linkage.solve_shapes`
+call on the stacked targets, and `_assemble` turns every solution of the
+group into a row (target, family, angles padded to five slots), ordered by
+one `np.lexsort`.
+A candidate duplicates an earlier kept one when its nonzero kinds are the
+same and every angle is within DEDUP_ANGLE_TOL, so duplicates differ in unit
+length by at most five times that plus rounding: only rows that close in
+length to another are compared exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MalformedConfiguration, NoCandidateFound, RadiusOutOfRange
 from .geometry import (
     ANGLE_EPS,
+    CONFIG_ORTHO_TOL,
+    CONFIG_UNIT_TOL,
     Configuration,
     Segment,
     SegmentKind,
     TurnGeometry,
     compose_path,  # noqa: F401  perfbench/tracing.py wraps planner.compose_path
-    orthonormalize_pose,
-    path_length,
-    relative_rotation,
+    row_dots,
 )
-from .linkage import CandidateSolution, FamilyTemplate, chain_shapes, solve_chain, solve_shapes
+from .linkage import (
+    CACHE_SIZE,
+    CandidateSolution,
+    ChainShape,
+    FamilyTemplate,
+    chain_shapes,
+    solve_chain,
+    solve_shapes,
+)
 # perfbench/tracing.py wraps planner.solve_one, solve_two, solve_three and solve_equal_middle
 from .linkage import solve_equal_middle, solve_one, solve_three, solve_two  # noqa: F401
 
@@ -39,6 +59,7 @@ MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
+PARALLEL_TOL = 1e-6          # a re-orthogonalized tangent this short was parallel to the position
 
 
 @dataclass(frozen=True)
@@ -151,37 +172,77 @@ class PlanResult:
         return self.candidates[self.best]
 
 
-def _validated_configuration(pose: Pose, sphere_radius: float, label: str) -> tuple[Configuration, float]:
-    position = pose.position
-    tangent = pose.tangent
-    if position.shape != (3,) or tangent.shape != (3,):
-        raise MalformedConfiguration(f"{label}: position and tangent must be 3-vectors")
-    if not (np.all(np.isfinite(position)) and np.all(np.isfinite(tangent))):
-        raise MalformedConfiguration(f"{label}: position and tangent must be finite")
-    norm = float(np.linalg.norm(position))
-    if norm == 0.0 or abs(norm - sphere_radius) / sphere_radius > INPUT_FRAME_TOL:
-        raise MalformedConfiguration(
-            f"{label}.position: norm {norm:.9g} not within {INPUT_FRAME_TOL:g} "
-            f"relative of sphere_radius {sphere_radius:.9g}"
-        )
-    t_norm = float(np.linalg.norm(tangent))
-    if t_norm == 0.0 or abs(t_norm - 1.0) > INPUT_FRAME_TOL:
-        raise MalformedConfiguration(f"{label}.tangent: norm {t_norm:.9g} is not unit")
-    unit_pos = position / sphere_radius
-    ortho = abs(float(unit_pos @ tangent)) / (np.linalg.norm(unit_pos) * t_norm)
-    if ortho > INPUT_FRAME_TOL:
-        raise MalformedConfiguration(
-            f"{label}: tangent not orthogonal to position (|cos| = {ortho:.3e})"
-        )
-    x, t, deviation = orthonormalize_pose(unit_pos, tangent)
-    return Configuration(position=x, tangent=t), deviation
+_NAN3 = np.full(3, math.nan)
 
 
-def normalize_problem(
-    req: PlanRequest, best_effort: bool = False
-) -> tuple[np.ndarray, TurnGeometry, Configuration, Configuration, float]:
-    """Full normalization: target rotation, geometry, unit-sphere endpoint
-    configurations, and the largest pose adjustment applied on input."""
+def normalize_requests(
+    requests: Sequence[PlanRequest], best_effort: bool = False
+) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
+    """Validate and normalize requests as stacks: the targets (N, 3, 3), the
+    unit turning radii, the unit-sphere endpoint frames (N, 2, 3, 3) (initial,
+    final; columns position, tangent, normal) and each request's largest
+    pose adjustment, radii and adjustments as Python floats.
+
+    Every quantity a check reads is computed on the (N, 2, 2, 3) stack of
+    each request's initial and final position and tangent, as are the
+    modified Gram-Schmidt repair of a near-valid pose, the normals and the
+    targets.  Each product is a 1x3 @ 3x1 or 3x3 @ 3x3 matmul per row
+    (`row_dots`), with the bits of the one-vector form.  `_checked_radius`
+    then reads those values back as Python floats and walks the requests in
+    input order, so a stack with a failing request raises the first one's
+    first failing check, the exception that request raises alone.  (The
+    walk costs about 1 us per request; the same 23 comparisons vectorized
+    cost about 25 us per call, which a single `plan` would pay in full.)"""
+    n = len(requests)
+    vectors = [
+        v for q in requests
+        for v in (q.initial.position, q.initial.tangent, q.final.position, q.final.tangent)
+    ]
+    shaped = [v.shape == (3,) for v in vectors]
+    if not all(shaped):
+        vectors = [v if ok else _NAN3 for v, ok in zip(vectors, shaped)]
+    poses = np.array(vectors, dtype=float).reshape(n, 2, 2, 3)  # request, end, (position, tangent)
+    scale = np.ones((n, 1, 2, 1))  # positions are divided by the sphere radius, tangents by 1
+    scale[:, 0, 0, 0] = [q.sphere_radius for q in requests]
+    with np.errstate(all="ignore"):  # a request past its first failing check holds anything
+        norms = np.sqrt(row_dots(poses, poses))  # |position|, |tangent|
+        scaled = poses / scale
+        lengths = np.sqrt(row_dots(scaled, scaled))  # |unit position|, |tangent|
+        inner = row_dots(scaled[:, :, 0], scaled[:, :, 1])
+        ortho = np.abs(inner) / (lengths[..., 0] * norms[..., 1])
+        frame = scaled / lengths[..., None]
+        x, t = frame[:, :, 0], frame[:, :, 1]
+        along = row_dots(x, t)
+        t -= along[..., None] * x
+        t_len = np.sqrt(row_dots(t, t))
+        t /= t_len[..., None]
+        values = np.concatenate([
+            np.isfinite(poses).all(axis=(2, 3))[..., None], norms, ortho[..., None],
+            lengths, t_len[..., None], np.sqrt(row_dots(frame, frame)), row_dots(x, t)[..., None],
+        ], axis=2)
+    radii = [
+        _checked_radius(q, best_effort, ends, fits)
+        for q, ends, fits in zip(requests, values.tolist(), zip(*[iter(shaped)] * 4))
+    ]
+    # the normal x cross t, each component a product difference as in `geometry.cross`
+    ahead, behind = frame[..., [1, 2, 0]], frame[..., [2, 0, 1]]
+    frames = np.empty((n, 2, 3, 3))  # columns position, tangent, normal
+    frames[..., 0], frames[..., 1] = x, t
+    frames[..., 2] = ahead[:, :, 0] * behind[:, :, 1] - behind[:, :, 0] * ahead[:, :, 1]
+    targets = frames[:, 0].transpose(0, 2, 1) @ frames[:, 1]
+    deviation = np.abs(np.concatenate([lengths - 1.0, along[..., None]], axis=2)).max(axis=(1, 2))
+    return targets, radii, frames, deviation.tolist()
+
+
+def _checked_radius(
+    req: PlanRequest, best_effort: bool, ends: list[list[float]], fits: tuple[bool, ...]
+) -> float:
+    """The unit turning radius of `req`, once it passes every input check, in
+    order: the radii, then each end's pose, initial first.  `ends` holds
+    what `normalize_requests` computed for each end (finite, |position|,
+    |tangent|, |cos| between them, the unit position's and the tangent's
+    norms, the re-orthogonalized tangent's norm, the unit frame's norms and
+    dot product); `fits` whether each vector has shape (3,)."""
     if not (req.sphere_radius > 0.0) or not math.isfinite(req.sphere_radius):
         raise MalformedConfiguration(f"sphere_radius must be positive, got {req.sphere_radius}")
     if not (req.turning_radius > 0.0) or not math.isfinite(req.turning_radius):
@@ -201,10 +262,44 @@ def normalize_problem(
             f"unit turning radius {r:.6g} exceeds sqrt(3)/2 "
             "(pass best_effort for a heuristic answer)"
         )
-    initial, dev_i = _validated_configuration(req.initial, req.sphere_radius, "initial")
-    final, dev_f = _validated_configuration(req.final, req.sphere_radius, "final")
-    m = relative_rotation(initial, final)
-    return m, TurnGeometry.from_radius(r), initial, final, max(dev_i, dev_f)
+    for label, fit, end in zip(("initial", "final"), (fits[:2], fits[2:]), ends):
+        finite, norm, t_norm, ortho, p_norm, _, t_len, x_unit, t_unit, x_dot_t = end
+        if not all(fit):
+            raise MalformedConfiguration(f"{label}: position and tangent must be 3-vectors")
+        if not finite:
+            raise MalformedConfiguration(f"{label}: position and tangent must be finite")
+        if norm == 0.0 or abs(norm - req.sphere_radius) / req.sphere_radius > INPUT_FRAME_TOL:
+            raise MalformedConfiguration(
+                f"{label}.position: norm {norm:.9g} not within {INPUT_FRAME_TOL:g} "
+                f"relative of sphere_radius {req.sphere_radius:.9g}"
+            )
+        if t_norm == 0.0 or abs(t_norm - 1.0) > INPUT_FRAME_TOL:
+            raise MalformedConfiguration(f"{label}.tangent: norm {t_norm:.9g} is not unit")
+        if ortho > INPUT_FRAME_TOL:
+            raise MalformedConfiguration(
+                f"{label}: tangent not orthogonal to position (|cos| = {ortho:.3e})"
+            )
+        # modified Gram-Schmidt, then the checks of `Configuration`
+        if p_norm == 0.0 or t_norm == 0.0:
+            raise MalformedConfiguration("position and tangent must be nonzero")
+        if t_len < PARALLEL_TOL:
+            raise MalformedConfiguration("tangent is parallel to position")
+        if not (abs(x_unit - 1.0) <= CONFIG_UNIT_TOL and abs(t_unit - 1.0) <= CONFIG_UNIT_TOL):
+            raise MalformedConfiguration("position and tangent must be unit vectors")
+        if not abs(x_dot_t) <= CONFIG_ORTHO_TOL:
+            raise MalformedConfiguration("tangent must be orthogonal to position")
+    return r
+
+
+def normalize_problem(
+    req: PlanRequest, best_effort: bool = False
+) -> tuple[np.ndarray, TurnGeometry, Configuration, Configuration, float]:
+    """Full normalization of one request (`normalize_requests` on [req]):
+    target rotation, geometry, unit-sphere endpoint configurations, and the
+    largest pose adjustment applied on input."""
+    targets, radii, frames, adjustments = normalize_requests([req], best_effort)
+    initial, final = (Configuration(position=f[:, 0], tangent=f[:, 1]) for f in frames[0])
+    return targets[0], TurnGeometry.from_radius(radii[0]), initial, final, adjustments[0]
 
 
 def solve_family(
@@ -231,15 +326,51 @@ def _owned(
     return [[sol for sol in sols if abs(sol.angles[1] - math.pi) > ANGLE_EPS] for sols in solved]
 
 
-def _candidate_sort_key(segments: tuple[Segment, ...], geom: TurnGeometry) -> tuple:
-    turn_sum = sum(s.angle for s in segments if s.kind.is_turn)
-    return (path_length(segments, geom), turn_sum, tuple(s.angle for s in segments))
+SLOTS = 5  # arcs of the longest family; shorter rows are padded with angle 0
+# Duplicates have the same nonzero kinds with every angle within
+# DEDUP_ANGLE_TOL, so their unit lengths differ by at most SLOTS arcs times a
+# factor of at most 1 times the tolerance, plus rounding (under 1e-13).
+_DEDUP_LENGTH_BOUND = (SLOTS + 1) * DEDUP_ANGLE_TOL
 
 
-def _path_key(segments: tuple[Segment, ...]) -> tuple[tuple[SegmentKind, ...], tuple[float, ...]]:
+class _Catalog(NamedTuple):
+    """The families of a radius group and what assembling their solutions
+    reads: the chain shapes they are solved in, each family's position in
+    `solve_shapes`' output, its arc-length factors (r for a turn, 1 for G, 0
+    for a pad slot) and turn mask as one read-only (F, 2, SLOTS) table, its
+    pad angles, and whether it cedes its middle-pi roots (`_owned`)."""
+
+    families: tuple[FamilyTemplate, ...]
+    shapes: tuple[ChainShape, ...]
+    solved_at: tuple[int, ...]
+    weights: np.ndarray
+    pads: tuple[tuple[float, ...], ...]
+    cedes_pi: tuple[bool, ...]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _catalog(r: float, mode: str) -> _Catalog:
+    """The group tables of `family_catalog(r, mode)`, built on first use."""
+    families = tuple(family_catalog(r, mode))
+    shapes = chain_shapes(r, families)
+    solved = [t for shape in shapes for t in shape.templates]
+    weights = np.zeros((len(families), 2, SLOTS))
+    for f, template in enumerate(families):
+        for slot, kind in enumerate(template.kinds):
+            weights[f, :, slot] = (r, 1.0) if kind.is_turn else (1.0, 0.0)
+    weights.setflags(write=False)
+    fixed_pi = any(f.fixed_middle is not None for f in families)
+    return _Catalog(
+        families, shapes, tuple(solved.index(t) for t in families), weights,
+        tuple((0.0,) * (SLOTS - len(t.kinds)) for t in families),
+        tuple(fixed_pi and t.is_free_middle_turn_triple for t in families),
+    )
+
+
+def _path_key(kinds: tuple[SegmentKind, ...], angles: Sequence[float]) -> tuple:
     """Kinds and angles of a path's nonzero segments: what deduplication compares."""
-    present = [s for s in segments if s.angle > 0.0]
-    return tuple(s.kind for s in present), tuple(s.angle for s in present)
+    present = [(k, a) for k, a in zip(kinds, angles) if a > 0.0]
+    return tuple(k for k, _ in present), tuple(a for _, a in present)
 
 
 def _is_duplicate(a: tuple, b: tuple) -> bool:
@@ -247,37 +378,61 @@ def _is_duplicate(a: tuple, b: tuple) -> bool:
     return a[0] == b[0] and all(abs(x - y) <= DEDUP_ANGLE_TOL for x, y in zip(a[1], b[1]))
 
 
-def _add_family(
-    candidates: list[PathCandidate],
-    seen: list[tuple],
-    template: FamilyTemplate,
-    solutions: list[CandidateSolution],
-    geom: TurnGeometry,
-    sphere_radius: float,
-) -> None:
-    """Append one family's solutions to a target's candidates, and their
-    `_path_key`s to `seen`: ordered by length, then total turning, then
-    angles, skipping duplicates of any earlier candidate."""
-    solved = []
-    for sol in solutions:
-        segments = sol.segments(template.kinds)
-        solved.append((_candidate_sort_key(segments, geom), segments, sol.residual))
-    solved.sort(key=lambda item: item[0])
-    for order, segments, residual in solved:
-        key = _path_key(segments)
-        if any(_is_duplicate(key, other) for other in seen):
-            continue
-        unit_len = order[0]
-        seen.append(key)
-        candidates.append(
-            PathCandidate(
-                family=template.tag,
-                segments=segments,
-                unit_length=unit_len,
-                physical_length=sphere_radius * unit_len,
-                residual=residual,
-            )
-        )
+def _assemble(
+    catalog: _Catalog, solved: list[list[list[CandidateSolution]]], spheres: Sequence[float]
+) -> list[list[PathCandidate]]:
+    """Each target's candidates from a group's `solve_shapes` output, in
+    catalog order, each family's ordered by unit length, then total turning,
+    then angles, without duplicates of an earlier candidate.
+
+    Every solution is one row: target, family, angles padded to SLOTS, in
+    one array.  Lengths and turn sums are column adds in segment order, the
+    left-to-right sums `path_length` and summing the turn angles make (on
+    Python before 3.12, whose `sum` is not compensated); one stable
+    `np.lexsort` orders the rows.  Only rows whose length is within
+    _DEDUP_LENGTH_BOUND of another row of their target can be or have a
+    duplicate; those are checked with `_is_duplicate` against the kept ones.
+    Segments and candidates are built for the kept rows only.  (Solver
+    angles are canonical, so they are the segments' angles.)"""
+    found: list[list[PathCandidate]] = [[] for _ in spheres]
+    rows: list[tuple] = []
+    residuals: list[float] = []
+    for f, template in enumerate(catalog.families):
+        pad = catalog.pads[f]
+        per_target = solved[catalog.solved_at[f]]
+        if catalog.cedes_pi[f]:
+            per_target = _owned(template, per_target, True)
+        for i, sols in enumerate(per_target):
+            for sol in sols:
+                rows.append((i, f) + sol.angles + pad)
+                residuals.append(sol.residual)
+    if not rows:
+        return found
+    table = np.array(rows)
+    weighted = table[:, None, 2:] * catalog.weights[table[:, 1].astype(np.intp)]
+    sums = np.add.accumulate(weighted, axis=2)[..., -1]  # slot by slot, left to right
+    lengths = sums[:, 0]
+    # keys, least significant first: angles from the last slot, turn sum, length, family, target
+    order = np.lexsort(np.hstack([table[:, :1:-1], sums[:, ::-1], table[:, 1::-1]]).T)
+    by_length = np.lexsort((lengths, table[:, 0]))
+    ls, targets = lengths[by_length], table[by_length, 0]
+    near = np.flatnonzero((ls[1:] - ls[:-1] <= _DEDUP_LENGTH_BOUND) & (targets[1:] == targets[:-1]))
+    suspects = set(by_length[near].tolist()) | set(by_length[near + 1].tolist())
+    kept: list[list[tuple]] = [[] for _ in spheres]
+    for k, length in zip(order.tolist(), lengths[order].tolist()):
+        row = rows[k]
+        i, template = row[0], catalog.families[row[1]]
+        kinds = template.kinds
+        angles = row[2:2 + len(kinds)]
+        if k in suspects:
+            key = _path_key(kinds, angles)
+            if any(_is_duplicate(key, other) for other in kept[i]):
+                continue
+            kept[i].append(key)
+        segments = tuple(map(Segment, kinds, angles))
+        physical = spheres[i] * length
+        found[i].append(PathCandidate(template.tag, segments, length, physical, residuals[k]))
+    return found
 
 
 def plan_batch(
@@ -287,13 +442,14 @@ def plan_batch(
 ) -> list[PlanResult]:
     """Plan every request; result i is exactly what `plan(requests[i])` returns.
 
-    Requests are validated and normalized in input order, so a batch holding
-    a bad request raises the input error of the first one, as `plan` on it
-    alone would.  They are then grouped by unit turning radius, and each
-    group's catalog, split into chain shapes (`linkage.chain_shapes`), is
-    solved in one `linkage.solve_shapes` call on the stacked targets;
-    candidates are ordered, deduplicated and ranked per request as in
-    `plan`, family by family in catalog order.
+    All requests are validated and normalized at once (`normalize_requests`),
+    so a batch holding a bad request raises the input error of the first
+    one, as `plan` on it alone would, before anything is solved.  They are
+    then grouped by unit turning radius, and each group's catalog, split
+    into chain shapes (`linkage.chain_shapes`), is solved in one
+    `linkage.solve_shapes` call on the stacked targets; one `_assemble` pass
+    orders, deduplicates and builds every target's candidates, and each
+    request's best is its shortest.
     Neither the batch size nor the order or split of the requests changes
     any result.
     Only when every request is valid is NoCandidateFound raised, for the
@@ -301,50 +457,35 @@ def plan_batch(
     radii above sqrt(3)/2 have none), so an input error in a later request
     wins over an earlier request's NoCandidateFound.
     """
-    prepared: list[tuple[np.ndarray, TurnGeometry, float]] = []
-    groups: dict[tuple[float, str], tuple[list[FamilyTemplate], list[int]]] = {}
-    for i, req in enumerate(requests):
-        m, geom, _, _, adjustment = normalize_problem(req, best_effort)
-        key = (geom.r, "all" if beyond_proven(geom.r) else mode)
-        if key not in groups:
-            groups[key] = (family_catalog(*key), [])
-        groups[key][1].append(i)
-        prepared.append((m, geom, adjustment))
-
+    targets, radii, _, adjustments = normalize_requests(requests, best_effort)
+    groups: dict[tuple[float, str], list[int]] = {}
+    for i, r in enumerate(radii):
+        groups.setdefault((r, "all" if beyond_proven(r) else mode), []).append(i)
     candidates: list[list[PathCandidate]] = [[] for _ in requests]
-    seen: list[list[tuple]] = [[] for _ in requests]
-    for families, members in groups.values():
-        geom = prepared[members[0]][1]
-        regime_has_fixed_pi = any(f.fixed_middle is not None for f in families)
-        targets = np.stack([prepared[i][0] for i in members])
-        shapes = chain_shapes(geom.r, tuple(families))
-        templates = [t for shape in shapes for t in shape.templates]
-        solved = dict(zip(templates, solve_shapes(shapes, targets)))
-        # catalog order decides candidate order and deduplication
-        for template in families:
-            owned = _owned(template, solved[template], regime_has_fixed_pi)
-            for i, solutions in zip(members, owned):
-                _add_family(
-                    candidates[i], seen[i], template, solutions, geom, requests[i].sphere_radius
-                )
+    for key, members in groups.items():
+        catalog = _catalog(*key)
+        solved = solve_shapes(catalog.shapes, targets[members])
+        spheres = [requests[i].sphere_radius for i in members]
+        for i, found in zip(members, _assemble(catalog, solved, spheres)):
+            candidates[i] = found
 
     results = []
-    for req, (_, geom, adjustment), found in zip(requests, prepared, candidates):
+    for req, r, adjustment, found in zip(requests, radii, adjustments, candidates):
         if not found:
             raise NoCandidateFound(
                 "no candidate family produced a residual-passing path; " + (
-                    f"the catalog is heuristic at unit turning radius {geom.r:.6g} > sqrt(3)/2"
-                    if beyond_proven(geom.r) else "this indicates pathological tolerances"
+                    f"the catalog is heuristic at unit turning radius {r:.6g} > sqrt(3)/2"
+                    if beyond_proven(r) else "this indicates pathological tolerances"
                 )
             )
         results.append(
             PlanResult(
-                unit_r=geom.r,
+                unit_r=r,
                 sphere_radius=req.sphere_radius,
                 turning_radius=req.turning_radius,
                 candidates=tuple(found),
                 best=min(range(len(found)), key=lambda i: (found[i].physical_length, i)),
-                heuristic=beyond_proven(geom.r),
+                heuristic=beyond_proven(r),
                 input_adjustment=adjustment,
             )
         )

@@ -20,7 +20,7 @@ from conftest import random_in_bounds_path, request_from_rotation, request_from_
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins import planner as pl
-from sphere_dubins.errors import NoCandidateFound
+from sphere_dubins.errors import MalformedConfiguration, NoCandidateFound, RadiusOutOfRange
 from sphere_dubins.oracle import random_rotation
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -162,6 +162,31 @@ def _malformed(req: pl.PlanRequest, how: str) -> pl.PlanRequest:
         fields["initial"] = pl.Pose(req.initial.position * 1.01, req.initial.tangent)
     elif how == "short_vector":
         fields["final"] = pl.Pose(req.final.position[:2], req.final.tangent)
+    elif how == "long_tangent":
+        fields["final"] = pl.Pose(req.final.position, req.final.tangent * (1.0 + 2e-6))
+    elif how == "skewed_tangent":
+        # still unit, with |cos| = 2e-6 against the position
+        x = req.final.position / np.linalg.norm(req.final.position)
+        tangent = math.sqrt(1.0 - 4e-12) * req.final.tangent + 2e-6 * x
+        fields["final"] = pl.Pose(req.final.position, tangent)
+    elif how == "zero_position":
+        fields["initial"] = pl.Pose(np.zeros(3), req.initial.tangent)
+    elif how == "infinite_sphere":
+        fields["sphere_radius"] = math.inf
+    elif how == "nan_turning":
+        fields["turning_radius"] = math.nan
+    elif how == "underflowing_radius":
+        # valid poses on a sphere of radius 1e10 times the original
+        scale = 1e10
+        fields["sphere_radius"] = scale * req.sphere_radius
+        fields["turning_radius"] = 5e-324
+        fields["initial"] = pl.Pose(req.initial.position * scale, req.initial.tangent)
+        fields["final"] = pl.Pose(req.final.position * scale, req.final.tangent)
+    elif how == "near_valid":
+        # accepted and re-orthonormalized: an adjustment of about 3e-7
+        x = req.final.position / np.linalg.norm(req.final.position)
+        tangent = req.final.tangent + 2e-7 * x
+        fields["final"] = pl.Pose(req.final.position * (1.0 + 3e-7), tangent)
     return pl.PlanRequest(**fields)
 
 
@@ -172,7 +197,9 @@ def _malformed(req: pl.PlanRequest, how: str) -> pl.PlanRequest:
         st.tuples(
             st.integers(0, 5),
             st.sampled_from(["radius_too_large", "no_tight_turn", "negative_sphere",
-                             "nan_tangent", "off_sphere", "short_vector"]),
+                             "nan_tangent", "off_sphere", "short_vector", "long_tangent",
+                             "skewed_tangent", "zero_position", "infinite_sphere",
+                             "nan_turning", "underflowing_radius", "near_valid"]),
         ),
         min_size=1, max_size=3,
     ),
@@ -185,6 +212,41 @@ def test_batch_raises_first_failing_request(requests, bad, best_effort):
         requests[i] = _malformed(requests[i], how)
     alone = [_raised(lambda q=q: pl.plan(q, best_effort=best_effort)) for q in requests]
     assert _raised(lambda: pl.plan_batch(requests, best_effort=best_effort)) == _batch_error(alone)
+
+
+@pytest.mark.parametrize("how, kind, message", [
+    ("long_tangent", MalformedConfiguration, "final.tangent: norm 1.000002 is not unit"),
+    ("skewed_tangent", MalformedConfiguration,
+     "final: tangent not orthogonal to position (|cos| = 2.000e-06)"),
+    ("zero_position", MalformedConfiguration,
+     "initial.position: norm 0 not within 1e-06 relative of sphere_radius 2.5"),
+    ("infinite_sphere", MalformedConfiguration, "sphere_radius must be positive, got inf"),
+    ("nan_turning", MalformedConfiguration, "turning_radius must be positive, got nan"),
+    ("underflowing_radius", RadiusOutOfRange,
+     "unit turning radius 4.94066e-324 / 2.5e+10 underflows to 0"),
+])
+def test_input_error_messages(how, kind, message):
+    """Each check names what failed, after a valid request, alone or batched."""
+    valid = request_from_rotation(random_rotation(np.random.default_rng(3)), 0.6, 2.5)
+    bad = _malformed(valid, how)
+    assert _raised(lambda: pl.plan(bad)) == (kind, message)
+    assert _raised(lambda: pl.plan_batch([valid, bad, bad])) == (kind, message)
+
+
+def test_near_valid_pose_in_a_valid_batch():
+    """A pose off by less than INPUT_FRAME_TOL is re-orthonormalized and
+    planned; in the middle of a valid batch it changes no other result, and
+    every adjustment is a Python float."""
+    rng = np.random.default_rng(18)
+    requests = [
+        request_from_rotation(random_rotation(rng), r, sphere)
+        for r, sphere in ((0.3, 1.0), (0.6, 2.5), (0.8, 6371.0), (0.6, 1.0), (0.3, 2.5))
+    ]
+    requests[2] = _malformed(requests[2], "near_valid")
+    results = pl.plan_batch(requests)
+    assert [signature(r) for r in results] == [signature(pl.plan(q)) for q in requests]
+    assert 1e-9 < results[2].input_adjustment <= 1e-6
+    assert all(type(r.input_adjustment) is float for r in results)
 
 
 def test_input_error_wins_over_an_earlier_missing_candidate():
@@ -377,3 +439,104 @@ def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
     shape_by_shape = [sols for shape in shapes for sols in lk.solve_shapes([shape], stack)]
     assert len(closed) == 1 + sum(s.axes.shape[1] >= 2 for s in shapes)
     assert [_bits(sols) for sols in together] == [_bits(sols) for sols in shape_by_shape]
+
+
+def _assembled(r: float, placed: dict[str, list[tuple]], targets: int = 1) -> list[list[tuple]]:
+    """(family, angles, unit length) of each target's candidates from
+    `_assemble` on hand-built solutions: `placed` maps a family tag of the
+    `all` catalog at r to angle tuples, which every target gets."""
+    catalog = pl._catalog(r, "all")
+    solved = [[[] for _ in range(targets)] for _ in catalog.families]
+    for f, template in enumerate(catalog.families):
+        for angles in placed.get(template.tag, ()):
+            for sols in solved[catalog.solved_at[f]]:
+                sols.append(lk.CandidateSolution(tuple(angles), 0.0))
+    found = pl._assemble(catalog, solved, [1.0] * targets)
+    return [
+        [(c.family, tuple(s.angle for s in c.segments), c.unit_length) for c in cands]
+        for cands in found
+    ]
+
+
+def test_dedup_compares_with_kept_candidates_only():
+    """B duplicates A and is dropped; C duplicates B but not A, so C is kept."""
+    tol = pl.DEDUP_ANGLE_TOL
+    a, b, c = ((1.0 + k * tol, 4.0, 1.0) for k in (0.0, 0.75, 1.5))
+    kept = _assembled(0.6, {"LRL": [c, b, a]})[0]
+    assert [angles for _, angles, _ in kept] == [a, c]
+
+
+def _edge(x: float, up: bool) -> float:
+    """The largest float y with y - x <= DEDUP_ANGLE_TOL, or the next one above."""
+    tol = pl.DEDUP_ANGLE_TOL
+    y = x + tol
+    while y - x > tol:
+        y = float(np.nextafter(y, -math.inf))
+    while float(np.nextafter(y, math.inf)) - x <= tol:
+        y = float(np.nextafter(y, math.inf))
+    return float(np.nextafter(y, math.inf)) if up else y
+
+
+@pytest.mark.parametrize("r", [0.8, SQRT3_2])
+def test_dedup_of_five_arcs_each_at_the_tolerance(r):
+    """Five arcs each longer by exactly DEDUP_ANGLE_TOL make a duplicate,
+    whose unit length differs by about 5 r DEDUP_ANGLE_TOL, near the length
+    prefilter's edge; one arc longer by one more ulp makes a new candidate."""
+    base = (0.5, 4.0, 4.0, 4.0, 0.7)
+    edge = tuple(_edge(x, up=False) for x in base)
+    past = edge[:-1] + (_edge(base[-1], up=True),)
+    assert all(y - x <= pl.DEDUP_ANGLE_TOL for x, y in zip(base, edge))
+    assert past[-1] - base[-1] > pl.DEDUP_ANGLE_TOL
+    (kept,) = _assembled(r, {"LRLRL": [edge, base]})
+    assert [angles for _, angles, _ in kept] == [base]
+    (kept,) = _assembled(r, {"LRLRL": [past, base]})
+    assert [angles for _, angles, _ in kept] == [base, past]
+
+
+def _reference(r: float, placed: dict[str, list[tuple]]) -> list[tuple]:
+    """Family by family in catalog order: sort by (unit length, turn sum,
+    angles), each a left-to-right sum, and drop a path whose nonzero kinds
+    match an earlier kept one with every angle within DEDUP_ANGLE_TOL."""
+    kept, keys = [], []
+    for template in pl.family_catalog(r, "all"):
+        rows = []
+        for angles in placed.get(template.tag, ()):
+            length, turning = 0.0, 0.0
+            for kind, angle in zip(template.kinds, angles):
+                length += r * angle if kind.is_turn else angle
+                turning += angle if kind.is_turn else 0.0
+            rows.append(((length, turning, tuple(angles)), angles))
+        for (length, _, _), angles in sorted(rows, key=lambda row: row[0]):
+            key = [(k, a) for k, a in zip(template.kinds, angles) if a > 0.0]
+            if any(
+                [k for k, _ in key] == [k for k, _ in other]
+                and all(abs(a - b) <= pl.DEDUP_ANGLE_TOL for (_, a), (_, b) in zip(key, other))
+                for other in keys
+            ):
+                continue
+            keys.append(key)
+            kept.append((template.tag, tuple(angles), length))
+    return kept
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.8])
+def test_assembly_matches_a_family_by_family_reference(r):
+    """Clusters of near-duplicates across families (absent arcs make `LR`,
+    `LGR` and `L` paths share kinds), ties in length, and three targets with
+    the same solutions, which never deduplicate against each other."""
+    tol = pl.DEDUP_ANGLE_TOL
+    rng = np.random.default_rng(int(r * 10))
+    placed: dict[str, list[tuple]] = {}
+    for tag, arcs in (("L", 1), ("LR", 2), ("LGR", 3), ("LRL", 3), ("LRLR", 4), ("LRLRL", 5)):
+        for _ in range(4):
+            base = rng.uniform(0.1, 3.0, arcs)
+            base[rng.uniform(size=arcs) < 0.3] = 0.0
+            for shift in rng.integers(-3, 4, size=(3, arcs)):
+                angles = np.where(base > 0.0, base + shift * tol / 2, 0.0)
+                placed.setdefault(tag, []).append(tuple(angles.tolist()))
+    placed["LR"] += [(1.5, 0.0), (1.5, 0.0)]
+    placed["LGR"] += [(1.5, 0.0, 0.0), (1.5 + tol, 0.0, 0.0)]
+    placed["L"] += [(1.5 - tol / 2,)]
+    found = _assembled(r, placed, targets=3)
+    assert found[0] == found[1] == found[2] == _reference(r, placed)
+    assert len(found[0]) < sum(map(len, placed.values()))
