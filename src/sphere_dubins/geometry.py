@@ -197,10 +197,15 @@ def compose_path(segments: Iterable[Segment], geom: TurnGeometry) -> np.ndarray:
 def path_length(
     segments: Iterable[Segment], geom: TurnGeometry, sphere_radius: float = 1.0
 ) -> float:
-    """Arc length of a path, scaled to a sphere of the given radius."""
+    """Arc length of a path, scaled to a sphere of the given radius.  The
+    arcs are added left to right, as the planner's column adds do, on every
+    interpreter (the builtin `sum` is compensated from Python 3.12 on)."""
     if not (sphere_radius > 0.0):
         raise InvalidInput(f"sphere radius must be positive, got {sphere_radius}")
-    return sphere_radius * sum(seg.arc_length(geom) for seg in segments)
+    total = 0.0
+    for seg in segments:
+        total += seg.arc_length(geom)
+    return sphere_radius * total
 
 
 @dataclass(frozen=True)
@@ -282,12 +287,11 @@ def sample_path(
     """
     if not (0.0 < step < math.inf):
         raise InvalidInput(f"step must be positive and finite, got {step}")
-    lengths = [seg.arc_length(geom) for seg in segments]
-    total = sum(lengths)
-    if not segments or total == 0.0:
+    bounds = np.concatenate([[0.0], np.cumsum([seg.arc_length(geom) for seg in segments])])
+    total = float(bounds[-1])
+    if total == 0.0:
         return [PathSample(0.0, start, -1)]
 
-    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
     s_values = {0.0, total}
     s_values.update(float(b) for b in bounds[1:-1])
     n_steps = int(total / step)
@@ -318,16 +322,6 @@ def sample_path(
     return samples
 
 
-def _turn_angle(sine: float, cosine: float) -> float:
-    """atan2 taken to [0, 2*pi), with a full turn within 1e-12 read as 0."""
-    angle = math.atan2(sine, cosine)
-    if angle < 0.0:
-        angle += TWO_PI
-    if TWO_PI - angle < 1e-12:
-        angle = 0.0
-    return angle
-
-
 def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of (K, 3) stacks; a (3,) operand serves
     every row.  Each is a 1x3 @ 3x1 product, so it has the bits of
@@ -348,9 +342,10 @@ def align_angles(
     """Turn angles about one axis (3,) or one axis per row (K, 3) mapping
     each row of the (K, 3) stack `v` onto the same row of `w`.
 
-    Returns the angles, None where a row has no angle, and which rows are
-    degenerate (`v` parallel to the axis); the other None rows have axial
-    components that differ by more than ALIGN_TOL.
+    Returns the angles, canonical (`canonical_angle`), None where a row has
+    no angle, and which rows are degenerate (`v` parallel to the axis); the
+    other None rows have axial components that differ by more than
+    ALIGN_TOL.  A NaN row raises InvalidInput.
     """
     av = row_dots(axes, v)
     aw = row_dots(axes, w)
@@ -364,7 +359,9 @@ def align_angles(
     for a_v, a_w, square, sine, cosine in zip(av.tolist(), aw.tolist(), squares, sines, cosines):
         consistent = not abs(a_v - a_w) > ALIGN_TOL
         flat = consistent and math.sqrt(square) < PERP_EPS
-        angles.append(_turn_angle(sine, cosine) if consistent and not flat else None)
+        angles.append(
+            canonical_angle(math.atan2(sine, cosine)) if consistent and not flat else None
+        )
         degenerate.append(flat)
     return angles, degenerate
 

@@ -348,7 +348,7 @@ def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[
         phis, _ = align_angles(axes, probes, _row_apply(sub, probes))
         found = [k for k, phi in enumerate(phis) if phi is not None]
         if found:
-            angles = [canonical_angle(phis[k]) for k in found]
+            angles = [phis[k] for k in found]
             turns = rotations_about_axis(axes[found][:, None], np.array(angles)[:, None])
             residuals = row_norms(turns[:, 0] - sub[found])
             for k, phi, res in zip(found, angles, residuals.tolist()):
@@ -451,7 +451,7 @@ def _recover_outer(
     merged: list[int] = []
     for k, (first, last) in enumerate(zip(angles[:rows], angles[rows:])):
         if first is not None and last is not None:
-            outer.append((canonical_angle(first), canonical_angle(last)))
+            outer.append((first, last))
             continue
         outer.append(None)
         if degenerate[k] or (first is not None and degenerate[rows + k]):

@@ -32,8 +32,6 @@ import numpy as np
 from .errors import MalformedConfiguration, NoCandidateFound, RadiusOutOfRange
 from .geometry import (
     ANGLE_EPS,
-    CONFIG_ORTHO_TOL,
-    CONFIG_UNIT_TOL,
     Configuration,
     Segment,
     SegmentKind,
@@ -59,7 +57,6 @@ MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
-PARALLEL_TOL = 1e-6          # a re-orthogonalized tangent this short was parallel to the position
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,15 @@ def normalize_requests(
     then reads those values back as Python floats and walks the requests in
     input order, so a stack with a failing request raises the first one's
     first failing check, the exception that request raises alone.  (The
-    walk costs about 1 us per request; the same 23 comparisons vectorized
-    cost about 25 us per call, which a single `plan` would pay in full.)"""
+    walk costs about 1 us per request; the same comparisons vectorized cost
+    about 25 us per call, which a single `plan` would pay in full.)
+
+    No check of `Configuration` can fail on an accepted end: its position's
+    norm is within INPUT_FRAME_TOL of the sphere radius (so its square did
+    not overflow or underflow), its tangent's within INPUT_FRAME_TOL of 1,
+    and |cos| <= INPUT_FRAME_TOL, so Gram-Schmidt leaves a tangent of length
+    >= 1 - 1e-12, and the repaired frame is unit and orthogonal to a few
+    ulps, far inside CONFIG_UNIT_TOL and CONFIG_ORTHO_TOL."""
     n = len(requests)
     vectors = [
         v for q in requests
@@ -214,12 +218,9 @@ def normalize_requests(
         x, t = frame[:, :, 0], frame[:, :, 1]
         along = row_dots(x, t)
         t -= along[..., None] * x
-        t_len = np.sqrt(row_dots(t, t))
-        t /= t_len[..., None]
-        values = np.concatenate([
-            np.isfinite(poses).all(axis=(2, 3))[..., None], norms, ortho[..., None],
-            lengths, t_len[..., None], np.sqrt(row_dots(frame, frame)), row_dots(x, t)[..., None],
-        ], axis=2)
+        t /= np.sqrt(row_dots(t, t))[..., None]
+        finite = np.isfinite(poses).all(axis=(2, 3))[..., None]
+        values = np.concatenate([finite, norms, ortho[..., None]], axis=2)
     radii = [
         _checked_radius(q, best_effort, ends, fits)
         for q, ends, fits in zip(requests, values.tolist(), zip(*[iter(shaped)] * 4))
@@ -239,10 +240,8 @@ def _checked_radius(
 ) -> float:
     """The unit turning radius of `req`, once it passes every input check, in
     order: the radii, then each end's pose, initial first.  `ends` holds
-    what `normalize_requests` computed for each end (finite, |position|,
-    |tangent|, |cos| between them, the unit position's and the tangent's
-    norms, the re-orthogonalized tangent's norm, the unit frame's norms and
-    dot product); `fits` whether each vector has shape (3,)."""
+    each end's finite flag, |position|, |tangent| and the |cos| between
+    them; `fits` whether each vector has shape (3,)."""
     if not (req.sphere_radius > 0.0) or not math.isfinite(req.sphere_radius):
         raise MalformedConfiguration(f"sphere_radius must be positive, got {req.sphere_radius}")
     if not (req.turning_radius > 0.0) or not math.isfinite(req.turning_radius):
@@ -263,7 +262,7 @@ def _checked_radius(
             "(pass best_effort for a heuristic answer)"
         )
     for label, fit, end in zip(("initial", "final"), (fits[:2], fits[2:]), ends):
-        finite, norm, t_norm, ortho, p_norm, _, t_len, x_unit, t_unit, x_dot_t = end
+        finite, norm, t_norm, ortho = end
         if not all(fit):
             raise MalformedConfiguration(f"{label}: position and tangent must be 3-vectors")
         if not finite:
@@ -279,15 +278,6 @@ def _checked_radius(
             raise MalformedConfiguration(
                 f"{label}: tangent not orthogonal to position (|cos| = {ortho:.3e})"
             )
-        # modified Gram-Schmidt, then the checks of `Configuration`
-        if p_norm == 0.0 or t_norm == 0.0:
-            raise MalformedConfiguration("position and tangent must be nonzero")
-        if t_len < PARALLEL_TOL:
-            raise MalformedConfiguration("tangent is parallel to position")
-        if not (abs(x_unit - 1.0) <= CONFIG_UNIT_TOL and abs(t_unit - 1.0) <= CONFIG_UNIT_TOL):
-            raise MalformedConfiguration("position and tangent must be unit vectors")
-        if not abs(x_dot_t) <= CONFIG_ORTHO_TOL:
-            raise MalformedConfiguration("tangent must be orthogonal to position")
     return r
 
 
@@ -386,12 +376,11 @@ def _assemble(
     then angles, without duplicates of an earlier candidate.
 
     Every solution is one row: target, family, angles padded to SLOTS, in
-    one array.  Lengths and turn sums are column adds in segment order, the
-    left-to-right sums `path_length` and summing the turn angles make (on
-    Python before 3.12, whose `sum` is not compensated); one stable
-    `np.lexsort` orders the rows.  Only rows whose length is within
-    _DEDUP_LENGTH_BOUND of another row of their target can be or have a
-    duplicate; those are checked with `_is_duplicate` against the kept ones.
+    one array.  Lengths and turn sums are column adds in segment order, left
+    to right as `path_length` adds; one stable `np.lexsort` orders the rows.
+    Only rows whose length is within _DEDUP_LENGTH_BOUND of another row of
+    their target can be or have a duplicate; those are checked with
+    `_is_duplicate` against the kept ones.
     Segments and candidates are built for the kept rows only.  (Solver
     angles are canonical, so they are the segments' angles.)"""
     found: list[list[PathCandidate]] = [[] for _ in spheres]

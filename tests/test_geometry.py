@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_configuration, random_unit
 from sphere_dubins import geometry as geo
+from sphere_dubins import linkage as lk
 from sphere_dubins.errors import InvalidInput, MalformedConfiguration
 from sphere_dubins.lemmas import triple_turn_pi_entries
 
@@ -212,6 +213,21 @@ def test_path_length_rejects_nan_sphere_radius():
         geo.path_length([geo.G(1.0)], GEOM, sphere_radius=math.nan)
 
 
+def test_path_length_adds_left_to_right():
+    """Arc lengths whose compensated sum (`math.fsum`, and the builtin `sum`
+    from Python 3.12 on) differs in the last bit from the left-to-right one:
+    `path_length` and `sample_path` give the left-to-right bits on every
+    interpreter."""
+    arcs = (2.55, 1.491, 3.732)
+    left_to_right = 7.773000000000001
+    assert math.fsum(arcs) == 7.773 != left_to_right
+    segs = [geo.G(a) for a in arcs]
+    assert geo.path_length(segs, GEOM) == left_to_right
+    assert geo.path_length(segs, GEOM, sphere_radius=3.0) == 3.0 * left_to_right
+    samples = geo.sample_path(geo.Configuration.canonical(), segs, GEOM, 1.0)
+    assert samples[-1].s == left_to_right
+
+
 def test_path_length_matches_published_example():
     g = geo.TurnGeometry.from_radius(0.71)
     segs = [geo.R(0.7), geo.L(math.pi), geo.R(0.7)]
@@ -240,6 +256,34 @@ def test_align_angle_errors():
     assert _align_one(z, z, z) == (None, True)
     # axial components that differ: no angle, and not degenerate
     assert _align_one(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])) == (None, False)
+
+
+def test_align_angles_are_canonical():
+    """Every angle lies in [0, 2 pi), an angle within ANGLE_EPS of 0 or of a
+    full turn is exactly 0.0, and a NaN row raises InvalidInput."""
+    rng = np.random.default_rng(19)
+    tiny = geo.ANGLE_EPS * np.array([0.0, 1e-6, 0.3, 0.9])
+    turns = np.concatenate([
+        rng.uniform(0.0, 2 * math.pi, 200), tiny, 2 * math.pi - tiny, -tiny,
+        [math.pi, 2 * math.pi],
+    ])
+    axes = np.array([random_unit(rng) for _ in turns])
+    v = np.array([random_unit(rng) for _ in turns])
+    w = np.array([geo.rotation_about_axis(a, t) @ x for a, t, x in zip(axes, turns, v)])
+    angles, degenerate = geo.align_angles(axes, v, w)
+    assert not any(degenerate) and None not in angles
+    assert all(0.0 <= a < 2 * math.pi for a in angles)
+    for turn, angle in zip(turns, angles):
+        if min(abs(turn), abs(2 * math.pi - turn)) < 0.5 * geo.ANGLE_EPS:
+            assert angle == 0.0 and math.copysign(1.0, angle) == 1.0
+    assert angles == [geo.canonical_angle(a) for a in angles]
+    nan_row = np.full((1, 3), math.nan)
+    with pytest.raises(InvalidInput, match="angle must be finite, got nan"):
+        geo.align_angles(axes[:1], v[:1], nan_row)
+    # the solvers align on a NaN target: the same error as before
+    for pattern in ("L", "LR", "LRL"):
+        with pytest.raises(InvalidInput, match="angle must be finite, got nan"):
+            lk.solve_chain(lk.FamilyTemplate.of(pattern), np.full((3, 3), math.nan), GEOM)
 
 
 def test_align_angle_roundtrip_property():

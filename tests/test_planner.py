@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    random_configuration,
     random_in_bounds_path,
     random_rotation,
     request_from_rotation,
@@ -78,6 +79,45 @@ def test_normalize_reorthonormalizes_slightly_crooked():
     assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-12
     result = pl.plan(crooked)
     assert 1e-9 < result.input_adjustment <= 1e-6
+
+
+def _edge_pose(rng: np.random.Generator, sphere: float) -> pl.Pose:
+    """A pose off by up to just under INPUT_FRAME_TOL in the position's norm,
+    the tangent's norm and their cosine, each at the edge or inside it; one
+    in four lies on a coordinate axis, with zero components."""
+    edge = 0.999 * pl.INPUT_FRAME_TOL
+    off = [edge if rng.random() < 0.5 else rng.uniform(0.0, edge) for _ in range(3)]
+    signs = rng.choice([-1.0, 1.0], size=2)
+    if rng.random() < 0.25:
+        x, t = np.eye(3)[rng.permutation(3)[:2]] * rng.choice([-1.0, 1.0], size=(2, 1))
+    else:
+        pose = random_configuration(rng)
+        x, t = pose.position, pose.tangent
+    tangent = (math.sqrt(1.0 - off[2] ** 2) * t + off[2] * x) * (1.0 + signs[1] * off[1])
+    return pl.Pose(x * (sphere * (1.0 + signs[0] * off[0])), tangent)
+
+
+def test_accepted_poses_meet_the_configuration_invariant():
+    """Every pose the input checks accept, on spheres of radius 1e-150 to
+    1e150, re-orthonormalizes to a frame that `Configuration` accepts: unit
+    within CONFIG_UNIT_TOL and orthogonal within CONFIG_ORTHO_TOL."""
+    rng = np.random.default_rng(19)
+    spheres = [1e-150, 1e150, 1.0] + list(10.0 ** rng.uniform(-150.0, 150.0, 297))
+    requests = [
+        pl.PlanRequest(
+            sphere, rng.uniform(0.1, 0.85) * sphere, _edge_pose(rng, sphere), _edge_pose(rng, sphere)
+        )
+        for sphere in spheres
+    ]
+    _, _, frames, adjustments = pl.normalize_requests(requests)
+    assert max(adjustments) > 0.9 * pl.INPUT_FRAME_TOL
+    for x, t in frames[..., :2].transpose(0, 1, 3, 2).reshape(-1, 2, 3):
+        assert abs(np.linalg.norm(x) - 1.0) <= geo.CONFIG_UNIT_TOL
+        assert abs(np.linalg.norm(t) - 1.0) <= geo.CONFIG_UNIT_TOL
+        assert abs(float(x @ t)) <= geo.CONFIG_ORTHO_TOL
+    for req in requests:
+        _, _, initial, final, _ = pl.normalize_problem(req)
+        assert isinstance(initial, geo.Configuration) and isinstance(final, geo.Configuration)
 
 
 def test_catalog_low_regime():
@@ -359,6 +399,25 @@ def test_plan_candidates_meet_residual_bound():
         assert all(c.residual <= 1e-9 for c in result.candidates)
         lengths = [c.physical_length for c in result.candidates]
         assert result.best_candidate.physical_length == min(lengths)
+
+
+@pytest.mark.parametrize("mode", ["table", "all"])
+def test_candidate_lengths_are_path_length(mode):
+    """Each candidate's lengths have the bits of `path_length` on its
+    segments, in every regime and on spheres of radius 1 to 3: both add the
+    arcs left to right, on every interpreter."""
+    rng = np.random.default_rng(19)
+    requests = [
+        request_from_rotation(random_rotation(rng), r, sphere)
+        for r in (0.3, 0.5, 0.6, SQRT2_INV, 0.8, math.sqrt(3.0) / 2.0)
+        for sphere in (1.0, 1.7, 2.5, 3.0)
+        for _ in range(3)
+    ]
+    for req, result in zip(requests, pl.plan_batch(requests, mode=mode)):
+        geom = geo.TurnGeometry.from_radius(result.unit_r)
+        for c in result.candidates:
+            assert c.unit_length == geo.path_length(c.segments, geom)
+            assert c.physical_length == geo.path_length(c.segments, geom, req.sphere_radius)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.6, SQRT2_INV, 0.71, 0.8, 0.85])
