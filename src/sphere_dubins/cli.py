@@ -23,8 +23,8 @@ from .errors import (
     RadiusOutOfRange,
 )
 from .geometry import sample_path
-from .lemmas import closed_replacement, shortcut_construction, sweep_grid
-from .oracle import forward_oracle, random_rotation, request_for_target
+from .lemmas import construct, sweep_grid
+from .oracle import forward_oracle, random_request
 from .planner import (
     PlanRequest,
     PlanResult,
@@ -208,10 +208,7 @@ def _sweep_row(task: tuple[int, int, float], result: PlanResult) -> str:
 
 def _sweep_rows(tasks: list[tuple[int, int, float]]) -> list[str]:
     """Rows of a run of sweep tasks, planned in one batch."""
-    requests = [
-        request_for_target(random_rotation(np.random.default_rng(seed)), r)
-        for _, seed, r in tasks
-    ]
+    requests = [random_request(r, seed) for _, seed, r in tasks]
     return [_sweep_row(task, result) for task, result in zip(tasks, plan_batch(requests))]
 
 
@@ -286,7 +283,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    build = shortcut_construction if args.lemma in ("grg", "rgl") else closed_replacement
     if args.grid:
         r_values, params = sweep_grid(args.lemma)
         failures = 0
@@ -294,7 +290,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         min_delta = math.inf
         for r in r_values:
             for p in params:
-                report = build(args.lemma, float(r), float(p))
+                report = construct(args.lemma, float(r), float(p))
                 worst_residual = max(worst_residual, report.endpoint_residual)
                 min_delta = min(min_delta, report.length_delta)
                 if not report.passed:
@@ -308,7 +304,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_OK if failures == 0 else EXIT_LEMMA_FAIL
     if math.isnan(args.r) or math.isnan(args.param):
         raise InputError("--r and --param are required without --grid")
-    report = build(args.lemma, args.r, args.param)
+    report = construct(args.lemma, args.r, args.param)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_LEMMA_FAIL
 

@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -186,12 +187,12 @@ def segment_rotation(kind: SegmentKind | str, angle: float, geom: TurnGeometry) 
 
 
 def compose_path(segments: Iterable[Segment], geom: TurnGeometry) -> np.ndarray:
-    """Product of segment rotations in traversal order (identity if empty)."""
-    m = np.eye(3)
-    for seg in segments:
-        if seg.angle != 0.0:
-            m = m @ segment_rotation(seg.kind, seg.angle, geom)
-    return m
+    """Product of segment rotations in traversal order (identity if empty): one
+    stacked Rodrigues call, multiplied left to right; a zero arc's is exactly I."""
+    segments = tuple(segments)
+    angles = [seg.angle for seg in segments]
+    axes = np.array([turn_axis(seg.kind, geom) for seg in segments]).reshape(-1, 3)
+    return reduce(np.matmul, rotations_about_axis(axes, angles), np.eye(3))
 
 
 def path_length(
@@ -304,9 +305,7 @@ def sample_path(
             continue
         merged.append(s)
 
-    prefixes = [np.eye(3)]
-    for seg in segments:
-        prefixes.append(prefixes[-1] @ segment_rotation(seg.kind, seg.angle, geom))
+    prefixes = [compose_path(segments[:k], geom) for k in range(len(segments))]
     inner = list(bounds[1:-1])
     start_frame = start.frame()
 

@@ -11,20 +11,23 @@ turning-radius regimes:
 
 The first two are solved through the linkage solver and carry first-order
 Taylor coefficients of the replacement angles in the perturbation; the last
-two use closed-form replacement angles.  This module also evaluates the
-entrywise closed forms of the triple and quadruple turn products so they can
-be compared against direct rotation products.
+two use closed-form replacement angles; `construct` picks the builder of a
+kind.  Each kind's regime and sweep ranges are one row of `_LEMMAS`, and one
+`_report` computes every report's residual and length delta.  This module
+also evaluates the entrywise closed forms of the triple and quadruple turn
+products so they can be compared against direct rotation products.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OutOfRegime
-from .geometry import ANGLE_EPS, TWO_PI, L, R, Segment, TurnGeometry, compose_path, path_length
+from .geometry import ANGLE_EPS, TWO_PI, Segment, TurnGeometry, compose_path, path_length
 from .linkage import FamilyTemplate, solve_chain
 from .planner import BOUNDARY_SQRT2, MAX_RADIUS
 
@@ -108,32 +111,68 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _in_low_regime(r: float) -> bool:
-    return 0.0 < r <= BOUNDARY_SQRT2
-
-
-def _in_high_regime(r: float) -> bool:
-    return BOUNDARY_SQRT2 < r <= MAX_RADIUS
-
-
 BOUNDARY_BAND = 1e-3  # sweep grids stay this far from regime endpoints
 
 
-def sweep_grid(kind: str, n_r: int = 20, n_param: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and parameter grids for lemma sweeps, avoiding the 1e-3
-    neighborhoods of the regime endpoints where replacements degenerate."""
+# Lemma kind -> its regime r in (lo, hi], the regime as its errors print it,
+# the ranges of r and of its parameter (delta or beta) that sweep_grid spans,
+# and the interior arc count of its chains (`_turn_chain`).
+_Lemma = namedtuple("_Lemma", "lo hi regime radii params interior")
+_LOW = (0.0, BOUNDARY_SQRT2, "(0, 1/sqrt(2)]", (0.02, BOUNDARY_SQRT2 - BOUNDARY_BAND))
+_HIGH = (BOUNDARY_SQRT2, MAX_RADIUS, "(1/sqrt(2), sqrt(3)/2]",
+         (BOUNDARY_SQRT2 + BOUNDARY_BAND, MAX_RADIUS - BOUNDARY_BAND))
+_LEMMAS = {
+    "grg": _Lemma(*_LOW, (0.03, MAX_SHORTCUT_DELTA), 1),
+    "rgl": _Lemma(*_HIGH, (0.03, MAX_SHORTCUT_DELTA), 2),
+    "lrl5": _Lemma(*_LOW, (0.05, math.pi - 0.05), 1),
+    "lrlr6": _Lemma(*_HIGH, (0.05, math.pi - 0.05), 2),
+}
+_VARIANTS = {"triple": "lrl5", "quad": "lrlr6"}  # the product tables name these rows
+
+
+def _turn_chain(kind: str, outer: float, inner: float) -> tuple[Segment, ...]:
+    """L_outer R_inner ... L/R_outer, with the kind's interior arc count."""
+    arcs = (outer,) + (inner,) * _LEMMAS[kind].interior + (outer,)
+    return tuple(Segment(k, a) for k, a in zip("LRLR", arcs))
+
+
+def _check_regime(kind: str, r: float, needs: str) -> None:
+    """Raise OutOfRegime, opened by `needs`, unless r is in the kind's regime."""
+    lemma = _LEMMAS[kind]
+    if not lemma.lo < r <= lemma.hi:
+        raise OutOfRegime(f"{needs} r in {lemma.regime}, got {r}")
+
+
+def sweep_grid(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """20 radii by 20 parameters for a lemma sweep (`_LEMMAS`), BOUNDARY_BAND
+    away from the regime endpoints, where replacements degenerate."""
     kind = kind.lower()
-    if kind in ("grg", "lrl5"):
-        r_values = np.linspace(0.02, BOUNDARY_SQRT2 - BOUNDARY_BAND, n_r)
-    elif kind in ("rgl", "lrlr6"):
-        r_values = np.linspace(BOUNDARY_SQRT2 + BOUNDARY_BAND, MAX_RADIUS - BOUNDARY_BAND, n_r)
-    else:
+    if kind not in _LEMMAS:
         raise OutOfRegime(f"unknown lemma kind {kind!r}")
-    if kind in ("grg", "rgl"):
-        params = np.linspace(0.03, MAX_SHORTCUT_DELTA, n_param)
-    else:
-        params = np.linspace(0.05, math.pi - 0.05, n_param)
-    return r_values, params
+    lemma = _LEMMAS[kind]
+    return np.linspace(*lemma.radii, 20), np.linspace(*lemma.params, 20)
+
+
+def construct(kind: str, r: float, param: float) -> LemmaReport:
+    """The `kind` construction's report at (r, param): `shortcut_construction`
+    for grg and rgl, `closed_replacement` for lrl5 and lrlr6."""
+    build = shortcut_construction if kind.lower() in _SHORTCUTS else closed_replacement
+    return build(kind, r, param)
+
+
+def _report(
+    kind: str, r: float, param: float, original: tuple[Segment, ...],
+    replacement: tuple[Segment, ...], checks: tuple[CoefficientCheck, ...],
+) -> LemmaReport:
+    """A construction's report: the replacement's endpoint residual and the
+    length it saves, or inf and -inf when there is no replacement."""
+    geom = TurnGeometry.from_radius(r)
+    residual, delta = math.inf, -math.inf
+    if replacement:
+        gap = compose_path(original, geom) - compose_path(replacement, geom)
+        residual = float(np.linalg.norm(gap))
+        delta = path_length(original, geom) - path_length(replacement, geom)
+    return LemmaReport(kind, r, param, original, replacement, residual, delta, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +184,13 @@ def sweep_grid(kind: str, n_r: int = 20, n_param: int = 20) -> tuple[np.ndarray,
 _SHORTCUTS = {"grg": (FamilyTemplate.of("GRG"), 1), "rgl": (FamilyTemplate.of("RGL"), 0)}
 
 
-def _shortcut_original(kind: str, delta: float) -> tuple[Segment, ...]:
-    if kind == "grg":
-        return (L(delta), R(math.pi), L(delta))
-    return (L(delta), R(math.pi), L(math.pi), R(delta))
-
-
 def _shortcut_offsets(
     kind: str, geom: TurnGeometry, delta: float
 ) -> tuple[float, float, tuple[Segment, ...]]:
     """Replacement offsets (p1, p2) and segments of the shortest equal-outer
     replacement of the `kind` shortcut at perturbation delta."""
     template, bounded = _SHORTCUTS[kind]
-    m = compose_path(_shortcut_original(kind, delta), geom)
+    m = compose_path(_turn_chain(kind, delta, math.pi), geom)  # the original
     feasible = [
         sol for sol in solve_chain(template, m, geom)
         if abs(sol.angles[0] - sol.angles[2]) <= TOL_SYM
@@ -201,17 +234,14 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
     against their closed forms.
     """
     kind = kind.lower()
-    if kind not in ("grg", "rgl"):
+    if kind not in _SHORTCUTS:
         raise OutOfRegime(f"unknown shortcut kind {kind!r}")
     if not (0.0 < delta <= MAX_SHORTCUT_DELTA):
         raise OutOfRegime(f"delta must be in (0, {MAX_SHORTCUT_DELTA}], got {delta}")
-    if kind == "grg" and not _in_low_regime(r):
-        raise OutOfRegime(f"grg construction needs r in (0, 1/sqrt(2)], got {r}")
-    if kind == "rgl" and not _in_high_regime(r):
-        raise OutOfRegime(f"rgl construction needs r in (1/sqrt(2), sqrt(3)/2], got {r}")
+    _check_regime(kind, r, f"{kind} construction needs")
 
     geom = TurnGeometry.from_radius(r)
-    original = _shortcut_original(kind, delta)
+    original = _turn_chain(kind, delta, math.pi)
     _, _, replacement = _shortcut_offsets(kind, geom, delta)
     if kind == "grg":
         s = math.sqrt(max(0.0, 1.0 - 2.0 * r * r))
@@ -224,15 +254,6 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
         a2_closed = 2.0 * math.sqrt(2.0) * r * s
         identity_closed = 2.0 * r * (4.0 * r * r - 3.0)
 
-    if replacement:
-        residual = float(
-            np.linalg.norm(compose_path(original, geom) - compose_path(replacement, geom))
-        )
-        delta_len = path_length(original, geom) - path_length(replacement, geom)
-    else:
-        residual = math.inf
-        delta_len = -math.inf
-
     a1_num, a2_num, b1_num, b2_num = _taylor_slopes(kind, geom)
     checks = [
         CoefficientCheck("a1", a1_closed, a1_num, SLOPE_PASS),
@@ -243,17 +264,7 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
     ]
     if all(c.passed for c in checks[:2]):  # the second-order slopes only after the first
         checks.append(CoefficientCheck("2r*b1+b2", 0.0, 2.0 * r * b1_num + b2_num, SLOPE_PASS))
-
-    return LemmaReport(
-        kind=kind,
-        r=r,
-        param=delta,
-        original=original,
-        replacement=replacement,
-        endpoint_residual=residual,
-        length_delta=delta_len,
-        coefficient_checks=tuple(checks),
-    )
+    return _report(kind, r, delta, original, replacement, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -282,33 +293,20 @@ def closed_form_phi(variant: str, r: float, beta: float) -> float:
     raise OutOfRegime(f"unknown variant {variant!r}")
 
 
-# Variant -> (interior arc count, regime check, regime text) of the chain pairs
-# L_pi R_(pi+beta) ... L/R_pi against L_phi R_(pi-beta) ... L/R_phi.
-_CHAIN_PAIRS = {
-    "triple": (1, _in_low_regime, "(0, 1/sqrt(2)]"),
-    "quad": (2, _in_high_regime, "(1/sqrt(2), sqrt(3)/2]"),
-}
-
-
 def _chain_pair(
     variant: str, needs: str, r: float, beta: float, phi: float | None = None
 ) -> tuple[float, tuple[Segment, ...], tuple[Segment, ...]]:
-    """Replacement angle phi (closed form unless given), the original chain and
-    its replacement, after the regime and beta checks (`needs` opens the
-    regime error: "lrl5 construction needs")."""
-    interior, in_regime, interval = _CHAIN_PAIRS[variant]
-    if not in_regime(r):
-        raise OutOfRegime(f"{needs} r in {interval}, got {r}")
+    """Replacement angle phi (closed form unless given), the original chain
+    L_pi R_(pi+beta) ... L/R_pi and its replacement L_phi R_(pi-beta) ...
+    L/R_phi, after the regime and beta checks (`needs` opens the regime
+    error: "lrl5 construction needs")."""
+    kind = _VARIANTS[variant]
+    _check_regime(kind, r, needs)
     if not (0.0 < beta < math.pi):
         raise OutOfRegime(f"beta must be in (0, pi), got {beta}")
     if phi is None:
         phi = closed_form_phi(variant, r, beta)
-
-    def chain(outer: float, inner: float) -> tuple[Segment, ...]:
-        arcs = (outer,) + (inner,) * interior + (outer,)
-        return tuple(Segment(k, a) for k, a in zip("LRLR", arcs))
-
-    return phi, chain(math.pi, math.pi + beta), chain(phi, math.pi - beta)
+    return phi, _turn_chain(kind, math.pi, math.pi + beta), _turn_chain(kind, phi, math.pi - beta)
 
 
 def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
@@ -324,12 +322,6 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
     phi, original, replacement = _chain_pair(variant, f"{kind} construction needs", r, beta)
     sincos = _triple_phi_sincos if variant == "triple" else _quad_phi_sincos
     sp_closed, cp_closed = sincos(r, beta)
-
-    geom = TurnGeometry.from_radius(r)
-    residual = float(
-        np.linalg.norm(compose_path(original, geom) - compose_path(replacement, geom))
-    )
-    delta_len = path_length(original, geom) - path_length(replacement, geom)
     # the angle of the rationalized (sin, cos), on phi's branch
     phi_closed = phi + math.remainder(math.atan2(sp_closed, cp_closed) - phi, TWO_PI)
     checks = (
@@ -337,16 +329,7 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
         CoefficientCheck("sin(phi)", sp_closed, math.sin(phi), CLOSED_FORM_PASS),
         CoefficientCheck("cos(phi)", cp_closed, math.cos(phi), CLOSED_FORM_PASS),
     )
-    return LemmaReport(
-        kind=kind,
-        r=r,
-        param=beta,
-        original=original,
-        replacement=replacement,
-        endpoint_residual=residual,
-        length_delta=delta_len,
-        coefficient_checks=checks,
-    )
+    return _report(kind, r, beta, original, replacement, checks)
 
 
 def _triple_phi_sincos(r: float, beta: float) -> tuple[float, float]:
@@ -616,7 +599,7 @@ def appendix_products(
     With `phi` omitted, the closed-form replacement angle is used, in which
     case the replacement product reproduces the original product entrywise.
     """
-    if variant not in _CHAIN_PAIRS:
+    if variant not in _VARIANTS:
         raise OutOfRegime(f"unknown variant {variant!r}")
     phi, original, replacement = _chain_pair(variant, f"{variant} tables need", r, beta, phi)
     geom = TurnGeometry.from_radius(r)

@@ -208,13 +208,17 @@ class FamilyTemplate:
 
 
 def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Targets as an (N, 3, 3) stack, and whether one (3, 3) target was given."""
+    """Targets as an (N, 3, 3) stack, and whether one (3, 3) target was given;
+    a NaN or infinite entry raises InvalidInput before anything is solved."""
     m = np.asarray(m, dtype=float)
-    if m.shape == (3, 3):
-        return m[None], True
-    if m.ndim != 3 or m.shape[1:] != (3, 3):
+    single = m.shape == (3, 3)
+    if not single and (m.ndim != 3 or m.shape[1:] != (3, 3)):
         raise InvalidInput(f"target must have shape (3, 3) or (N, 3, 3), got {m.shape}")
-    return m, False
+    ms = m.reshape(-1, 3, 3)
+    bad = np.flatnonzero(~np.isfinite(ms).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidInput("target must be finite" + ("" if single else f" (row {bad[0]})"))
+    return ms, single
 
 
 def _row_apply(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:

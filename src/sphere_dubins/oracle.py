@@ -4,11 +4,12 @@ The forward oracle searches candidate-family angle vectors directly: seeded
 uniform restarts inside each family's feasible box, then a
 Levenberg-Marquardt polish with the chain's analytic Jacobian.  Samples are
 composed as unit quaternions and ranked by tr(m^T R), which orders them as
-the endpoint residual does; the ranking only chooses the restarts, and every
-gate reads residuals of rotation matrices.  Free and pinned-middle restarts
-are first brought near a root by coordinate descent on the endpoint
-residual; equal-middle restarts (interior arcs pi + beta) go to the polish
-as drawn.  The oracle never consults the closed-form linkage solver, so
+the endpoint residual does; the ranking only chooses the restarts.  Free
+and pinned-middle restarts are first brought near a root by coordinate
+descent on the endpoint residual; equal-middle restarts (interior arcs
+pi + beta) go to the polish as drawn.  Each restart ends as one canonical
+path whose one residual, read from `compose_path`, is gated at TOL_RESIDUAL
+and reported.  The oracle never consults the closed-form linkage solver, so
 agreement between the two is meaningful evidence.  One search object
 serves each parameter shape (`FamilyTemplate.shape`: free 1/2/3 slots,
 pinned pi, equal-middle 4 and 5), with one row of axes and bounds per
@@ -47,7 +48,7 @@ from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
-ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # a refined restart above this is dropped
+ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # polish stop rule: a row still above it after POLISH_STEPS stops
 POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding of the chain)
 POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
@@ -66,13 +67,6 @@ class OracleResult:
     @property
     def found(self) -> bool:
         return self.segments is not None
-
-
-def _chain(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Products R(axes[0], angles[:, 0]) @ ... @ R(axes[-1], angles[:, -1]);
-    `axes` is (slots, 3), or (n, slots, 3) for one chain per row."""
-    rots = rotations_about_axis(axes, angles)
-    return reduce(np.matmul, (rots[:, k] for k in range(1, angles.shape[1])), rots[:, 0])
 
 
 def _right_product(a: np.ndarray) -> np.ndarray:
@@ -137,8 +131,8 @@ class _FamilySearch:
     def compose_batch(self, params: np.ndarray, family: int) -> np.ndarray:
         """Unit quaternions (n, 4) of one family's sampled chains: slot by
         slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis).  They only rank
-        the samples (`forward_oracle`) to choose restarts; every gate reads
-        the residuals of `_chain` and `compose_path`."""
+        the samples (`forward_oracle`) to choose restarts; the one gate reads
+        the residual of `compose_path` (`refine`)."""
         half = 0.5 * self.template.angles(params)
         cos, sin = np.cos(half), np.sin(half)
         q = np.zeros((len(params), 4))
@@ -148,11 +142,15 @@ class _FamilySearch:
         return q
 
     # -- descent, polish and per-restart finish ----------------------------
-    def refine(self, m: np.ndarray, params: np.ndarray, family: int) -> tuple[np.ndarray, float]:
-        """Finish one restart after the polish (`_polish`): its parameters
-        and the endpoint residual that `forward_oracle` gates on."""
-        end = _chain(self.axes[family], self.template.angles(params[None, :]))[0]
-        return params, float(np.linalg.norm(end - m))
+    def refine(
+        self, m: np.ndarray, params: np.ndarray, family: int, geom: TurnGeometry
+    ) -> tuple[tuple[Segment, ...], float]:
+        """Finish one restart after the polish: its canonical segments and the
+        one residual, ||compose_path - m||, that `forward_oracle` gates and reports."""
+        template = self.templates[family]
+        angles = template.angles(params[None, :])[0]
+        segments = tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
+        return segments, float(np.linalg.norm(compose_path(segments, geom) - m))
 
     def linearize(self, params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (k, 3, 3) and parameter Jacobians (k, 9, p) of a batch.
@@ -160,7 +158,7 @@ class _FamilySearch:
         Slot j's column of d(endpoint)/d(angle) is prefix_j @ skew(a_j) @
         suffix_j, with prefix_j the product of the slots before j and
         suffix_j that of slot j onward; `slot_map` takes it to parameters.
-        The endpoint is `_chain`'s product, to the bit.
+        The endpoints are the slot rotations multiplied left to right.
         """
         generators = self.generators[owner]
         rots = rotations_about_axis(self.axes[owner], self.template.angles(params))
@@ -276,7 +274,7 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
     REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
     The slot rotations of those restarts carry over from sweep to sweep, and
-    the residuals are read from their product (`_chain`'s)."""
+    the residuals are read from their left-to-right product."""
     n_slots = axes.shape[1]
     angles = angles.copy()
     rots = [rotations_about_axis(axes[:, k], angles[:, k]) for k in range(n_slots)]
@@ -318,8 +316,9 @@ def forward_oracle(
     polished, those of free and pinned-middle families after a coordinate
     descent.  One search (`_FamilySearch`) per parameter shape samples and
     ranks each of its families, then descends and polishes all their
-    restarts in one batch; the restarts are finished in catalog order, so
-    the first of two equal lengths wins.  `min_singular` is the smallest
+    restarts in one batch.  The restarts are finished (`refine`) in catalog
+    order, a path is kept when its residual is at most TOL_RESIDUAL, and the
+    first of two equal lengths wins.  `min_singular` is the smallest
     singular value of the winner's parameter Jacobian, from the polish.
     Results are deterministic for a fixed seed.
     """
@@ -354,20 +353,13 @@ def forward_oracle(
 
     restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
     for _, search, family, params, min_singular in restarts:
-        refined, res = search.refine(m, params, family)
-        if res > ACCEPT_GATE:
-            continue
-        template = search.templates[family]
-        angles = template.angles(refined[None, :])[0]
-        segments = tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
-        res_canonical = float(np.linalg.norm(compose_path(segments, geom) - m))
-        if res_canonical > TOL_RESIDUAL:
+        segments, res = search.refine(m, params, family, geom)
+        if res > TOL_RESIDUAL:
             continue
         length = path_length(segments, geom)
         if length < best.length:
-            best = OracleResult(
-                segments, length, res_canonical, template.tag, evaluations, float(min_singular)
-            )
+            tag = search.templates[family].tag
+            best = OracleResult(segments, length, res, tag, evaluations, float(min_singular))
     return best
 
 

@@ -93,8 +93,7 @@ def test_criterion_3_figure_reproductions():
     min_delta = math.inf
     exit_codes = []
     for kind, r, param in cases:
-        build = lm.shortcut_construction if kind in ("grg", "rgl") else lm.closed_replacement
-        report = build(kind, r, param)
+        report = lm.construct(kind, r, param)
         worst_residual = max(worst_residual, report.endpoint_residual)
         min_delta = min(min_delta, report.length_delta)
         exit_codes.append(
@@ -114,12 +113,11 @@ def test_criterion_4_lemma_sweeps():
     worst_taylor = 0.0
     worst_identity = 0.0
     for kind in ("grg", "rgl", "lrl5", "lrlr6"):
-        build = lm.shortcut_construction if kind in ("grg", "rgl") else lm.closed_replacement
         r_values, params = lm.sweep_grid(kind)
         assert len(r_values) >= 20 and len(params) >= 20
         for i, r in enumerate(r_values):
             for j, param in enumerate(params):
-                report = build(kind, float(r), float(param))
+                report = lm.construct(kind, float(r), float(param))
                 worst_residual = max(worst_residual, report.endpoint_residual)
                 min_delta = min(min_delta, report.length_delta)
                 if kind in ("grg", "rgl") and j == 0:

@@ -280,9 +280,9 @@ def test_align_angles_are_canonical():
     nan_row = np.full((1, 3), math.nan)
     with pytest.raises(InvalidInput, match="angle must be finite, got nan"):
         geo.align_angles(axes[:1], v[:1], nan_row)
-    # the solvers align on a NaN target: the same error as before
+    # the solvers reject a NaN target before they align anything
     for pattern in ("L", "LR", "LRL"):
-        with pytest.raises(InvalidInput, match="angle must be finite, got nan"):
+        with pytest.raises(InvalidInput, match="target must be finite"):
             lk.solve_chain(lk.FamilyTemplate.of(pattern), np.full((3, 3), math.nan), GEOM)
 
 

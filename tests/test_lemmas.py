@@ -22,7 +22,7 @@ def test_equal_outer_filter(monkeypatch):
     assert all(abs(s.angles[0] - s.angles[2]) > lm.TOL_SYM for s in unfiltered)
     _, _, symmetric = lm._shortcut_offsets("grg", g, 0.3)
     assert symmetric and abs(symmetric[0].angle - symmetric[2].angle) <= lm.TOL_SYM
-    monkeypatch.setattr(lm, "_shortcut_original", lambda kind, delta: original)
+    monkeypatch.setattr(lm, "_turn_chain", lambda kind, outer, inner: original)
     p1, p2, segments = lm._shortcut_offsets("grg", g, 0.3)
     assert math.isnan(p1) and math.isnan(p2) and segments == ()
 
@@ -235,6 +235,56 @@ def test_appendix_regime_checks():
         lm.appendix_products("quad", 0.5, 0.5)
     with pytest.raises(OutOfRegime):
         lm.appendix_products("quad", 0.8, 0.0)
+
+
+LOW, HIGH = "(0, 1/sqrt(2)]", "(1/sqrt(2), sqrt(3)/2]"
+ERROR_CASES = [
+    # each kind's regime, as the lemma table prints it; the bounds are (lo, hi]
+    (lm.shortcut_construction, ("grg", 0.8, 0.3), f"grg construction needs r in {LOW}, got 0.8"),
+    (lm.shortcut_construction, ("grg", 0.0, 0.3), f"grg construction needs r in {LOW}, got 0.0"),
+    (lm.shortcut_construction, ("RGL", 0.5, 0.3), f"rgl construction needs r in {HIGH}, got 0.5"),
+    (lm.shortcut_construction, ("rgl", SQRT2_INV, 0.3),
+     f"rgl construction needs r in {HIGH}, got {SQRT2_INV}"),
+    (lm.closed_replacement, ("lrl5", 0.75, 0.3), f"lrl5 construction needs r in {LOW}, got 0.75"),
+    (lm.closed_replacement, ("lrl5", math.nan, 0.3),
+     f"lrl5 construction needs r in {LOW}, got nan"),
+    (lm.closed_replacement, ("lrlr6", 0.5, 0.3), f"lrlr6 construction needs r in {HIGH}, got 0.5"),
+    (lm.closed_replacement, ("lrlr6", 0.87, 0.3),
+     f"lrlr6 construction needs r in {HIGH}, got 0.87"),
+    # the table variants name the lrl5 and lrlr6 rows
+    (lm.appendix_products, ("triple", 0.8, 0.5), f"triple tables need r in {LOW}, got 0.8"),
+    (lm.appendix_products, ("quad", 0.5, 0.5), f"quad tables need r in {HIGH}, got 0.5"),
+    # delta and beta ranges; a shortcut checks delta before r, a replacement r before beta
+    (lm.shortcut_construction, ("grg", 0.5, 0.9), "delta must be in (0, 0.6], got 0.9"),
+    (lm.shortcut_construction, ("rgl", 0.5, 0.0), "delta must be in (0, 0.6], got 0.0"),
+    (lm.closed_replacement, ("lrl5", 0.5, 4.0), "beta must be in (0, pi), got 4.0"),
+    (lm.closed_replacement, ("lrl5", 0.8, 4.0), f"lrl5 construction needs r in {LOW}, got 0.8"),
+    (lm.appendix_products, ("quad", 0.8, 0.0), "beta must be in (0, pi), got 0.0"),
+    (lm.appendix_products, ("triple", 0.5, math.pi, 1.0), f"beta must be in (0, pi), got {math.pi}"),
+    # unknown kinds and variants
+    (lm.shortcut_construction, ("lrl5", 0.5, 0.3), "unknown shortcut kind 'lrl5'"),
+    (lm.closed_replacement, ("GRG", 0.5, 0.3), "unknown replacement kind 'grg'"),
+    (lm.sweep_grid, ("triple",), "unknown lemma kind 'triple'"),
+    (lm.appendix_products, ("lrl5", 0.5, 0.3), "unknown variant 'lrl5'"),
+    (lm.closed_form_phi, ("TRIPLE", 0.5, 0.3), "unknown variant 'TRIPLE'"),
+]
+
+
+@pytest.mark.parametrize("build, args, message", ERROR_CASES)
+def test_lemma_error_messages_are_pinned(build, args, message):
+    with pytest.raises(OutOfRegime) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, r, param", [
+    ("grg", 0.5, 0.3), ("RGL", 0.8, 0.4), ("lrl5", 0.55, 1.0), ("lrlr6", 0.72, 0.7),
+])
+def test_construct_picks_the_kinds_builder(kind, r, param):
+    build = lm.shortcut_construction if kind.lower() in ("grg", "rgl") else lm.closed_replacement
+    assert lm.construct(kind, r, param) == build(kind, r, param)
+    with pytest.raises(OutOfRegime, match=r"^unknown replacement kind 'foo'$"):
+        lm.construct("foo", r, param)
 
 
 # ---------------------------------------------------------------------------

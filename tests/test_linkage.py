@@ -476,3 +476,19 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
         pairs += any(0.0 < b - a <= 1e-3 for a, b in zip(sorted(betas), sorted(betas)[1:]))
     assert len(seen) == 4 * len(targets) and excluded <= 2 and counted >= 12
     assert len(near_doubles) >= 4 and pairs >= len(near_doubles) - excluded
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_chain_rejects_non_finite_targets(bad):
+    """Every family raises one InvalidInput naming the target before it
+    solves anything, on a target alone and on one bad row of a stack."""
+    g = geo.TurnGeometry.from_radius(0.8)
+    rng = np.random.default_rng(47)
+    target = random_rotation(rng)
+    target[1, 2] = bad
+    stack = np.stack([random_rotation(rng), target, random_rotation(rng)])
+    for template in family_catalog(0.8, mode="all"):
+        with pytest.raises(InvalidInput, match=r"^target must be finite$"):
+            lk.solve_chain(template, target, g)
+        with pytest.raises(InvalidInput, match=r"^target must be finite \(row 1\)$"):
+            lk.solve_chain(template, stack, g)

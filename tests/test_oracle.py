@@ -134,10 +134,15 @@ def test_polish_jacobian_matches_central_differences(pattern, fixed):
     params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20, 0)
     owner = np.zeros(20, dtype=int)
     ends, jac = search.linearize(params, owner)
-    assert np.array_equal(ends, orc._chain(search.axes[owner], search.template.angles(params)))
-    assert jac.shape == (20, 9, params.shape[1])
+    template = search.template
+
     def endpoint(p):
-        return orc._chain(search.axes[0], search.template.angles(p[None, :]))[0]
+        angles = template.angles(p[None, :])[0]
+        return geo.compose_path([geo.Segment(k, a) for k, a in zip(template.kinds, angles)], geom)
+
+    for row, end in zip(params, ends):
+        assert np.array_equal(end, endpoint(row))
+    assert jac.shape == (20, 9, params.shape[1])
 
     for row, analytic in zip(params, jac):
         assert np.max(np.abs(analytic - _central_jacobian(endpoint, row))) <= 1e-7
@@ -163,7 +168,7 @@ def test_quaternion_ranking_keeps_the_residual_order(r):
             params = search.sample(np.random.default_rng(families.index(template)), 2000, family)
             q = search.compose_batch(params, family)
             assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-12
-            chains = orc._chain(search.axes[family], search.template.angles(params))
+            chains = search.linearize(params, np.full(len(params), family))[0]
             residual = np.linalg.norm(chains - m, axis=(1, 2))
             trace = np.einsum("nij,ij->n", chains, m)
             assert np.max(np.abs(np.einsum("ni,ni->n", q @ davenport, q) - trace)) <= 1e-12
@@ -234,6 +239,26 @@ def test_oracle_results_are_pinned(r, seed, family, length):
     assert abs(found.length - length) <= 1e-12
 
 
+RESIDUAL_CASES = [
+    ([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71, 2),  # the published RLpiR
+    ([geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)], 0.55, 1),  # the published RLRL
+    (None, 0.8, 606),
+]
+
+
+@pytest.mark.parametrize("segments, r, seed", RESIDUAL_CASES)
+def test_oracle_residual_is_its_paths_compose_path_residual(segments, r, seed):
+    # the one residual: refine's ||compose_path(segments) - m||, gated and reported
+    if segments is None:
+        req = orc.random_request(r, seed=seed)
+    else:
+        req = request_from_segments(segments, r)
+    target, geom, _, _, _ = pl.normalize_problem(req)
+    found = orc.forward_oracle(target, geom, seed=seed, budget=20_000)
+    assert found.found and found.residual <= orc.TOL_RESIDUAL
+    assert found.residual == float(np.linalg.norm(geo.compose_path(found.segments, geom) - target))
+
+
 def _winner_endpoint(result, geom):
     """The winner's parameter vector, read from its segments through the
     template's slot map, and its endpoint as a function of the parameters,
@@ -274,8 +299,8 @@ def test_min_singular_is_nan_without_a_path(monkeypatch):
     empty = orc.forward_oracle(np.eye(3), geom, seed=3, budget=500)
     assert empty.family == "EMPTY"
     assert math.isnan(empty.min_singular)
-    # nothing found: no restart passes an acceptance gate below every residual
-    monkeypatch.setattr(orc, "ACCEPT_GATE", -1.0)
+    # nothing found: no restart passes a residual gate below every residual
+    monkeypatch.setattr(orc, "TOL_RESIDUAL", -1.0)
     m = geo.compose_path([geo.L(1.1), geo.G(0.9), geo.L(2.0)], geom)
     missed = orc.forward_oracle(m, geom, seed=3, budget=500)
     assert not missed.found
