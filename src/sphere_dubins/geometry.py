@@ -331,7 +331,7 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each x[k] in a stack, with the bits of
     ``np.linalg.norm(x[k])`` (the square root of one dot product)."""
-    flat = x.reshape(len(x), 1, -1)
+    flat = x.reshape(len(x), 1, math.prod(x.shape[1:]))  # -1 fails on an empty stack
     return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
 
 

@@ -28,16 +28,17 @@ ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
 |a.(M - P)b| and ||(M - P)a|| (unit a, b) are at most ||M - P||, so none drops
 a row the gate accepts; they only skip composing rows that cannot pass.
 
-`solve_chain` takes one target m (3, 3), or a stack (N, 3, 3) and then
-returns one list of solutions per target.  `solve_shapes` solves the families
-of several `chain_shapes` entries (families of one shape, their axes and
-step-1 coefficients cached per (r, families)) on a stack: step 1 per shape,
-the 4- and 5-chains sharing one root filter and polish, then one step 2 over
-every shape's (row, interior) pairs, so `plan_batch` makes one step-2 pass
-per radius group.  Each stacked operation keeps the bits of its one-target,
-one-family form: a row takes its own operands in the same shapes, e.g.
-(K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm across
-families such as ms @ A.T, which rounds differently; dot products are
+`solve_shapes` solves the families of several `chain_shapes` entries
+(families of one shape, their axes and step-1 coefficients cached per (r,
+families)) on a stack: step 1 per shape, the 4- and 5-chains sharing one
+root filter and polish, then one step 2 over every shape's (row, interior)
+pairs, so `plan_batch` makes one step-2 pass per radius group.  It returns
+one flat row (target, family, arcs, residual) per solution; `solve_chain`
+(one target m (3, 3), or a stack (N, 3, 3)) groups them into one list of
+`CandidateSolution`s per target.  Each stacked operation keeps the bits of
+its one-target, one-family form: a row takes its own operands in the same
+shapes, e.g. (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm
+across families such as ms @ A.T, which rounds differently; dot products are
 1x3 @ 3x1 matmuls and angles are taken per root with `math`.  Shared passes
 pad rows instead, with exact no-ops: interiors to three slots turned by 0,
 which `rotations_about_axis` makes exactly I, and 4-chain coefficients to the
@@ -122,11 +123,16 @@ class FamilyTemplate:
 
     tag: str
     kinds: tuple[SegmentKind, ...]
-    fixed_middle: float | None = None   # three-segment chains with a pinned middle arc
+    fixed_middle: float | None = None   # pi: a three-segment chain with its middle arc pinned
 
     def __post_init__(self) -> None:
         if len(self.kinds) > 5 or (self.equal_middles and not all(k.is_turn for k in self.kinds)):
             raise InvalidInput("equal-middle chains have 4 or 5 segments, turns only")
+        if self.fixed_middle is not None and (self.fixed_middle, len(self.kinds)) != (math.pi, 3):
+            raise InvalidInput(
+                f"a pinned middle is pi on a three-segment chain, got {self.fixed_middle!r} "
+                f"on {len(self.kinds)} segments"
+            )
 
     def __hash__(self) -> int:  # equal templates have equal tags; kinds hash slowly
         return hash(self.tag)
@@ -288,14 +294,16 @@ def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[floa
     """A fixed interior (none, or a pinned middle) and its a_1 . B a_n."""
     if template.fixed_middle is None:
         return (), float(a[0] @ a[1])
-    fm = canonical_angle(template.fixed_middle)
+    fm = template.fixed_middle
     k1c, k2c, k3c = scalar_reduction(*a)
     return (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
 
 
-# a shape with its stack of rows and one solution list per row; step 1's
+# a solution of `solve_shapes`: target index, family index, arcs, residual; a
+# shape with its stack of rows and its first family's index; step 1's
 # interior solutions of a shape: their rows and interior angles
-Chain = tuple[ChainShape, np.ndarray, list[list[CandidateSolution]]]
+Row = tuple[int, int, tuple[float, ...], float]
+Chain = tuple[ChainShape, np.ndarray, int]
 Interiors = tuple[list[int], list[tuple[float, ...]]]
 
 
@@ -310,55 +318,58 @@ def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> 
     (N, 3, 3); a stack gets one list of solutions per target.  The empty
     chain and a single arc (canonical angles) always lie in their box."""
     ms, single = _stacked(m)
-    (solved,) = solve_shapes(chain_shapes(geom.r, (template,)), ms)
+    solved: list[list[CandidateSolution]] = [[] for _ in ms]
+    for i, _, arcs, residual in solve_shapes(chain_shapes(geom.r, (template,)), ms):
+        solved[i].append(CandidateSolution(arcs, residual))
     return solved[0] if single else solved
 
 
-def solve_shapes(
-    shapes: Sequence[ChainShape], ms: np.ndarray
-) -> list[list[list[CandidateSolution]]]:
+def solve_shapes(shapes: Sequence[ChainShape], ms: np.ndarray) -> list[Row]:
     """`solve_chain` for every family of `shapes` on the (N, 3, 3) stack
-    `ms`: for each family of each shape in turn, one list of solutions per
-    target.  Step 1 runs per shape over its (family, target) rows, step 2
-    once over the interior solutions of every shape (`_close_chain`)."""
+    `ms`: one flat list of rows (target, family, arcs, residual), `family`
+    indexing the templates of each shape in turn.  A family's rows on one
+    target keep their step-1 order.  Step 1 runs per shape over its
+    (family, target) rows, step 2 once over the interior solutions of every
+    shape (`_close_chain`)."""
     n = len(ms)
-    solved: list[list[list[CandidateSolution]]] = []
+    solved: list[Row] = []
     chains: list[Chain] = []
+    first = 0
     for shape in shapes:
         count = len(shape.templates)
         rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
         if not shape.axes.shape[1]:
-            residuals = row_norms(rows - np.eye(3)).tolist()
-            solutions = [[CandidateSolution((), r)] if r <= TOL_RESIDUAL else [] for r in residuals]
+            residuals = enumerate(row_norms(rows - np.eye(3)).tolist())
+            solved += [(k % n, first + k // n, (), r) for k, r in residuals if r <= TOL_RESIDUAL]
         elif shape.probes is not None:
             fam = np.repeat(np.arange(count), n)
-            solutions = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
+            aligned = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
+            solved += [(k % n, first + k // n, (phi,), r) for k, phi, r in aligned]
         else:
-            solutions = [[] for _ in range(len(rows))]
-            chains.append((shape, rows, solutions))
-        solved += [solutions[f * n:(f + 1) * n] for f in range(count)]
+            chains.append((shape, rows, first))
+        first += count
     if chains:
-        _close_chain(ms, chains, _eliminate(chains, n))
+        solved += _close_chain(ms, chains, _eliminate(chains, n))
     return solved
 
 
-def _one_arc(ms: np.ndarray, axes: np.ndarray, probes: np.ndarray) -> list[list[CandidateSolution]]:
-    """The canonical angle phi with R(axes[k], phi) == ms[k] of every row
-    whose target fixes its axis, found by aligning its probe."""
-    solutions: list[list[CandidateSolution]] = [[] for _ in range(len(ms))]
+def _one_arc(
+    ms: np.ndarray, axes: np.ndarray, probes: np.ndarray
+) -> list[tuple[int, float, float]]:
+    """(row, phi, residual) for the canonical angle phi with R(axes[k], phi)
+    == ms[k] of every row k whose target fixes its axis, found by aligning
+    its probe."""
     fixed = np.nonzero(~(row_norms(_row_apply(ms, axes) - axes) > TOL_RESIDUAL))[0]
-    if fixed.size:
-        sub, axes, probes = ms[fixed], axes[fixed], probes[fixed]
-        phis, _ = align_angles(axes, probes, _row_apply(sub, probes))
-        found = [k for k, phi in enumerate(phis) if phi is not None]
-        if found:
-            angles = [phis[k] for k in found]
-            turns = rotations_about_axis(axes[found][:, None], np.array(angles)[:, None])
-            residuals = row_norms(turns[:, 0] - sub[found])
-            for k, phi, res in zip(found, angles, residuals.tolist()):
-                if res <= TOL_RESIDUAL:
-                    solutions[fixed[k]].append(CandidateSolution((phi,), res))
-    return solutions
+    if not fixed.size:  # the common case: a target that moves every axis
+        return []
+    sub, axes, probes = ms[fixed], axes[fixed], probes[fixed]
+    phis, _ = align_angles(axes, probes, _row_apply(sub, probes))
+    found = [k for k, phi in enumerate(phis) if phi is not None]
+    angles = [phis[k] for k in found]
+    turns = rotations_about_axis(axes[found][:, None], np.array(angles)[:, None])
+    residuals = row_norms(turns[:, 0] - sub[found]).tolist()
+    solved = zip(fixed[found].tolist(), angles, residuals)
+    return [(k, phi, res) for k, phi, res in solved if res <= TOL_RESIDUAL]
 
 
 def _eliminate(chains: Sequence[Chain], n: int) -> list[Interiors]:
@@ -463,47 +474,45 @@ def _recover_outer(
     if merged:
         q = m[merged] @ middle_blocks[merged].transpose(0, 2, 1)
         probes = np.array([probe_orthogonal(a) for a in a1[merged]])
-        for k, found in zip(merged, _one_arc(q, a1[merged], probes)):
-            if found:
-                outer[k] = (found[0].angles[0], 0.0)
+        for k, phi, _ in _one_arc(q, a1[merged], probes):
+            outer[merged[k]] = (phi, 0.0)
     return outer
 
 
-def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interiors]) -> None:
+def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interiors]) -> list[Row]:
     """Step 2 for every interior solution of step 1 (see the module
     docstring), of every shape in one pass.
 
     `found[c]` holds step 1's solutions of `chains[c]`, a shape with its
-    stack of rows (row f * n + i is family f on target `ms[i]`) and one list
-    per row that receives that row's solutions, in step 1's order.  For each
+    stack of rows (row f * n + i is family f on target `ms[i]`) and the
+    index of its first family among the solved shapes' templates.  For each
     (row, interior) pair: build the interior block, recover the outer angles,
     keep the assignment if the family's `feasible` accepts it, and only then
-    compose it and report it if its matrix residual is within TOL_RESIDUAL.
+    compose it; the solution rows are those whose matrix residual is within
+    TOL_RESIDUAL, in step 1's order.
     Interiors are padded to three slots with angle 0, whose rotation is I
     exactly, so every pair turns through the same three slots.
     """
     n = len(ms)
     targets: list[int] = []
-    families: list[int] = []
+    families: list[int] = []  # indices into the chains' own templates
+    labels: list[int] = []  # each of those templates' index among the solved shapes'
     interiors: list[tuple[float, ...]] = []
-    sinks: list[list[CandidateSolution]] = []
-    offset = 0
-    for (shape, _, solutions), (owners, mids) in zip(chains, found):
+    for (shape, _, first), (owners, mids) in zip(chains, found):
         targets += [k % n for k in owners]
-        families += [offset + k // n for k in owners]
-        sinks += [solutions[k] for k in owners]
+        families += [len(labels) + k // n for k in owners]
+        labels += range(first, first + len(shape.templates))
         interiors += mids
-        offset += len(shape.templates)
-    if not sinks:
-        return
+    if not interiors:
+        return []
     templates = [t for shape, _, _ in chains for t in shape.templates]
     inner = np.concatenate([shape.inner for shape, _, _ in chains])[families]
     end_axes = np.concatenate([shape.ends for shape, _, _ in chains])[families]
-    targets = ms[targets]
+    stack = ms[targets]
     padded = np.array([mid + (0.0,) * (3 - len(mid)) for mid in interiors])
     rotations = rotations_about_axis(inner, padded)  # (K, 3, 3, 3), slot by slot
     blocks = rotations[:, 0] @ rotations[:, 1] @ rotations[:, 2]
-    outer = _recover_outer(targets, end_axes, blocks)
+    outer = _recover_outer(stack, end_axes, blocks)
     rows: list[int] = []
     assignments: list[tuple[float, ...]] = []
     for k, (f, pair) in enumerate(zip(families, outer)):
@@ -513,15 +522,16 @@ def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interi
                 rows.append(k)
                 assignments.append(angles)
     if not rows:
-        return
+        return []
     # each row's product has the same bits in any stack
     ends = rotations_about_axis(end_axes[rows], np.array([(a[0], a[-1]) for a in assignments]))
     turns = rotations[rows]
     product = ends[:, 0] @ turns[:, 0] @ turns[:, 1] @ turns[:, 2] @ ends[:, 1]
-    residuals = row_norms(product - targets[rows]).tolist()
-    for k, angles, res in zip(rows, assignments, residuals):
-        if res <= TOL_RESIDUAL:
-            sinks[k].append(CandidateSolution(angles, res))
+    residuals = row_norms(product - stack[rows]).tolist()
+    return [
+        (targets[k], labels[families[k]], angles, res)
+        for k, angles, res in zip(rows, assignments, residuals) if res <= TOL_RESIDUAL
+    ]
 
 
 def _laurent_coefficients(

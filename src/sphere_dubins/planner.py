@@ -11,9 +11,9 @@ case.  `normalize_requests` normalizes every request at once on stacks of
 poses, then checks the requests in input order and raises the first failing
 request's first failing check; `normalize_problem` is its one-request case.
 Each unit turning radius's catalog is solved in one `linkage.solve_shapes`
-call on the stacked targets, and `_assemble` turns every solution of the
-group into a row (target, family, angles padded to five slots), ordered by
-one `np.lexsort`.
+call on the stacked targets, which returns one flat list of solution rows
+(target, family, arcs, residual); `_assemble` pads each row's arcs to five
+slots in one array and orders the rows by one `np.lexsort`.
 A candidate duplicates an earlier kept one when its nonzero kinds are the
 same and every angle is within DEDUP_ANGLE_TOL, so duplicates differ in unit
 length by at most five times that plus rounding: only rows that close in
@@ -41,9 +41,9 @@ from .geometry import (
 )
 from .linkage import (
     CACHE_SIZE,
-    CandidateSolution,
     ChainShape,
     FamilyTemplate,
+    Row,
     chain_shapes,
     solve_chain,
     solve_shapes,
@@ -296,24 +296,22 @@ def solve_family(
     template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry, regime_has_fixed_pi: bool
 ) -> list:
     """Solutions of one family reaching the target inside its box, each with
-    the endpoint residual its solver computed (`linkage.solve_chain`).  `m` is
-    one target (3, 3) or a stack (N, 3, 3); a stack gets one list of
-    solutions per target.  `plan_batch` solves whole shapes at once, and
-    this is its one-family case."""
-    single = np.ndim(m) == 2
+    the endpoint residual its solver computed (`linkage.solve_chain`), less
+    the roots it cedes (`_ceded`).  `m` is one target (3, 3) or a stack
+    (N, 3, 3); a stack gets one list of solutions per target.  `plan_batch`
+    solves whole shapes at once, and this is its one-family case."""
     solved = solve_chain(template, m, geom)
-    kept = _owned(template, [solved] if single else solved, regime_has_fixed_pi)
-    return kept[0] if single else kept
-
-
-def _owned(
-    template: FamilyTemplate, solved: list[list[CandidateSolution]], regime_has_fixed_pi: bool
-) -> list[list[CandidateSolution]]:
-    """Each target's solutions without the free turn-triple roots at middle
-    pi, which the fixed-pi families own where the regime has them."""
     if not (regime_has_fixed_pi and template.is_free_middle_turn_triple):
         return solved
-    return [[sol for sol in sols if abs(sol.angles[1] - math.pi) > ANGLE_EPS] for sols in solved]
+    if np.ndim(m) == 2:
+        return [sol for sol in solved if not _ceded(sol.angles)]
+    return [[sol for sol in sols if not _ceded(sol.angles)] for sols in solved]
+
+
+def _ceded(arcs: tuple[float, ...]) -> bool:
+    """Whether a free turn triple's arcs have their middle at pi: a root
+    the fixed-pi families own where the regime has them."""
+    return abs(arcs[1] - math.pi) <= ANGLE_EPS
 
 
 SLOTS = 5  # arcs of the longest family; shorter rows are padded with angle 0
@@ -324,17 +322,16 @@ _DEDUP_LENGTH_BOUND = (SLOTS + 1) * DEDUP_ANGLE_TOL
 
 
 class _Catalog(NamedTuple):
-    """The families of a radius group and what assembling their solutions
-    reads: the chain shapes they are solved in, each family's position in
-    `solve_shapes`' output, its arc-length factors (r for a turn, 1 for G, 0
-    for a pad slot) and turn mask as one read-only (F, 2, SLOTS) table, its
-    pad angles, and whether it cedes its middle-pi roots (`_owned`)."""
+    """The families of a radius group and what assembling their solution
+    rows reads: the chain shapes they are solved in, each solved family's
+    catalog position and whether it cedes its middle-pi roots (`_ceded`), and
+    each catalog family's arc-length factors (r for a turn, 1 for G, 0 for a
+    pad slot) and turn mask as one read-only (F, 2, SLOTS) table."""
 
     families: tuple[FamilyTemplate, ...]
     shapes: tuple[ChainShape, ...]
-    solved_at: tuple[int, ...]
+    positions: tuple[int, ...]
     weights: np.ndarray
-    pads: tuple[tuple[float, ...], ...]
     cedes_pi: tuple[bool, ...]
 
 
@@ -351,9 +348,8 @@ def _catalog(r: float, mode: str) -> _Catalog:
     weights.setflags(write=False)
     fixed_pi = any(f.fixed_middle is not None for f in families)
     return _Catalog(
-        families, shapes, tuple(solved.index(t) for t in families), weights,
-        tuple((0.0,) * (SLOTS - len(t.kinds)) for t in families),
-        tuple(fixed_pi and t.is_free_middle_turn_triple for t in families),
+        families, shapes, tuple(map(families.index, solved)), weights,
+        tuple(fixed_pi and t.is_free_middle_turn_triple for t in solved),
     )
 
 
@@ -369,35 +365,30 @@ def _is_duplicate(a: tuple, b: tuple) -> bool:
 
 
 def _assemble(
-    catalog: _Catalog, solved: list[list[list[CandidateSolution]]], spheres: Sequence[float]
+    catalog: _Catalog, solved: list[Row], spheres: Sequence[float]
 ) -> list[list[PathCandidate]]:
-    """Each target's candidates from a group's `solve_shapes` output, in
+    """Each target's candidates from a group's `solve_shapes` rows, in
     catalog order, each family's ordered by unit length, then total turning,
     then angles, without duplicates of an earlier candidate.
 
-    Every solution is one row: target, family, angles padded to SLOTS, in
-    one array.  Lengths and turn sums are column adds in segment order, left
-    to right as `path_length` adds; one stable `np.lexsort` orders the rows.
-    Only rows whose length is within _DEDUP_LENGTH_BOUND of another row of
-    their target can be or have a duplicate; those are checked with
+    The rows a family keeps (not `_ceded` where it cedes its middle-pi
+    roots) make one array: target, catalog position, arcs padded to SLOTS
+    with angle 0.  Lengths and turn sums are column adds in segment order,
+    left to right as `path_length` adds; one stable `np.lexsort` orders the
+    rows.  Only rows whose length is within _DEDUP_LENGTH_BOUND of another
+    row of their target can be or have a duplicate; those are checked with
     `_is_duplicate` against the kept ones.
     Segments and candidates are built for the kept rows only.  (Solver
     angles are canonical, so they are the segments' angles.)"""
     found: list[list[PathCandidate]] = [[] for _ in spheres]
-    rows: list[tuple] = []
-    residuals: list[float] = []
-    for f, template in enumerate(catalog.families):
-        pad = catalog.pads[f]
-        per_target = solved[catalog.solved_at[f]]
-        if catalog.cedes_pi[f]:
-            per_target = _owned(template, per_target, True)
-        for i, sols in enumerate(per_target):
-            for sol in sols:
-                rows.append((i, f) + sol.angles + pad)
-                residuals.append(sol.residual)
+    positions, cedes_pi = catalog.positions, catalog.cedes_pi
+    rows = [
+        (i, positions[f], arcs, res) for i, f, arcs, res in solved
+        if not (cedes_pi[f] and _ceded(arcs))
+    ]
     if not rows:
         return found
-    table = np.array(rows)
+    table = np.array([(i, f) + arcs + (0.0,) * (SLOTS - len(arcs)) for i, f, arcs, _ in rows])
     weighted = table[:, None, 2:] * catalog.weights[table[:, 1].astype(np.intp)]
     sums = np.add.accumulate(weighted, axis=2)[..., -1]  # slot by slot, left to right
     lengths = sums[:, 0]
@@ -409,10 +400,9 @@ def _assemble(
     suspects = set(by_length[near].tolist()) | set(by_length[near + 1].tolist())
     kept: list[list[tuple]] = [[] for _ in spheres]
     for k, length in zip(order.tolist(), lengths[order].tolist()):
-        row = rows[k]
-        i, template = row[0], catalog.families[row[1]]
+        i, f, angles, residual = rows[k]
+        template = catalog.families[f]
         kinds = template.kinds
-        angles = row[2:2 + len(kinds)]
         if k in suspects:
             key = _path_key(kinds, angles)
             if any(_is_duplicate(key, other) for other in kept[i]):
@@ -420,7 +410,7 @@ def _assemble(
             kept[i].append(key)
         segments = tuple(map(Segment, kinds, angles))
         physical = spheres[i] * length
-        found[i].append(PathCandidate(template.tag, segments, length, physical, residuals[k]))
+        found[i].append(PathCandidate(template.tag, segments, length, physical, residual))
     return found
 
 

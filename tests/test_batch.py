@@ -348,6 +348,16 @@ def _bits(per_target: list[list[lk.CandidateSolution]]) -> list[list[tuple]]:
     return [[(tuple(map(repr, s.angles)), repr(s.residual)) for s in sols] for sols in per_target]
 
 
+def _grouped(rows: list[lk.Row], families: int, targets: int) -> list[list[list]]:
+    """`solve_shapes` rows as one list of solutions per target for each
+    family in turn, each list in row order."""
+    grouped = [[[] for _ in range(targets)] for _ in range(families)]
+    for i, f, arcs, residual in rows:
+        assert 0 <= f < families and 0 <= i < targets
+        grouped[f][i].append(lk.CandidateSolution(arcs, residual))
+    return grouped
+
+
 @st.composite
 def target_stack(draw, r: float) -> np.ndarray:
     """One to five targets: random rotations, the identity, paths of a
@@ -391,11 +401,13 @@ def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
     shapes = lk.chain_shapes(r, tuple(families))
     templates = [f for shape in shapes for f in shape.templates]
     assert sorted(f.tag for f in templates) == sorted(f.tag for f in families)
-    stacked = lk.solve_shapes(shapes, stack)
+    stacked = _grouped(lk.solve_shapes(shapes, stack), len(templates), len(stack))
     assert len(stacked) == len(templates)
     for template, per_target in zip(templates, stacked):
         alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]
-        assert _bits(pl._owned(template, per_target, fixed_pi)) == _bits(alone), template.tag
+        if fixed_pi and template.is_free_middle_turn_triple:
+            per_target = [[s for s in sols if not pl._ceded(s.angles)] for sols in per_target]
+        assert _bits(per_target) == _bits(alone), template.tag
 
 
 def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
@@ -429,14 +441,18 @@ def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
 
     monkeypatch.setattr(lk, "_close_chain", close_spy)
     monkeypatch.setattr(lk, "_interior_roots", roots_spy)
-    together = lk.solve_shapes(shapes, stack)
+    tags = [f.tag for shape in shapes for f in shape.templates]
+    together = _grouped(lk.solve_shapes(shapes, stack), len(tags), len(stack))
     assert closed == [[0, 1, 2, 3]] and len(polished) == 1
     assert [width for width, _ in polished[0]] == [5, 7]
     assert all(roots > 0 for _, roots in polished[0])
     # the merged branch reports the single arc M B^T as phi_1, with phi_n = 0
-    rlr = [f.tag for shape in shapes for f in shape.templates].index("RLR")
+    rlr = tags.index("RLR")
     assert any(s.angles[1] == math.pi and s.angles[-1] == 0.0 for s in together[rlr][-2])
-    shape_by_shape = [sols for shape in shapes for sols in lk.solve_shapes([shape], stack)]
+    shape_by_shape = [
+        sols for shape in shapes
+        for sols in _grouped(lk.solve_shapes([shape], stack), len(shape.templates), len(stack))
+    ]
     assert len(closed) == 1 + sum(s.axes.shape[1] >= 2 for s in shapes)
     assert [_bits(sols) for sols in together] == [_bits(sols) for sols in shape_by_shape]
 
@@ -446,12 +462,13 @@ def _assembled(r: float, placed: dict[str, list[tuple]], targets: int = 1) -> li
     `_assemble` on hand-built solutions: `placed` maps a family tag of the
     `all` catalog at r to angle tuples, which every target gets."""
     catalog = pl._catalog(r, "all")
-    solved = [[[] for _ in range(targets)] for _ in catalog.families]
-    for f, template in enumerate(catalog.families):
-        for angles in placed.get(template.tag, ()):
-            for sols in solved[catalog.solved_at[f]]:
-                sols.append(lk.CandidateSolution(tuple(angles), 0.0))
-    found = pl._assemble(catalog, solved, [1.0] * targets)
+    solved = [t for shape in catalog.shapes for t in shape.templates]
+    rows = [
+        (i, solved.index(template), tuple(angles), 0.0)
+        for template in catalog.families for i in range(targets)
+        for angles in placed.get(template.tag, ())
+    ]
+    found = pl._assemble(catalog, rows, [1.0] * targets)
     return [
         [(c.family, tuple(s.angle for s in c.segments), c.unit_length) for c in cands]
         for cands in found

@@ -492,3 +492,40 @@ def test_solve_chain_rejects_non_finite_targets(bad):
             lk.solve_chain(template, target, g)
         with pytest.raises(InvalidInput, match=r"^target must be finite \(row 1\)$"):
             lk.solve_chain(template, stack, g)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.8, math.sqrt(3.0) / 2.0])
+def test_empty_target_stack_has_no_solutions(r):
+    """An empty (0, 3, 3) stack gives every family an empty list, from the
+    solver and from the planner's per-family call."""
+    g = geo.TurnGeometry.from_radius(r)
+    empty = np.zeros((0, 3, 3))
+    for template in family_catalog(r, mode="all"):
+        assert lk.solve_chain(template, empty, g) == [], template.tag
+        for fixed_pi in (True, False):
+            assert solve_family(template, empty, g, fixed_pi) == [], template.tag
+
+
+@pytest.mark.parametrize(
+    "pattern, middle, shown",
+    [
+        ("LR", math.pi, "3.141592653589793 on 2 segments"),
+        ("L", math.pi, "3.141592653589793 on 1 segments"),
+        ("LRLR", math.pi, "3.141592653589793 on 4 segments"),
+        ("LRL", 3.0 * math.pi, "9.42477796076938 on 3 segments"),
+        ("LRL", -math.pi, "-3.141592653589793 on 3 segments"),
+        ("RLR", 1.0, "1.0 on 3 segments"),
+        ("RLR", math.nan, "nan on 3 segments"),
+    ],
+)
+def test_pinned_middle_is_pi_on_a_three_segment_chain(pattern, middle, shown):
+    """A pinned middle is exactly pi on a three-segment chain: any other
+    value, the same rotation as pi included, or chain length raises before
+    a template exists, also through `solve_three`."""
+    message = f"^a pinned middle is pi on a three-segment chain, got {shown}$"
+    with pytest.raises(InvalidInput, match=message):
+        lk.FamilyTemplate.of(pattern, fixed_middle=middle)
+    if len(pattern) == 3:
+        with pytest.raises(InvalidInput, match=message):
+            lk.solve_three(np.eye(3), pattern, GEOM6, fixed_middle=middle)
+    assert lk.FamilyTemplate.of("LRL", fixed_middle=math.pi).tag == "LRpiL"
