@@ -13,9 +13,13 @@ and reported.  The oracle never consults the closed-form linkage solver, so
 agreement between the two is meaningful evidence.  One search object
 serves each parameter shape (`FamilyTemplate.shape`: free 1/2/3 slots,
 pinned pi, equal-middle 4 and 5), with one row of axes and bounds per
-family; it descends and polishes the kept restarts of all its families as
-one numpy batch, each row with its own family's axes, bounds and stop
-rule and the same bits as in a batch of its family alone.  The polish
+family, and polishes the kept restarts of all its families as one numpy
+batch.  One coordinate descent per call takes the free and pinned-middle
+restarts of every shape, each row padded to three slots with pad slots
+bounded to [0, 0]: a pad turns by exactly 0, its rotation is exactly I, so
+it leaves every product and the stop rule bit for bit as they were.  In
+both, each row has its own family's axes, bounds and stop rule and the
+same bits as in a batch of its family alone.  The polish
 drives every near-root to float64 rounding, which matters at singular
 targets (a `CCC` middle arc of exactly pi): there a 1e-9 residual still
 admits paths shorter than the optimum by about 1e-5.  The cross-family
@@ -26,6 +30,7 @@ audit compares the planner's proven catalog against the audit catalog
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -42,6 +47,7 @@ from .geometry import (
     skew,
     turn_axis,
 )
+from .errors import InvalidInput
 from .linkage import TOL_RESIDUAL, FamilyTemplate
 from .planner import PlanRequest, Pose, family_catalog, plan_batch
 from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
@@ -53,6 +59,8 @@ POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding 
 POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
+_DESCENT_SLOTS = 3    # descended rows are padded to the longest free or pinned-middle chain
+_PAD_AXIS = np.array([0.0, 0.0, 1.0])  # a pad slot's axis; turned by 0 it is exactly I
 
 
 @dataclass(frozen=True)
@@ -96,14 +104,15 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
 
 
 class _FamilySearch:
-    """Sampling, composition, descent, the Levenberg-Marquardt polish and
-    the per-restart finish for the families of one parameter shape
+    """Sampling, composition, the Levenberg-Marquardt polish and the
+    per-restart finish for the families of one parameter shape
     (`FamilyTemplate.shape`), with one row per family of its axes,
-    generators, quaternion steps and margined box.  `template` (the first
-    family) gives the shape's `angles`, `slot_map` and `outer_cap`.  A batch
-    of restarts names its rows' families (indices into `templates`) in
-    `owner`; every product is one row's own, so a row gets the same bits in
-    any batch."""
+    generators, quaternion steps and margined box; the axes and box also
+    feed the one descent per call (`_descend_restarts`).  `template` (the
+    first family) gives the shape's `angles`, `slot_map` and `outer_cap`.
+    A batch of restarts names its rows' families (indices into `templates`)
+    in `owner`; every product is one row's own, so a row gets the same bits
+    in any batch."""
 
     def __init__(self, templates: list[FamilyTemplate], geom: TurnGeometry):
         self.templates = tuple(templates)
@@ -141,7 +150,7 @@ class _FamilySearch:
             q = cos[:, slot, None] * q + sin[:, slot, None] * (q @ step)
         return q
 
-    # -- descent, polish and per-restart finish ----------------------------
+    # -- polish and per-restart finish -------------------------------------
     def refine(
         self, m: np.ndarray, params: np.ndarray, family: int, geom: TurnGeometry
     ) -> tuple[tuple[Segment, ...], float]:
@@ -183,12 +192,6 @@ class _FamilySearch:
             cap = self.template.outer_cap(self.template.angles(params).T)
             params[:, [0, 2]] = np.minimum(params[:, [0, 2]], cap[:, None])
         return params
-
-    def _descend(self, m: np.ndarray, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Coordinate descent (`_descend_angles`) of free or pinned-middle restarts."""
-        lo, hi = (self.template.angles(bound[owner]) for bound in self.box)
-        angles = _descend_angles(self.axes[owner], lo, hi, self.template.angles(params), m)
-        return angles @ self.template.slot_map  # a column selection: the parameters' arcs
 
     def _polish(
         self, m: np.ndarray, params: np.ndarray, owner: np.ndarray
@@ -249,9 +252,12 @@ class _FamilySearch:
 # batched coordinate descent
 # ---------------------------------------------------------------------------
 
-def _trace_argmax(w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _trace_argmax(
+    w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray, trig: np.ndarray
+) -> np.ndarray:
     """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
-    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a)."""
+    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a).
+    `trig` holds the rows' cos lo, sin lo, cos hi and sin hi, one per column."""
     const = np.einsum("ni,nij,nj->n", axis, w, axis)
     c_coef = np.trace(w, axis1=1, axis2=2) - const
     s_coef = (
@@ -260,11 +266,13 @@ def _trace_argmax(w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarra
         + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
     )
     best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
-    candidates = np.stack([lo, hi, best], axis=1)
-    value = c_coef[:, None] * np.cos(candidates) + s_coef[:, None] * np.sin(candidates)
-    value[:, 2] = np.where((lo <= best) & (best <= hi), value[:, 2], -np.inf)
     # first maximum wins: the lower bound, then the upper, then the free optimum
-    return candidates[np.arange(len(best)), np.argmax(value, axis=1)]
+    value = c_coef * trig[:, 0] + s_coef * trig[:, 1]
+    upper = c_coef * trig[:, 2] + s_coef * trig[:, 3]
+    angle = np.where(upper > value, hi, lo)
+    value = np.maximum(value, upper)
+    free = (lo <= best) & (best <= hi) & (c_coef * np.cos(best) + s_coef * np.sin(best) > value)
+    return np.where(free, best, angle)
 
 
 def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
@@ -273,32 +281,69 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     last; a pinned slot has lo == hi.  A restart stops once its residual
     gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
     REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
-    The slot rotations of those restarts carry over from sweep to sweep, and
-    the residuals are read from their left-to-right product."""
+    The slot rotations carry over from sweep to sweep, the bounds' cosines
+    and sines are taken once, and a sweep carries the product of the slots
+    before the current one left to right, so its last product is the
+    sweep's endpoint, whose residual is read."""
     n_slots = axes.shape[1]
     angles = angles.copy()
+    m_t = m.T
+    trig = np.stack([np.cos(lo), np.sin(lo), np.cos(hi), np.sin(hi)], axis=-1)
     rots = [rotations_about_axis(axes[:, k], angles[:, k]) for k in range(n_slots)]
     current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
     active = np.arange(len(angles))
     for _ in range(REFINE_SWEEPS):
         if active.size == 0:
             break
-        ax, p = axes[active], angles[active]
-        eye = np.broadcast_to(np.eye(3), rots[0].shape)
+        p = angles[active]
         for slot in range(n_slots):
-            prefix = reduce(np.matmul, rots[:slot], eye)
-            suffix = reduce(np.matmul, rots[slot + 1:], eye)
-            p[:, slot] = _trace_argmax(
-                suffix @ m.T @ prefix, ax[:, slot], lo[active, slot], hi[active, slot]
-            )
-            rots[slot] = rotations_about_axis(ax[:, slot], p[:, slot])
+            w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
+            w = w @ prefix if slot else np.broadcast_to(w, rots[0].shape)  # one slot: m^T
+            p[:, slot] = _trace_argmax(w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot])
+            rots[slot] = rotations_about_axis(axes[:, slot], p[:, slot])
+            prefix = rots[0] if slot == 0 else prefix @ rots[slot]
         angles[active] = p
-        after = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
+        after = np.linalg.norm(prefix - m, axis=(1, 2))
         done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
         current[active] = after
         active = active[~done]
         rots = [rot[~done] for rot in rots]
+        axes, lo, hi, trig = axes[~done], lo[~done], hi[~done], trig[~done]
     return angles
+
+
+def _descend_restarts(
+    m: np.ndarray, batches: list[tuple[_FamilySearch, np.ndarray, np.ndarray]]
+) -> list[np.ndarray]:
+    """The parameters of each batch (search, restarts, owner) after one
+    coordinate descent (`_descend_angles`) over the restarts of every free
+    and pinned-middle batch; equal-middle batches come back as given (the
+    polish moves their beta too).  Each row is padded to _DESCENT_SLOTS
+    slots with lo = hi = 0 about a unit axis: a pad's angle stays 0 and its
+    rotation is exactly I (`rotations_about_axis`), so every product and
+    the stop rule keep the bits of a descent of the row's shape alone."""
+    spans = []  # (batch, first row, row after) per descended batch
+    rows = 0
+    for index, (search, params, _) in enumerate(batches):
+        if not search.template.equal_middles:
+            spans.append((index, rows, rows + len(params)))
+            rows += len(params)
+    axes = np.tile(_PAD_AXIS, (rows, _DESCENT_SLOTS, 1))
+    lo, hi, angles = np.zeros((3, rows, _DESCENT_SLOTS))
+    for index, first, after in spans:
+        search, params, owner = batches[index]
+        n = len(search.template.kinds)
+        axes[first:after, :n] = search.axes[owner]
+        for padded, bound in zip((lo, hi), search.box):
+            padded[first:after, :n] = search.template.angles(bound[owner])
+        angles[first:after, :n] = search.template.angles(params)
+    angles = _descend_angles(axes, lo, hi, angles, m)
+    descended = [params for _, params, _ in batches]
+    for index, first, after in spans:
+        template = batches[index][0].template
+        n = len(template.kinds)
+        descended[index] = angles[first:after, :n] @ template.slot_map  # the parameters' arcs
+    return descended
 
 
 def forward_oracle(
@@ -315,13 +360,25 @@ def forward_oracle(
     above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
     polished, those of free and pinned-middle families after a coordinate
     descent.  One search (`_FamilySearch`) per parameter shape samples and
-    ranks each of its families, then descends and polishes all their
+    ranks each of its families; one descent (`_descend_restarts`) then takes
+    the free and pinned-middle restarts of every shape at once, each padded
+    to three slots by exact identity turns, and each shape polishes all its
     restarts in one batch.  The restarts are finished (`refine`) in catalog
     order, a path is kept when its residual is at most TOL_RESIDUAL, and the
     first of two equal lengths wins.  `min_singular` is the smallest
     singular value of the winner's parameter Jacobian, from the polish.
-    Results are deterministic for a fixed seed.
+    Results are deterministic for a fixed seed.  The target is a finite
+    3x3 array-like; `budget` an integer of at least 1.
     """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise InvalidInput(f"target must have shape (3, 3), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("target must be finite")
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise TypeError(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     families = [f for f in family_catalog(geom.r, mode="all") if f.kinds]
@@ -337,7 +394,7 @@ def forward_oracle(
     for index, template in enumerate(families):
         groups.setdefault(template.shape, []).append(index)
     davenport = _davenport(m)
-    restarts = []  # (catalog index, search, family, parameters, min singular) per restart
+    batches = []  # (search, kept restarts, owner) per parameter shape
     for members in groups.values():
         search = _FamilySearch([families[i] for i in members], geom)
         starts = []
@@ -345,16 +402,17 @@ def forward_oracle(
             params = search.sample(np.random.default_rng(seed + index), per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
         owner = np.repeat(np.arange(len(members)), [len(rows) for rows in starts])
-        params = np.concatenate(starts)
-        if not search.template.equal_middles:  # equal middles: the polish moves beta too
-            params = search._descend(m, params, owner)
+        batches.append((search, np.concatenate(starts), owner))
+    restarts = []  # (catalog index, search, family, parameters, min singular) per restart
+    descended = _descend_restarts(m, batches)
+    for members, (search, _, owner), params in zip(groups.values(), batches, descended):
         params, singular = search._polish(m, params, owner)
         restarts += [(members[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
 
     restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
     for _, search, family, params, min_singular in restarts:
         segments, res = search.refine(m, params, family, geom)
-        if res > TOL_RESIDUAL:
+        if not res <= TOL_RESIDUAL:  # a NaN residual fails too
             continue
         length = path_length(segments, geom)
         if length < best.length:

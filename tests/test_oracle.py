@@ -7,6 +7,7 @@ from conftest import random_in_bounds_path, request_from_rotation, request_from_
 from sphere_dubins import geometry as geo
 from sphere_dubins import oracle as orc
 from sphere_dubins import planner as pl
+from sphere_dubins.errors import InvalidInput
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -193,7 +194,7 @@ def test_stacked_polish_matches_each_family_alone(r):
             alone = orc._FamilySearch([template], geom)
             seeded = alone.sample(rng, 6, 0)
             if not template.equal_middles:
-                seeded = alone._descend(m, seeded, np.zeros(6, dtype=int))
+                seeded = orc._descend_restarts(m, [(alone, seeded, np.zeros(6, dtype=int))])[0]
             polished, _ = alone._polish(m, seeded, np.zeros(6, dtype=int))
             ends, _ = alone.linearize(polished, np.zeros(6, dtype=int))
             roots = polished[np.linalg.norm(ends - m, axis=(1, 2)) <= orc.ACCEPT_GATE]
@@ -210,6 +211,92 @@ def test_stacked_polish_matches_each_family_alone(r):
             assert np.array_equal(params[owner == family], got), template.tag
             assert np.array_equal(singular[owner == family], got_singular), template.tag
     assert near_roots >= 10
+
+
+@pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
+def test_one_descent_matches_each_shape_alone(r):
+    """One descent over the restarts of every shape, each row padded to
+    three slots by identity turns, gives each row the bits of an unpadded
+    descent of its shape alone and of a one-shape `_descend_restarts`;
+    equal-middle restarts come back as drawn.  The targets are a random
+    rotation and an in-box free three-turn path."""
+    geom, searches, _ = _audit_searches(r)
+    rng = np.random.default_rng(int(r * 1000) + 1)
+    targets = [
+        orc.random_rotation(rng),
+        geo.compose_path(random_in_bounds_path(pl.FamilyTemplate.of("LRL"), rng), geom),
+    ]
+    descended = 0
+    for m in targets:
+        batches = []
+        for search in searches:
+            count = len(search.templates)
+            params = np.concatenate([search.sample(rng, 6, family) for family in range(count)])
+            batches.append((search, params, np.repeat(np.arange(count), 6)))
+        together = orc._descend_restarts(m, batches)
+        for (search, params, owner), got in zip(batches, together):
+            if search.template.equal_middles:
+                assert got is params
+                continue
+            template = search.template
+            lo, hi = (template.angles(bound[owner]) for bound in search.box)
+            alone = orc._descend_angles(search.axes[owner], lo, hi, template.angles(params), m)
+            assert np.array_equal(got, alone @ template.slot_map), template.tag
+            shape_alone = orc._descend_restarts(m, [(search, params, owner)])[0]
+            assert np.array_equal(got, shape_alone), template.tag
+            descended += len(got)
+    assert descended >= 2 * 6 * 10
+
+
+def test_a_zero_turn_is_exactly_identity():
+    # the descent's pad slots turn by 0 and must multiply as I, bit for bit
+    rng = np.random.default_rng(9)
+    axes = rng.standard_normal((50, 3))
+    axes = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True), orc._PAD_AXIS])
+    rots = geo.rotations_about_axis(axes, np.zeros(len(axes)))
+    assert rots.tobytes() == np.broadcast_to(np.eye(3), rots.shape).tobytes()
+    chains = geo.rotations_about_axis(axes, rng.uniform(0.0, 2.0 * math.pi, len(axes)))
+    assert np.array_equal(chains @ rots, chains)
+    assert np.array_equal(rots @ chains, chains)
+
+
+@pytest.mark.parametrize("target, message", [
+    (np.full((3, 3), np.nan), r"^target must be finite$"),
+    (np.diag([1.0, np.inf, 1.0]), r"^target must be finite$"),
+    (np.eye(4), r"^target must have shape \(3, 3\), got \(4, 4\)$"),
+    (np.eye(3)[None], r"^target must have shape \(3, 3\), got \(1, 3, 3\)$"),
+], ids=["nan", "inf", "4x4", "stack"])
+def test_oracle_rejects_a_bad_target(target, message):
+    # a NaN target used to pass the residual gate as family G of length 0
+    geom = geo.TurnGeometry.from_radius(0.6)
+    with pytest.raises(InvalidInput, match=message):
+        orc.forward_oracle(target, geom, seed=0, budget=200)
+
+
+def test_a_nan_residual_fails_the_gate(monkeypatch):
+    geom = geo.TurnGeometry.from_radius(0.6)
+    m = orc.random_rotation(np.random.default_rng(3))
+    assert orc.forward_oracle(m, geom, seed=0, budget=200).found
+    refine = orc._FamilySearch.refine
+    monkeypatch.setattr(orc._FamilySearch, "refine", lambda *args: (refine(*args)[0], math.nan))
+    assert not orc.forward_oracle(m, geom, seed=0, budget=200).found
+
+
+def test_oracle_takes_a_nested_list_target():
+    geom = geo.TurnGeometry.from_radius(0.5)
+    m = geo.compose_path([geo.L(1.1), geo.G(0.9), geo.L(2.0)], geom)
+    found = orc.forward_oracle(m.tolist(), geom, seed=7, budget=2000)
+    assert found == orc.forward_oracle(m, geom, seed=7, budget=2000)
+    assert found.found
+
+
+def test_oracle_budget_is_an_integer_of_at_least_one():
+    geom = geo.TurnGeometry.from_radius(0.5)
+    with pytest.raises(TypeError, match=r"^budget must be an integer, got 200\.0$"):
+        orc.forward_oracle(np.eye(3), geom, seed=0, budget=200.0)
+    with pytest.raises(ValueError, match=r"^budget must be at least 1, got 0$"):
+        orc.forward_oracle(np.eye(3), geom, seed=0, budget=0)
+    assert orc.forward_oracle(np.eye(3), geom, seed=0, budget=np.int64(1)).family == "EMPTY"
 
 
 # family and length of forward_oracle at budget 20000, recorded before the
