@@ -35,9 +35,8 @@ TWO_PI = 2.0 * math.pi
 # segment to exactly zero, merges roots, is the slack on a family-box bound,
 # and beta's margin from its excluded ends in the oracle's polish.
 ANGLE_EPS = 1e-9
-# Maximum axial-component mismatch tolerated by align_angles.
-ALIGN_TOL = 1e-7
-# Minimum off-axis component required for angle recovery.
+# Off-axis length below which a vector has no turn angle (`align_angles`),
+# so the outer rotations of a chain merge into one.
 PERP_EPS = 1e-7
 # A Configuration's position and tangent are unit within CONFIG_UNIT_TOL and
 # orthogonal within CONFIG_ORTHO_TOL.
@@ -335,17 +334,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
 
 
-def align_angles(
-    axes: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> tuple[list[float | None], list[bool]]:
-    """Turn angles about one axis (3,) or one axis per row (K, 3) mapping
-    each row of the (K, 3) stack `v` onto the same row of `w`.
-
-    Returns the angles, canonical (`canonical_angle`), None where a row has
-    no angle, and which rows are degenerate (`v` parallel to the axis); the
-    other None rows have axial components that differ by more than
-    ALIGN_TOL.  A NaN row raises InvalidInput.
-    """
+def align_angles(axes: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[float | None]:
+    """Canonical angles (`canonical_angle`) about `axes` turning each row of
+    `v` onto the same row of the (K, 3) stack `w` (`axes` or `v` may be one
+    vector (3,) for every row); None where `v` lies within PERP_EPS of its
+    axis.  Axial components are not compared: the caller's residual gate
+    rejects a row where they differ.  A NaN row raises InvalidInput."""
     av = row_dots(axes, v)
     aw = row_dots(axes, w)
     v_perp = v - av[:, None] * axes
@@ -353,23 +347,7 @@ def align_angles(
     squares = row_dots(v_perp, v_perp).tolist()
     sines = row_dots(axes, cross(v_perp.T, w_perp.T).T).tolist()
     cosines = row_dots(v_perp, w_perp).tolist()
-    angles: list[float | None] = []
-    degenerate: list[bool] = []
-    for a_v, a_w, square, sine, cosine in zip(av.tolist(), aw.tolist(), squares, sines, cosines):
-        consistent = not abs(a_v - a_w) > ALIGN_TOL
-        flat = consistent and math.sqrt(square) < PERP_EPS
-        angles.append(
-            canonical_angle(math.atan2(sine, cosine)) if consistent and not flat else None
-        )
-        degenerate.append(flat)
-    return angles, degenerate
-
-
-def probe_orthogonal(axis: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to `axis` (y-axis preferred)."""
-    for e in (_EY, _EX, _EZ):
-        p = e - float(e @ axis) * axis
-        n = np.linalg.norm(p)
-        if n >= PERP_EPS:
-            return p / n
-    raise InvalidInput("axis has no orthogonal complement (not a unit vector?)")
+    return [
+        None if math.sqrt(square) < PERP_EPS else canonical_angle(math.atan2(sine, cosine))
+        for square, sine, cosine in zip(squares, sines, cosines)
+    ]

@@ -9,24 +9,26 @@ from its `FamilyTemplate`, and solves every chain in the same two steps:
    a_1 . B a_n = a_1 . M a_n: one scalar equation in the interior angles, a
    trigonometric polynomial of degree 0 (a consistency check: no interior,
    or a middle pinned at pi), 1 (a free middle) or 2/3 (equal middles).
-2. Recover the outer angles by aligning probe vectors about the outer axes,
-   which avoids the branch ambiguity of matrix logarithms near half-turns.
-   Where B carries a_n onto +/- a_1 the two outer rotations merge into one
-   about a_1, and the row is the single arc M B^T with phi_n = 0.  The
-   family box is applied to the recovered angles before anything is
-   composed; an assignment inside it is kept if its full matrix residual
-   passes.
+2. Recover the outer angles by aligning vectors about the outer axes (no
+   matrix logarithm, so no branch ambiguity near half-turns): B a_n onto
+   M a_n about a_1, and M^T a_1 onto B^T a_1 about a_n.  Where either vector
+   lies within PERP_EPS of its axis, the outer rotations merge into one
+   about a_1: the single arc M B^T, with phi_n = 0.  The family box is
+   applied to the recovered angles before anything is composed; an
+   assignment inside it is kept if its full matrix residual passes.
 
-The empty chain is an identity check and a single arc one alignment
-(`_one_arc`, which merged outer rotations reuse).  `solve_one`, `solve_two`,
-`solve_three` and `solve_equal_middle` are `solve_chain` on the template of
-their arguments.
+Every axis lies in the x-z plane (G's is (0, 0, 1), L/R's (+/-sqrt(1 - r^2),
+0, r)), so a single arc (`_one_arc`, merged outer rotations included) aligns
+e_y onto M e_y.  The empty chain is an identity check.  `solve_one`,
+`solve_two`, `solve_three` and `solve_equal_middle` are `solve_chain` on the
+template of their arguments.
 
 Every decision reads two tolerances: the gate TOL_RESIDUAL on the residual
 ||M - P|| (Frobenius) of the composed path P, and the angle resolution
 ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
 |a.(M - P)b| and ||(M - P)a|| (unit a, b) are at most ||M - P||, so none drops
-a row the gate accepts; they only skip composing rows that cannot pass.
+a row the gate accepts; they only skip composing rows that cannot pass.  Step
+2 compares no axial components: missing a_1 . M a_n by d costs a residual >= d.
 
 `solve_shapes` solves the families of several `chain_shapes` entries
 (families of one shape, their axes and step-1 coefficients cached per (r,
@@ -64,7 +66,6 @@ from .geometry import (
     align_angles,
     canonical_angle,
     cross,
-    probe_orthogonal,
     rotation_about_axis,  # noqa: F401  perfbench/tracing.py counts linkage.rotation_about_axis
     rotations_about_axis,
     row_dots,
@@ -74,6 +75,8 @@ from .geometry import (
 )
 
 TOL_RESIDUAL = 1e-9  # max Frobenius residual of a reported solution, and every pre-filter's bound
+
+_EY = np.array([0.0, 1.0, 0.0])  # orthogonal to every axis: a single arc's probe
 
 # Equal-middle root selection.  The eliminated scalar equation is a
 # trigonometric polynomial in beta; its real roots are the eigenvalues z of
@@ -238,15 +241,14 @@ class ChainShape:
     """Families of one `FamilyTemplate.shape` (chain length and step-1 kind)
     at one turning radius, with one read-only row per family of every
     constant their solve reads: the axes, the interior and outer axes
-    `_close_chain` turns about, and for step 1 a single arc's probes, a free
-    middle's `scalar_reduction` triple, a fixed interior with its predicted
-    a_1 . B a_n, or the equal-middle Laurent coefficients."""
+    `_close_chain` turns about, and for step 1 (a single arc needs only its
+    axis) a free middle's `scalar_reduction` triple, a fixed interior with
+    its predicted a_1 . B a_n, or the equal-middle Laurent coefficients."""
 
     templates: tuple[FamilyTemplate, ...]
     axes: np.ndarray                    # (F, n, 3)
     inner: np.ndarray | None = None     # (F, 3, 3): interior axes, padded to three slots
     ends: np.ndarray | None = None      # (F, 2, 3)
-    probes: np.ndarray | None = None
     reductions: tuple[tuple[float, float, float], ...] = ()
     interiors: tuple[tuple[float, ...], ...] = ()
     predicted: np.ndarray | None = None
@@ -270,13 +272,11 @@ def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[Chain
     axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
     axes = axes.reshape(len(templates), n, 3)
     fields: dict = {}
-    if n == 1:
-        fields["probes"] = np.array([probe_orthogonal(a[0]) for a in axes])
-    elif first.equal_middles:
+    if first.equal_middles:
         fields["laurent"] = np.array([_laurent_coefficients(a[0], a[1:-1], a[-1]) for a in axes])
     elif n == 3 and first.fixed_middle is None:
         fields["reductions"] = tuple(scalar_reduction(*a) for a in axes)
-    elif n:
+    elif n >= 2:
         interiors, predicted = zip(*(_fixed_interior(t, a) for t, a in zip(templates, axes)))
         fields.update(interiors=interiors, predicted=np.array(predicted))
     if n >= 2:
@@ -341,9 +341,8 @@ def solve_shapes(shapes: Sequence[ChainShape], ms: np.ndarray) -> list[Row]:
         if not shape.axes.shape[1]:
             residuals = enumerate(row_norms(rows - np.eye(3)).tolist())
             solved += [(k % n, first + k // n, (), r) for k, r in residuals if r <= TOL_RESIDUAL]
-        elif shape.probes is not None:
-            fam = np.repeat(np.arange(count), n)
-            aligned = _one_arc(rows, shape.axes[fam, 0], shape.probes[fam])
+        elif shape.axes.shape[1] == 1:
+            aligned = _one_arc(rows, shape.axes[np.repeat(np.arange(count), n), 0])
             solved += [(k % n, first + k // n, (phi,), r) for k, phi, r in aligned]
         else:
             chains.append((shape, rows, first))
@@ -353,21 +352,18 @@ def solve_shapes(shapes: Sequence[ChainShape], ms: np.ndarray) -> list[Row]:
     return solved
 
 
-def _one_arc(
-    ms: np.ndarray, axes: np.ndarray, probes: np.ndarray
-) -> list[tuple[int, float, float]]:
+def _one_arc(ms: np.ndarray, axes: np.ndarray) -> list[tuple[int, float, float]]:
     """(row, phi, residual) for the canonical angle phi with R(axes[k], phi)
     == ms[k] of every row k whose target fixes its axis, found by aligning
-    its probe."""
+    e_y onto its image ms[k] e_y, the column ms[k][:, 1]."""
     fixed = np.nonzero(~(row_norms(_row_apply(ms, axes) - axes) > TOL_RESIDUAL))[0]
     if not fixed.size:  # the common case: a target that moves every axis
         return []
-    sub, axes, probes = ms[fixed], axes[fixed], probes[fixed]
-    phis, _ = align_angles(axes, probes, _row_apply(sub, probes))
+    sub, axes = ms[fixed], axes[fixed]
+    phis = align_angles(axes, _EY, sub[:, :, 1])
     found = [k for k, phi in enumerate(phis) if phi is not None]
     angles = [phis[k] for k in found]
-    turns = rotations_about_axis(axes[found][:, None], np.array(angles)[:, None])
-    residuals = row_norms(turns[:, 0] - sub[found]).tolist()
+    residuals = row_norms(rotations_about_axis(axes[found], angles) - sub[found]).tolist()
     solved = zip(fixed[found].tolist(), angles, residuals)
     return [(k, phi, res) for k, phi, res in solved if res <= TOL_RESIDUAL]
 
@@ -449,32 +445,24 @@ def _recover_outer(
 
     `m` and `middle_blocks` are (K, 3, 3) stacks, one row per (target,
     interior) pair, and `ends` the (K, 2, 3) stack of each row's first and
-    last axis; a row gets None when no outer angles exist.  Where the block
-    carries a_n onto +/- a_1, probe alignment is degenerate: the outer
-    rotations merge into one about a_1, and those rows are the single arc
-    q = M B^T, solved in one `_one_arc` call, with phi_n = 0.
+    last axis; a row gets None when no outer angles exist.  A row missing
+    either angle merges its outer rotations (module docstring, step 2): it
+    is the single arc q = M B^T about a_1, solved in one `_one_arc` call,
+    with phi_n = 0.
     """
     a1, a3 = ends[:, 0], ends[:, 1]
     rows = len(m)
     # phi1 aligns about a1 (rows :K), phi3 about a3 (rows K:), in one call
-    angles, degenerate = align_angles(
+    angles = align_angles(
         np.concatenate([a1, a3]),
         np.concatenate([_row_apply(middle_blocks, a3), _row_apply(m.transpose(0, 2, 1), a1)]),
         np.concatenate([_row_apply(m, a3), _row_apply(middle_blocks.transpose(0, 2, 1), a1)]),
     )
-    outer: list[tuple[float, float] | None] = []
-    merged: list[int] = []
-    for k, (first, last) in enumerate(zip(angles[:rows], angles[rows:])):
-        if first is not None and last is not None:
-            outer.append((first, last))
-            continue
-        outer.append(None)
-        if degenerate[k] or (first is not None and degenerate[rows + k]):
-            merged.append(k)
+    outer = [None if None in pair else pair for pair in zip(angles[:rows], angles[rows:])]
+    merged = [k for k, pair in enumerate(outer) if pair is None]
     if merged:
         q = m[merged] @ middle_blocks[merged].transpose(0, 2, 1)
-        probes = np.array([probe_orthogonal(a) for a in a1[merged]])
-        for k, phi, _ in _one_arc(q, a1[merged], probes):
+        for k, phi, _ in _one_arc(q, a1[merged]):
             outer[merged[k]] = (phi, 0.0)
     return outer
 
@@ -513,16 +501,11 @@ def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interi
     rotations = rotations_about_axis(inner, padded)  # (K, 3, 3, 3), slot by slot
     blocks = rotations[:, 0] @ rotations[:, 1] @ rotations[:, 2]
     outer = _recover_outer(stack, end_axes, blocks)
-    rows: list[int] = []
-    assignments: list[tuple[float, ...]] = []
-    for k, (f, pair) in enumerate(zip(families, outer)):
-        if pair is not None:
-            angles = (pair[0],) + interiors[k] + (pair[1],)
-            if templates[f].feasible(angles):
-                rows.append(k)
-                assignments.append(angles)
+    paths = {k: (p[0],) + interiors[k] + (p[1],) for k, p in enumerate(outer) if p is not None}
+    rows = [k for k, angles in paths.items() if templates[families[k]].feasible(angles)]
     if not rows:
         return []
+    assignments = [paths[k] for k in rows]
     # each row's product has the same bits in any stack
     ends = rotations_about_axis(end_axes[rows], np.array([(a[0], a[-1]) for a in assignments]))
     turns = rotations[rows]

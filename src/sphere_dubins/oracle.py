@@ -367,14 +367,20 @@ def forward_oracle(
     order, a path is kept when its residual is at most TOL_RESIDUAL, and the
     first of two equal lengths wins.  `min_singular` is the smallest
     singular value of the winner's parameter Jacobian, from the polish.
-    Results are deterministic for a fixed seed.  The target is a finite
-    3x3 array-like; `budget` an integer of at least 1.
+    Results are deterministic for a fixed seed.  The target is a finite 3x3
+    array-like, `seed` an integer >= 0 and `budget` an integer >= 1.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidInput(f"target must have shape (3, 3), got {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInput("target must be finite")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     try:
         budget = operator.index(budget)
     except TypeError:

@@ -121,6 +121,11 @@ def beyond_proven(r: float) -> bool:
     return r - MAX_RADIUS > REGIME_BAND
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("table", "all"):
+        raise ValueError(f"mode must be 'table' or 'all', got {mode!r}")
+
+
 def family_catalog(r: float, mode: str = "table") -> list[FamilyTemplate]:
     """Ordered candidate families for unit-sphere turning radius r.
 
@@ -129,8 +134,7 @@ def family_catalog(r: float, mode: str = "table") -> list[FamilyTemplate]:
     additionally appends audit families (great-circle sandwiches and
     4/5-chains regardless of regime).
     """
-    if mode not in ("table", "all"):
-        raise ValueError(f"mode must be 'table' or 'all', got {mode!r}")
+    _check_mode(mode)
     if not r > 0.0:
         raise RadiusOutOfRange(f"turning radius must be positive, got {r}")
     if mode == "table" and beyond_proven(r):
@@ -423,9 +427,10 @@ def plan_batch(
 
     All requests are validated and normalized at once (`normalize_requests`),
     so a batch holding a bad request raises the input error of the first
-    one, as `plan` on it alone would, before anything is solved.  They are
-    then grouped by unit turning radius, and each group's catalog, split
-    into chain shapes (`linkage.chain_shapes`), is solved in one
+    one, as `plan` on it alone would, before anything is solved; only then
+    does an invalid `mode` raise ValueError, on an empty batch too.  Requests
+    are grouped by unit turning radius, and each group's catalog, split into
+    chain shapes (`linkage.chain_shapes`), is solved in one
     `linkage.solve_shapes` call on the stacked targets; one `_assemble` pass
     orders, deduplicates and builds every target's candidates, and each
     request's best is its shortest.
@@ -437,6 +442,7 @@ def plan_batch(
     wins over an earlier request's NoCandidateFound.
     """
     targets, radii, _, adjustments = normalize_requests(requests, best_effort)
+    _check_mode(mode)
     groups: dict[tuple[float, str], list[int]] = {}
     for i, r in enumerate(radii):
         groups.setdefault((r, "all" if beyond_proven(r) else mode), []).append(i)

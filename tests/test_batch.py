@@ -267,6 +267,22 @@ def test_empty_batch():
     assert pl.plan_batch([]) == []
 
 
+def test_mode_is_checked_on_every_batch():
+    """An invalid mode raises once every request is valid: on an empty batch,
+    and at a best-effort radius past sqrt(3)/2, which plans with the `all`
+    catalog whatever the mode; a bad request's input error still wins."""
+    message = r"^mode must be 'table' or 'all', got 'bogus'$"
+    with pytest.raises(ValueError, match=message):
+        pl.plan_batch([], mode="bogus")
+    heuristic = request_from_rotation(random_rotation(np.random.default_rng(1)), 0.9)
+    with pytest.raises(ValueError, match=message):
+        pl.plan(heuristic, mode="bogus", best_effort=True)
+    bad = _malformed(heuristic, "nan_tangent")
+    expected = _raised(lambda: pl.plan(bad, best_effort=True))
+    assert expected is not None and expected[0] is MalformedConfiguration
+    assert _raised(lambda: pl.plan_batch([heuristic, bad], mode="bogus", best_effort=True)) == expected
+
+
 @pytest.mark.parametrize("r", [0.3, 0.6, SQRT2_INV, 0.8, SQRT3_2])
 def test_solvers_on_a_stack_match_single_targets(r):
     """Every family solved on a stack returns each target's single result."""

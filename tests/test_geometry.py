@@ -235,27 +235,33 @@ def test_path_length_matches_published_example():
 
 
 def _align_one(axis, v, w):
-    """`align_angles` on one row: the angle (None if there is none) and
-    whether the row is degenerate."""
-    (angle,), (degenerate,) = geo.align_angles(axis, v[None], w[None])
-    return angle, degenerate
+    """`align_angles` on one row: the angle, None if there is none."""
+    (angle,) = geo.align_angles(axis, v[None], w[None])
+    return angle
 
 
 def test_align_angle_basics():
     z = np.array([0.0, 0.0, 1.0])
     v = np.array([1.0, 0.0, 0.0])
-    assert _align_one(z, v, v) == (0.0, False)
-    angle, degenerate = _align_one(z, v, np.array([0.0, 1.0, 0.0]))
-    assert not degenerate
+    assert _align_one(z, v, v) == 0.0
+    angle = _align_one(z, v, np.array([0.0, 1.0, 0.0]))
+    assert angle is not None
     assert angle == pytest.approx(math.pi / 2)
 
 
 def test_align_angle_errors():
     z = np.array([0.0, 0.0, 1.0])
-    # a probe parallel to the axis is degenerate and has no angle
-    assert _align_one(z, z, z) == (None, True)
-    # axial components that differ: no angle, and not degenerate
-    assert _align_one(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])) == (None, False)
+    # a probe parallel to the axis has no angle
+    assert _align_one(z, z, z) is None
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-8, 0.3, 0.5, 1 / math.sqrt(2), math.sqrt(3) / 2, 1 - 1e-16])
+def test_every_turn_axis_is_orthogonal_to_the_tangent(r):
+    """Every axis lies in the x-z plane, so the tangent e_y is orthogonal to
+    each: the linkage solver aligns e_y for every single arc."""
+    for kind in "GLR":
+        axis = geo.turn_axis(kind, geo.TurnGeometry(r))
+        assert axis[1] == 0.0 and float(np.array([0.0, 1.0, 0.0]) @ axis) == 0.0
 
 
 def test_align_angles_are_canonical():
@@ -270,8 +276,8 @@ def test_align_angles_are_canonical():
     axes = np.array([random_unit(rng) for _ in turns])
     v = np.array([random_unit(rng) for _ in turns])
     w = np.array([geo.rotation_about_axis(a, t) @ x for a, t, x in zip(axes, turns, v)])
-    angles, degenerate = geo.align_angles(axes, v, w)
-    assert not any(degenerate) and None not in angles
+    angles = geo.align_angles(axes, v, w)
+    assert None not in angles
     assert all(0.0 <= a < 2 * math.pi for a in angles)
     for turn, angle in zip(turns, angles):
         if min(abs(turn), abs(2 * math.pi - turn)) < 0.5 * geo.ANGLE_EPS:
@@ -295,8 +301,8 @@ def test_align_angle_roundtrip_property():
             continue
         angle = rng.uniform(0.0, 2 * math.pi)
         w = geo.rotation_about_axis(axis, angle) @ v
-        recovered, degenerate = _align_one(axis, v, w)
-        assert not degenerate and recovered is not None
+        recovered = _align_one(axis, v, w)
+        assert recovered is not None
         assert np.max(np.abs(geo.rotation_about_axis(axis, recovered) @ v - w)) <= 1e-7
 
 

@@ -290,11 +290,30 @@ def test_tangent_and_merged_prefilters_admit_the_gate_bound():
     delta = 0.6 * lk.TOL_RESIDUAL
     assert len(lk._circle_roots(0.6, 0.8, 1.0 + delta)) == 1
     a1 = geo.turn_axis("L", GEOM5)
-    off_axis = geo.probe_orthogonal(a1)
+    off_axis = np.array([0.0, 1.0, 0.0])  # e_y, orthogonal to every axis
     m = geo.segment_rotation("L", 1.1, GEOM5) @ geo.rotation_about_axis(off_axis, delta)
     # an identity block carries a_n = a_1 onto a_1: the outer rotations merge
     (merged,) = lk._recover_outer(m[None], np.stack([a1, a1])[None], np.eye(3)[None])
     assert merged is not None and abs(merged[0] - 1.1) <= 1e-8 and merged[1] == 0.0
+
+
+def test_an_axial_mismatch_is_left_to_the_residual_gate():
+    """Step 2 compares no axial components: a block whose a_1 . B a_n misses
+    a_1 . M a_n by delta = 1e-6 still gets outer angles, and the composed
+    chain's residual is at least delta, so the gate rejects the row."""
+    delta = 1e-6
+    a1, a2, a3 = (geo.turn_axis(k, GEOM6) for k in "LRL")
+    _, k2, k3 = lk.scalar_reduction(a1, a2, a3)
+    middle = 4.0
+    slope = k3 * math.cos(middle) - k2 * math.sin(middle)
+    m = compose("LRL", (1.3, middle + delta / slope, 0.7), GEOM6)
+    block = geo.rotation_about_axis(a2, middle)
+    mismatch = abs(float(a1 @ m @ a3) - float(a1 @ block @ a3))
+    assert abs(mismatch - delta) <= 1e-3 * delta
+    (outer,) = lk._recover_outer(m[None], np.stack([a1, a3])[None], block[None])
+    assert outer is not None
+    path = geo.rotation_about_axis(a1, outer[0]) @ block @ geo.rotation_about_axis(a3, outer[1])
+    assert np.linalg.norm(m - path) >= mismatch > lk.TOL_RESIDUAL
 
 
 def test_chain_constants_are_cached_read_only_and_per_radius():

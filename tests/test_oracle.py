@@ -299,6 +299,20 @@ def test_oracle_budget_is_an_integer_of_at_least_one():
     assert orc.forward_oracle(np.eye(3), geom, seed=0, budget=np.int64(1)).family == "EMPTY"
 
 
+def test_oracle_seed_is_a_non_negative_integer():
+    geom = geo.TurnGeometry.from_radius(0.5)
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 1\.5$"):
+        orc.forward_oracle(np.eye(3), geom, seed=1.5, budget=1)
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got '3'$"):
+        orc.forward_oracle(np.eye(3), geom, seed="3", budget=1)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        orc.forward_oracle(np.eye(3), geom, seed=-1, budget=1)
+    m = orc.random_rotation(np.random.default_rng(3))
+    assert repr(orc.forward_oracle(m, geom, seed=np.int64(2), budget=200)) == repr(
+        orc.forward_oracle(m, geom, seed=2, budget=200)
+    )
+
+
 # family and length of forward_oracle at budget 20000, recorded before the
 # oracle ranked samples by quaternion and polished one stack per shape
 PINNED_RESULTS = [
