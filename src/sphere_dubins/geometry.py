@@ -132,10 +132,19 @@ def turn_axis(kind: SegmentKind | str, geom: TurnGeometry) -> np.ndarray:
     return np.array([-s, 0.0, geom.r])
 
 
+_SKEW_ROWS = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix with ``skew(v) @ w == cross(v, w)``."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrices (..., 3, 3), ``skew(v) @ w == cross(v, w)``, of
+    one vector (3,) or a stack (..., 3): v @ _SKEW_ROWS, each entry of it one
+    signed component of v, so the product is exact."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_ROWS).reshape(v.shape[:-1] + (3, 3))
 
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,22 +167,12 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return rotations_about_axis(axis, angle)
 
 
-# v @ _SKEW_ROWS is skew(v) flattened row by row (each entry is one signed
-# component, so the product is exact), for one v or a stack of them.
-_SKEW_ROWS = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-])
-
-
 def rotations_about_axis(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Vectorized Rodrigues: rotations (..., 3, 3) by `angles` (...) about
     unit axes (..., 3), broadcast against each other; one axis (3,) serves
     every angle."""
-    axis = np.asarray(axis, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    k = (axis @ _SKEW_ROWS).reshape(axis.shape[:-1] + (3, 3))
+    k = skew(axis)
     k2 = k @ k
     s = np.sin(angles)[..., None, None]
     c = (1.0 - np.cos(angles))[..., None, None]

@@ -10,21 +10,23 @@ descent on the endpoint residual; equal-middle restarts (interior arcs
 pi + beta) go to the polish as drawn.  Each restart ends as one canonical
 path whose one residual, read from `compose_path`, is gated at TOL_RESIDUAL
 and reported.  The oracle never consults the closed-form linkage solver, so
-agreement between the two is meaningful evidence.  One search object
-serves each parameter shape (`FamilyTemplate.shape`: free 1/2/3 slots,
-pinned pi, equal-middle 4 and 5), with one row of axes and bounds per
-family, and polishes the kept restarts of all its families as one numpy
-batch.  One coordinate descent per call takes the free and pinned-middle
-restarts of every shape, each row padded to three slots with pad slots
-bounded to [0, 0]: a pad turns by exactly 0, its rotation is exactly I, so
-it leaves every product and the stop rule bit for bit as they were.  In
-both, each row has its own family's axes, bounds and stop rule and the
-same bits as in a batch of its family alone.  The polish
-drives every near-root to float64 rounding, which matters at singular
-targets (a `CCC` middle arc of exactly pi): there a 1e-9 residual still
-admits paths shorter than the optimum by about 1e-5.  The cross-family
-audit compares the planner's proven catalog against the audit catalog
-(great-circle sandwiches and unconditional 4/5-chains) on given instances.
+agreement between the two is meaningful evidence: of the solver's shape
+table (`linkage.chain_shapes`) it reads only each `ChainShape`'s
+`templates` and `axes`, never the step-1 coefficients or a `solve_*`
+function.  One search object serves each shape (free 1/2/3 slots, pinned
+pi, equal-middle 4 and 5), with one row of axes and bounds per family, and
+polishes the kept restarts of all its families as one numpy batch.  One
+coordinate descent per call takes the free and pinned-middle restarts of
+every shape, each row padded to three slots with pad slots bounded to
+[0, 0]: a pad turns by exactly 0, its rotation is exactly I, so it leaves
+every product and the stop rule bit for bit as they were.  In both, each
+row has its own family's axes, bounds and stop rule and the same bits as
+in a batch of its family alone.  The polish drives every near-root to
+float64 rounding, which matters at singular targets (a `CCC` middle arc of
+exactly pi): there a 1e-9 residual still admits paths shorter than the
+optimum by about 1e-5.  The cross-family audit compares the planner's
+proven catalog against the audit catalog (great-circle sandwiches and
+unconditional 4/5-chains) on given instances.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ from .geometry import (
     path_length,
     rotations_about_axis,
     skew,
-    turn_axis,
 )
 from .errors import InvalidInput
-from .linkage import TOL_RESIDUAL, FamilyTemplate
+from .linkage import TOL_RESIDUAL, ChainShape, chain_shapes
 from .planner import PlanRequest, Pose, family_catalog, plan_batch
 from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
@@ -105,22 +106,21 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
 
 class _FamilySearch:
     """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for the families of one parameter shape
-    (`FamilyTemplate.shape`), with one row per family of its axes,
-    generators, quaternion steps and margined box; the axes and box also
-    feed the one descent per call (`_descend_restarts`).  `template` (the
-    first family) gives the shape's `angles`, `slot_map` and `outer_cap`.
-    A batch of restarts names its rows' families (indices into `templates`)
-    in `owner`; every product is one row's own, so a row gets the same bits
-    in any batch."""
+    per-restart finish for the families of one `ChainShape` (its `templates`
+    and read-only `axes`), with one row per family of generators, quaternion
+    steps and margined box; the axes and box also feed the one descent per
+    call (`_descend_restarts`).  `template` (the first family) gives the
+    shape's `angles`, `slot_map` and `outer_cap`.  A batch of restarts names
+    its rows' families (indices into `templates`) in `owner`; every product
+    is one row's own, so a row gets the same bits in any batch."""
 
-    def __init__(self, templates: list[FamilyTemplate], geom: TurnGeometry):
-        self.templates = tuple(templates)
-        self.template = templates[0]
-        self.axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
-        self.generators = np.array([[skew(a) for a in row] for row in self.axes])
+    def __init__(self, shape: ChainShape):
+        self.templates = shape.templates
+        self.template = shape.templates[0]
+        self.axes = shape.axes
+        self.generators = skew(shape.axes)
         self.quaternion_steps = np.array([[_right_product(a).T for a in row] for row in self.axes])
-        lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in templates)))
+        lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in self.templates)))
         # beta's interval is open: the polish stays ANGLE_EPS inside it
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
@@ -346,6 +346,17 @@ def _descend_restarts(
     return descended
 
 
+def _integer(name: str, value, least: int, rule: str) -> int:
+    """`operator.index(value)`; below `least` it raises ValueError saying `rule`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 def forward_oracle(
     m: np.ndarray,
     geom: TurnGeometry,
@@ -359,35 +370,26 @@ def forward_oracle(
     `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
     above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
     polished, those of free and pinned-middle families after a coordinate
-    descent.  One search (`_FamilySearch`) per parameter shape samples and
-    ranks each of its families; one descent (`_descend_restarts`) then takes
-    the free and pinned-middle restarts of every shape at once, each padded
-    to three slots by exact identity turns, and each shape polishes all its
-    restarts in one batch.  The restarts are finished (`refine`) in catalog
-    order, a path is kept when its residual is at most TOL_RESIDUAL, and the
-    first of two equal lengths wins.  `min_singular` is the smallest
-    singular value of the winner's parameter Jacobian, from the polish.
-    Results are deterministic for a fixed seed.  The target is a finite 3x3
-    array-like, `seed` an integer >= 0 and `budget` an integer >= 1.
+    descent.  One search (`_FamilySearch`) per `chain_shapes` entry of the
+    audit catalog samples and ranks each of its families (catalog family i
+    with seed + i); one descent (`_descend_restarts`) then takes the free
+    and pinned-middle restarts of every shape at once, each padded to three
+    slots by exact identity turns, and each shape polishes all its restarts
+    in one batch.  The restarts are finished (`refine`) in catalog order, a
+    path is kept when its residual is at most TOL_RESIDUAL, and the first of
+    two equal lengths wins.  `min_singular` is the smallest singular value
+    of the winner's parameter Jacobian, from the polish.  Results are
+    deterministic for a fixed seed.  The target is a finite 3x3 array-like,
+    `seed` an integer >= 0 and `budget` an integer >= 1.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidInput(f"target must have shape (3, 3), got {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInput("target must be finite")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    try:
-        budget = operator.index(budget)
-    except TypeError:
-        raise TypeError(f"budget must be an integer, got {budget!r}") from None
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    families = [f for f in family_catalog(geom.r, mode="all") if f.kinds]
+    seed = _integer("seed", seed, 0, "non-negative")
+    budget = _integer("budget", budget, 1, "at least 1")
+    families = tuple(f for f in family_catalog(geom.r, mode="all") if f.kinds)
     per_family = max(1, budget // len(families))
 
     evaluations = per_family * len(families)
@@ -396,24 +398,22 @@ def forward_oracle(
     if identity_residual <= TOL_RESIDUAL:
         best = OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for index, template in enumerate(families):
-        groups.setdefault(template.shape, []).append(index)
     davenport = _davenport(m)
-    batches = []  # (search, kept restarts, owner) per parameter shape
-    for members in groups.values():
-        search = _FamilySearch([families[i] for i in members], geom)
+    batches, indices = [], []  # (search, kept restarts, owner), catalog indices per shape
+    for shape in chain_shapes(geom.r, families):
+        search = _FamilySearch(shape)
+        indices.append([families.index(template) for template in shape.templates])
         starts = []
-        for family, index in enumerate(members):
+        for family, index in enumerate(indices[-1]):
             params = search.sample(np.random.default_rng(seed + index), per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
-        owner = np.repeat(np.arange(len(members)), [len(rows) for rows in starts])
+        owner = np.repeat(np.arange(len(starts)), [len(rows) for rows in starts])
         batches.append((search, np.concatenate(starts), owner))
     restarts = []  # (catalog index, search, family, parameters, min singular) per restart
     descended = _descend_restarts(m, batches)
-    for members, (search, _, owner), params in zip(groups.values(), batches, descended):
+    for index, (search, _, owner), params in zip(indices, batches, descended):
         params, singular = search._polish(m, params, owner)
-        restarts += [(members[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
+        restarts += [(index[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
 
     restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
     for _, search, family, params, min_singular in restarts:
@@ -495,6 +495,7 @@ class AuditReport:
 def cross_family_audit(requests: list[PlanRequest], seed: int = 0) -> AuditReport:
     """Compare the proven catalog's best against the audit catalog's best.
 
+    Both plans are deterministic; `seed` is only recorded in the report.
     A positive gap means the audit families found a shorter path than the
     proven catalog, which would contradict the catalog's sufficiency; the
     expected outcome is a gap bounded by solver noise.

@@ -2,7 +2,8 @@ import numpy as np
 
 from sphere_dubins import geometry as geo
 from sphere_dubins.oracle import random_rotation  # noqa: F401  (re-exported for the tests)
-from sphere_dubins.planner import PlanRequest, Pose
+from sphere_dubins.oracle import request_for_target as request_from_rotation
+from sphere_dubins.planner import PlanRequest
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -22,26 +23,8 @@ def request_from_segments(
     segments, unit_r: float, sphere_radius: float = 1.0
 ) -> PlanRequest:
     """Forward-compose a unit-sphere path into a physical plan request."""
-    geom = geo.TurnGeometry.from_radius(unit_r)
-    start = geo.Configuration.canonical()
-    final_frame = start.frame() @ geo.compose_path(segments, geom)
-    return PlanRequest(
-        sphere_radius=sphere_radius,
-        turning_radius=unit_r * sphere_radius,
-        initial=Pose(start.position * sphere_radius, start.tangent),
-        final=Pose(final_frame[:, 0] * sphere_radius, final_frame[:, 1]),
-    )
-
-
-def request_from_rotation(m, unit_r: float, sphere_radius: float = 1.0) -> PlanRequest:
-    start = geo.Configuration.canonical()
-    final_frame = start.frame() @ m
-    return PlanRequest(
-        sphere_radius=sphere_radius,
-        turning_radius=unit_r * sphere_radius,
-        initial=Pose(start.position * sphere_radius, start.tangent),
-        final=Pose(final_frame[:, 0] * sphere_radius, final_frame[:, 1]),
-    )
+    m = geo.compose_path(segments, geo.TurnGeometry.from_radius(unit_r))
+    return request_from_rotation(m, unit_r, sphere_radius)
 
 
 def random_in_bounds_path(template, rng: np.random.Generator) -> list[geo.Segment]:

@@ -89,6 +89,28 @@ def test_configuration_from_frame_rejects_nan():
         geo.Configuration.from_frame(np.full((3, 3), math.nan))
 
 
+def test_skew_of_a_stack_matches_the_component_matrices():
+    # one skew construction: a (K, n, 3) stack equals the matrices built from
+    # components, and the rotations keep the bits of Rodrigues on those
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal((4, 5, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    for slot, kind in enumerate("GLR"):
+        v[0, slot] = geo.turn_axis(kind, geo.TurnGeometry(0.6))
+    x, y, z = np.moveaxis(v, -1, 0)
+    zero = np.zeros_like(x)
+    rows = ([zero, -z, y], [z, zero, -x], [-y, x, zero])
+    built = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    k = geo.skew(v)
+    assert k.shape == (4, 5, 3, 3)
+    assert np.array_equal(k, built)
+    assert all(np.array_equal(geo.skew(one), m) for one, m in zip(v[1], built[1]))
+    angles = rng.uniform(0.0, 2.0 * math.pi, (4, 5))
+    s, c = np.sin(angles)[..., None, None], (1.0 - np.cos(angles))[..., None, None]
+    rodrigues = np.eye(3) + s * built + c * (built @ built)
+    assert geo.rotations_about_axis(v, angles).tobytes() == rodrigues.tobytes()
+
+
 def test_segment_generators_are_skew_with_matching_axis():
     g = geo.TurnGeometry.from_radius(0.71)
     for kind in ("L", "R", "G"):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
+from sphere_dubins import linkage as lk
 from sphere_dubins import oracle as orc
 from sphere_dubins import planner as pl
 from sphere_dubins.errors import InvalidInput
@@ -118,6 +119,11 @@ JACOBIAN_FAMILIES = [("L", None), ("GR", None), ("LGL", None), ("RLR", None),
                      ("RLR", math.pi), ("RLRL", None), ("LRLRL", None)]
 
 
+def _alone(template, geom):
+    """The oracle's search of one family."""
+    return orc._FamilySearch(lk.chain_shapes(geom.r, (template,))[0])
+
+
 def _central_jacobian(endpoint, params, h=1e-6):
     """(9, p) central differences of the 3x3 `endpoint(params)`."""
     columns = []
@@ -131,7 +137,7 @@ def _central_jacobian(endpoint, params, h=1e-6):
 @pytest.mark.parametrize("pattern, fixed", JACOBIAN_FAMILIES)
 def test_polish_jacobian_matches_central_differences(pattern, fixed):
     geom = geo.TurnGeometry.from_radius(0.8)
-    search = orc._FamilySearch([pl.FamilyTemplate.of(pattern, fixed)], geom)
+    search = _alone(pl.FamilyTemplate.of(pattern, fixed), geom)
     params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20, 0)
     owner = np.zeros(20, dtype=int)
     ends, jac = search.linearize(params, owner)
@@ -151,12 +157,9 @@ def test_polish_jacobian_matches_central_differences(pattern, fixed):
 
 def _audit_searches(r):
     """The oracle's searches at r, one per parameter shape, and the audit catalog."""
-    geom = geo.TurnGeometry.from_radius(r)
-    families = [f for f in pl.family_catalog(r, mode="all") if f.kinds]
-    shapes = {}
-    for template in families:
-        shapes.setdefault(template.shape, []).append(template)
-    return geom, [orc._FamilySearch(group, geom) for group in shapes.values()], families
+    families = tuple(f for f in pl.family_catalog(r, mode="all") if f.kinds)
+    searches = [orc._FamilySearch(shape) for shape in lk.chain_shapes(r, families)]
+    return geo.TurnGeometry.from_radius(r), searches, families
 
 
 @pytest.mark.parametrize("r", [0.3, 0.8])
@@ -191,7 +194,7 @@ def test_stacked_polish_matches_each_family_alone(r):
     for search in searches:
         starts, owners = [], []
         for family, template in enumerate(search.templates):
-            alone = orc._FamilySearch([template], geom)
+            alone = _alone(template, geom)
             seeded = alone.sample(rng, 6, 0)
             if not template.equal_middles:
                 seeded = orc._descend_restarts(m, [(alone, seeded, np.zeros(6, dtype=int))])[0]
@@ -206,7 +209,7 @@ def test_stacked_polish_matches_each_family_alone(r):
         owner = np.concatenate(owners)
         params, singular = search._polish(m, np.concatenate(starts), owner)
         for family, (template, rows) in enumerate(zip(search.templates, starts)):
-            alone = orc._FamilySearch([template], geom)
+            alone = _alone(template, geom)
             got, got_singular = alone._polish(m, rows, np.zeros(len(rows), dtype=int))
             assert np.array_equal(params[owner == family], got), template.tag
             assert np.array_equal(singular[owner == family], got_singular), template.tag
@@ -246,6 +249,27 @@ def test_one_descent_matches_each_shape_alone(r):
             assert np.array_equal(got, shape_alone), template.tag
             descended += len(got)
     assert descended >= 2 * 6 * 10
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
+def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
+    # every search's axes are the read-only `ChainShape.axes` that plan(mode="all") solves
+    lk.chain_shapes.cache_clear()  # an entry evicted earlier in the run would be rebuilt
+    pl._catalog.cache_clear()
+    solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
+    searches = []
+    init = orc._FamilySearch.__init__
+
+    def spy(search, shape):
+        init(search, shape)
+        searches.append(search)
+
+    monkeypatch.setattr(orc._FamilySearch, "__init__", spy)
+    orc.forward_oracle(orc.random_rotation(np.random.default_rng(1)), geo.TurnGeometry(r), 0, 1)
+    assert len(searches) == len(solved)
+    for search, shape in zip(searches, solved):
+        assert search.axes is shape.axes and search.templates == shape.templates
+        assert not search.axes.flags.writeable
 
 
 def test_a_zero_turn_is_exactly_identity():

@@ -27,6 +27,31 @@ COMMON_TAGS = [
 ]
 
 
+# targets 1e-9 to 1e-8 off a pure arc, where a free-middle row's middle is
+# near 0 or 2pi and its merged outer arc misses the residual gate by about eps
+NEAR_ARC_TARGETS = [
+    (0.6, "L", 4.126234927279428,
+     (-0.9576327900973459, -0.07833870157943967, -0.27713261656690685), 1e-8),
+    (0.6, "R", 3.826788188844647,
+     (-0.13091937332670195, 0.6057386697503239, 0.7848189483293913), 1e-9),
+    (0.8, "L", 4.619051628443655,
+     (-0.6503695720161882, -0.07687465982057456, 0.7557180072440718), 1e-8),
+    (math.sqrt(3.0) / 2.0, "R", 4.5969730063275245,
+     (0.9702615444623824, 0.07675245568695455, -0.22956828152751066), 1e-8),
+]
+
+
+@pytest.mark.xfail(raises=NoCandidateFound, strict=True,
+                   reason="near-tangent merged outer arcs miss the gate (ROADMAP item 8)")
+@pytest.mark.parametrize("r, kind, theta, u, eps", NEAR_ARC_TARGETS)
+def test_plan_near_a_pure_arc(r, kind, theta, u, eps):
+    geom = geo.TurnGeometry.from_radius(r)
+    arc = geo.compose_path([geo.Segment(kind, theta)], geom)
+    m = arc @ geo.rotation_about_axis(np.array(u), eps)
+    best = pl.plan(request_from_rotation(m, r)).best_candidate
+    assert abs(best.physical_length - r * theta) <= 1e-6
+
+
 def test_normalize_scales_radius():
     req = request_from_segments([geo.G(1.0)], 0.71, sphere_radius=2.0)
     m, geom, _, _, _ = pl.normalize_problem(req)
