@@ -173,7 +173,13 @@ def rotations_about_axis(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     every angle."""
     angles = np.asarray(angles, dtype=float)
     k = skew(axis)
-    k2 = k @ k
+    return rotations_from_generators(k, k @ k, angles)
+
+
+def rotations_from_generators(k: np.ndarray, k2: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rodrigues, I + sin K + (1 - cos) K^2, by the float array `angles` (...)
+    from generators K = skew(axis) (..., 3, 3) and K @ K, which callers with
+    fixed axes build once."""
     s = np.sin(angles)[..., None, None]
     c = (1.0 - np.cos(angles))[..., None, None]
     return _EYE + s * k + c * k2

@@ -32,7 +32,7 @@ a row the gate accepts; they only skip composing rows that cannot pass.  Step
 
 `solve_shapes` solves the families of several `chain_shapes` entries
 (families of one shape, their axes and step-1 coefficients cached per (r,
-families)) on a stack: step 1 per shape, the 4- and 5-chains sharing one
+group)) on a stack: step 1 per shape, the 4- and 5-chains sharing one
 root filter and polish, then one step 2 over every shape's (row, interior)
 pairs, so `plan_batch` makes one step-2 pass per radius group.  It returns
 one flat row (target, family, arcs, residual) per solution; `solve_chain`
@@ -255,19 +255,23 @@ class ChainShape:
     laurent: np.ndarray | None = None
 
 
-CACHE_SIZE = 256  # (r, families) entries of `chain_shapes`, each a few small arrays
+CACHE_SIZE = 256  # (r, families) tuples of `chain_shapes`, and (r, mode) catalogs of `planner`
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[ChainShape, ...]:
     """The families grouped by shape, in order of first appearance, with the
-    constants of each group at unit turning radius r.  Built on first use;
-    a tuple of several shapes shares its groups' own cache entries."""
+    constants of each group at unit turning radius r.  Each group is built on
+    first use and cached on its own (`_chain_shape`), outliving this entry."""
     groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
     for t in templates:
         groups.setdefault(t.shape, []).append(t)
-    if len(groups) != 1:
-        return tuple(chain_shapes(r, tuple(group))[0] for group in groups.values())
+    return tuple(_chain_shape(r, tuple(group)) for group in groups.values())
+
+
+@lru_cache(maxsize=8 * CACHE_SIZE)  # the <= 7 groups of CACHE_SIZE catalogs, one-family solves
+def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
+    """The `ChainShape` of families of one shape at unit turning radius r."""
     geom, first, n = TurnGeometry(r), templates[0], len(templates[0].kinds)
     axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
     axes = axes.reshape(len(templates), n, 3)
@@ -287,7 +291,7 @@ def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[Chain
     for value in (axes, *fields.values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return (ChainShape(templates, axes, **fields),)
+    return ChainShape(templates, axes, **fields)
 
 
 def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[float, ...], float]:

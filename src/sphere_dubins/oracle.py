@@ -8,12 +8,13 @@ the endpoint residual does; the ranking only chooses the restarts.  Free
 and pinned-middle restarts are first brought near a root by coordinate
 descent on the endpoint residual; equal-middle restarts (interior arcs
 pi + beta) go to the polish as drawn.  Each restart ends as one canonical
-path whose one residual, read from `compose_path`, is gated at TOL_RESIDUAL
-and reported.  The oracle never consults the closed-form linkage solver, so
-agreement between the two is meaningful evidence: of the solver's shape
-table (`linkage.chain_shapes`) it reads only each `ChainShape`'s
-`templates` and `axes`, never the step-1 coefficients or a `solve_*`
-function.  One search object serves each shape (free 1/2/3 slots, pinned
+path; the finish takes them shortest first, and the first whose one
+residual, read from `compose_path`, passes TOL_RESIDUAL wins and is
+reported, so the rest are never composed.  The oracle never consults the
+closed-form linkage solver, so agreement between the two is meaningful
+evidence: of the solver's shape table (`linkage.chain_shapes`) it reads
+only each `ChainShape`'s `templates` and `axes`, never the step-1
+coefficients or a `solve_*` function.  One search object serves each shape (free 1/2/3 slots, pinned
 pi, equal-middle 4 and 5), with one row of axes and bounds per family, and
 polishes the kept restarts of all its families as one numpy batch.  One
 coordinate descent per call takes the free and pinned-middle restarts of
@@ -45,7 +46,7 @@ from .geometry import (
     TurnGeometry,
     compose_path,
     path_length,
-    rotations_about_axis,
+    rotations_from_generators,
     skew,
 )
 from .errors import InvalidInput
@@ -55,11 +56,12 @@ from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
 REFINE_SWEEPS = 60    # max coordinate-descent sweeps per restart
-ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # polish stop rule: a row still above it after POLISH_STEPS stops
+ACCEPT_GATE = 10.0 * TOL_RESIDUAL  # a polish row above it stops on a stall or after POLISH_STEPS
 POLISH_FLOOR = 1e-15  # a polished row stops at this residual (float64 rounding of the chain)
 POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value squared
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
+POLISH_STALL = 1e-9   # a row above ACCEPT_GATE stops once a kept step gains less than this share
 _DESCENT_SLOTS = 3    # descended rows are padded to the longest free or pinned-middle chain
 _PAD_AXIS = np.array([0.0, 0.0, 1.0])  # a pad slot's axis; turned by 0 it is exactly I
 
@@ -119,7 +121,8 @@ class _FamilySearch:
         self.template = shape.templates[0]
         self.axes = shape.axes
         self.generators = skew(shape.axes)
-        self.quaternion_steps = np.array([[_right_product(a).T for a in row] for row in self.axes])
+        self.squares = self.generators @ self.generators
+        self.quaternion_steps = np.array([[_right_product(a) for a in row] for row in self.axes])
         lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in self.templates)))
         # beta's interval is open: the polish stays ANGLE_EPS inside it
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
@@ -139,26 +142,31 @@ class _FamilySearch:
 
     def compose_batch(self, params: np.ndarray, family: int) -> np.ndarray:
         """Unit quaternions (n, 4) of one family's sampled chains: slot by
-        slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis).  They only rank
+        slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis), composed as
+        (4, n) columns so each step is one 4x4 product.  They only rank
         the samples (`forward_oracle`) to choose restarts; the one gate reads
         the residual of `compose_path` (`refine`)."""
         half = 0.5 * self.template.angles(params)
-        cos, sin = np.cos(half), np.sin(half)
-        q = np.zeros((len(params), 4))
-        q[:, 0] = 1.0
+        cos, sin = np.cos(half).T, np.sin(half).T
+        q = np.zeros((4, len(params)))
+        q[0] = 1.0
         for slot, step in enumerate(self.quaternion_steps[family]):
-            q = cos[:, slot, None] * q + sin[:, slot, None] * (q @ step)
-        return q
+            q = cos[slot] * q + sin[slot] * (step @ q)
+        return q.T
 
     # -- polish and per-restart finish -------------------------------------
+    def segments(self, params: np.ndarray, family: int) -> tuple[Segment, ...]:
+        """One restart's canonical segments."""
+        template = self.templates[family]
+        angles = template.angles(params[None, :])[0]
+        return tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
+
     def refine(
         self, m: np.ndarray, params: np.ndarray, family: int, geom: TurnGeometry
     ) -> tuple[tuple[Segment, ...], float]:
         """Finish one restart after the polish: its canonical segments and the
         one residual, ||compose_path - m||, that `forward_oracle` gates and reports."""
-        template = self.templates[family]
-        angles = template.angles(params[None, :])[0]
-        segments = tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
+        segments = self.segments(params, family)
         return segments, float(np.linalg.norm(compose_path(segments, geom) - m))
 
     def linearize(self, params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +178,8 @@ class _FamilySearch:
         The endpoints are the slot rotations multiplied left to right.
         """
         generators = self.generators[owner]
-        rots = rotations_about_axis(self.axes[owner], self.template.angles(params))
+        angles = self.template.angles(params)
+        rots = rotations_from_generators(generators, self.squares[owner], angles)
         n = rots.shape[1]
         prefix = [rots[:, 0]]
         for j in range(1, n):
@@ -210,9 +219,12 @@ class _FamilySearch:
         box (with outer angles up to `outer_cap` on equal-middle chains) is
         enforced after every step.  A row stops at POLISH_FLOOR or once its
         damping passes POLISH_DAMP_CAP; one that is still above ACCEPT_GATE
-        after POLISH_STEPS steps cannot be accepted and stops too.  A row
-        is never stopped on a small gain: at a singular root each step only
-        quarters the residual.
+        after POLISH_STEPS steps cannot be accepted and stops too, as does
+        one above it whose kept step gains less than the share POLISH_STALL:
+        it has settled off the root (an `LG` row held 1.009 for 100 steps)
+        and would fail the finish's gate.  Below ACCEPT_GATE a row is never
+        stopped on a small gain: at a singular root each step only quarters
+        the residual.
 
         Honest limit: at a double root (a `CCC` middle arc of exactly pi)
         the residual grows quadratically along the null direction, so a
@@ -240,11 +252,14 @@ class _FamilySearch:
             ends, trial_jac = self.linearize(trial, rows)
             trial_res = (ends - m).reshape(len(active), 9)
             trial_norm = np.linalg.norm(trial_res, axis=1)
-            better = trial_norm < norm[active]
+            old = norm[active]
+            better = trial_norm < old
+            stalled = better & (old > ACCEPT_GATE) & (old - trial_norm < POLISH_STALL * old)
             kept = active[better]
             params[kept], jac[kept] = trial[better], trial_jac[better]
             res[kept], norm[kept] = trial_res[better], trial_norm[better]
             damping[active] *= np.where(better, 0.1, 100.0)
+            active = active[~stalled]
         return params, np.linalg.svd(jac, compute_uv=False)[:, -1]
 
 
@@ -282,14 +297,17 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
     REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
     The slot rotations carry over from sweep to sweep, the bounds' cosines
-    and sines are taken once, and a sweep carries the product of the slots
-    before the current one left to right, so its last product is the
-    sweep's endpoint, whose residual is read."""
+    and sines and the axes' generators K and K^2 are taken once, and a
+    sweep carries the product of the slots before the current one left to
+    right, so its last product is the sweep's endpoint, whose residual is
+    read."""
     n_slots = axes.shape[1]
     angles = angles.copy()
     m_t = m.T
     trig = np.stack([np.cos(lo), np.sin(lo), np.cos(hi), np.sin(hi)], axis=-1)
-    rots = [rotations_about_axis(axes[:, k], angles[:, k]) for k in range(n_slots)]
+    k = skew(axes)
+    k2 = k @ k
+    rots = [rotations_from_generators(k[:, j], k2[:, j], angles[:, j]) for j in range(n_slots)]
     current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
     active = np.arange(len(angles))
     for _ in range(REFINE_SWEEPS):
@@ -300,7 +318,7 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
             w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
             w = w @ prefix if slot else np.broadcast_to(w, rots[0].shape)  # one slot: m^T
             p[:, slot] = _trace_argmax(w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot])
-            rots[slot] = rotations_about_axis(axes[:, slot], p[:, slot])
+            rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
             prefix = rots[0] if slot == 0 else prefix @ rots[slot]
         angles[active] = p
         after = np.linalg.norm(prefix - m, axis=(1, 2))
@@ -309,6 +327,7 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
         active = active[~done]
         rots = [rot[~done] for rot in rots]
         axes, lo, hi, trig = axes[~done], lo[~done], hi[~done], trig[~done]
+        k, k2 = k[~done], k2[~done]
     return angles
 
 
@@ -320,8 +339,8 @@ def _descend_restarts(
     and pinned-middle batch; equal-middle batches come back as given (the
     polish moves their beta too).  Each row is padded to _DESCENT_SLOTS
     slots with lo = hi = 0 about a unit axis: a pad's angle stays 0 and its
-    rotation is exactly I (`rotations_about_axis`), so every product and
-    the stop rule keep the bits of a descent of the row's shape alone."""
+    rotation is exactly I (`rotations_from_generators`), so every product
+    and the stop rule keep the bits of a descent of the row's shape alone."""
     spans = []  # (batch, first row, row after) per descended batch
     rows = 0
     for index, (search, params, _) in enumerate(batches):
@@ -375,9 +394,11 @@ def forward_oracle(
     with seed + i); one descent (`_descend_restarts`) then takes the free
     and pinned-middle restarts of every shape at once, each padded to three
     slots by exact identity turns, and each shape polishes all its restarts
-    in one batch.  The restarts are finished (`refine`) in catalog order, a
-    path is kept when its residual is at most TOL_RESIDUAL, and the first of
-    two equal lengths wins.  `min_singular` is the smallest singular value
+    in one batch.  The restarts are then finished (`refine`) by length,
+    stably over catalog order, until one's residual is at most
+    TOL_RESIDUAL: the shortest passing path wins, the first of two equal
+    lengths in catalog order.  A target the identity reaches is EMPTY,
+    with no search.  `min_singular` is the smallest singular value
     of the winner's parameter Jacobian, from the polish.  Results are
     deterministic for a fixed seed.  The target is a finite 3x3 array-like,
     `seed` an integer >= 0 and `budget` an integer >= 1.
@@ -393,10 +414,9 @@ def forward_oracle(
     per_family = max(1, budget // len(families))
 
     evaluations = per_family * len(families)
-    best = OracleResult(None, math.inf, math.inf, "", evaluations)
     identity_residual = float(np.linalg.norm(m - np.eye(3)))
-    if identity_residual <= TOL_RESIDUAL:
-        best = OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
+    if identity_residual <= TOL_RESIDUAL:  # no path is shorter than the empty one
+        return OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
     davenport = _davenport(m)
     batches, indices = [], []  # (search, kept restarts, owner), catalog indices per shape
@@ -416,15 +436,14 @@ def forward_oracle(
         restarts += [(index[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
 
     restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
-    for _, search, family, params, min_singular in restarts:
+    lengths = [path_length(search.segments(p, f), geom) for _, search, f, p, _ in restarts]
+    for i in np.argsort(lengths, kind="stable"):  # shortest first; a NaN length sorts last
+        _, search, family, params, min_singular = restarts[i]
         segments, res = search.refine(m, params, family, geom)
-        if not res <= TOL_RESIDUAL:  # a NaN residual fails too
-            continue
-        length = path_length(segments, geom)
-        if length < best.length:
+        if res <= TOL_RESIDUAL:  # a NaN residual fails
             tag = search.templates[family].tag
-            best = OracleResult(segments, length, res, tag, evaluations, float(min_singular))
-    return best
+            return OracleResult(segments, lengths[i], res, tag, evaluations, float(min_singular))
+    return OracleResult(None, math.inf, math.inf, "", evaluations)
 
 
 # ---------------------------------------------------------------------------

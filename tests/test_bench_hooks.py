@@ -34,7 +34,8 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 
 def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
-    # the tracer times refine once per restart and reads its (params, residual)
+    # the tracer times each refine the oracle makes and reads its (segments, residual);
+    # the oracle refines restarts shortest first and stops at the first that passes
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -45,17 +46,27 @@ def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
     shapes = {(f.fixed_middle is not None, f.equal_middles) for f in families}
     assert shapes == {(False, False), (True, False), (False, True)}
     refine = oracle._FamilySearch.refine
+    residuals = []
+
+    def recorded(*args):
+        result = refine(*args)
+        residuals.append(result[1])
+        return result
+
+    monkeypatch.setattr(oracle._FamilySearch, "refine", recorded)
     tracer = Tracer()
     tracer.install()
     try:
-        assert oracle._FamilySearch.refine is not refine
+        assert oracle._FamilySearch.refine is not recorded
         result = oracle.forward_oracle(m, geom, seed=0, budget=2000)
     finally:
         tracer.uninstall()
     assert result.found
     refines = [s for s in tracer.finished_spans() if s.name == "oracle.refine"]
-    assert len(refines) == oracle.REFINE_TOP * len(families)
-    assert oracle._FamilySearch.refine is refine
+    assert len(refines) == len(residuals) >= 1
+    assert all(not res <= oracle.TOL_RESIDUAL for res in residuals[:-1])  # above it or NaN
+    assert residuals[-1] <= oracle.TOL_RESIDUAL and residuals[-1] == result.residual
+    assert oracle._FamilySearch.refine is recorded
 
 
 def test_tracer_extremal_counters_read_the_trajectory(monkeypatch):

@@ -272,6 +272,19 @@ def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
         assert not search.axes.flags.writeable
 
 
+def test_shape_table_outlives_other_radii():
+    # the shape cache holds every group of the catalogs that planner caches
+    lk.chain_shapes.cache_clear()
+    pl._catalog.cache_clear()
+    solved = [shape for shape in pl._catalog(0.6, "all").shapes if shape.templates[0].kinds]
+    for k in range(200):
+        pl._catalog(0.61 + 0.001 * k, "all")
+    families = tuple(f for f in pl.family_catalog(0.6, mode="all") if f.kinds)
+    searched = lk.chain_shapes(0.6, families)  # what forward_oracle searches at r = 0.6
+    assert len(searched) == len(solved)
+    assert all(shape is mine for shape, mine in zip(searched, solved))
+
+
 def test_a_zero_turn_is_exactly_identity():
     # the descent's pad slots turn by 0 and must multiply as I, bit for bit
     rng = np.random.default_rng(9)
@@ -446,3 +459,155 @@ def test_polish_alone_finds_equal_middle_families(monkeypatch, pattern, r):
     assert result.found and result.family == pattern
     assert result.residual <= 1e-9
     assert result.length <= geo.path_length(segments, geom) + 1e-9
+
+
+def test_generator_rodrigues_matches_rotations_about_axis():
+    # the descent and the polish build K and K^2 once; every slot keeps its bits
+    rng = np.random.default_rng(21)
+    axes = rng.standard_normal((6, 5, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    for row, r in enumerate((0.3, 0.6, SQRT2_INV)):
+        for slot, kind in enumerate("GLR"):
+            axes[row, slot] = geo.turn_axis(kind, geo.TurnGeometry(r))
+    axes[:, 3] = orc._PAD_AXIS
+    angles = rng.uniform(0.0, 2.0 * math.pi, (6, 5))
+    angles[::2, 1:] = 0.0
+    angles[:, 3] = 0.0
+    k = geo.skew(axes)
+    k2 = k @ k
+    whole = geo.rotations_from_generators(k, k2, angles)
+    assert whole.tobytes() == geo.rotations_about_axis(axes, angles).tobytes()
+    for slot in range(5):
+        got = geo.rotations_from_generators(k[:, slot], k2[:, slot], angles[:, slot])
+        assert got.tobytes() == geo.rotations_about_axis(axes[:, slot], angles[:, slot]).tobytes()
+    zero = whole[angles == 0.0]
+    assert zero.tobytes() == np.broadcast_to(np.eye(3), zero.shape).tobytes()
+
+
+def _quaternion_rows(search, params, family):
+    """The (n, 4) composition, slot by slot q <- cos q + sin q (0, axis)."""
+    half = 0.5 * search.template.angles(params)
+    cos, sin = np.cos(half), np.sin(half)
+    q = np.zeros((len(params), 4))
+    q[:, 0] = 1.0
+    for slot, axis in enumerate(search.axes[family]):
+        q = cos[:, slot, None] * q + sin[:, slot, None] * (q @ orc._right_product(axis).T)
+    return q
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.6, 0.8, math.sqrt(3.0) / 2.0])
+def test_column_quaternions_match_the_row_composition(r):
+    _, searches, families = _audit_searches(r)
+    davenport = orc._davenport(orc.random_rotation(np.random.default_rng(int(r * 100))))
+    for search in searches:
+        for family, template in enumerate(search.templates):
+            params = search.sample(np.random.default_rng(families.index(template)), 500, family)
+            got = search.compose_batch(params, family)
+            expected = _quaternion_rows(search, params, family)
+            assert got.tobytes() == expected.tobytes(), template.tag
+            ranked = orc._top_restarts(got, davenport)
+            assert np.array_equal(ranked, orc._top_restarts(expected, davenport)), template.tag
+
+
+def _two_slot_search(r):
+    families = tuple(f for f in pl.family_catalog(r, mode="all") if f.kinds)
+    shape = next(s for s in lk.chain_shapes(r, families) if s.templates[0].shape == (2, False))
+    search = orc._FamilySearch(shape)
+    rng = np.random.default_rng(1)
+    params = np.concatenate([search.sample(rng, 8, f) for f in range(len(search.templates))])
+    return search, params, np.repeat(np.arange(len(search.templates)), 8)
+
+
+def _polish_steps(search, m, params, owner):
+    """The polished parameters and the number of LM steps taken."""
+    calls = []
+    search.linearize = lambda *args: calls.append(1) or orc._FamilySearch.linearize(search, *args)
+    try:
+        polished, _ = search._polish(m, params, owner)
+    finally:
+        del search.linearize
+    return polished, len(calls) - 1
+
+
+def test_polish_stops_stalled_rows(monkeypatch):
+    # two arcs reach a generic target only at a nonzero residual minimum
+    search, params, owner = _two_slot_search(0.6)
+    m = orc.random_rotation(np.random.default_rng(7))
+    _, steps = _polish_steps(search, m, params, owner)
+    monkeypatch.setattr(orc, "POLISH_STALL", 0.0)
+    _, unstopped = _polish_steps(search, m, params, owner)
+    assert steps < orc.POLISH_STEPS == unstopped
+
+
+def test_polish_stops_only_rows_above_the_gate(monkeypatch):
+    search, params, owner = _two_slot_search(0.6)
+    geom = geo.TurnGeometry(0.6)
+    m = geo.compose_path([geo.L(1.0), geo.R(2.0)], geom)
+    stopped, _ = _polish_steps(search, m, params, owner)
+    monkeypatch.setattr(orc, "POLISH_STALL", 0.0)
+    unstopped, _ = _polish_steps(search, m, params, owner)
+    residual = {
+        name: np.linalg.norm(search.linearize(p, owner)[0] - m, axis=(1, 2))
+        for name, p in (("stopped", stopped), ("unstopped", unstopped))
+    }
+    changed = (stopped != unstopped).any(axis=1)
+    assert changed.any() and (~changed).any()
+    assert (residual["unstopped"][~changed] <= orc.ACCEPT_GATE).any()
+    assert (residual["stopped"][changed] > orc.ACCEPT_GATE).all()
+    assert (residual["unstopped"][changed] > orc.ACCEPT_GATE).all()
+
+
+def _finish_every_restart(m, geom, polished, evaluations):
+    """The reference finish: refine every polished restart in catalog order,
+    keep a passing path only if strictly shorter, starting from EMPTY when
+    the identity passes."""
+    families = tuple(f for f in pl.family_catalog(geom.r, mode="all") if f.kinds)
+    restarts = sorted(
+        (
+            (families.index(search.templates[f]), search, f, p, s)
+            for search, owner, params, singular in polished
+            for f, p, s in zip(owner, params, singular)
+        ),
+        key=lambda restart: restart[0],
+    )
+    best = orc.OracleResult(None, math.inf, math.inf, "", evaluations)
+    identity_residual = float(np.linalg.norm(m - np.eye(3)))
+    if identity_residual <= orc.TOL_RESIDUAL:
+        best = orc.OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
+    for _, search, family, params, min_singular in restarts:
+        segments, res = search.refine(m, params, family, geom)
+        length = geo.path_length(segments, geom)
+        if res <= orc.TOL_RESIDUAL and length < best.length:
+            tag = search.templates[family].tag
+            best = orc.OracleResult(segments, length, res, tag, evaluations, float(min_singular))
+    return best
+
+
+@pytest.mark.parametrize("case, r, seed", [
+    ("seeded", 0.3, 31), ("seeded", 0.5, 32), ("seeded", SQRT2_INV, 33), ("seeded", 0.71, 34),
+    ("seeded", 0.8, 35), ("seeded", math.sqrt(3.0) / 2.0, 36),
+    ("identity", 0.5, 3), ("pure turn", 0.71, 4), ("rlpir", 0.71, 2),
+])
+def test_lazy_finish_picks_the_catalog_order_winner(monkeypatch, case, r, seed):
+    geom = geo.TurnGeometry.from_radius(r)
+    m = {
+        "seeded": lambda: orc.random_rotation(np.random.default_rng(seed)),
+        "identity": lambda: np.eye(3),
+        "pure turn": lambda: geo.compose_path([geo.L(2.0)], geom),  # equal-length ties
+        "rlpir": lambda: geo.compose_path([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], geom),
+    }[case]()
+    polish, polished = orc._FamilySearch._polish, []
+
+    def spy(search, m, params, owner):
+        out = polish(search, m, params, owner)
+        polished.append((search, owner, *out))
+        return out
+
+    monkeypatch.setattr(orc._FamilySearch, "_polish", spy)
+    result = orc.forward_oracle(m, geom, seed=seed, budget=20_000)
+    assert repr(result) == repr(_finish_every_restart(m, geom, polished, result.evaluations))
+    assert result.found
+    if case == "identity":
+        assert result.family == "EMPTY" and not polished
+    if case == "pure turn":
+        assert abs(result.length - 2.0 * r) <= 1e-12
