@@ -30,15 +30,15 @@ ANGLE_EPS (box slack, merged roots).  The pre-filters read TOL_RESIDUAL too:
 a row the gate accepts; they only skip composing rows that cannot pass.  Step
 2 compares no axial components: missing a_1 . M a_n by d costs a residual >= d.
 
-`solve_shapes` solves the families of several `chain_shapes` entries
-(families of one shape, their axes and step-1 coefficients cached per (r,
-group)) on a stack: step 1 per shape, the 4- and 5-chains sharing one
-root filter and polish, then one step 2 over every shape's (row, interior)
-pairs, so `plan_batch` makes one step-2 pass per radius group.  It returns
-one flat row (target, family, arcs, residual) per solution; `solve_chain`
-(one target m (3, 3), or a stack (N, 3, 3)) groups them into one list of
-`CandidateSolution`s per target.  Each stacked operation keeps the bits of
-its one-target, one-family form: a row takes its own operands in the same
+`solve_shapes` is the one stacked solve.  It solves the families of several
+`chain_shapes` entries (families of one shape, their axes and step-1
+coefficients cached per (r, group)) on an (N, 3, 3) stack of targets: step 1
+per shape, the 4- and 5-chains sharing one root filter and polish, then one
+step 2 over every shape's (row, interior) pairs, so `plan_batch` makes one
+step-2 pass per radius group.  It returns one flat row (target, family,
+arcs, residual) per solution; `solve_chain` is its case of one family and
+one target m (3, 3).  Each stacked operation keeps the bits of its
+one-target, one-family form: a row takes its own operands in the same
 shapes, e.g. (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm
 across families such as ms @ A.T, which rounds differently; dot products are
 1x3 @ 3x1 matmuls and angles are taken per root with `math`.  Shared passes
@@ -126,33 +126,31 @@ class FamilyTemplate:
 
     tag: str
     kinds: tuple[SegmentKind, ...]
-    fixed_middle: float | None = None   # pi: a three-segment chain with its middle arc pinned
+    pinned: bool = False   # a three-segment chain with its middle arc pinned at pi
 
     def __post_init__(self) -> None:
         if len(self.kinds) > 5 or (self.equal_middles and not all(k.is_turn for k in self.kinds)):
             raise InvalidInput("equal-middle chains have 4 or 5 segments, turns only")
-        if self.fixed_middle is not None and (self.fixed_middle, len(self.kinds)) != (math.pi, 3):
+        if self.pinned and len(self.kinds) != 3:
             raise InvalidInput(
-                f"a pinned middle is pi on a three-segment chain, got {self.fixed_middle!r} "
-                f"on {len(self.kinds)} segments"
+                f"a pinned middle is pi on a three-segment chain, got {len(self.kinds)} segments"
             )
 
     def __hash__(self) -> int:  # equal templates have equal tags; kinds hash slowly
         return hash(self.tag)
 
     @classmethod
-    def of(cls, pattern: Kinds, fixed_middle: float | None = None) -> FamilyTemplate:
-        """Template for an axis pattern; a pinned middle (always pi) shows in the tag: LRpiL."""
+    def of(cls, pattern: Kinds, pinned: bool = False) -> FamilyTemplate:
+        """Template for an axis pattern; a pinned middle shows in the tag: LRpiL."""
         kinds = tuple(SegmentKind(k) for k in pattern)
         tag = "".join(k.value for k in kinds)
-        pinned = "" if fixed_middle is None else "pi"
-        return cls(tag[:2] + pinned + tag[2:], kinds, fixed_middle)
+        return cls(tag[:2] + "pi" * pinned + tag[2:], kinds, pinned)
 
     @property
     def shape(self) -> tuple[int, bool]:
         """Chain length and whether the middle is pinned: families of one
         shape share `angles`, `slot_map` and `outer_cap`, and one solve."""
-        return len(self.kinds), self.fixed_middle is not None
+        return len(self.kinds), self.pinned
 
     @property
     def equal_middles(self) -> bool:  # 4/5-chains share one interior angle
@@ -161,7 +159,7 @@ class FamilyTemplate:
     @property
     def is_free_middle_turn_triple(self) -> bool:
         turns = all(k.is_turn for k in self.kinds)
-        return len(self.kinds) == 3 and self.fixed_middle is None and turns
+        return len(self.kinds) == 3 and not self.pinned and turns
 
     def angles(self, params: np.ndarray) -> np.ndarray:
         """Arc angles (k, slots) of parameter rows (k, p): the arcs, (alpha, gamma)
@@ -169,8 +167,8 @@ class FamilyTemplate:
         if self.equal_middles:
             mids = np.repeat(math.pi + params[:, 1:2], len(self.kinds) - 2, axis=1)
             return np.hstack([params[:, 0:1], mids, params[:, 2:3]])
-        if self.fixed_middle is not None:
-            mid = np.full((params.shape[0], 1), self.fixed_middle)
+        if self.pinned:
+            mid = np.full((params.shape[0], 1), math.pi)
             return np.hstack([params[:, 0:1], mid, params[:, 1:2]])
         return params
 
@@ -189,7 +187,7 @@ class FamilyTemplate:
         out by the solver's open root interval and the oracle's ANGLE_EPS margin."""
         if self.equal_middles:
             return np.zeros(3), np.array([2.0 * math.pi, math.pi, 2.0 * math.pi])
-        if self.fixed_middle is not None:
+        if self.pinned:
             return np.zeros(2), np.full(2, math.pi)
         lows = np.zeros(len(self.kinds))
         if self.is_free_middle_turn_triple:
@@ -216,18 +214,15 @@ class FamilyTemplate:
         return outer <= self.outer_cap(angles) + ANGLE_EPS
 
 
-def _stacked(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Targets as an (N, 3, 3) stack, and whether one (3, 3) target was given;
-    a NaN or infinite entry raises InvalidInput before anything is solved."""
+def checked_target(m) -> np.ndarray:
+    """The target m as a float (3, 3) array; another shape, or a NaN or
+    infinite entry, raises InvalidInput before anything is solved."""
     m = np.asarray(m, dtype=float)
-    single = m.shape == (3, 3)
-    if not single and (m.ndim != 3 or m.shape[1:] != (3, 3)):
-        raise InvalidInput(f"target must have shape (3, 3) or (N, 3, 3), got {m.shape}")
-    ms = m.reshape(-1, 3, 3)
-    bad = np.flatnonzero(~np.isfinite(ms).all(axis=(1, 2)))
-    if bad.size:
-        raise InvalidInput("target must be finite" + ("" if single else f" (row {bad[0]})"))
-    return ms, single
+    if m.shape != (3, 3):
+        raise InvalidInput(f"target must have shape (3, 3), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("target must be finite")
+    return m
 
 
 def _row_apply(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -255,14 +250,13 @@ class ChainShape:
     laurent: np.ndarray | None = None
 
 
-CACHE_SIZE = 256  # (r, families) tuples of `chain_shapes`, and (r, mode) catalogs of `planner`
+CACHE_SIZE = 256  # (r, mode) catalogs of `planner`
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[ChainShape, ...]:
     """The families grouped by shape, in order of first appearance, with the
     constants of each group at unit turning radius r.  Each group is built on
-    first use and cached on its own (`_chain_shape`), outliving this entry."""
+    first use and cached on its own (`_chain_shape`)."""
     groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
     for t in templates:
         groups.setdefault(t.shape, []).append(t)
@@ -278,7 +272,7 @@ def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
     fields: dict = {}
     if first.equal_middles:
         fields["laurent"] = np.array([_laurent_coefficients(a[0], a[1:-1], a[-1]) for a in axes])
-    elif n == 3 and first.fixed_middle is None:
+    elif n == 3 and not first.pinned:
         fields["reductions"] = tuple(scalar_reduction(*a) for a in axes)
     elif n >= 2:
         interiors, predicted = zip(*(_fixed_interior(t, a) for t, a in zip(templates, axes)))
@@ -295,12 +289,11 @@ def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
 
 
 def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[float, ...], float]:
-    """A fixed interior (none, or a pinned middle) and its a_1 . B a_n."""
-    if template.fixed_middle is None:
+    """A fixed interior (none, or a middle pinned at pi) and its a_1 . B a_n."""
+    if not template.pinned:
         return (), float(a[0] @ a[1])
-    fm = template.fixed_middle
     k1c, k2c, k3c = scalar_reduction(*a)
-    return (fm,), k1c + k2c * math.cos(fm) + k3c * math.sin(fm)
+    return (math.pi,), k1c + k2c * math.cos(math.pi) + k3c * math.sin(math.pi)
 
 
 # a solution of `solve_shapes`: target index, family index, arcs, residual; a
@@ -317,19 +310,16 @@ def solve_one(m: np.ndarray, kind: SegmentKind | str, geom: TurnGeometry) -> lis
 
 
 def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> list:
-    """Every solution of the family's chain inside its box that reaches m,
-    with its endpoint residual.  `m` is one target (3, 3) or a stack
-    (N, 3, 3); a stack gets one list of solutions per target.  The empty
-    chain and a single arc (canonical angles) always lie in their box."""
-    ms, single = _stacked(m)
-    solved: list[list[CandidateSolution]] = [[] for _ in ms]
-    for i, _, arcs, residual in solve_shapes(chain_shapes(geom.r, (template,)), ms):
-        solved[i].append(CandidateSolution(arcs, residual))
-    return solved[0] if single else solved
+    """Every solution of the family's chain inside its box that reaches the
+    target m (3, 3), with its endpoint residual: `solve_shapes` on one
+    family and one target.  The empty chain and a single arc (canonical
+    angles) always lie in their box."""
+    rows = solve_shapes(chain_shapes(geom.r, (template,)), checked_target(m)[None])
+    return [CandidateSolution(arcs, residual) for _, _, arcs, residual in rows]
 
 
 def solve_shapes(shapes: Sequence[ChainShape], ms: np.ndarray) -> list[Row]:
-    """`solve_chain` for every family of `shapes` on the (N, 3, 3) stack
+    """Every solution of every family of `shapes` on the (N, 3, 3) stack
     `ms`: one flat list of rows (target, family, arcs, residual), `family`
     indexing the templates of each shape in turn.  A family's rows on one
     target keep their step-1 order.  Step 1 runs per shape over its
@@ -378,7 +368,7 @@ def _eliminate(chains: Sequence[Chain], n: int) -> list[Interiors]:
     solution, as the index of its row and its interior angles.
 
     a_1 . B a_n = a_1 . M a_n is a consistency check for a fixed interior (no
-    interior, or a middle pinned at `fixed_middle`), a sinusoid in a free
+    interior, or a middle pinned at pi), a sinusoid in a free
     middle, or, on equal middles pi + beta, a trigonometric polynomial in beta
     of degree 2 (4-chains) or 3 (5-chains) whose constant term alone depends
     on the target.  Its roots are the unit-circle eigenvalues of the
@@ -630,13 +620,11 @@ def solve_two(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> list:
     return solve_chain(FamilyTemplate.of(kinds), m, geom)
 
 
-def solve_three(
-    m: np.ndarray, kinds: Kinds, geom: TurnGeometry, fixed_middle: float | None = None
-) -> list:
+def solve_three(m: np.ndarray, kinds: Kinds, geom: TurnGeometry, pinned: bool = False) -> list:
     """All (phi1, phi2, phi3) in the family box whose three-rotation product
     equals m: a free turn-triple middle is at least pi, outer arcs around a
-    `fixed_middle` at most pi."""
-    return solve_chain(FamilyTemplate.of(kinds, fixed_middle), m, geom)
+    `pinned` middle of pi at most pi."""
+    return solve_chain(FamilyTemplate.of(kinds, pinned), m, geom)
 
 
 def solve_equal_middle(m: np.ndarray, kinds: Kinds, geom: TurnGeometry) -> list:

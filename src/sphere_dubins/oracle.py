@@ -49,8 +49,7 @@ from .geometry import (
     rotations_from_generators,
     skew,
 )
-from .errors import InvalidInput
-from .linkage import TOL_RESIDUAL, ChainShape, chain_shapes
+from .linkage import TOL_RESIDUAL, ChainShape, chain_shapes, checked_target
 from .planner import PlanRequest, Pose, family_catalog, plan_batch
 from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
@@ -403,11 +402,7 @@ def forward_oracle(
     deterministic for a fixed seed.  The target is a finite 3x3 array-like,
     `seed` an integer >= 0 and `budget` an integer >= 1.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise InvalidInput(f"target must have shape (3, 3), got {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("target must be finite")
+    m = checked_target(m)
     seed = _integer("seed", seed, 0, "non-negative")
     budget = _integer("budget", budget, 1, "at least 1")
     families = tuple(f for f in family_catalog(geom.r, mode="all") if f.kinds)

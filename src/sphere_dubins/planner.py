@@ -84,7 +84,7 @@ _COMMON = (FamilyTemplate("EMPTY", ()),) + tuple(
     for p in ("G", "L", "R", "LG", "RG", "GL", "GR", "LR", "RL",
               "LGL", "LGR", "RGL", "RGR", "LRL", "RLR")
 )
-_FIXED_PI = tuple(FamilyTemplate.of(p, fixed_middle=math.pi) for p in ("LRL", "RLR"))
+_FIXED_PI = tuple(FamilyTemplate.of(p, pinned=True) for p in ("LRL", "RLR"))
 _FOUR = tuple(FamilyTemplate.of(p) for p in ("LRLR", "RLRL"))
 _FIVE = tuple(FamilyTemplate.of(p) for p in ("LRLRL", "RLRLR"))
 
@@ -296,25 +296,26 @@ def normalize_problem(
     return targets[0], TurnGeometry.from_radius(radii[0]), initial, final, adjustments[0]
 
 
-def solve_family(
-    template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry, regime_has_fixed_pi: bool
-) -> list:
-    """Solutions of one family reaching the target inside its box, each with
-    the endpoint residual its solver computed (`linkage.solve_chain`), less
-    the roots it cedes (`_ceded`).  `m` is one target (3, 3) or a stack
-    (N, 3, 3); a stack gets one list of solutions per target.  `plan_batch`
-    solves whole shapes at once, and this is its one-family case."""
-    solved = solve_chain(template, m, geom)
-    if not (regime_has_fixed_pi and template.is_free_middle_turn_triple):
-        return solved
-    if np.ndim(m) == 2:
-        return [sol for sol in solved if not _ceded(sol.angles)]
-    return [[sol for sol in sols if not _ceded(sol.angles)] for sols in solved]
+def solve_family(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> list:
+    """Solutions of one family reaching the target m (3, 3) inside its box,
+    each with the endpoint residual its solver computed
+    (`linkage.solve_chain`), less the roots it cedes at the turning radius
+    (`_cedes_pi`, `_ceded`).  `plan_batch` solves whole shapes on stacks of
+    targets, and this is its one-family, one-target case."""
+    cedes = _cedes_pi(template, geom.r)
+    return [sol for sol in solve_chain(template, m, geom) if not (cedes and _ceded(sol.angles))]
+
+
+def _cedes_pi(template: FamilyTemplate, r: float) -> bool:
+    """Whether the family cedes its middle-pi roots at unit turning radius r:
+    a free turn triple does where the catalog has the pinned-middle families,
+    which is the "high" regime in either mode."""
+    return template.is_free_middle_turn_triple and catalog_regime(r) == "high"
 
 
 def _ceded(arcs: tuple[float, ...]) -> bool:
     """Whether a free turn triple's arcs have their middle at pi: a root
-    the fixed-pi families own where the regime has them."""
+    the pinned-middle families own where the catalog has them."""
     return abs(arcs[1] - math.pi) <= ANGLE_EPS
 
 
@@ -328,7 +329,7 @@ _DEDUP_LENGTH_BOUND = (SLOTS + 1) * DEDUP_ANGLE_TOL
 class _Catalog(NamedTuple):
     """The families of a radius group and what assembling their solution
     rows reads: the chain shapes they are solved in, each solved family's
-    catalog position and whether it cedes its middle-pi roots (`_ceded`), and
+    catalog position and whether it cedes its middle-pi roots (`_cedes_pi`), and
     each catalog family's arc-length factors (r for a turn, 1 for G, 0 for a
     pad slot) and turn mask as one read-only (F, 2, SLOTS) table."""
 
@@ -350,10 +351,9 @@ def _catalog(r: float, mode: str) -> _Catalog:
         for slot, kind in enumerate(template.kinds):
             weights[f, :, slot] = (r, 1.0) if kind.is_turn else (1.0, 0.0)
     weights.setflags(write=False)
-    fixed_pi = any(f.fixed_middle is not None for f in families)
     return _Catalog(
         families, shapes, tuple(map(families.index, solved)), weights,
-        tuple(fixed_pi and t.is_free_middle_turn_triple for t in solved),
+        tuple(_cedes_pi(t, r) for t in solved),
     )
 
 

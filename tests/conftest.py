@@ -1,6 +1,7 @@
 import numpy as np
 
 from sphere_dubins import geometry as geo
+from sphere_dubins import linkage as lk
 from sphere_dubins.oracle import random_rotation  # noqa: F401  (re-exported for the tests)
 from sphere_dubins.oracle import request_for_target as request_from_rotation
 from sphere_dubins.planner import PlanRequest
@@ -39,3 +40,13 @@ def random_in_bounds_path(template, rng: np.random.Generator) -> list[geo.Segmen
         angles = template.angles(rng.uniform(lows, highs)[None])[0]
         if template.feasible(angles):
             return [geo.Segment(k, a) for k, a in zip(template.kinds, angles)]
+
+
+def solve_stack(template, stack: np.ndarray, r: float) -> list[list]:
+    """One family on an (N, 3, 3) stack of targets through the stacked solve
+    `plan_batch` runs (`linkage.solve_shapes`), as one list of
+    `CandidateSolution`s per target in row order."""
+    solved: list[list] = [[] for _ in stack]
+    for i, _, arcs, residual in lk.solve_shapes(lk.chain_shapes(r, (template,)), stack):
+        solved[i].append(lk.CandidateSolution(arcs, residual))
+    return solved

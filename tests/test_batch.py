@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
+from conftest import (
+    random_in_bounds_path, request_from_rotation, request_from_segments, solve_stack,
+)
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins import planner as pl
@@ -285,7 +287,8 @@ def test_mode_is_checked_on_every_batch():
 
 @pytest.mark.parametrize("r", [0.3, 0.6, SQRT2_INV, 0.8, SQRT3_2])
 def test_solvers_on_a_stack_match_single_targets(r):
-    """Every family solved on a stack returns each target's single result."""
+    """Every family solved on a stack (`solve_shapes`, as `plan_batch` runs
+    it) returns each target's `solve_chain` result."""
     g = geo.TurnGeometry.from_radius(r)
     rng = np.random.default_rng(int(r * 1000))
     stack = [random_rotation(rng) for _ in range(6)] + [np.eye(3)]
@@ -296,14 +299,13 @@ def test_solvers_on_a_stack_match_single_targets(r):
             stack.append(geo.compose_path([geo.Segment(k, a) for k, a in zip(f.kinds, angles)], g))
     stack = np.stack(stack)
     for f in families:
-        batched = pl.solve_family(f, stack, g, True)
+        batched = solve_stack(f, stack, r)
         assert len(batched) == len(stack)
         for m, sols in zip(stack, batched):
-            single = pl.solve_family(f, m, g, True)
+            single = lk.solve_chain(f, m, g)
             assert [(s.angles, s.residual) for s in sols] == [
                 (s.angles, s.residual) for s in single
             ], f.tag
-    assert len(lk.solve_one(stack, "G", g)) == len(stack)
 
 
 def test_merged_outer_rows_in_a_stack_match_single_targets(monkeypatch):
@@ -329,11 +331,11 @@ def test_merged_outer_rows_in_a_stack_match_single_targets(monkeypatch):
         return one_arc(ms, *args)
 
     monkeypatch.setattr(lk, "_one_arc", spy)
-    templates = [lk.FamilyTemplate.of(p, fixed_middle=math.pi) for p in ("RLR", "LRL")]
+    templates = [lk.FamilyTemplate.of(p, pinned=True) for p in ("RLR", "LRL")]
     templates += [lk.FamilyTemplate.of(p) for p in ("RLR", "LRL")]
     for template in templates:
         del one_arc_rows[:]
-        stacked = lk.solve_chain(template, stack, g)
+        stacked = solve_stack(template, stack, SQRT2_INV)
         assert sum(one_arc_rows) >= 2, template.tag
         assert _bits(stacked) == _bits([lk.solve_chain(template, m, g) for m in stack])
         outer = template.kinds[0].value
@@ -356,7 +358,7 @@ def test_equal_middle_stack_with_vanishing_end_coefficients():
     assert coeffs[0] == 0.0 and coeffs[-1] == 0.0
     rng = np.random.default_rng(5)
     stack = np.stack([random_rotation(rng) for _ in range(3)] + [np.eye(3)])
-    batched = lk.solve_equal_middle(stack, "LRLRL", g)
+    batched = solve_stack(lk.FamilyTemplate.of("LRLRL"), stack, g.r)
     assert batched == [lk.solve_equal_middle(m, "LRLRL", g) for m in stack]
 
 
@@ -413,14 +415,14 @@ def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
     g = geo.TurnGeometry.from_radius(r)
     stack = data.draw(target_stack(r))
     families = pl.family_catalog(r, mode=mode)
-    fixed_pi = any(f.fixed_middle is not None for f in families)
+    fixed_pi = any(f.pinned for f in families)
     shapes = lk.chain_shapes(r, tuple(families))
     templates = [f for shape in shapes for f in shape.templates]
     assert sorted(f.tag for f in templates) == sorted(f.tag for f in families)
     stacked = _grouped(lk.solve_shapes(shapes, stack), len(templates), len(stack))
     assert len(stacked) == len(templates)
     for template, per_target in zip(templates, stacked):
-        alone = [pl.solve_family(template, m, g, fixed_pi) for m in stack]
+        alone = [pl.solve_family(template, m, g) for m in stack]
         if fixed_pi and template.is_free_middle_turn_triple:
             per_target = [[s for s in sols if not pl._ceded(s.angles)] for sols in per_target]
         assert _bits(per_target) == _bits(alone), template.tag

@@ -43,7 +43,7 @@ def test_tracer_oracle_hooks_run_per_restart(monkeypatch):
     m = geometry.compose_path([geometry.R(0.7), geometry.L(math.pi), geometry.R(0.7)], geom)
     families = [f for f in planner.family_catalog(geom.r, mode="all") if f.kinds]
     # free, pinned-middle and equal-middle parametrizations all run
-    shapes = {(f.fixed_middle is not None, f.equal_middles) for f in families}
+    shapes = {(f.pinned, f.equal_middles) for f in families}
     assert shapes == {(False, False), (True, False), (False, True)}
     refine = oracle._FamilySearch.refine
     residuals = []

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from conftest import random_in_bounds_path, random_unit, request_from_rotation
+from conftest import random_in_bounds_path, random_unit, request_from_rotation, solve_stack
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
 from sphere_dubins.errors import InvalidInput
 from sphere_dubins.oracle import random_rotation
-from sphere_dubins.planner import family_catalog, plan, solve_family
+from sphere_dubins.planner import _catalog, family_catalog, plan
 
 GEOM5 = geo.TurnGeometry.from_radius(0.5)
 GEOM6 = geo.TurnGeometry.from_radius(0.6)
@@ -64,7 +64,7 @@ def test_solve_three_forward_lgl():
 def test_solve_three_fixed_middle_pi():
     g = geo.TurnGeometry.from_radius(0.71)
     m = compose("RLR", (0.7, math.pi, 0.7), g)
-    sols = lk.solve_three(m, ("R", "L", "R"), g, fixed_middle=math.pi)
+    sols = lk.solve_three(m, ("R", "L", "R"), g, pinned=True)
     assert len(sols) == 1
     assert np.allclose(sols[0].angles, (0.7, math.pi, 0.7), atol=1e-10)
 
@@ -77,7 +77,7 @@ def test_solve_three_identity_includes_zero():
 def test_solve_three_fixed_middle_inconsistent_target():
     g = geo.TurnGeometry.from_radius(0.8)
     m = compose("RLR", (0.4, 2.0, 1.1), g)  # middle far from pi
-    assert lk.solve_three(m, ("R", "L", "R"), g, fixed_middle=math.pi) == []
+    assert lk.solve_three(m, ("R", "L", "R"), g, pinned=True) == []
 
 
 def test_solve_three_degenerate_alignment_fallback():
@@ -85,7 +85,7 @@ def test_solve_three_degenerate_alignment_fallback():
     # negative, collapsing the two outer angles into one recoverable sum
     g = geo.TurnGeometry.from_radius(1.0 / math.sqrt(2.0))
     m = geo.segment_rotation("R", 0.8, g) @ geo.segment_rotation("L", math.pi, g)
-    sols = lk.solve_three(m, ("R", "L", "R"), g, fixed_middle=math.pi)
+    sols = lk.solve_three(m, ("R", "L", "R"), g, pinned=True)
     assert sols, "degenerate fallback should still produce a solution"
     assert all(s.residual <= 1e-9 for s in sols)
     assert any(np.allclose(s.angles, (0.8, math.pi, 0.0), atol=1e-9) for s in sols)
@@ -189,7 +189,7 @@ def test_equal_middle_near_double_root(pattern, r, guess):
 def test_candidate_residual_recomputes_exactly():
     g = geo.TurnGeometry.from_radius(0.71)
     m = compose("RLR", (0.7, math.pi, 0.7), g)
-    for sol in lk.solve_three(m, ("R", "L", "R"), g, fixed_middle=math.pi):
+    for sol in lk.solve_three(m, ("R", "L", "R"), g, pinned=True):
         segs = sol.segments(("R", "L", "R"))
         recomputed = float(np.linalg.norm(geo.compose_path(segs, g) - m))
         assert recomputed == sol.residual
@@ -230,7 +230,7 @@ def test_roundtrip_500_random_assignments(pattern):
         r = float(rng.uniform(0.2, 0.85))
         g = geo.TurnGeometry.from_radius(r)
         segs = random_in_bounds_path(template, rng)
-        sols = solve_family(template, geo.compose_path(segs, g), g, regime_has_fixed_pi=False)
+        sols = lk.solve_chain(template, geo.compose_path(segs, g), g)
         _assert_recovers(sols, segs, g, f"{pattern} iteration {i} (r={r})")
 
 
@@ -271,14 +271,14 @@ def test_no_prefilter_is_stricter_than_the_gate(r):
     g = geo.TurnGeometry.from_radius(r)
     rng = np.random.default_rng(12)
     templates = [f for f in family_catalog(r, mode="all") if 1 <= len(f.kinds) <= 3]
-    assert any(f.fixed_middle is not None for f in templates) == (r > 0.71)
+    assert any(f.pinned for f in templates) == (r > 0.71)
     for template in templates:
         targets = np.stack([
             geo.compose_path(random_in_bounds_path(template, rng), g)
             @ geo.rotation_about_axis(random_unit(rng), eps)
             for _ in range(40)
         ])
-        unsolved = [k for k, sols in enumerate(lk.solve_chain(template, targets, g)) if not sols]
+        unsolved = [k for k, sols in enumerate(solve_stack(template, targets, r)) if not sols]
         assert not unsolved, (template.tag, unsolved)
 
 
@@ -317,13 +317,14 @@ def test_an_axial_mismatch_is_left_to_the_residual_gate():
 
 
 def test_chain_constants_are_cached_read_only_and_per_radius():
-    """`chain_shapes` entries are read-only, radii one ulp apart get their
-    own entries, and planning r1, r2, r1 again gives r1's bits both times."""
+    """`chain_shapes` groups are cached and read-only, radii one ulp apart
+    get their own groups, and planning r1, r2, r1 again gives r1's bits
+    both times."""
     r1 = 0.8
     r2 = math.nextafter(r1, 1.0)
     catalog = tuple(family_catalog(r1, mode="all"))
     shapes = lk.chain_shapes(r1, catalog)
-    assert lk.chain_shapes(r1, catalog) is shapes
+    assert all(a is b for a, b in zip(lk.chain_shapes(r1, catalog), shapes))
     arrays = [
         value for shape in shapes for value in vars(shape).values() if isinstance(value, np.ndarray)
     ]
@@ -347,14 +348,15 @@ def test_chain_constants_are_cached_read_only_and_per_radius():
         return [(c.family, [repr(s.angle) for s in c.segments], repr(c.residual))
                 for c in result.candidates]
 
-    lk.chain_shapes.cache_clear()
+    lk._chain_shape.cache_clear()
+    _catalog.cache_clear()
     fresh = bits(r1)
     assert bits(r2) != fresh
     assert bits(r1) == fresh
 
 
 def test_family_template_hashes_on_its_tag():
-    lrl, pinned = lk.FamilyTemplate.of("LRL"), lk.FamilyTemplate.of("LRL", math.pi)
+    lrl, pinned = lk.FamilyTemplate.of("LRL"), lk.FamilyTemplate.of("LRL", pinned=True)
     assert pinned.tag == "LRpiL" and lrl != pinned
     assert hash(lk.FamilyTemplate.of("LRL")) == hash(lrl) == hash("LRL")
     assert {lrl: 1, pinned: 2}[lk.FamilyTemplate.of("LRL")] == 1
@@ -479,7 +481,7 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
 
     monkeypatch.setattr(lk, "_interior_roots", spy)
     for template in templates:
-        lk.solve_chain(template, np.stack(targets), g)
+        solve_stack(template, np.stack(targets), r)
     lo = Fraction(math.tan(0.5 * lk.ROOT_END_BAND))
     hi = Fraction(math.tan(0.5 * (math.pi - lk.ROOT_END_BAND)))
     counted = excluded = pairs = 0
@@ -500,51 +502,40 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_solve_chain_rejects_non_finite_targets(bad):
     """Every family raises one InvalidInput naming the target before it
-    solves anything, on a target alone and on one bad row of a stack."""
+    solves anything, on a non-finite target and on a stack of targets, which
+    only `solve_shapes` takes."""
     g = geo.TurnGeometry.from_radius(0.8)
     rng = np.random.default_rng(47)
     target = random_rotation(rng)
     target[1, 2] = bad
     stack = np.stack([random_rotation(rng), target, random_rotation(rng)])
+    stacked = r"^target must have shape \(3, 3\), got \(3, 3, 3\)$"
     for template in family_catalog(0.8, mode="all"):
         with pytest.raises(InvalidInput, match=r"^target must be finite$"):
             lk.solve_chain(template, target, g)
-        with pytest.raises(InvalidInput, match=r"^target must be finite \(row 1\)$"):
+        with pytest.raises(InvalidInput, match=stacked):
             lk.solve_chain(template, stack, g)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.8, math.sqrt(3.0) / 2.0])
 def test_empty_target_stack_has_no_solutions(r):
-    """An empty (0, 3, 3) stack gives every family an empty list, from the
-    solver and from the planner's per-family call."""
-    g = geo.TurnGeometry.from_radius(r)
+    """An empty (0, 3, 3) stack gives no solution rows, for every family
+    alone and for the catalog's shapes in one call, as `plan_batch` solves
+    them."""
     empty = np.zeros((0, 3, 3))
     for template in family_catalog(r, mode="all"):
-        assert lk.solve_chain(template, empty, g) == [], template.tag
-        for fixed_pi in (True, False):
-            assert solve_family(template, empty, g, fixed_pi) == [], template.tag
+        assert lk.solve_shapes(lk.chain_shapes(r, (template,)), empty) == [], template.tag
+    for mode in ("table", "all"):
+        assert lk.solve_shapes(_catalog(r, mode).shapes, empty) == []
 
 
-@pytest.mark.parametrize(
-    "pattern, middle, shown",
-    [
-        ("LR", math.pi, "3.141592653589793 on 2 segments"),
-        ("L", math.pi, "3.141592653589793 on 1 segments"),
-        ("LRLR", math.pi, "3.141592653589793 on 4 segments"),
-        ("LRL", 3.0 * math.pi, "9.42477796076938 on 3 segments"),
-        ("LRL", -math.pi, "-3.141592653589793 on 3 segments"),
-        ("RLR", 1.0, "1.0 on 3 segments"),
-        ("RLR", math.nan, "nan on 3 segments"),
-    ],
-)
-def test_pinned_middle_is_pi_on_a_three_segment_chain(pattern, middle, shown):
-    """A pinned middle is exactly pi on a three-segment chain: any other
-    value, the same rotation as pi included, or chain length raises before
-    a template exists, also through `solve_three`."""
-    message = f"^a pinned middle is pi on a three-segment chain, got {shown}$"
+@pytest.mark.parametrize("pattern", ["LR", "L", "LRLR"])
+def test_a_pinned_middle_needs_a_three_segment_chain(pattern):
+    """A pinned middle (always pi) on any chain length but three raises
+    before a template exists, also through `solve_three`."""
+    message = f"^a pinned middle is pi on a three-segment chain, got {len(pattern)} segments$"
     with pytest.raises(InvalidInput, match=message):
-        lk.FamilyTemplate.of(pattern, fixed_middle=middle)
-    if len(pattern) == 3:
-        with pytest.raises(InvalidInput, match=message):
-            lk.solve_three(np.eye(3), pattern, GEOM6, fixed_middle=middle)
-    assert lk.FamilyTemplate.of("LRL", fixed_middle=math.pi).tag == "LRpiL"
+        lk.FamilyTemplate.of(pattern, pinned=True)
+    with pytest.raises(InvalidInput, match=message):
+        lk.solve_three(np.eye(3), pattern, GEOM6, pinned=True)
+    assert lk.FamilyTemplate.of("LRL", pinned=True).tag == "LRpiL"

@@ -137,7 +137,7 @@ def _central_jacobian(endpoint, params, h=1e-6):
 @pytest.mark.parametrize("pattern, fixed", JACOBIAN_FAMILIES)
 def test_polish_jacobian_matches_central_differences(pattern, fixed):
     geom = geo.TurnGeometry.from_radius(0.8)
-    search = _alone(pl.FamilyTemplate.of(pattern, fixed), geom)
+    search = _alone(pl.FamilyTemplate.of(pattern, pinned=fixed is not None), geom)
     params = search.sample(np.random.default_rng(len(pattern) + 10 * (fixed is not None)), 20, 0)
     owner = np.zeros(20, dtype=int)
     ends, jac = search.linearize(params, owner)
@@ -254,7 +254,7 @@ def test_one_descent_matches_each_shape_alone(r):
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
 def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
     # every search's axes are the read-only `ChainShape.axes` that plan(mode="all") solves
-    lk.chain_shapes.cache_clear()  # an entry evicted earlier in the run would be rebuilt
+    lk._chain_shape.cache_clear()  # a group evicted earlier in the run would be rebuilt
     pl._catalog.cache_clear()
     solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
     searches = []
@@ -274,7 +274,7 @@ def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
 
 def test_shape_table_outlives_other_radii():
     # the shape cache holds every group of the catalogs that planner caches
-    lk.chain_shapes.cache_clear()
+    lk._chain_shape.cache_clear()
     pl._catalog.cache_clear()
     solved = [shape for shape in pl._catalog(0.6, "all").shapes if shape.templates[0].kinds]
     for k in range(200):

@@ -13,6 +13,7 @@ from conftest import (
     random_rotation,
     request_from_rotation,
     request_from_segments,
+    solve_stack,
 )
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
@@ -370,18 +371,19 @@ def test_family_box_is_what_feasible_accepts(template):
 
 @pytest.mark.parametrize("pattern", ["LRLR", "RLRLR"])
 def test_equal_middle_box_is_applied_by_the_planner(pattern, monkeypatch):
-    """solve_chain, and so the planner, returns the residual-passing roots
-    whose outer arcs are at most pi + beta; the stack also has roots outside
-    that box, which a box that admits everything lets through."""
+    """The stacked solve `plan_batch` runs, and `solve_family` on each
+    target, return the residual-passing roots whose outer arcs are at most
+    pi + beta; the stack also has roots outside that box, which a box that
+    admits everything lets through."""
     g = geo.TurnGeometry.from_radius(0.8)
     template = next(f for f in pl.family_catalog(0.8) if f.tag == pattern)
     rng = np.random.default_rng(7)
     stack = np.stack([random_rotation(rng) for _ in range(40)])
-    kept = lk.solve_chain(template, stack, g)
-    assert pl.solve_family(template, stack, g, True) == kept
+    kept = solve_stack(template, stack, g.r)
+    assert [pl.solve_family(template, m, g) for m in stack] == kept
     with monkeypatch.context() as patch:
         patch.setattr(lk.FamilyTemplate, "feasible", lambda self, angles: True)
-        everything = lk.solve_chain(template, stack, g)
+        everything = solve_stack(template, stack, g.r)
     outside = 0
     for sols, feasible in zip(everything, kept):
         assert all(template.feasible(s.angles) for s in feasible)
