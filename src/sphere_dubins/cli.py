@@ -318,10 +318,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = plan(req)
     target, geom, _, _, _ = normalize_problem(req)
     found = forward_oracle(target, geom, seed=args.seed, budget=args.budget)
-    plan_length = result.best_candidate.physical_length
-    oracle_length = found.length * req.sphere_radius if found.found else math.inf
-    dominated = plan_length <= oracle_length + 1e-6
-    print(f"plan:   {plan_length!r} ({result.best_candidate.family})")
+    best = result.best_candidate
+    oracle_length = found.length * req.sphere_radius  # found.length is inf when none is found
+    dominated = best.unit_length <= found.length + 1e-6  # the bound is on the unit sphere
+    print(f"plan:   {best.physical_length!r} ({best.family})")
     print(f"oracle: {oracle_length!r} ({found.family if found.found else 'none'})")
     print(f"dominance (plan <= oracle + 1e-6): {'OK' if dominated else 'VIOLATED'}")
     return EXIT_OK if dominated else EXIT_DOMINANCE

@@ -31,8 +31,8 @@ a row the gate accepts; they only skip composing rows that cannot pass.  Step
 2 compares no axial components: missing a_1 . M a_n by d costs a residual >= d.
 
 `solve_shapes` is the one stacked solve.  It solves the families of several
-`chain_shapes` entries (families of one shape, their axes and step-1
-coefficients cached per (r, group)) on an (N, 3, 3) stack of targets: step 1
+`chain_shapes` entries (families of one shape with their axes and step-1
+coefficients, cached in `planner._catalog`) on (N, 3, 3) targets: step 1
 per shape, the 4- and 5-chains sharing one root filter and polish, then one
 step 2 over every shape's (row, interior) pairs, so `plan_batch` makes one
 step-2 pass per radius group.  It returns one flat row (target, family,
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -250,20 +250,16 @@ class ChainShape:
     laurent: np.ndarray | None = None
 
 
-CACHE_SIZE = 256  # (r, mode) catalogs of `planner`
-
-
 def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[ChainShape, ...]:
     """The families grouped by shape, in order of first appearance, with the
-    constants of each group at unit turning radius r.  Each group is built on
-    first use and cached on its own (`_chain_shape`)."""
+    constants of each group at unit turning radius r, built on every call:
+    `planner._catalog` keeps those of each (r, mode) catalog."""
     groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
     for t in templates:
         groups.setdefault(t.shape, []).append(t)
     return tuple(_chain_shape(r, tuple(group)) for group in groups.values())
 
 
-@lru_cache(maxsize=8 * CACHE_SIZE)  # the <= 7 groups of CACHE_SIZE catalogs, one-family solves
 def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
     """The `ChainShape` of families of one shape at unit turning radius r."""
     geom, first, n = TurnGeometry(r), templates[0], len(templates[0].kinds)

@@ -6,25 +6,25 @@ Levenberg-Marquardt polish with the chain's analytic Jacobian.  Samples are
 composed as unit quaternions and ranked by tr(m^T R), which orders them as
 the endpoint residual does; the ranking only chooses the restarts.  Free
 and pinned-middle restarts are first brought near a root by coordinate
-descent on the endpoint residual; equal-middle restarts (interior arcs
-pi + beta) go to the polish as drawn.  Each restart ends as one canonical
-path; the finish takes them shortest first, and the first whose one
-residual, read from `compose_path`, passes TOL_RESIDUAL wins and is
-reported, so the rest are never composed.  The oracle never consults the
-closed-form linkage solver, so agreement between the two is meaningful
-evidence: of the solver's shape table (`linkage.chain_shapes`) it reads
-only each `ChainShape`'s `templates` and `axes`, never the step-1
-coefficients or a `solve_*` function.  One search object serves each shape (free 1/2/3 slots, pinned
-pi, equal-middle 4 and 5), with one row of axes and bounds per family, and
-polishes the kept restarts of all its families as one numpy batch.  One
-coordinate descent per call takes the free and pinned-middle restarts of
-every shape, each row padded to three slots with pad slots bounded to
-[0, 0]: a pad turns by exactly 0, its rotation is exactly I, so it leaves
-every product and the stop rule bit for bit as they were.  In both, each
-row has its own family's axes, bounds and stop rule and the same bits as
-in a batch of its family alone.  The polish drives every near-root to
-float64 rounding, which matters at singular targets (a `CCC` middle arc of
-exactly pi): there a 1e-9 residual still admits paths shorter than the
+descent on the endpoint residual; equal-middle restarts (interior arcs pi +
+beta) go to the polish as drawn.  Each restart ends as one canonical path;
+the finish takes them shortest first, and the first whose one residual,
+read from `compose_path`, passes TOL_RESIDUAL wins and is reported, so the
+rest are never composed.  The oracle never consults the closed-form linkage
+solver, so agreement between the two is meaningful evidence: of the
+planner's cached audit catalog (`planner._catalog(r, "all")`) it reads only
+each `ChainShape`'s `templates` and `axes`, never the step-1 coefficients
+or a `solve_*` function.  One search object serves each shape (free 1/2/3
+slots, pinned pi, equal-middle 4 and 5), with one row of axes and bounds
+per family, and polishes the kept restarts of all its families as one numpy
+batch.  One coordinate descent per call takes the free and pinned-middle
+restarts of every shape, each row padded to three slots with pad slots
+bounded to [0, 0]: a pad turns by exactly 0, its rotation is exactly I, so
+it leaves every product and the stop rule bit for bit as they were.  In
+both, each row has its own family's axes, bounds and stop rule and the same
+bits as in a batch of its family alone.  The polish drives every near-root
+to float64 rounding, which matters at singular targets (a `CCC` middle arc
+of exactly pi): there a 1e-9 residual still admits paths shorter than the
 optimum by about 1e-5.  The cross-family audit compares the planner's
 proven catalog against the audit catalog (great-circle sandwiches and
 unconditional 4/5-chains) on given instances.
@@ -49,8 +49,8 @@ from .geometry import (
     rotations_from_generators,
     skew,
 )
-from .linkage import TOL_RESIDUAL, ChainShape, chain_shapes, checked_target
-from .planner import PlanRequest, Pose, family_catalog, plan_batch
+from .linkage import TOL_RESIDUAL, ChainShape, checked_target
+from .planner import PlanRequest, Pose, _catalog, plan_batch
 from .planner import plan  # noqa: F401  perfbench/tracing.py wraps oracle.plan
 
 REFINE_TOP = 8        # restarts kept per family for local refinement
@@ -388,24 +388,25 @@ def forward_oracle(
     `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
     above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
     polished, those of free and pinned-middle families after a coordinate
-    descent.  One search (`_FamilySearch`) per `chain_shapes` entry of the
-    audit catalog samples and ranks each of its families (catalog family i
-    with seed + i); one descent (`_descend_restarts`) then takes the free
-    and pinned-middle restarts of every shape at once, each padded to three
-    slots by exact identity turns, and each shape polishes all its restarts
-    in one batch.  The restarts are then finished (`refine`) by length,
-    stably over catalog order, until one's residual is at most
-    TOL_RESIDUAL: the shortest passing path wins, the first of two equal
-    lengths in catalog order.  A target the identity reaches is EMPTY,
-    with no search.  `min_singular` is the smallest singular value
-    of the winner's parameter Jacobian, from the polish.  Results are
-    deterministic for a fixed seed.  The target is a finite 3x3 array-like,
-    `seed` an integer >= 0 and `budget` an integer >= 1.
+    descent.  One search (`_FamilySearch`) per non-EMPTY chain shape of the
+    planner's cached audit catalog (`_catalog(r, "all")`) samples and ranks
+    each of its families (non-EMPTY catalog family i with seed + i);
+    one descent (`_descend_restarts`) then takes the free and pinned-middle
+    restarts of every shape at once, each padded to three slots by exact
+    identity turns, and each shape polishes all its restarts in one batch.
+    The restarts are then finished (`refine`) by length, stably over catalog
+    order, until one's residual is at most TOL_RESIDUAL: the shortest
+    passing path wins, the first of two equal lengths in catalog order.  A
+    target the identity reaches is EMPTY, with no search.  `min_singular` is
+    the smallest singular value of the winner's parameter Jacobian, from the
+    polish.  Results are deterministic for a fixed seed.  The target is a
+    finite 3x3 array-like, `seed` an integer >= 0 and `budget` an integer >= 1.
     """
     m = checked_target(m)
     seed = _integer("seed", seed, 0, "non-negative")
     budget = _integer("budget", budget, 1, "at least 1")
-    families = tuple(f for f in family_catalog(geom.r, mode="all") if f.kinds)
+    catalog = _catalog(geom.r, "all")
+    families = tuple(f for f in catalog.families if f.kinds)
     per_family = max(1, budget // len(families))
 
     evaluations = per_family * len(families)
@@ -415,7 +416,7 @@ def forward_oracle(
 
     davenport = _davenport(m)
     batches, indices = [], []  # (search, kept restarts, owner), catalog indices per shape
-    for shape in chain_shapes(geom.r, families):
+    for shape in [shape for shape in catalog.shapes if shape.templates[0].kinds]:
         search = _FamilySearch(shape)
         indices.append([families.index(template) for template in shape.templates])
         starts = []

@@ -40,7 +40,6 @@ from .geometry import (
     row_dots,
 )
 from .linkage import (
-    CACHE_SIZE,
     ChainShape,
     FamilyTemplate,
     Row,
@@ -57,6 +56,7 @@ MAX_RADIUS = math.sqrt(3.0) / 2.0
 REGIME_BAND = 1e-12          # quotients this close to a boundary get the larger catalog
 DEDUP_ANGLE_TOL = 1e-7
 INPUT_FRAME_TOL = 1e-6       # worst pose inconsistency accepted (re-orthonormalized)
+CACHE_SIZE = 256             # (r, mode) catalogs `_catalog` keeps
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ class _Catalog(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _catalog(r: float, mode: str) -> _Catalog:
-    """The group tables of `family_catalog(r, mode)`, built on first use."""
+    """The group tables of `family_catalog(r, mode)`: the one cache of chain constants."""
     families = tuple(family_catalog(r, mode))
     shapes = chain_shapes(r, families)
     solved = [t for shape in shapes for t in shape.templates]

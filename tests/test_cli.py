@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from conftest import request_from_segments
 from sphere_dubins import cli
 from sphere_dubins import geometry as geo
+from sphere_dubins.planner import plan
 
 
 def write_request(path, segments, unit_r, sphere_radius=1.0):
@@ -29,6 +31,10 @@ def write_request(path, segments, unit_r, sphere_radius=1.0):
     }
     path.write_text(json.dumps(doc))
     return req
+
+
+RLPIR = [geo.R(0.7), geo.L(math.pi), geo.R(0.7)]  # published, r = 0.71
+RLRL = [geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)]  # published, r = 0.55
 
 
 def test_plan_cmd_published_example(tmp_path):
@@ -105,6 +111,33 @@ def test_plan_cmd_rejects_non_numbers(tmp_path, capsys, field, value):
     code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["initial"].pop("position"), "initial.position: missing field"),
+    (lambda doc: doc["final"].update(tangent=[0.0, 1.0]),
+     "final.tangent: expected a list of 3 numbers"),
+    (lambda doc: doc.update(sphere_radius=math.inf), "sphere_radius: expected a finite number"),
+], ids=["missing-vector", "two-list", "infinity"])
+def test_plan_cmd_rejects_bad_fields(tmp_path, capsys, edit, message):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.G(1.0)], 0.5)
+    doc = json.loads(inp.read_text())
+    edit(doc)
+    inp.write_text(json.dumps(doc))  # math.inf is written as the JSON literal Infinity
+    code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_request_rejects_missing_files_and_non_objects(tmp_path):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(cli.InputError, match=f"^input file not found: {re.escape(str(missing))}$"):
+        cli.load_request(missing)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1.0, 0.5]")
+    with pytest.raises(cli.InputError, match="^input document must be a JSON object$"):
+        cli.load_request(listed)
 
 
 def test_plan_output_roundtrip_recompose(tmp_path):
@@ -197,6 +230,66 @@ def test_plan_samples_requires_sink(tmp_path):
     assert code == 2
 
 
+def test_plan_samples_needs_two(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.G(1.0)], 0.5)
+    code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     "--samples", "1", "--samples-out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --samples must be at least 2\n"
+
+
+def test_plan_samples_of_an_empty_path(tmp_path):
+    # the identity's best path is EMPTY: one sample at the start, segment index -1
+    inp = tmp_path / "in.json"
+    csv_path = tmp_path / "samples.csv"
+    write_request(inp, [], 0.5)
+    assert cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     "--samples", "5", "--samples-out", str(csv_path)]) == 0
+    header, *rows = csv_path.read_text().splitlines()
+    assert header == "s,x,y,z,tx,ty,tz,nx,ny,nz,segment_index"
+    assert rows == ["0.0,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-1"]
+
+
+def test_plan_warns_about_an_adjusted_pose(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.G(1.0)], 0.5)
+    doc = json.loads(inp.read_text())
+    doc["final"]["tangent"] = [v * (1.0 + 1e-7) for v in doc["final"]["tangent"]]
+    inp.write_text(json.dumps(doc))
+    assert cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: input frames re-orthonormalized (largest adjustment ")
+    assert float(err.split()[-1].rstrip(")")) > cli.ADJUSTMENT_WARN
+
+
+@pytest.mark.parametrize("families", ["table", "all"])
+def test_plan_cmd_pure_arc(tmp_path, families):
+    # L(2.0) at r = 0.71: a single arc, and LGL/LGR with G = 0 merge their outer arcs
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    write_request(inp, [geo.L(2.0)], 0.71)
+    assert cli.main(["plan", "--input", str(inp), "--output", str(out),
+                     "--families", families]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["best_family"] == "L"
+    assert abs(doc["best_physical_length"] - 1.42) <= 1e-12
+
+
+def test_plan_cmd_published_rlrl(tmp_path):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    write_request(inp, RLRL, 0.55)
+    assert cli.main(["plan", "--input", str(inp), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["best_family"] == "RLRL"
+
+
+def test_sweep_row_without_a_runner_up():
+    identity = plan(request_from_segments([], 0.5))
+    assert [c.family for c in identity.candidates] == ["EMPTY"]
+    assert cli._sweep_row((0, 0, 0.5), identity) == "0,0,0.5,EMPTY,0.0,,0.0,0.0,0.0"
+
+
 def test_sweep_determinism_across_parallel(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -245,6 +338,20 @@ def test_sweep_accepts_the_proven_maximum_rounded_up(tmp_path):
     assert cli.main(["sweep", "--r", "0.8660254037844387", "--instances", "2",
                      "--seed", "1", "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r", "0.3:0.5"], "--r range must be start:stop:step"),
+    (["--r", "0.3:x:0.1"], "--r range must contain numbers"),
+    (["--r", "0.5:0.3:0.1"], "--r range must have positive step and stop >= start"),
+    (["--r", ","], "--r produced no values"),
+    (["--r", "0.5", "--parallel", "0"], "--parallel must be at least 1"),
+], ids=["two-parts", "not-a-number", "stop-below-start", "empty-list", "parallel-0"])
+def test_sweep_rejects_bad_specs(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", *flags, "--instances", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["0.3:inf:0.1", "0.3:0.5:nan", "0.3:0.5:1e-300"])
@@ -316,11 +423,30 @@ def test_oracle_cmd(tmp_path, capsys):
 def test_oracle_cmd_published_rlpir_is_dominated(tmp_path, capsys):
     # the pi middle arc is a double root for the free RLR chain
     inp = tmp_path / "in.json"
-    write_request(inp, [geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71)
+    write_request(inp, RLPIR, 0.71)
     code = cli.main(["oracle", "--input", str(inp), "--budget", "20000", "--seed", "2"])
     captured = capsys.readouterr()
     assert "dominance (plan <= oracle + 1e-6): OK" in captured.out
     assert code == 0
+
+
+def test_oracle_cmd_judges_dominance_on_unit_lengths(tmp_path, capsys):
+    # on an Earth-sized sphere the RLpiR double-root gap, 3.6e-7 on the unit
+    # sphere, reads 2.3e-3 in physical length: the 1e-6 bound is a unit one
+    inp = tmp_path / "in.json"
+    write_request(inp, RLPIR, 0.71, sphere_radius=6371.0)
+    code = cli.main(["oracle", "--input", str(inp), "--budget", "20000", "--seed", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("plan:   20543.48") and out[0].endswith(" (RLpiR)")
+    assert out[2] == "dominance (plan <= oracle + 1e-6): OK"
+    assert code == 0
+
+
+def test_oracle_cmd_rejects_zero_budget(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_request(inp, [geo.L(1.0)], 0.5)
+    assert cli.main(["oracle", "--input", str(inp), "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: --budget must be at least 1\n"
 
 
 def test_oracle_cmd_rejects_negative_seed(tmp_path, capsys):
@@ -337,4 +463,4 @@ def test_oracle_cmd_identity(tmp_path, capsys):
     code = cli.main(["oracle", "--input", str(inp), "--budget", "100", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "0.0" in captured.out
+    assert captured.out.splitlines()[1] == "oracle: 0.0 (EMPTY)"

@@ -101,6 +101,16 @@ def test_non_finite_state_rejected(field, bad):
         ex.ExtremalState(**fields)
 
 
+def test_lam_outside_its_branches_rejected():
+    with pytest.raises(InvalidInput, match="^lam must be 0 or 1, got 2$"):
+        ex.ExtremalState(np.eye(3), h1=1.0, h2=0.0, H12=0.0, lam=2, u_max=1.0)
+
+
+def test_mid_arc_state_needs_a_nonzero_h12():
+    with pytest.raises(InvalidInput, match="^mid-arc states need a nonzero H12; use switch_state$"):
+        ex.mid_arc_state(0, u_for_radius(0.6), h12=0.0, h2=0.5)
+
+
 def test_infinite_length_rejected():
     """In a child process with a timeout: unchecked, an infinite length never returns."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -218,6 +228,7 @@ def reference_arcs(state: ex.ExtremalState, length: float):
 
 
 def test_closed_form_matches_independent_ode_reference():
+    pytest.importorskip("scipy.integrate")  # the reference's integrator
     rng = np.random.default_rng(2026)
     for i in range(20):
         state = criterion_7_state(i % 2, (i // 2) % 2 == 0, rng)

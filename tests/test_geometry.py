@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,24 @@ def test_configuration_rejects_nan(position, tangent):
 def test_configuration_from_frame_rejects_nan():
     with pytest.raises(MalformedConfiguration):
         geo.Configuration.from_frame(np.full((3, 3), math.nan))
+
+
+@pytest.mark.parametrize("position, tangent, message", [
+    ([1.0, 0.0], [0.0, 1.0, 0.0], "position and tangent must be 3-vectors"),
+    ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0], "tangent must be orthogonal to position"),
+], ids=["two-vector", "not-orthogonal"])
+def test_configuration_rejects_bad_vectors(position, tangent, message):
+    with pytest.raises(MalformedConfiguration, match=f"^{message}$"):
+        geo.Configuration(position=position, tangent=tangent)
+
+
+@pytest.mark.parametrize("frame, message", [
+    (np.eye(2), "frame must be a 3x3 matrix"),
+    (np.diag([1.0, 1.0, -1.0]), "frame must be proper"),
+], ids=["2x2", "improper"])
+def test_configuration_from_frame_rejects_bad_frames(frame, message):
+    with pytest.raises(MalformedConfiguration, match=f"^{re.escape(message)}"):
+        geo.Configuration.from_frame(frame)
 
 
 def test_skew_of_a_stack_matches_the_component_matrices():
@@ -205,6 +224,13 @@ def test_sample_path_empty():
     assert samples[0].s == 0.0
     assert samples[0].segment_index == -1
     assert samples[0].configuration is start
+
+
+def test_sample_path_merges_samples_within_rounding():
+    # the step's first multiple lands 5e-13 past the boundary at 0.5: one sample
+    start = geo.Configuration.canonical()
+    samples = geo.sample_path(start, [geo.G(0.5), geo.G(0.5)], GEOM, 0.5 + 5e-13)
+    assert [(s.s, s.segment_index) for s in samples] == [(0.0, 0), (0.5, 1), (1.0, 1)]
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf])

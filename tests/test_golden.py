@@ -50,9 +50,13 @@ def test_golden_corpus_in_one_batch():
 
 
 def test_reference_sweep_hash(tmp_path):
+    # the recorded args run serially; two workers must write the same bytes
     sweep = GOLDEN["sweep"]
     out = tmp_path / "reference.csv"
     args = [str(out) if a == "OUT.csv" else a for a in sweep["args"]]
-    assert str(out) in args
-    assert cli.main(args) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep["sha256"]
+    assert str(out) in args and args[args.index("--parallel") + 1] == "1"
+    for parallel in ("1", "2"):
+        args[args.index("--parallel") + 1] = parallel
+        out.unlink(missing_ok=True)
+        assert cli.main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep["sha256"], parallel

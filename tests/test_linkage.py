@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from conftest import random_in_bounds_path, random_unit, request_from_rotation, solve_stack
 from sphere_dubins import geometry as geo
@@ -172,6 +171,7 @@ def _interior_gap(pattern: str, g, beta: float) -> float:
 @pytest.mark.parametrize("pattern,r,guess", [("RLRL", 0.6, 1.17), ("LRLR", 0.75, 1.68)])
 def test_equal_middle_near_double_root(pattern, r, guess):
     """Two roots 2e-4 apart, either side of an extremum, are both returned."""
+    optimize = pytest.importorskip("scipy.optimize")
     g = geo.TurnGeometry.from_radius(r)
     peak = optimize.minimize_scalar(
         lambda b: -_interior_gap(pattern, g, b),
@@ -317,14 +317,20 @@ def test_an_axial_mismatch_is_left_to_the_residual_gate():
 
 
 def test_chain_constants_are_cached_read_only_and_per_radius():
-    """`chain_shapes` groups are cached and read-only, radii one ulp apart
-    get their own groups, and planning r1, r2, r1 again gives r1's bits
-    both times."""
+    """`_catalog` caches each catalog's `chain_shapes` groups read-only,
+    radii one ulp apart get their own groups, and planning r1, r2, r1 again
+    gives r1's bits both times."""
     r1 = 0.8
     r2 = math.nextafter(r1, 1.0)
-    catalog = tuple(family_catalog(r1, mode="all"))
-    shapes = lk.chain_shapes(r1, catalog)
-    assert all(a is b for a, b in zip(lk.chain_shapes(r1, catalog), shapes))
+    _catalog.cache_clear()
+    shapes = _catalog(r1, "all").shapes
+    assert all(a is b for a, b in zip(_catalog(r1, "all").shapes, shapes))
+    # `chain_shapes` itself caches nothing: it rebuilds what the catalog holds
+    rebuilt = lk.chain_shapes(r1, _catalog(r1, "all").families)
+    assert len(rebuilt) == len(shapes) and all(a is not b for a, b in zip(rebuilt, shapes))
+    for a, b in zip(rebuilt, shapes):
+        for name, value in vars(a).items():
+            assert np.array_equal(value, getattr(b, name)), name
     arrays = [
         value for shape in shapes for value in vars(shape).values() if isinstance(value, np.ndarray)
     ]
@@ -332,7 +338,7 @@ def test_chain_constants_are_cached_read_only_and_per_radius():
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 0.0
-    other = lk.chain_shapes(r2, catalog)
+    other = _catalog(r2, "all").shapes
     assert all(a is not b for a, b in zip(other, shapes))
     turns = next(shape for shape in other if len(shape.templates[0].kinds) == 1)
     assert [a[0].tolist() for a in turns.axes] == [
@@ -348,7 +354,6 @@ def test_chain_constants_are_cached_read_only_and_per_radius():
         return [(c.family, [repr(s.angle) for s in c.segments], repr(c.residual))
                 for c in result.candidates]
 
-    lk._chain_shape.cache_clear()
     _catalog.cache_clear()
     fresh = bits(r1)
     assert bits(r2) != fresh
@@ -434,6 +439,8 @@ def _near_double_targets(template, g, rng) -> list[np.ndarray]:
     an in-box chain composed at beta* +- delta, delta in [5e-5, 5e-4], so
     a_1 . M a_n sits just past the extremum and the trig polynomial has a
     root pair 1e-4 to 1e-3 apart."""
+    from scipy import optimize
+
     pattern = "".join(k.value for k in template.kinds)
     grid = np.linspace(0.0, math.pi, 401)[1:-1]
     gap = np.array([_interior_gap(pattern, g, b) for b in grid])
@@ -464,6 +471,7 @@ def test_sturm_count_matches_the_equal_middle_root_pass(r, monkeypatch):
     close to a double root or a band end) are excluded; at most 2 of each
     radius's rows may be, and one is: at r = 0.71 a 5-chain pair 1.1e-4
     apart, with a third root 1.1e-5 from pi."""
+    pytest.importorskip("scipy.optimize")  # `_near_double_targets` finds the extrema
     g = geo.TurnGeometry.from_radius(r)
     rng = np.random.default_rng(int(r * 1e4))
     templates = [lk.FamilyTemplate.of(p) for p in ("LRLR", "RLRL", "LRLRL", "RLRLR")]

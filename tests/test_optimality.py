@@ -10,7 +10,9 @@ corpus tolerance) on the unit sphere:
 - monotonicity in r: a path that turns no tighter than r2 is feasible for
   every r1 < r2, so d(M; r) never decreases as r grows, also across the
   regime boundaries 1/2 and 1/sqrt(2), where the catalog changes.
-A failure names the target, the split or radius pair, and both families.
+The published RLpiR and RLRL instances take the reversal, mirror and
+subpath checks too.  A failure names the target, the split or radius pair,
+and both families.
 """
 
 import math
@@ -29,6 +31,10 @@ COUNT = 200
 BOUND = 1e-12
 D = np.diag([1.0, -1.0, -1.0])
 S = np.diag([1.0, 1.0, -1.0])
+PUBLISHED = {  # family: its published path and unit turning radius
+    "RLpiR": ((geo.R(0.7), geo.L(math.pi), geo.R(0.7)), 0.71),
+    "RLRL": ((geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)), 0.55),
+}
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +82,34 @@ def _split(segments, s: float, geom) -> tuple[list[geo.Segment], list[geo.Segmen
     raise AssertionError("split point past the end of the path")
 
 
-@pytest.mark.parametrize("r", RADII)
-def test_subpaths_of_a_winner_are_shortest(r):
+def _published(family: str) -> tuple[np.ndarray, float, pl.PathCandidate]:
+    """The published instance's target, radius and plan, which must be its family."""
+    segments, r = PUBLISHED[family]
+    m = geo.compose_path(segments, geo.TurnGeometry.from_radius(r))
+    (winner,) = _best(m[None], r)
+    assert winner.family == family, winner
+    return m, r, winner
+
+
+@pytest.mark.parametrize("family", PUBLISHED)
+def test_reversal_keeps_the_published_lengths(family):
+    m, r, winner = _published(family)
+    _assert_same_lengths([winner], _best((D @ m.T @ D)[None], r), f"reversal of {family}")
+
+
+@pytest.mark.parametrize("family", PUBLISHED)
+def test_mirror_keeps_the_published_lengths(family):
+    m, r, winner = _published(family)
+    _assert_same_lengths([winner], _best((S @ m @ S)[None], r), f"mirror of {family}")
+
+
+def _assert_subpaths_are_shortest(winners, r: float, seed: int) -> None:
+    """Split each winner at a seeded uniform arc length; `plan` of the
+    prefix and of the suffix must each equal its length."""
     geom = geo.TurnGeometry.from_radius(r)
-    rng = np.random.default_rng(int(r * 1e6))
+    rng = np.random.default_rng(seed)
     pieces = []
-    for winner in _winners(r):
+    for winner in winners:
         s = rng.uniform(0.0, winner.unit_length)
         pieces.append((winner.family, s, *_split(winner.segments, s, geom)))
     for side in (2, 3):  # prefixes, then suffixes
@@ -90,6 +118,27 @@ def test_subpaths_of_a_winner_are_shortest(r):
         for i, (piece, path, best) in enumerate(zip(pieces, paths, found)):
             gap = abs(best.unit_length - geo.path_length(path, geom))
             assert gap <= BOUND, (r, i, piece[:2], "prefix" if side == 2 else "suffix", best, gap)
+
+
+@pytest.mark.parametrize("r", RADII)
+def test_subpaths_of_a_winner_are_shortest(r):
+    _assert_subpaths_are_shortest(_winners(r), r, int(r * 1e6))
+
+
+# A split in an outer arc of RLpiR leaves R(a) L(pi) R(0.7) or R(0.7) L(pi)
+# R(b).  On some of them (20 of 3998 pieces of a 2001-point grid of splits)
+# the quotient `_circle_roots` takes acos of is one ulp inside -1, so the
+# free RLR's tangent root at middle pi comes out as pi +- 1.5e-8; pi + 1.5e-8
+# escapes `_ceded`, passes the gate with a residual of ~1e-14 and plans
+# 1.28e-6 shorter than the exact RLpiR.  Tangent roots are ROADMAP item 8.
+@pytest.mark.parametrize("family", [
+    pytest.param("RLpiR", marks=pytest.mark.xfail(
+        strict=True, reason="free RLR double root split by acos rounding")),
+    "RLRL",
+])
+def test_subpaths_of_the_published_paths_are_shortest(family):
+    _, r, winner = _published(family)
+    _assert_subpaths_are_shortest([winner] * 50, r, len(family))
 
 
 def test_shortest_length_never_falls_as_r_grows():

@@ -251,36 +251,39 @@ def test_one_descent_matches_each_shape_alone(r):
     assert descended >= 2 * 6 * 10
 
 
-@pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
-def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
-    # every search's axes are the read-only `ChainShape.axes` that plan(mode="all") solves
-    lk._chain_shape.cache_clear()  # a group evicted earlier in the run would be rebuilt
-    pl._catalog.cache_clear()
-    solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
-    searches = []
+def _searches(monkeypatch, r) -> list:
+    """(search, shape) of each `_FamilySearch` one forward_oracle call at r builds."""
+    built = []
     init = orc._FamilySearch.__init__
 
     def spy(search, shape):
         init(search, shape)
-        searches.append(search)
+        built.append((search, shape))
 
     monkeypatch.setattr(orc._FamilySearch, "__init__", spy)
     orc.forward_oracle(orc.random_rotation(np.random.default_rng(1)), geo.TurnGeometry(r), 0, 1)
+    return built
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
+def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
+    # every search's axes are the read-only `ChainShape.axes` that plan(mode="all") solves
+    pl._catalog.cache_clear()
+    solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
+    searches = _searches(monkeypatch, r)
     assert len(searches) == len(solved)
-    for search, shape in zip(searches, solved):
+    for (search, _), shape in zip(searches, solved):
         assert search.axes is shape.axes and search.templates == shape.templates
         assert not search.axes.flags.writeable
 
 
-def test_shape_table_outlives_other_radii():
-    # the shape cache holds every group of the catalogs that planner caches
-    lk._chain_shape.cache_clear()
+def test_shape_table_outlives_other_radii(monkeypatch):
+    # the catalog cache keeps r = 0.6's shapes while 200 other radii are cached
     pl._catalog.cache_clear()
     solved = [shape for shape in pl._catalog(0.6, "all").shapes if shape.templates[0].kinds]
     for k in range(200):
         pl._catalog(0.61 + 0.001 * k, "all")
-    families = tuple(f for f in pl.family_catalog(0.6, mode="all") if f.kinds)
-    searched = lk.chain_shapes(0.6, families)  # what forward_oracle searches at r = 0.6
+    searched = [shape for _, shape in _searches(monkeypatch, 0.6)]
     assert len(searched) == len(solved)
     assert all(shape is mine for shape, mine in zip(searched, solved))
 
@@ -454,7 +457,10 @@ def test_polish_alone_finds_equal_middle_families(monkeypatch, pattern, r):
     segments = random_in_bounds_path(template, rng)
     geom = geo.TurnGeometry.from_radius(r)
     m = geo.compose_path(segments, geom)
-    monkeypatch.setattr(orc, "family_catalog", lambda *_, **__: [template])
+    alone = pl._catalog(r, "all")._replace(
+        families=(template,), shapes=lk.chain_shapes(r, (template,))
+    )
+    monkeypatch.setattr(orc, "_catalog", lambda *_: alone)
     result = orc.forward_oracle(m, geom, seed=1, budget=20_000)
     assert result.found and result.family == pattern
     assert result.residual <= 1e-9
