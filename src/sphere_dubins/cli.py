@@ -149,12 +149,7 @@ def write_samples_csv(
     best = result.best_candidate
     radius = req.sphere_radius
     rows = ["s,x,y,z,tx,ty,tz,nx,ny,nz,segment_index"]
-    if best.segments and best.unit_length > 0.0:
-        step = best.unit_length / (count - 1)
-        samples = sample_path(initial, best.segments, geom, step)
-    else:
-        samples = sample_path(initial, (), geom, 1.0)
-    for s, cfg, index in samples:
+    for s, cfg, index in sample_path(initial, best.segments, geom, best.unit_length / (count - 1)):
         values = [radius * s, *(radius * cfg.position), *cfg.tangent, *cfg.normal]
         rows.append(",".join(repr(float(v)) for v in values) + f",{index}")
     Path(path).write_text("\n".join(rows) + "\n", newline="\n")
@@ -176,6 +171,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             raise InputError("--samples must be at least 2")
         if not args.samples_out:
             raise InputError("--samples requires --samples-out")
+    elif args.samples_out:
+        raise InputError("--samples-out requires --samples")
     result = plan(req, mode=args.families, best_effort=args.best_effort)
     _warn_adjustment(result)
     Path(args.output).write_text(json.dumps(plan_document(result), indent=2) + "\n")

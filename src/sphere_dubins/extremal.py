@@ -68,23 +68,18 @@ class ExtremalState:
         return self.h1**2 + self.h2**2 + self.H12**2
 
 
-def switch_state(lam: int, u_max: float, h2: float, frame: np.ndarray | None = None) -> ExtremalState:
-    """Valid state at an inflection point (H12 = 0, h1 = lam)."""
-    if frame is None:
-        frame = np.eye(3)
-    return ExtremalState(frame=frame, h1=float(lam), h2=h2, H12=0.0, lam=lam, u_max=u_max)
+def switch_state(lam: int, u_max: float, h2: float) -> ExtremalState:
+    """Valid state at an inflection point (H12 = 0, h1 = lam), at the identity frame."""
+    return ExtremalState(frame=np.eye(3), h1=float(lam), h2=h2, H12=0.0, lam=lam, u_max=u_max)
 
 
-def mid_arc_state(
-    lam: int, u_max: float, h12: float, h2: float, frame: np.ndarray | None = None
-) -> ExtremalState:
-    """Valid state inside a turn arc: h1 follows from the zero Hamiltonian."""
+def mid_arc_state(lam: int, u_max: float, h12: float, h2: float) -> ExtremalState:
+    """Valid state inside a turn arc, at the identity frame: h1 follows from
+    the zero Hamiltonian."""
     if h12 == 0.0:
         raise InvalidInput("mid-arc states need a nonzero H12; use switch_state")
-    if frame is None:
-        frame = np.eye(3)
     h1 = lam - u_max * abs(h12)
-    return ExtremalState(frame=frame, h1=h1, h2=h2, H12=h12, lam=lam, u_max=u_max)
+    return ExtremalState(frame=np.eye(3), h1=h1, h2=h2, H12=h12, lam=lam, u_max=u_max)
 
 
 @dataclass(frozen=True)

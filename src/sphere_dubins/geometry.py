@@ -288,14 +288,15 @@ def sample_path(
     Samples sit at multiples of `step` plus every segment boundary (and the
     path end).  A sample exactly on a boundary is reported with the index of
     the segment that starts there, except the final sample which belongs to
-    the last segment.  An empty path yields the single sample (0, start, -1).
+    the last segment.  A path of length 0 yields the single sample
+    (0, start, -1), whatever the step.
     """
-    if not (0.0 < step < math.inf):
-        raise InvalidInput(f"step must be positive and finite, got {step}")
     bounds = np.concatenate([[0.0], np.cumsum([seg.arc_length(geom) for seg in segments])])
     total = float(bounds[-1])
     if total == 0.0:
         return [PathSample(0.0, start, -1)]
+    if not (0.0 < step < math.inf):
+        raise InvalidInput(f"step must be positive and finite, got {step}")
 
     s_values = {0.0, total}
     s_values.update(float(b) for b in bounds[1:-1])

@@ -271,26 +271,44 @@ def shortcut_construction(kind: str, r: float, delta: float) -> LemmaReport:
 # closed-form replacements for the 5- and 6-chain reductions
 # ---------------------------------------------------------------------------
 
-def closed_form_phi(variant: str, r: float, beta: float) -> float:
-    """Replacement outer angle for the triple/quad reductions, in (0, pi]."""
-    cb, sb = math.cos(beta), math.sin(beta)
+def _phi_terms(variant: str, r, cb, sb, c2b) -> tuple:
+    """atan2 arguments (y, x) of the replacement angle and the denominator
+    that rationalizes them (d for the triple, where y**2 + x**2 = (2d)**2; g
+    for the quad, where y**2 + x**2 = g**2), from r, cos(beta), sin(beta) and
+    cos(2 beta).  Plain arithmetic: floats and sympy symbols share it."""
     if variant == "triple":
-        a = 4.0 * r * r * (r * r - 1.0) + cb * (1.0 + (1.0 - 2.0 * r * r) ** 2)
-        b = 2.0 * sb * (1.0 - 2.0 * r * r)
-        theta = math.atan2(b, a)
-        return math.pi - theta
+        x = 4.0 * r * r * (r * r - 1.0) + cb * (1.0 + (1.0 - 2.0 * r * r) ** 2)
+        y = 2.0 * sb * (1.0 - 2.0 * r * r)
+        return y, x, 1.0 - 2.0 * r * r * (1.0 - r * r) * (1.0 + cb)
     if variant == "quad":
-        c = (
+        x = (
             2.0 * (3.0 * r * r - 2.0) * (r * r - 1.0)
             + 4.0 * (2.0 * r * r - 1.0) * (r * r - 1.0) * cb
-            + (2.0 * r**4 - 2.0 * r * r + 1.0) * math.cos(2.0 * beta)
+            + (2.0 * r**4 - 2.0 * r * r + 1.0) * c2b
         )
-        d = 2.0 * sb * (2.0 * (r * r - 1.0) + (2.0 * r * r - 1.0) * cb)
-        angle = math.atan2(d, c)
-        if angle < 0.0:
-            angle += 2.0 * math.pi
-        return angle - math.pi
+        y = 2.0 * sb * (2.0 * (r * r - 1.0) + (2.0 * r * r - 1.0) * cb)
+        g = (
+            5.0 - 10.0 * r * r + 6.0 * r**4
+            + 4.0 * (2.0 * r * r - 1.0) * (r * r - 1.0) * cb
+            - 2.0 * r * r * (1.0 - r * r) * c2b
+        )
+        return y, x, g
     raise OutOfRegime(f"unknown variant {variant!r}")
+
+
+def _phi_terms_at(variant: str, r: float, beta: float) -> tuple[float, float, float]:
+    return _phi_terms(variant, r, math.cos(beta), math.sin(beta), math.cos(2.0 * beta))
+
+
+def closed_form_phi(variant: str, r: float, beta: float) -> float:
+    """Replacement outer angle for the triple/quad reductions, in (0, pi]."""
+    y, x, _ = _phi_terms_at(variant, r, beta)
+    angle = math.atan2(y, x)
+    if variant == "triple":
+        return math.pi - angle
+    if angle < 0.0:
+        angle += 2.0 * math.pi
+    return angle - math.pi
 
 
 def _chain_pair(
@@ -334,30 +352,14 @@ def closed_replacement(kind: str, r: float, beta: float) -> LemmaReport:
 
 def _triple_phi_sincos(r: float, beta: float) -> tuple[float, float]:
     """Sine/cosine of the triple replacement angle in rationalized form."""
-    cb, sb = math.cos(beta), math.sin(beta)
-    d = 1.0 - 2.0 * r * r * (1.0 - r * r) * (1.0 + cb)
-    sp = sb * (1.0 - 2.0 * r * r) / d
-    cp = -(4.0 * r * r * (r * r - 1.0) + cb * (1.0 + (1.0 - 2.0 * r * r) ** 2)) / (2.0 * d)
-    return sp, cp
+    y, x, d = _phi_terms_at("triple", r, beta)
+    return y / (2.0 * d), -x / (2.0 * d)
 
 
 def _quad_phi_sincos(r: float, beta: float) -> tuple[float, float]:
     """Sine/cosine of the quad replacement angle in rationalized form."""
-    cb = math.cos(beta)
-    c2b = math.cos(2.0 * beta)
-    sb = math.sin(beta)
-    g = (
-        5.0 - 10.0 * r * r + 6.0 * r**4
-        + 4.0 * (2.0 * r * r - 1.0) * (r * r - 1.0) * cb
-        - 2.0 * r * r * (1.0 - r * r) * c2b
-    )
-    c = (
-        2.0 * (3.0 * r * r - 2.0) * (r * r - 1.0)
-        + 4.0 * (2.0 * r * r - 1.0) * (r * r - 1.0) * cb
-        + (2.0 * r**4 - 2.0 * r * r + 1.0) * c2b
-    )
-    d = 2.0 * sb * (2.0 * (r * r - 1.0) + (2.0 * r * r - 1.0) * cb)
-    return -d / g, -c / g
+    y, x, g = _phi_terms_at("quad", r, beta)
+    return -y / g, -x / g
 
 
 # ---------------------------------------------------------------------------

@@ -478,10 +478,8 @@ def request_for_target(
     )
 
 
-def random_request(unit_r: float, seed: int, sphere_radius: float = 1.0) -> PlanRequest:
-    return request_for_target(
-        random_rotation(np.random.default_rng(seed)), unit_r, sphere_radius
-    )
+def random_request(unit_r: float, seed: int) -> PlanRequest:
+    return request_for_target(random_rotation(np.random.default_rng(seed)), unit_r)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,17 @@ def test_plan_samples_requires_sink(tmp_path):
     assert code == 2
 
 
+def test_plan_samples_out_requires_samples(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    csv_path = tmp_path / "s.csv"
+    write_request(inp, [geo.G(1.0)], 0.5)
+    code = cli.main(["plan", "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     "--samples-out", str(csv_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --samples-out requires --samples\n"
+    assert not csv_path.exists()
+
+
 def test_plan_samples_needs_two(tmp_path, capsys):
     inp = tmp_path / "in.json"
     write_request(inp, [geo.G(1.0)], 0.5)

@@ -226,6 +226,12 @@ def test_sample_path_empty():
     assert samples[0].configuration is start
 
 
+def test_sample_path_of_length_zero_needs_no_step():
+    # `plan --samples` divides a length-0 path by count - 1: step 0
+    start = geo.Configuration.canonical()
+    assert geo.sample_path(start, [], GEOM, 0.0) == [geo.PathSample(0.0, start, -1)]
+
+
 def test_sample_path_merges_samples_within_rounding():
     # the step's first multiple lands 5e-13 past the boundary at 0.5: one sample
     start = geo.Configuration.canonical()

@@ -98,6 +98,32 @@ def test_a_wrong_closed_form_fails_the_report_and_the_grid(monkeypatch, capsys):
     assert "400 failures" in capsys.readouterr().out
 
 
+def test_replacement_angle_terms_are_exact_identities():
+    """Exact proofs on the very expressions the floats evaluate: `_phi_terms`
+    on sympy symbols, with cos(2 beta) = 2 cb**2 - 1.  Modulo
+    cb**2 + sb**2 - 1, y**2 + x**2 equals (2d)**2 for the triple and g**2
+    for the quad, so the rationalized sine and cosine lie on the unit
+    circle; and d = (1 - cb)/2 + (cb + 1)(2r**2 - 1)**2/2 is positive for
+    beta in (0, pi), which fixes phi's branch.  The quad's g > 0 is not
+    proven: numerically its minimum is about 0, reached only as beta -> 0
+    at r = sqrt(3)/2."""
+    sympy = pytest.importorskip("sympy")
+    r, cb, sb = sympy.symbols("r cb sb")
+
+    def terms(variant):
+        found = lm._phi_terms(variant, r, cb, sb, 2 * cb**2 - 1)
+        return [sympy.nsimplify(term, rational=True) for term in found]
+
+    def vanishes_on_the_circle(expr):
+        return sympy.rem(sympy.expand(expr), cb**2 + sb**2 - 1, sb) == 0
+
+    y, x, d = terms("triple")
+    assert vanishes_on_the_circle(y**2 + x**2 - (2 * d) ** 2)
+    assert sympy.expand(d - (1 - cb) / 2 - (cb + 1) * (2 * r**2 - 1) ** 2 / 2) == 0
+    y, x, g = terms("quad")
+    assert vanishes_on_the_circle(y**2 + x**2 - g**2)
+
+
 def test_grg_sign_conventions():
     report = lm.shortcut_construction("grg", 0.5, 0.5)
     g1, mid, g3 = report.replacement
