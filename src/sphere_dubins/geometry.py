@@ -73,6 +73,14 @@ def canonical_angle(angle: float) -> float:
     return a
 
 
+def canonical_angles(angles: np.ndarray) -> np.ndarray:
+    """`canonical_angle` of every entry of a float array, bit for bit (np.fmod
+    is math.fmod, exact); a NaN entry stays NaN instead of raising."""
+    a = np.fmod(angles, TWO_PI)
+    a = np.where(a < 0.0, a + TWO_PI, a)
+    return np.where((a < ANGLE_EPS) | (TWO_PI - a < ANGLE_EPS), 0.0, a)
+
+
 @dataclass(frozen=True)
 class Segment:
     """A typed arc with its arc angle in [0, 2*pi)."""

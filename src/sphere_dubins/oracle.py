@@ -44,8 +44,8 @@ from .geometry import (
     Configuration,
     Segment,
     TurnGeometry,
+    canonical_angles,
     compose_path,
-    path_length,
     rotations_from_generators,
     skew,
 )
@@ -80,10 +80,13 @@ class OracleResult:
 
 
 def _right_product(a: np.ndarray) -> np.ndarray:
-    """The 4x4 matrix of q -> q (0, a), a quaternion's product on the right
-    with the pure quaternion of axis a; quaternions are (w, x, y, z)."""
-    x, y, z = a
-    return np.array([[0.0, -x, -y, -z], [x, 0.0, z, -y], [y, -z, 0.0, x], [z, y, -x, 0.0]])
+    """The 4x4 matrices (..., 4, 4) of q -> q (0, a), a quaternion's product on
+    the right with the pure quaternion of axis a, for one axis (3,) or a
+    stack (..., 3); quaternions are (w, x, y, z)."""
+    x, y, z = np.moveaxis(a, -1, 0)
+    o = np.zeros_like(x)
+    entries = [o, -x, -y, -z, x, o, z, -y, y, -z, o, x, z, y, -x, o]
+    return np.stack(entries, axis=-1).reshape(np.shape(a)[:-1] + (4, 4))
 
 
 def _davenport(m: np.ndarray) -> np.ndarray:
@@ -101,8 +104,11 @@ def _davenport(m: np.ndarray) -> np.ndarray:
 def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
     """Indices of the REFINE_TOP samples, best first, by tr(m^T R) = q^T K q
     of their quaternions (`compose_batch`, `_davenport`): the order of the
-    endpoint residual, since |R - m|^2 = 3 + |m|^2 - 2 tr(m^T R)."""
-    return np.argsort(-np.einsum("ni,ni->n", q @ davenport, q))[:REFINE_TOP]
+    endpoint residual, since |R - m|^2 = 3 + |m|^2 - 2 tr(m^T R).  Only the
+    kept samples are sorted, after a partition."""
+    negated = -np.einsum("ni,ni->n", q @ davenport, q)
+    kept = np.argpartition(negated, min(REFINE_TOP, len(negated)) - 1)[:REFINE_TOP]
+    return kept[np.argsort(negated[kept])]
 
 
 class _FamilySearch:
@@ -121,7 +127,15 @@ class _FamilySearch:
         self.axes = shape.axes
         self.generators = skew(shape.axes)
         self.squares = self.generators @ self.generators
-        self.quaternion_steps = np.array([[_right_product(a) for a in row] for row in self.axes])
+        self.quaternion_steps = _right_product(self.axes)
+        self.turns = np.array([[kind.is_turn for kind in t.kinds] for t in self.templates])
+        # one trig column per distinct arc (its parameters and offset): the
+        # interior arcs pi + beta are one
+        offset = self.template.angles(np.zeros((1, self.template.slot_map.shape[1]))).T
+        arcs = [tuple(arc) for arc in np.hstack([self.template.slot_map, offset]).tolist()]
+        distinct = list(dict.fromkeys(arcs))
+        self.arc_columns = [arcs.index(arc) for arc in distinct]
+        self.slot_columns = [distinct.index(arc) for arc in arcs]
         lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in self.templates)))
         # beta's interval is open: the polish stays ANGLE_EPS inside it
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
@@ -141,31 +155,46 @@ class _FamilySearch:
 
     def compose_batch(self, params: np.ndarray, family: int) -> np.ndarray:
         """Unit quaternions (n, 4) of one family's sampled chains: slot by
-        slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis), composed as
-        (4, n) columns so each step is one 4x4 product.  They only rank
-        the samples (`forward_oracle`) to choose restarts; the one gate reads
+        slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis), composed in
+        place as (4, n) columns so each step is one 4x4 product; the first
+        slot's step from (1, 0, 0, 0) is written out, and the half-angle
+        trig is taken once per distinct arc column.  They only rank the
+        samples (`forward_oracle`) to choose restarts; the one gate reads
         the residual of `compose_path` (`refine`)."""
-        half = 0.5 * self.template.angles(params)
-        cos, sin = np.cos(half).T, np.sin(half).T
-        q = np.zeros((4, len(params)))
-        q[0] = 1.0
-        for slot, step in enumerate(self.quaternion_steps[family]):
-            q = cos[slot] * q + sin[slot] * (step @ q)
+        half = 0.5 * np.ascontiguousarray(self.template.angles(params).T[self.arc_columns])
+        cos, sin = np.cos(half), np.sin(half)
+        first, *rest = self.slot_columns
+        q = np.empty((4, len(params)))
+        q[0] = cos[first]
+        q[1:] = 0.0 + sin[first] * self.axes[family, 0, :, None]  # 0.0 +: the product's +0.0
+        step_q = np.empty_like(q)
+        for step, column in zip(self.quaternion_steps[family, 1:], rest):
+            np.matmul(step, q, out=step_q)
+            step_q *= sin[column]
+            q *= cos[column]
+            q += step_q
         return q.T
 
     # -- polish and per-restart finish -------------------------------------
-    def segments(self, params: np.ndarray, family: int) -> tuple[Segment, ...]:
-        """One restart's canonical segments."""
-        template = self.templates[family]
-        angles = template.angles(params[None, :])[0]
-        return tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
+    def lengths(self, params: np.ndarray, owner: np.ndarray, geom: TurnGeometry) -> np.ndarray:
+        """Each restart's path length from the arrays, with the bits of
+        `path_length` of its `refine` segments: canonical arcs, r * angle on
+        turns, added left to right.  A NaN parameter gives a NaN length."""
+        arcs = canonical_angles(self.template.angles(params))
+        arcs = np.where(self.turns[owner], geom.r * arcs, arcs)
+        total = np.zeros(len(arcs))
+        for column in arcs.T:
+            total += column
+        return total
 
     def refine(
         self, m: np.ndarray, params: np.ndarray, family: int, geom: TurnGeometry
     ) -> tuple[tuple[Segment, ...], float]:
         """Finish one restart after the polish: its canonical segments and the
         one residual, ||compose_path - m||, that `forward_oracle` gates and reports."""
-        segments = self.segments(params, family)
+        template = self.templates[family]
+        angles = template.angles(params[None, :])[0]
+        segments = tuple(Segment(k, a) for k, a in zip(template.kinds, angles))
         return segments, float(np.linalg.norm(compose_path(segments, geom) - m))
 
     def linearize(self, params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,18 +300,14 @@ def _trace_argmax(
 ) -> np.ndarray:
     """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
     closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a).
-    `trig` holds the rows' cos lo, sin lo, cos hi and sin hi, one per column."""
+    Every axis lies in the x-z plane, so tr(W K) has no y term.  `trig`
+    holds the rows' cos lo, cos hi, sin lo and sin hi, one per column."""
     const = np.einsum("ni,nij,nj->n", axis, w, axis)
-    c_coef = np.trace(w, axis1=1, axis2=2) - const
-    s_coef = (
-        axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1])
-        + axis[:, 1] * (w[:, 2, 0] - w[:, 0, 2])
-        + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
-    )
+    c_coef = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - const
+    s_coef = axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1]) + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
     best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
     # first maximum wins: the lower bound, then the upper, then the free optimum
-    value = c_coef * trig[:, 0] + s_coef * trig[:, 1]
-    upper = c_coef * trig[:, 2] + s_coef * trig[:, 3]
+    value, upper = (c_coef[:, None] * trig[:, :2] + s_coef[:, None] * trig[:, 2:]).T
     angle = np.where(upper > value, hi, lo)
     value = np.maximum(value, upper)
     free = (lo <= best) & (best <= hi) & (c_coef * np.cos(best) + s_coef * np.sin(best) > value)
@@ -299,11 +324,13 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     and sines and the axes' generators K and K^2 are taken once, and a
     sweep carries the product of the slots before the current one left to
     right, so its last product is the sweep's endpoint, whose residual is
-    read."""
+    read.  The carried arrays are cut down to the running restarts only
+    on a sweep where some stop."""
     n_slots = axes.shape[1]
     angles = angles.copy()
+    p = angles.copy()  # the running restarts' angles
     m_t = m.T
-    trig = np.stack([np.cos(lo), np.sin(lo), np.cos(hi), np.sin(hi)], axis=-1)
+    trig = np.stack([np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)], axis=-1)
     k = skew(axes)
     k2 = k @ k
     rots = [rotations_from_generators(k[:, j], k2[:, j], angles[:, j]) for j in range(n_slots)]
@@ -312,21 +339,23 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     for _ in range(REFINE_SWEEPS):
         if active.size == 0:
             break
-        p = angles[active]
         for slot in range(n_slots):
             w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
             w = w @ prefix if slot else np.broadcast_to(w, rots[0].shape)  # one slot: m^T
             p[:, slot] = _trace_argmax(w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot])
             rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
             prefix = rots[0] if slot == 0 else prefix @ rots[slot]
-        angles[active] = p
         after = np.linalg.norm(prefix - m, axis=(1, 2))
-        done = (current[active] - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
-        current[active] = after
-        active = active[~done]
-        rots = [rot[~done] for rot in rots]
-        axes, lo, hi, trig = axes[~done], lo[~done], hi[~done], trig[~done]
-        k, k2 = k[~done], k2[~done]
+        done = (current - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
+        current = after
+        if done.any():
+            angles[active[done]] = p[done]
+            keep = ~done
+            active, p, current = active[keep], p[keep], current[keep]
+            rots = [rot[keep] for rot in rots]
+            axes, lo, hi, trig = axes[keep], lo[keep], hi[keep], trig[keep]
+            k, k2 = k[keep], k2[keep]
+    angles[active] = p
     return angles
 
 
@@ -425,20 +454,23 @@ def forward_oracle(
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
         owner = np.repeat(np.arange(len(starts)), [len(rows) for rows in starts])
         batches.append((search, np.concatenate(starts), owner))
-    restarts = []  # (catalog index, search, family, parameters, min singular) per restart
-    descended = _descend_restarts(m, batches)
-    for index, (search, _, owner), params in zip(indices, batches, descended):
+    restarts = []  # (search, family, parameters, min singular) per restart, shape by shape
+    catalog_order, lengths = [], []
+    for index, (search, _, owner), params in zip(indices, batches, _descend_restarts(m, batches)):
         params, singular = search._polish(m, params, owner)
-        restarts += [(index[f], search, f, p, s) for f, p, s in zip(owner, params, singular)]
+        restarts += [(search, *row) for row in zip(owner.tolist(), params, singular.tolist())]
+        catalog_order.append(np.array(index)[owner])
+        lengths.append(search.lengths(params, owner, geom))
 
-    restarts.sort(key=lambda restart: restart[0])  # catalog order: the first equal length wins
-    lengths = [path_length(search.segments(p, f), geom) for _, search, f, p, _ in restarts]
-    for i in np.argsort(lengths, kind="stable"):  # shortest first; a NaN length sorts last
-        _, search, family, params, min_singular = restarts[i]
+    lengths = np.concatenate(lengths)
+    order = np.argsort(np.concatenate(catalog_order), kind="stable")  # the first equal length wins
+    order = order[np.argsort(lengths[order], kind="stable")]  # shortest first, NaN last
+    for i in order[~np.isnan(lengths[order])]:  # a NaN length is never refined
+        search, family, params, min_singular = restarts[i]
         segments, res = search.refine(m, params, family, geom)
         if res <= TOL_RESIDUAL:  # a NaN residual fails
             tag = search.templates[family].tag
-            return OracleResult(segments, lengths[i], res, tag, evaluations, float(min_singular))
+            return OracleResult(segments, float(lengths[i]), res, tag, evaluations, min_singular)
     return OracleResult(None, math.inf, math.inf, "", evaluations)
 
 

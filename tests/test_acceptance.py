@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite takes about 30 s on a shared 2-core machine, almost
-all of it criterion 6 (200 budget-100000 oracle runs, 23-27 s); criterion 7
-(200 closed-form extremal trajectories) takes about 1 s.
+lines; the whole suite takes 12-15 s on a shared 2-core Intel Xeon
+machine, most of it criterion 6 (200 budget-100000 oracle runs, 8-11 s);
+criterion 7 (200 closed-form extremal trajectories) takes about 1 s.
 """
 
 import math

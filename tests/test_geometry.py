@@ -346,6 +346,17 @@ def test_align_angles_are_canonical():
             lk.solve_chain(lk.FamilyTemplate.of(pattern), np.full((3, 3), math.nan), GEOM)
 
 
+def test_canonical_angles_match_canonical_angle_bit_for_bit():
+    rng = np.random.default_rng(5)
+    eps, two_pi = geo.ANGLE_EPS, 2.0 * math.pi
+    edges = [0.0, -0.0, eps, 0.5 * eps, -0.5 * eps, two_pi, two_pi - eps, two_pi - 0.5 * eps,
+             two_pi + 0.5 * eps, -two_pi, math.pi, -math.pi, 1e300, -1e-300]
+    angles = np.concatenate([edges, rng.uniform(-40.0, 40.0, 500)]).reshape(2, -1)
+    expected = np.array([[geo.canonical_angle(a) for a in row] for row in angles.tolist()])
+    assert geo.canonical_angles(angles).tobytes() == expected.tobytes()
+    assert math.isnan(geo.canonical_angles(np.array([math.nan]))[0])
+
+
 def test_align_angle_roundtrip_property():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -380,6 +380,100 @@ def test_oracle_results_are_pinned(r, seed, family, length):
     assert abs(found.length - length) <= 1e-12
 
 
+# exact forward_oracle results at budget 2000: the winner's family, arcs,
+# length, residual and min_singular, and the evaluations, as repr writes them
+BIT_PINNED_RESULTS = [
+    (0.3, 700, "RGL", (0.9344973276247317, 2.8234984205434763, 0.19414950884887824),
+     3.1620924714855594, 3.860919290733388e-16, 2000, 0.3021648626650585),
+    (0.5, 701, "LGL", (2.1241295857725726, 1.6055380549560911, 0.8983091525005448),
+     3.1167574240926497, 3.040470972244059e-16, 2000, 0.8900075081190671),
+    (SQRT2_INV, 702, "LGR", (1.705497649620665, 0.7696703095927576, 0.5867411429571753),
+     2.390527903923412, 5.266250202865052e-16, 2000, 0.368742141843399),
+    (0.71, 703, "RGR", (0.28341627911756884, 0.9299533079734656, 0.3157053308395804),
+     1.3553296510430415, 3.795517880871664e-16, 1998, 0.6315307867983856),
+    (0.8, 704, "RGR", (1.7817575591757142, 0.9758060745500612, 0.6550270425624471),
+     2.9252337559405905, 4.4236469051213343e-16, 1998, 0.5625295628178292),
+    (0.85, 705, "RLR", (0.1403194933162684, 5.065926573119302, 1.5413226607959607),
+     5.735433418146801, 3.632164660233972e-16, 1998, 1.0240275382247255),
+    (math.sqrt(3.0) / 2.0, 706, "RLR", (0.16325895003111826, 4.86412327915494, 2.2084143388057877),
+     6.266383644497193, 6.91247581697378e-16, 1998, 0.9503767653371544),
+    # the published RLpiR, oracle seed 2
+    (0.71, None, "RLR", (0.6999997548531482, 3.1415926576102016, 0.6999997548531482),
+     3.224530438794713, 7.351339748142066e-16, 1998, 4.02000283083643e-09),
+]
+
+
+@pytest.mark.parametrize("r, seed, family, arcs, length, residual, evaluations, singular",
+                         BIT_PINNED_RESULTS)
+def test_oracle_results_are_bit_identical(
+    r, seed, family, arcs, length, residual, evaluations, singular
+):
+    # every float to the last bit, which the 1e-12 length pin above cannot see
+    if seed is None:
+        req = request_from_segments([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], r)
+    else:
+        req = orc.random_request(r, seed=seed)
+    target, geom, _, _, _ = pl.normalize_problem(req)
+    found = orc.forward_oracle(target, geom, seed=2 if seed is None else seed, budget=2000)
+    segments = tuple(geo.Segment(kind, arc) for kind, arc in zip(family, arcs))
+    expected = orc.OracleResult(segments, length, residual, family, evaluations, singular)
+    assert repr(found) == repr(expected)
+
+
+def test_a_nan_restart_sorts_last_and_is_never_refined(monkeypatch):
+    # one NaN row in a polished batch used to abort the call from Segment
+    geom = geo.TurnGeometry.from_radius(0.6)
+    m = orc.random_rotation(np.random.default_rng(3))
+    clean = orc.forward_oracle(m, geom, seed=0, budget=200)
+    assert clean.found
+    polish, refine, spoiled, refined = orc._FamilySearch._polish, orc._FamilySearch.refine, [], []
+
+    def spoil(search, m, params, owner):
+        params, singular = polish(search, m, params, owner)
+        if not spoiled and clean.family not in (t.tag for t in search.templates):
+            params[0, 0] = math.nan
+            spoiled.append(search)
+        return params, singular
+
+    def spy(search, m, params, family, geom):
+        refined.append(params)
+        return refine(search, m, params, family, geom)
+
+    monkeypatch.setattr(orc._FamilySearch, "_polish", spoil)
+    monkeypatch.setattr(orc._FamilySearch, "refine", spy)
+    assert repr(orc.forward_oracle(m, geom, seed=0, budget=200)) == repr(clean)
+    assert spoiled and refined and all(np.isfinite(params).all() for params in refined)
+    # with every residual failing the gate, the NaN row is still never refined
+    monkeypatch.setattr(orc, "TOL_RESIDUAL", -1.0)
+    spoiled.clear()
+    refined.clear()
+    assert not orc.forward_oracle(m, geom, seed=0, budget=200).found
+    assert spoiled and refined and all(np.isfinite(params).all() for params in refined)
+
+
+@pytest.mark.parametrize("n", [1, orc.REFINE_TOP, orc.REFINE_TOP + 1, 500])
+def test_top_restarts_match_a_full_sort(n):
+    # the partition keeps the REFINE_TOP best of any count, a single sample included
+    rng = np.random.default_rng(n)
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    davenport = orc._davenport(orc.random_rotation(rng))
+    score = np.einsum("ni,ni->n", q @ davenport, q)
+    assert len(np.unique(score)) == n
+    assert np.array_equal(orc._top_restarts(q, davenport), np.argsort(-score)[:orc.REFINE_TOP])
+
+
+@pytest.mark.parametrize("r", [0.6, 0.8])
+def test_oracle_at_budget_one_samples_each_family_once(r):
+    # a non-identity target: one sample per family is ranked, descended and polished
+    geom = geo.TurnGeometry.from_radius(r)
+    m = geo.compose_path([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], geom)
+    found = orc.forward_oracle(m, geom, seed=0, budget=1)
+    families = [f for f in pl.family_catalog(r, mode="all") if f.kinds]
+    assert found.evaluations == len(families) == (25 if r < SQRT2_INV else 27)
+    assert not found.found or found.residual <= orc.TOL_RESIDUAL
+
+
 RESIDUAL_CASES = [
     ([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71, 2),  # the published RLpiR
     ([geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)], 0.55, 1),  # the published RLRL
