@@ -250,8 +250,8 @@ def middle_arc_angle(lambda_h12: float, u_max: float) -> float:
     """
     if not (0.0 < u_max < math.inf):
         raise InvalidInput(f"u_max must be positive and finite, got {u_max}")
-    if math.isnan(lambda_h12):
-        raise InvalidInput("portrait radius must be a number, got nan")
+    if not math.isfinite(lambda_h12):  # an infinite radius would give beta = 0
+        raise InvalidInput(f"portrait radius must be finite, got {lambda_h12}")
     bound = u_max / (1.0 + u_max * u_max)
     if lambda_h12 <= bound:
         raise OutOfDomain(

@@ -213,8 +213,8 @@ def path_length(
     """Arc length of a path, scaled to a sphere of the given radius.  The
     arcs are added left to right, as the planner's column adds do, on every
     interpreter (the builtin `sum` is compensated from Python 3.12 on)."""
-    if not (sphere_radius > 0.0):
-        raise InvalidInput(f"sphere radius must be positive, got {sphere_radius}")
+    if not (0.0 < sphere_radius < math.inf):
+        raise InvalidInput(f"sphere radius must be positive and finite, got {sphere_radius}")
     total = 0.0
     for seg in segments:
         total += seg.arc_length(geom)

@@ -36,15 +36,17 @@ coefficients, cached in `planner._catalog`) on (N, 3, 3) targets: step 1
 per shape, the 4- and 5-chains sharing one root filter and polish, then one
 step 2 over every shape's (row, interior) pairs, so `plan_batch` makes one
 step-2 pass per radius group.  It returns one flat row (target, family,
-arcs, residual) per solution; `solve_chain` is its case of one family and
-one target m (3, 3).  Each stacked operation keeps the bits of its
-one-target, one-family form: a row takes its own operands in the same
-shapes, e.g. (K, 3, 3) @ (K, 3, 1) for matrix-vector products, never a gemm
-across families such as ms @ A.T, which rounds differently; dot products are
-1x3 @ 3x1 matmuls and angles are taken per root with `math`.  Shared passes
-pad rows instead, with exact no-ops: interiors to three slots turned by 0,
-which `rotations_about_axis` makes exactly I, and 4-chain coefficients to the
-5-chain width with zeros, which add exact zeros to each value and slope.
+arcs, residual) per solution, `family` the template's position in the
+tuple `chain_shapes` grouped (in `planner._catalog`, the catalog
+position); `solve_chain` is its case of one family and one target m (3, 3).
+Each stacked operation keeps the bits of its one-target, one-family form: a
+row takes its own operands in the same shapes, e.g. (K, 3, 3) @ (K, 3, 1)
+for matrix-vector products, never a gemm across families such as ms @ A.T,
+which rounds differently; dot products are 1x3 @ 3x1 matmuls and angles are
+taken per root with `math`.  Shared passes pad rows instead, with exact
+no-ops: interiors to three slots turned by 0, which `rotations_about_axis`
+makes exactly I, and 4-chain coefficients to the 5-chain width with zeros,
+which add exact zeros to each value and slope.
 """
 
 from __future__ import annotations
@@ -234,13 +236,15 @@ def _row_apply(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ChainShape:
     """Families of one `FamilyTemplate.shape` (chain length and step-1 kind)
-    at one turning radius, with one read-only row per family of every
+    at one turning radius, each with its position in the templates
+    `chain_shapes` grouped, and one read-only row per family of every
     constant their solve reads: the axes, the interior and outer axes
     `_close_chain` turns about, and for step 1 (a single arc needs only its
     axis) a free middle's `scalar_reduction` triple, a fixed interior with
     its predicted a_1 . B a_n, or the equal-middle Laurent coefficients."""
 
     templates: tuple[FamilyTemplate, ...]
+    positions: tuple[int, ...]
     axes: np.ndarray                    # (F, n, 3)
     inner: np.ndarray | None = None     # (F, 3, 3): interior axes, padded to three slots
     ends: np.ndarray | None = None      # (F, 2, 3)
@@ -254,13 +258,15 @@ def chain_shapes(r: float, templates: tuple[FamilyTemplate, ...]) -> tuple[Chain
     """The families grouped by shape, in order of first appearance, with the
     constants of each group at unit turning radius r, built on every call:
     `planner._catalog` keeps those of each (r, mode) catalog."""
-    groups: dict[tuple[int, bool], list[FamilyTemplate]] = {}
-    for t in templates:
-        groups.setdefault(t.shape, []).append(t)
-    return tuple(_chain_shape(r, tuple(group)) for group in groups.values())
+    groups: dict[tuple[int, bool], list[tuple[int, FamilyTemplate]]] = {}
+    for position, t in enumerate(templates):
+        groups.setdefault(t.shape, []).append((position, t))
+    return tuple(_chain_shape(r, *zip(*group)) for group in groups.values())
 
 
-def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
+def _chain_shape(
+    r: float, positions: tuple[int, ...], templates: tuple[FamilyTemplate, ...]
+) -> ChainShape:
     """The `ChainShape` of families of one shape at unit turning radius r."""
     geom, first, n = TurnGeometry(r), templates[0], len(templates[0].kinds)
     axes = np.array([[turn_axis(k, geom) for k in t.kinds] for t in templates])
@@ -281,7 +287,7 @@ def _chain_shape(r: float, templates: tuple[FamilyTemplate, ...]) -> ChainShape:
     for value in (axes, *fields.values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return ChainShape(templates, axes, **fields)
+    return ChainShape(templates, positions, axes, **fields)
 
 
 def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[float, ...], float]:
@@ -292,11 +298,11 @@ def _fixed_interior(template: FamilyTemplate, a: np.ndarray) -> tuple[tuple[floa
     return (math.pi,), k1c + k2c * math.cos(math.pi) + k3c * math.sin(math.pi)
 
 
-# a solution of `solve_shapes`: target index, family index, arcs, residual; a
-# shape with its stack of rows and its first family's index; step 1's
-# interior solutions of a shape: their rows and interior angles
+# a solution of `solve_shapes`: target index, family position
+# (`ChainShape.positions`), arcs, residual; a shape with its stack of rows;
+# step 1's interior solutions of a shape: their rows and interior angles
 Row = tuple[int, int, tuple[float, ...], float]
-Chain = tuple[ChainShape, np.ndarray, int]
+Chain = tuple[ChainShape, np.ndarray]
 Interiors = tuple[list[int], list[tuple[float, ...]]]
 
 
@@ -317,26 +323,24 @@ def solve_chain(template: FamilyTemplate, m: np.ndarray, geom: TurnGeometry) -> 
 def solve_shapes(shapes: Sequence[ChainShape], ms: np.ndarray) -> list[Row]:
     """Every solution of every family of `shapes` on the (N, 3, 3) stack
     `ms`: one flat list of rows (target, family, arcs, residual), `family`
-    indexing the templates of each shape in turn.  A family's rows on one
+    the template's position (`ChainShape.positions`).  A family's rows on one
     target keep their step-1 order.  Step 1 runs per shape over its
     (family, target) rows, step 2 once over the interior solutions of every
     shape (`_close_chain`)."""
     n = len(ms)
     solved: list[Row] = []
     chains: list[Chain] = []
-    first = 0
     for shape in shapes:
-        count = len(shape.templates)
+        count, family = len(shape.templates), shape.positions
         rows = np.concatenate([ms] * count)  # row f * n + i is family f on target i
         if not shape.axes.shape[1]:
             residuals = enumerate(row_norms(rows - np.eye(3)).tolist())
-            solved += [(k % n, first + k // n, (), r) for k, r in residuals if r <= TOL_RESIDUAL]
+            solved += [(k % n, family[k // n], (), r) for k, r in residuals if r <= TOL_RESIDUAL]
         elif shape.axes.shape[1] == 1:
             aligned = _one_arc(rows, shape.axes[np.repeat(np.arange(count), n), 0])
-            solved += [(k % n, first + k // n, (phi,), r) for k, phi, r in aligned]
+            solved += [(k % n, family[k // n], (phi,), r) for k, phi, r in aligned]
         else:
-            chains.append((shape, rows, first))
-        first += count
+            chains.append((shape, rows))
     if chains:
         solved += _close_chain(ms, chains, _eliminate(chains, n))
     return solved
@@ -375,7 +379,7 @@ def _eliminate(chains: Sequence[Chain], n: int) -> list[Interiors]:
     """
     found: list[Interiors] = []
     polynomials: list[np.ndarray] = []
-    for shape, ms, _ in chains:
+    for shape, ms in chains:
         fam = np.repeat(np.arange(len(shape.templates)), n)
         ends = shape.ends[fam]
         rhs = row_dots(ends[:, 0], _row_apply(ms, ends[:, 1]))
@@ -396,7 +400,7 @@ def _eliminate(chains: Sequence[Chain], n: int) -> list[Interiors]:
             interiors = [shape.interiors[f] for f in fam[owners].tolist()]
         found.append((owners, interiors))
     roots = iter(_interior_roots(polynomials) if polynomials else ())
-    for (shape, rows, _), (owners, interiors) in zip(chains, found):
+    for (shape, rows), (owners, interiors) in zip(chains, found):
         if shape.laurent is not None:
             for i, betas in zip(range(len(rows)), roots):
                 owners += [i] * len(betas)
@@ -462,8 +466,7 @@ def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interi
     docstring), of every shape in one pass.
 
     `found[c]` holds step 1's solutions of `chains[c]`, a shape with its
-    stack of rows (row f * n + i is family f on target `ms[i]`) and the
-    index of its first family among the solved shapes' templates.  For each
+    stack of rows (row f * n + i is family f on target `ms[i]`).  For each
     (row, interior) pair: build the interior block, recover the outer angles,
     keep the assignment if the family's `feasible` accepts it, and only then
     compose it; the solution rows are those whose matrix residual is within
@@ -473,19 +476,19 @@ def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interi
     """
     n = len(ms)
     targets: list[int] = []
-    families: list[int] = []  # indices into the chains' own templates
-    labels: list[int] = []  # each of those templates' index among the solved shapes'
+    families: list[int] = []  # indices into the chains' templates, all in turn
+    positions: list[int] = []  # each of those templates' `ChainShape.positions` entry
     interiors: list[tuple[float, ...]] = []
-    for (shape, _, first), (owners, mids) in zip(chains, found):
+    for (shape, _), (owners, mids) in zip(chains, found):
         targets += [k % n for k in owners]
-        families += [len(labels) + k // n for k in owners]
-        labels += range(first, first + len(shape.templates))
+        families += [len(positions) + k // n for k in owners]
+        positions += shape.positions
         interiors += mids
     if not interiors:
         return []
-    templates = [t for shape, _, _ in chains for t in shape.templates]
-    inner = np.concatenate([shape.inner for shape, _, _ in chains])[families]
-    end_axes = np.concatenate([shape.ends for shape, _, _ in chains])[families]
+    templates = [t for shape, _ in chains for t in shape.templates]
+    inner = np.concatenate([shape.inner for shape, _ in chains])[families]
+    end_axes = np.concatenate([shape.ends for shape, _ in chains])[families]
     stack = ms[targets]
     padded = np.array([mid + (0.0,) * (3 - len(mid)) for mid in interiors])
     rotations = rotations_about_axis(inner, padded)  # (K, 3, 3, 3), slot by slot
@@ -502,7 +505,7 @@ def _close_chain(ms: np.ndarray, chains: Sequence[Chain], found: Sequence[Interi
     product = ends[:, 0] @ turns[:, 0] @ turns[:, 1] @ turns[:, 2] @ ends[:, 1]
     residuals = row_norms(product - stack[rows]).tolist()
     return [
-        (targets[k], labels[families[k]], angles, res)
+        (targets[k], positions[families[k]], angles, res)
         for k, angles, res in zip(rows, assignments, residuals) if res <= TOL_RESIDUAL
     ]
 

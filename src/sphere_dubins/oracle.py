@@ -13,8 +13,9 @@ read from `compose_path`, passes TOL_RESIDUAL wins and is reported, so the
 rest are never composed.  The oracle never consults the closed-form linkage
 solver, so agreement between the two is meaningful evidence: of the
 planner's cached audit catalog (`planner._catalog(r, "all")`) it reads only
-each `ChainShape`'s `templates` and `axes`, never the step-1 coefficients
-or a `solve_*` function.  One search object serves each shape (free 1/2/3
+each `ChainShape`'s `templates`, `axes` and `positions`, and the catalog's
+arc-length factors (`weights`), never the step-1 coefficients or a
+`solve_*` function.  One search object serves each shape (free 1/2/3
 slots, pinned pi, equal-middle 4 and 5), with one row of axes and bounds
 per family, and polishes the kept restarts of all its families as one numpy
 batch.  One coordinate descent per call takes the free and pinned-middle
@@ -113,22 +114,23 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
 
 class _FamilySearch:
     """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for the families of one `ChainShape` (its `templates`
-    and read-only `axes`), with one row per family of generators, quaternion
-    steps and margined box; the axes and box also feed the one descent per
-    call (`_descend_restarts`).  `template` (the first family) gives the
-    shape's `angles`, `slot_map` and `outer_cap`.  A batch of restarts names
-    its rows' families (indices into `templates`) in `owner`; every product
-    is one row's own, so a row gets the same bits in any batch."""
+    per-restart finish for the families of one `ChainShape` (its `templates`,
+    catalog `positions` and read-only `axes`), with one row per family of
+    generators, quaternion steps and margined box; the axes and box also
+    feed the one descent per call (`_descend_restarts`).  `template` (the
+    first family) gives the shape's `angles`, `slot_map` and `outer_cap`.  A
+    batch of restarts names its rows' families (indices into `templates`) in
+    `owner`; every product is one row's own, so a row gets the same bits in
+    any batch."""
 
     def __init__(self, shape: ChainShape):
         self.templates = shape.templates
+        self.positions = np.array(shape.positions)
         self.template = shape.templates[0]
         self.axes = shape.axes
         self.generators = skew(shape.axes)
         self.squares = self.generators @ self.generators
         self.quaternion_steps = _right_product(self.axes)
-        self.turns = np.array([[kind.is_turn for kind in t.kinds] for t in self.templates])
         # one trig column per distinct arc (its parameters and offset): the
         # interior arcs pi + beta are one
         offset = self.template.angles(np.zeros((1, self.template.slot_map.shape[1]))).T
@@ -176,17 +178,6 @@ class _FamilySearch:
         return q.T
 
     # -- polish and per-restart finish -------------------------------------
-    def lengths(self, params: np.ndarray, owner: np.ndarray, geom: TurnGeometry) -> np.ndarray:
-        """Each restart's path length from the arrays, with the bits of
-        `path_length` of its `refine` segments: canonical arcs, r * angle on
-        turns, added left to right.  A NaN parameter gives a NaN length."""
-        arcs = canonical_angles(self.template.angles(params))
-        arcs = np.where(self.turns[owner], geom.r * arcs, arcs)
-        total = np.zeros(len(arcs))
-        for column in arcs.T:
-            total += column
-        return total
-
     def refine(
         self, m: np.ndarray, params: np.ndarray, family: int, geom: TurnGeometry
     ) -> tuple[tuple[Segment, ...], float]:
@@ -423,13 +414,15 @@ def forward_oracle(
     one descent (`_descend_restarts`) then takes the free and pinned-middle
     restarts of every shape at once, each padded to three slots by exact
     identity turns, and each shape polishes all its restarts in one batch.
-    The restarts are then finished (`refine`) by length, stably over catalog
-    order, until one's residual is at most TOL_RESIDUAL: the shortest
-    passing path wins, the first of two equal lengths in catalog order.  A
-    target the identity reaches is EMPTY, with no search.  `min_singular` is
-    the smallest singular value of the winner's parameter Jacobian, from the
-    polish.  Results are deterministic for a fixed seed.  The target is a
-    finite 3x3 array-like, `seed` an integer >= 0 and `budget` an integer >= 1.
+    The restarts are then finished (`refine`) by length (their canonical
+    arcs times the catalog's arc-length factors at their families' catalog
+    positions), stably over catalog order, until one's residual is at most
+    TOL_RESIDUAL: the shortest passing path wins, the first of two equal
+    lengths in catalog order.  A target the identity reaches is EMPTY, with
+    no search.  `min_singular` is the smallest singular value of the
+    winner's parameter Jacobian, from the polish.  Results are deterministic
+    for a fixed seed.  The target is a finite 3x3 array-like, `seed` an
+    integer >= 0 and `budget` an integer >= 1.
     """
     m = checked_target(m)
     seed = _integer("seed", seed, 0, "non-negative")
@@ -444,23 +437,27 @@ def forward_oracle(
         return OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
     davenport = _davenport(m)
-    batches, indices = [], []  # (search, kept restarts, owner), catalog indices per shape
+    batches = []  # (search, kept restarts, owner) per shape
     for shape in [shape for shape in catalog.shapes if shape.templates[0].kinds]:
         search = _FamilySearch(shape)
-        indices.append([families.index(template) for template in shape.templates])
         starts = []
-        for family, index in enumerate(indices[-1]):
-            params = search.sample(np.random.default_rng(seed + index), per_family, family)
+        for family, template in enumerate(shape.templates):
+            rng = np.random.default_rng(seed + families.index(template))
+            params = search.sample(rng, per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
         owner = np.repeat(np.arange(len(starts)), [len(rows) for rows in starts])
         batches.append((search, np.concatenate(starts), owner))
     restarts = []  # (search, family, parameters, min singular) per restart, shape by shape
     catalog_order, lengths = [], []
-    for index, (search, _, owner), params in zip(indices, batches, _descend_restarts(m, batches)):
+    for (search, _, owner), params in zip(batches, _descend_restarts(m, batches)):
         params, singular = search._polish(m, params, owner)
         restarts += [(search, *row) for row in zip(owner.tolist(), params, singular.tolist())]
-        catalog_order.append(np.array(index)[owner])
-        lengths.append(search.lengths(params, owner, geom))
+        catalog_order.append(search.positions[owner])
+        # the bits of `path_length` of the `refine` segments: canonical arcs times
+        # their arc factors, added left to right; a NaN parameter gives a NaN length
+        arcs = canonical_angles(search.template.angles(params))
+        factors = catalog.weights[catalog_order[-1], 0, :arcs.shape[1]]
+        lengths.append(np.add.accumulate(arcs * factors, axis=1)[:, -1])
 
     lengths = np.concatenate(lengths)
     order = np.argsort(np.concatenate(catalog_order), kind="stable")  # the first equal length wins

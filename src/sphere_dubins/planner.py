@@ -12,8 +12,9 @@ poses, then checks the requests in input order and raises the first failing
 request's first failing check; `normalize_problem` is its one-request case.
 Each unit turning radius's catalog is solved in one `linkage.solve_shapes`
 call on the stacked targets, which returns one flat list of solution rows
-(target, family, arcs, residual); `_assemble` pads each row's arcs to five
-slots in one array and orders the rows by one `np.lexsort`.
+(target, family, arcs, residual), `family` the row's catalog position;
+`_assemble` pads each row's arcs to five slots in one array and orders the
+rows by one `np.lexsort`.
 A candidate duplicates an earlier kept one when its nonzero kinds are the
 same and every angle is within DEDUP_ANGLE_TOL, so duplicates differ in unit
 length by at most five times that plus rounding: only rows that close in
@@ -328,14 +329,14 @@ _DEDUP_LENGTH_BOUND = (SLOTS + 1) * DEDUP_ANGLE_TOL
 
 class _Catalog(NamedTuple):
     """The families of a radius group and what assembling their solution
-    rows reads: the chain shapes they are solved in, each solved family's
-    catalog position and whether it cedes its middle-pi roots (`_cedes_pi`), and
-    each catalog family's arc-length factors (r for a turn, 1 for G, 0 for a
-    pad slot) and turn mask as one read-only (F, 2, SLOTS) table."""
+    rows reads, each indexed by catalog position: the chain shapes they are
+    solved in, each family's arc-length factors (r for a turn, 1 for G, 0
+    for a pad slot) and turn mask as one read-only (F, 2, SLOTS) table, which
+    the forward oracle's lengths read too, and whether it cedes its
+    middle-pi roots (`_cedes_pi`)."""
 
     families: tuple[FamilyTemplate, ...]
     shapes: tuple[ChainShape, ...]
-    positions: tuple[int, ...]
     weights: np.ndarray
     cedes_pi: tuple[bool, ...]
 
@@ -344,17 +345,13 @@ class _Catalog(NamedTuple):
 def _catalog(r: float, mode: str) -> _Catalog:
     """The group tables of `family_catalog(r, mode)`: the one cache of chain constants."""
     families = tuple(family_catalog(r, mode))
-    shapes = chain_shapes(r, families)
-    solved = [t for shape in shapes for t in shape.templates]
     weights = np.zeros((len(families), 2, SLOTS))
     for f, template in enumerate(families):
         for slot, kind in enumerate(template.kinds):
             weights[f, :, slot] = (r, 1.0) if kind.is_turn else (1.0, 0.0)
     weights.setflags(write=False)
-    return _Catalog(
-        families, shapes, tuple(map(families.index, solved)), weights,
-        tuple(_cedes_pi(t, r) for t in solved),
-    )
+    cedes_pi = tuple(_cedes_pi(t, r) for t in families)
+    return _Catalog(families, chain_shapes(r, families), weights, cedes_pi)
 
 
 def _path_key(kinds: tuple[SegmentKind, ...], angles: Sequence[float]) -> tuple:
@@ -385,11 +382,7 @@ def _assemble(
     Segments and candidates are built for the kept rows only.  (Solver
     angles are canonical, so they are the segments' angles.)"""
     found: list[list[PathCandidate]] = [[] for _ in spheres]
-    positions, cedes_pi = catalog.positions, catalog.cedes_pi
-    rows = [
-        (i, positions[f], arcs, res) for i, f, arcs, res in solved
-        if not (cedes_pi[f] and _ceded(arcs))
-    ]
+    rows = [row for row in solved if not (catalog.cedes_pi[row[1]] and _ceded(row[2]))]
     if not rows:
         return found
     table = np.array([(i, f) + arcs + (0.0,) * (SLOTS - len(arcs)) for i, f, arcs, _ in rows])

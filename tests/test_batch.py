@@ -368,7 +368,7 @@ def _bits(per_target: list[list[lk.CandidateSolution]]) -> list[list[tuple]]:
 
 def _grouped(rows: list[lk.Row], families: int, targets: int) -> list[list[list]]:
     """`solve_shapes` rows as one list of solutions per target for each
-    family in turn, each list in row order."""
+    family position in turn, each list in row order."""
     grouped = [[[] for _ in range(targets)] for _ in range(families)]
     for i, f, arcs, residual in rows:
         assert 0 <= f < families and 0 <= i < targets
@@ -411,17 +411,17 @@ def test_shape_stacked_solve_matches_each_family_alone(r, mode, data):
     """One stacked solve over every chain shape of the catalog, with the
     fixed-pi ownership rule applied per family, gives each family on each
     target alone bit for bit; in `all` mode the great-circle sandwiches share
-    the free-middle pass with the turn triples, whose box differs."""
+    the free-middle pass with the turn triples, whose box differs.  Each row
+    names its family's catalog position."""
     g = geo.TurnGeometry.from_radius(r)
     stack = data.draw(target_stack(r))
     families = pl.family_catalog(r, mode=mode)
     fixed_pi = any(f.pinned for f in families)
     shapes = lk.chain_shapes(r, tuple(families))
-    templates = [f for shape in shapes for f in shape.templates]
-    assert sorted(f.tag for f in templates) == sorted(f.tag for f in families)
-    stacked = _grouped(lk.solve_shapes(shapes, stack), len(templates), len(stack))
-    assert len(stacked) == len(templates)
-    for template, per_target in zip(templates, stacked):
+    placed = {p: t for shape in shapes for p, t in zip(shape.positions, shape.templates)}
+    assert placed == dict(enumerate(families))
+    stacked = _grouped(lk.solve_shapes(shapes, stack), len(families), len(stack))
+    for template, per_target in zip(families, stacked):
         alone = [pl.solve_family(template, m, g) for m in stack]
         if fixed_pi and template.is_free_middle_turn_triple:
             per_target = [[s for s in sols if not pl._ceded(s.angles)] for sols in per_target]
@@ -459,7 +459,7 @@ def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
 
     monkeypatch.setattr(lk, "_close_chain", close_spy)
     monkeypatch.setattr(lk, "_interior_roots", roots_spy)
-    tags = [f.tag for shape in shapes for f in shape.templates]
+    tags = [f.tag for f in pl.family_catalog(r, mode="all")]
     together = _grouped(lk.solve_shapes(shapes, stack), len(tags), len(stack))
     assert closed == [[0, 1, 2, 3]] and len(polished) == 1
     assert [width for width, _ in polished[0]] == [5, 7]
@@ -467,10 +467,12 @@ def test_one_solve_over_a_catalog_matches_shape_by_shape(monkeypatch):
     # the merged branch reports the single arc M B^T as phi_1, with phi_n = 0
     rlr = tags.index("RLR")
     assert any(s.angles[1] == math.pi and s.angles[-1] == 0.0 for s in together[rlr][-2])
-    shape_by_shape = [
-        sols for shape in shapes
-        for sols in _grouped(lk.solve_shapes([shape], stack), len(shape.templates), len(stack))
-    ]
+    # a shape solved alone names the same catalog positions
+    shape_by_shape = [None] * len(tags)
+    for shape in shapes:
+        alone = _grouped(lk.solve_shapes([shape], stack), len(tags), len(stack))
+        for position in shape.positions:
+            shape_by_shape[position] = alone[position]
     assert len(closed) == 1 + sum(s.axes.shape[1] >= 2 for s in shapes)
     assert [_bits(sols) for sols in together] == [_bits(sols) for sols in shape_by_shape]
 
@@ -480,10 +482,9 @@ def _assembled(r: float, placed: dict[str, list[tuple]], targets: int = 1) -> li
     `_assemble` on hand-built solutions: `placed` maps a family tag of the
     `all` catalog at r to angle tuples, which every target gets."""
     catalog = pl._catalog(r, "all")
-    solved = [t for shape in catalog.shapes for t in shape.templates]
     rows = [
-        (i, solved.index(template), tuple(angles), 0.0)
-        for template in catalog.families for i in range(targets)
+        (i, position, tuple(angles), 0.0)
+        for position, template in enumerate(catalog.families) for i in range(targets)
         for angles in placed.get(template.tag, ())
     ]
     found = pl._assemble(catalog, rows, [1.0] * targets)

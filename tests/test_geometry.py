@@ -267,6 +267,11 @@ def test_path_length_rejects_nan_sphere_radius():
         geo.path_length([geo.G(1.0)], GEOM, sphere_radius=math.nan)
 
 
+def test_path_length_rejects_infinite_sphere_radius():
+    with pytest.raises(InvalidInput):
+        geo.path_length([geo.G(1.0)], GEOM, sphere_radius=math.inf)
+
+
 def test_path_length_adds_left_to_right():
     """Arc lengths whose compensated sum (`math.fsum`, and the builtin `sum`
     from Python 3.12 on) differs in the last bit from the left-to-right one:

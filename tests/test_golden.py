@@ -3,7 +3,9 @@
 `perfbench/golden.json` holds 1000 plan targets with the best family and
 unit length recorded when the corpus was made, and the SHA-256 of a small
 reference sweep, which pins the `repr` of every length and residual it
-writes.  The file is only read here.
+writes.  The file is only read here.  The sweep covers the table-mode best
+and runner-up at 0.3-0.85; `CANDIDATES_SHA256` pins every candidate of
+both modes, heuristic radii included.
 """
 
 import hashlib
@@ -15,12 +17,15 @@ import numpy as np
 
 from sphere_dubins import cli
 from sphere_dubins import planner as pl
+from sphere_dubins.oracle import random_request
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
 )
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
+# SHA-256 of the `repr` of every candidate of `test_candidate_bits`' plans
+CANDIDATES_SHA256 = "2e54716bb8d6f6d315b2cabf160ad0647f7c6b939404fcc6d1f258bfba91d070"
 
 
 def golden_request(entry: dict) -> pl.PlanRequest:
@@ -60,3 +65,20 @@ def test_reference_sweep_hash(tmp_path):
         out.unlink(missing_ok=True)
         assert cli.main(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep["sha256"], parallel
+
+
+def test_candidate_bits():
+    """Every candidate's family, segments, unit and physical length and
+    residual, in both modes, over 100 seeded targets at each of eight radii
+    from 0.05 to the heuristic 0.9, keeps its bits."""
+    radii = (0.05, 0.3, 0.5, 0.55, 1 / math.sqrt(2), 0.8, math.sqrt(3) / 2, 0.9)
+    digest = hashlib.sha256()
+    for mode in ("table", "all"):
+        for k, r in enumerate(radii):
+            requests = [random_request(r, 1000 * k + seed) for seed in range(100)]
+            for result in pl.plan_batch(requests, mode=mode, best_effort=True):
+                for c in result.candidates:
+                    segments = tuple((s.kind.value, float(s.angle)) for s in c.segments)
+                    lengths = (float(c.unit_length), float(c.physical_length))
+                    digest.update(repr((c.family, segments, *lengths, float(c.residual))).encode())
+    assert digest.hexdigest() == CANDIDATES_SHA256

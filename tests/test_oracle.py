@@ -551,13 +551,16 @@ def test_polish_alone_finds_equal_middle_families(monkeypatch, pattern, r):
     segments = random_in_bounds_path(template, rng)
     geom = geo.TurnGeometry.from_radius(r)
     m = geo.compose_path(segments, geom)
-    alone = pl._catalog(r, "all")._replace(
-        families=(template,), shapes=lk.chain_shapes(r, (template,))
-    )
-    monkeypatch.setattr(orc, "_catalog", lambda *_: alone)
-    result = orc.forward_oracle(m, geom, seed=1, budget=20_000)
+    # a catalog of this family alone, every table of it built by `_catalog`
+    monkeypatch.setattr(pl, "family_catalog", lambda *_: [template])
+    pl._catalog.cache_clear()
+    try:
+        result = orc.forward_oracle(m, geom, seed=1, budget=20_000)
+    finally:
+        pl._catalog.cache_clear()
     assert result.found and result.family == pattern
     assert result.residual <= 1e-9
+    assert result.length == geo.path_length(result.segments, geom)
     assert result.length <= geo.path_length(segments, geom) + 1e-9
 
 
