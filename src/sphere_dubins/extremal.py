@@ -246,7 +246,8 @@ def middle_arc_angle(lambda_h12: float, u_max: float) -> float:
 
     Defined for portrait radii above the great-circle threshold
     u_max / (1 + u_max^2); the result is pi + beta with beta in (0, pi),
-    approaching pi as the radius grows.
+    approaching pi as the radius grows.  A radius so large that beta rounds
+    to 0 (or that overflows the discriminant) raises OutOfDomain.
     """
     if not (0.0 < u_max < math.inf):
         raise InvalidInput(f"u_max must be positive and finite, got {u_max}")
@@ -257,5 +258,13 @@ def middle_arc_angle(lambda_h12: float, u_max: float) -> float:
         raise OutOfDomain(
             f"portrait radius {lambda_h12:.6g} must exceed u_max/(1+u_max^2) = {bound:.6g}"
         )
-    discriminant = lambda_h12**2 * (1.0 + u_max * u_max) ** 2 - u_max * u_max
-    return math.pi + 2.0 * math.atan(u_max / math.sqrt(discriminant))
+    try:
+        discriminant = lambda_h12**2 * (1.0 + u_max * u_max) ** 2 - u_max * u_max
+    except OverflowError:
+        discriminant = math.inf
+    angle = math.pi + 2.0 * math.atan(u_max / math.sqrt(discriminant))
+    if not angle > math.pi:  # beta rounds to 0 (from about 1e16 at u_max = 1), or NaN
+        raise OutOfDomain(
+            f"portrait radius {lambda_h12:.6g} at u_max = {u_max:.6g}: beta rounds to 0"
+        )
+    return angle

@@ -7,23 +7,29 @@ composed as unit quaternions and ranked by tr(m^T R), which orders them as
 the endpoint residual does; the ranking only chooses the restarts.  Free
 and pinned-middle restarts are first brought near a root by coordinate
 descent on the endpoint residual; equal-middle restarts (interior arcs pi +
-beta) go to the polish as drawn.  Each restart ends as one canonical path;
-the finish takes them shortest first, and the first whose one residual,
-read from `compose_path`, passes TOL_RESIDUAL wins and is reported, so the
-rest are never composed.  The oracle never consults the closed-form linkage
-solver, so agreement between the two is meaningful evidence: of the
-planner's cached audit catalog (`planner._catalog(r, "all")`) it reads only
-each `ChainShape`'s `templates`, `axes` and `positions`, and the catalog's
-arc-length factors (`weights`), never the step-1 coefficients or a
-`solve_*` function.  One search object serves each shape (free 1/2/3
-slots, pinned pi, equal-middle 4 and 5), with one row of axes and bounds
-per family, and polishes the kept restarts of all its families as one numpy
-batch.  One coordinate descent per call takes the free and pinned-middle
-restarts of every shape, each row padded to three slots with pad slots
-bounded to [0, 0]: a pad turns by exactly 0, its rotation is exactly I, so
-it leaves every product and the stop rule bit for bit as they were.  In
-both, each row has its own family's axes, bounds and stop rule and the same
-bits as in a batch of its family alone.  The polish drives every near-root
+beta) go to the polish as drawn, clamped into beta's margined box.  Each
+restart ends as one canonical path; the finish takes them shortest first,
+and the first whose one residual, read from `compose_path`, passes
+TOL_RESIDUAL wins and is reported, so the rest are never composed.  The
+search is ordered by a length bound: the free and pinned-middle shapes
+first, then the equal-middle 4- and 5-chains, whose interior arcs of at
+least pi each make every path at least 2 pi r or 3 pi r long
+(`_least_length`).  A shape whose least length is above the winner so far
+is never sampled, which leaves the result as it is.  The oracle never
+consults the closed-form linkage solver, so agreement between the two is
+meaningful evidence: of the planner's cached audit catalog
+(`planner._catalog(r, "all")`) it reads only each `ChainShape`'s
+`templates`, `axes` and `positions`, and the catalog's arc-length factors
+(`weights`), never the step-1 coefficients or a `solve_*` function.  One
+search object serves each shape (free 1/2/3 slots, pinned pi, equal-middle
+4 and 5), with one row of axes and bounds per family, and polishes the kept
+restarts of all its families as one numpy batch.  One coordinate descent
+per call takes the free and pinned-middle restarts of every shape, each
+row padded to three slots with pad slots bounded to [0, 0]: a pad turns by
+exactly 0, its rotation is exactly I, so it leaves every product and the
+stop rule bit for bit as they were.  In both, each row has its own
+family's axes, bounds and stop rule and the same bits as in a batch of its
+family alone.  The polish drives every near-root
 to float64 rounding, which matters at singular targets (a `CCC` middle arc
 of exactly pi): there a 1e-9 residual still admits paths shorter than the
 optimum by about 1e-5.  The cross-family audit compares the planner's
@@ -139,7 +145,8 @@ class _FamilySearch:
         self.arc_columns = [arcs.index(arc) for arc in distinct]
         self.slot_columns = [distinct.index(arc) for arc in arcs]
         lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in self.templates)))
-        # beta's interval is open: the polish stays ANGLE_EPS inside it
+        # beta's interval is open: the polish, its clamped starts included,
+        # stays ANGLE_EPS inside it (which `_least_length` relies on)
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
 
@@ -312,15 +319,16 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
     gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
     REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
     The slot rotations carry over from sweep to sweep, the bounds' cosines
-    and sines and the axes' generators K and K^2 are taken once, and a
-    sweep carries the product of the slots before the current one left to
-    right, so its last product is the sweep's endpoint, whose residual is
-    read.  The carried arrays are cut down to the running restarts only
-    on a sweep where some stop."""
+    and sines, the axes' generators K and K^2 and one m^T per row are
+    taken once (a stack times a stack of m^T has the bits of a stack times
+    the one m^T, without the broadcast), and a sweep carries the product
+    of the slots before the current one left to right, so its last product
+    is the sweep's endpoint, whose residual is read.  The carried arrays
+    are cut down to the running restarts only on a sweep where some stop."""
     n_slots = axes.shape[1]
     angles = angles.copy()
     p = angles.copy()  # the running restarts' angles
-    m_t = m.T
+    m_t = np.tile(m.T, (len(angles), 1, 1))  # per row: m.T's bits, faster than broadcasting
     trig = np.stack([np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)], axis=-1)
     k = skew(axes)
     k2 = k @ k
@@ -332,7 +340,8 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
             break
         for slot in range(n_slots):
             w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
-            w = w @ prefix if slot else np.broadcast_to(w, rots[0].shape)  # one slot: m^T
+            if slot:
+                w = w @ prefix
             p[:, slot] = _trace_argmax(w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot])
             rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
             prefix = rots[0] if slot == 0 else prefix @ rots[slot]
@@ -345,7 +354,7 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
             active, p, current = active[keep], p[keep], current[keep]
             rots = [rot[keep] for rot in rots]
             axes, lo, hi, trig = axes[keep], lo[keep], hi[keep], trig[keep]
-            k, k2 = k[keep], k2[keep]
+            k, k2, m_t = k[keep], k2[keep], m_t[keep]
     angles[active] = p
     return angles
 
@@ -395,6 +404,75 @@ def _integer(name: str, value, least: int, rule: str) -> int:
     return value
 
 
+def _finish_lengths(template, params: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The length the finish ranks each parameter row by, with the bits of
+    `path_length` of its `refine` segments: canonical arcs times the row's
+    arc factors (k, SLOTS), added left to right.  A NaN parameter gives a
+    NaN length."""
+    arcs = canonical_angles(template.angles(params))
+    return np.add.accumulate(arcs * factors[:, :arcs.shape[1]], axis=1)[:, -1]
+
+
+def _least_length(shape: ChainShape, weights: np.ndarray) -> float:
+    """The least length the finish can give a row of an equal-middle shape:
+    `_finish_lengths` of each family's canonical low arcs (outer arcs 0,
+    interior arcs pi each) with its catalog arc factors, the least over the
+    shape's families; 2 pi r for a 4-chain, 3 pi r for a 5-chain.
+
+    It is a true lower bound.  A row the finish measures has outer arcs of
+    at least 0 and interior arcs pi + beta with beta in the margined box
+    [ANGLE_EPS, pi - ANGLE_EPS]: `forward_oracle` clamps the drawn starts
+    into it (`_clamp`) and the polish clamps every step.  canonical_angles
+    leaves such an arc in [pi, 2 pi) and never snaps it to 0: at the top,
+    2 pi - (pi + (pi - ANGLE_EPS)) is 1.0000000827e-9 in float64, above
+    ANGLE_EPS.  Every canonical arc is then at least its low arc, and a
+    rounded product by a factor >= 0 and a rounded sum are monotone in
+    their operands, so the row's length, computed by the same operations in
+    the same order, is at least this one."""
+    lows = np.stack([template.box[0] for template in shape.templates])
+    factors = weights[list(shape.positions), 0]
+    return float(_finish_lengths(shape.templates[0], lows, factors).min())
+
+
+def _finish(
+    m: np.ndarray,
+    geom: TurnGeometry,
+    weights: np.ndarray,
+    polished: list[tuple[_FamilySearch, np.ndarray, np.ndarray, np.ndarray]],
+    winner: tuple[float, float, OracleResult],
+) -> tuple[float, float, OracleResult]:
+    """The lazy finish of polished batches (search, owner, parameters, min
+    singular) against `winner` (length, catalog position, result).  Their
+    restarts are taken by length (`_finish_lengths` with the catalog's arc
+    factors `weights` at their families' positions), stably over catalog
+    order, as long as they sort before the winner by (length, position);
+    each is refined (`refine`), and the first whose residual is at most
+    TOL_RESIDUAL is the new winner.  A NaN length sorts last and is never
+    refined; no batch, or no passing restart, keeps the winner."""
+    restarts, positions, lengths = [], [], []
+    for search, owner, params, singular in polished:
+        restarts += [(search, *row) for row in zip(owner.tolist(), params, singular.tolist())]
+        positions.append(search.positions[owner])
+        lengths.append(_finish_lengths(search.template, params, weights[positions[-1], 0]))
+    if not restarts:
+        return winner
+    positions, lengths = np.concatenate(positions), np.concatenate(lengths)
+    order = np.argsort(positions, kind="stable")  # the first equal length wins
+    order = order[np.argsort(lengths[order], kind="stable")]  # shortest first, NaN last
+    for i in order:
+        if not (lengths[i], positions[i]) < winner[:2]:  # False for a NaN length
+            break
+        search, family, params, min_singular = restarts[i]
+        segments, res = search.refine(m, params, family, geom)
+        if res <= TOL_RESIDUAL:  # a NaN residual fails
+            length, tag = float(lengths[i]), search.templates[family].tag
+            evaluations = winner[2].evaluations
+            return length, int(positions[i]), OracleResult(
+                segments, length, res, tag, evaluations, min_singular
+            )
+    return winner
+
+
 def forward_oracle(
     m: np.ndarray,
     geom: TurnGeometry,
@@ -404,25 +482,34 @@ def forward_oracle(
     """Best residual-passing path found by seeded restarts plus refinement.
 
     The budget counts sampled angle vectors, split evenly across the audit
-    catalog's families with at least one per family, so the reported
-    `evaluations` can exceed it: budget=1 reports 25 below 1/sqrt(2) and 27
-    above.  Each family's REFINE_TOP best samples (`_top_restarts`) are
-    polished, those of free and pinned-middle families after a coordinate
-    descent.  One search (`_FamilySearch`) per non-EMPTY chain shape of the
-    planner's cached audit catalog (`_catalog(r, "all")`) samples and ranks
-    each of its families (non-EMPTY catalog family i with seed + i);
-    one descent (`_descend_restarts`) then takes the free and pinned-middle
-    restarts of every shape at once, each padded to three slots by exact
-    identity turns, and each shape polishes all its restarts in one batch.
-    The restarts are then finished (`refine`) by length (their canonical
-    arcs times the catalog's arc-length factors at their families' catalog
-    positions), stably over catalog order, until one's residual is at most
-    TOL_RESIDUAL: the shortest passing path wins, the first of two equal
-    lengths in catalog order.  A target the identity reaches is EMPTY, with
-    no search.  `min_singular` is the smallest singular value of the
-    winner's parameter Jacobian, from the polish.  Results are deterministic
-    for a fixed seed.  The target is a finite 3x3 array-like, `seed` an
-    integer >= 0 and `budget` an integer >= 1.
+    catalog's families with at least one per family.  `evaluations` is the
+    number the budget allots, `per_family` per non-EMPTY family, a pruned
+    shape's families included, so it can exceed the budget: budget=1
+    reports 25 below 1/sqrt(2) and 27 above.  One search (`_FamilySearch`)
+    per searched non-EMPTY chain shape of the planner's cached audit
+    catalog (`_catalog(r, "all")`) samples each of its families (non-EMPTY
+    catalog family i with seed + i) and polishes each family's REFINE_TOP
+    best samples (`_top_restarts`) in one batch.  The search is ordered by
+    a length bound:
+
+    1. The free and pinned-middle shapes: one descent (`_descend_restarts`)
+       takes their restarts at once, each padded to three slots by exact
+       identity turns, before the polish; the finish (`_finish`) then
+       refines them shortest first until one passes TOL_RESIDUAL.
+    2. The equal-middle shapes, in ascending least length (`_least_length`,
+       2 pi r then 3 pi r): once the winner so far is strictly shorter than
+       a shape's least length, it and every later one are skipped.
+    3. A shape not skipped has its restarts clamped into the margined box
+       (beta is drawn from [0, pi]) and polished, and the finish refines
+       only those that sort before the winner by (length, catalog position).
+
+    The result is that of finishing every restart of every shape: the
+    shortest passing path, the first of two equal lengths in catalog order.
+    A target the identity reaches is EMPTY, with no search.  `min_singular`
+    is the smallest singular value of the winner's parameter Jacobian, from
+    the polish.  Results are deterministic for a fixed seed.  The target is
+    a finite 3x3 array-like, `seed` an integer >= 0 and `budget` an integer
+    >= 1.
     """
     m = checked_target(m)
     seed = _integer("seed", seed, 0, "non-negative")
@@ -437,38 +524,36 @@ def forward_oracle(
         return OracleResult((), 0.0, identity_residual, "EMPTY", evaluations)
 
     davenport = _davenport(m)
-    batches = []  # (search, kept restarts, owner) per shape
-    for shape in [shape for shape in catalog.shapes if shape.templates[0].kinds]:
-        search = _FamilySearch(shape)
-        starts = []
+    shapes = [shape for shape in catalog.shapes if shape.templates[0].kinds]
+
+    def restarts(shape: ChainShape) -> tuple[_FamilySearch, np.ndarray, np.ndarray]:
+        """(search, kept restarts, owner) of a shape: each family's REFINE_TOP
+        best samples, family by family."""
+        search, starts = _FamilySearch(shape), []
         for family, template in enumerate(shape.templates):
             rng = np.random.default_rng(seed + families.index(template))
             params = search.sample(rng, per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
         owner = np.repeat(np.arange(len(starts)), [len(rows) for rows in starts])
-        batches.append((search, np.concatenate(starts), owner))
-    restarts = []  # (search, family, parameters, min singular) per restart, shape by shape
-    catalog_order, lengths = [], []
-    for (search, _, owner), params in zip(batches, _descend_restarts(m, batches)):
-        params, singular = search._polish(m, params, owner)
-        restarts += [(search, *row) for row in zip(owner.tolist(), params, singular.tolist())]
-        catalog_order.append(search.positions[owner])
-        # the bits of `path_length` of the `refine` segments: canonical arcs times
-        # their arc factors, added left to right; a NaN parameter gives a NaN length
-        arcs = canonical_angles(search.template.angles(params))
-        factors = catalog.weights[catalog_order[-1], 0, :arcs.shape[1]]
-        lengths.append(np.add.accumulate(arcs * factors, axis=1)[:, -1])
+        return search, np.concatenate(starts), owner
 
-    lengths = np.concatenate(lengths)
-    order = np.argsort(np.concatenate(catalog_order), kind="stable")  # the first equal length wins
-    order = order[np.argsort(lengths[order], kind="stable")]  # shortest first, NaN last
-    for i in order[~np.isnan(lengths[order])]:  # a NaN length is never refined
-        search, family, params, min_singular = restarts[i]
-        segments, res = search.refine(m, params, family, geom)
-        if res <= TOL_RESIDUAL:  # a NaN residual fails
-            tag = search.templates[family].tag
-            return OracleResult(segments, float(lengths[i]), res, tag, evaluations, min_singular)
-    return OracleResult(None, math.inf, math.inf, "", evaluations)
+    batches = [restarts(shape) for shape in shapes if not shape.templates[0].equal_middles]
+    polished = [
+        (search, owner, *search._polish(m, params, owner))
+        for (search, _, owner), params in zip(batches, _descend_restarts(m, batches))
+    ]
+    nothing = OracleResult(None, math.inf, math.inf, "", evaluations)
+    winner = _finish(m, geom, catalog.weights, polished, (math.inf, math.inf, nothing))
+    bounded = [shape for shape in shapes if shape.templates[0].equal_middles]
+    leasts = [_least_length(shape, catalog.weights) for shape in bounded]
+    for least, shape in sorted(zip(leasts, bounded), key=lambda pair: pair[0]):
+        if winner[0] < least:  # every row of this shape and the next sorts after the winner
+            break
+        search, params, owner = restarts(shape)
+        params = search._clamp(params, owner)  # beta is drawn from [0, pi]
+        batch = [(search, owner, *search._polish(m, params, owner))]
+        winner = _finish(m, geom, catalog.weights, batch, winner)
+    return winner[2]
 
 
 # ---------------------------------------------------------------------------

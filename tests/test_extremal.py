@@ -165,6 +165,14 @@ def test_middle_arc_angle_rejects_non_finite_input(lambda_h12, u_max):
         ex.middle_arc_angle(lambda_h12, u_max)
 
 
+@pytest.mark.parametrize("lambda_h12", [1e16, 1e17, 1.4e154, 1e160])
+def test_middle_arc_angle_rejects_radii_where_beta_rounds_to_zero(lambda_h12):
+    # 1e16 and up returned exactly pi (beta = 0); from ~1.3e154 the square overflowed
+    assert math.pi < ex.middle_arc_angle(1e15, 1.0) < math.pi + 1e-14
+    with pytest.raises(OutOfDomain, match="beta rounds to 0"):
+        ex.middle_arc_angle(lambda_h12, 1.0)
+
+
 def test_random_valid_states_conserve():
     rng = np.random.default_rng(31)
     for lam in (0, 1):

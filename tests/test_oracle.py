@@ -251,8 +251,13 @@ def test_one_descent_matches_each_shape_alone(r):
     assert descended >= 2 * 6 * 10
 
 
-def _searches(monkeypatch, r) -> list:
-    """(search, shape) of each `_FamilySearch` one forward_oracle call at r builds."""
+# a random_rotation seed per radius whose budget-1 oracle passes no path
+# shorter than 3 pi r, the 5-chains' least length: no shape is pruned there
+UNPRUNED_SEEDS = {0.3: 0, 0.6: 36, 0.71: 171, 0.8: 6}
+
+
+def _built_searches(monkeypatch) -> list:
+    """(search, shape) of each `_FamilySearch` built from now on."""
     built = []
     init = orc._FamilySearch.__init__
 
@@ -261,13 +266,23 @@ def _searches(monkeypatch, r) -> list:
         built.append((search, shape))
 
     monkeypatch.setattr(orc._FamilySearch, "__init__", spy)
-    orc.forward_oracle(orc.random_rotation(np.random.default_rng(1)), geo.TurnGeometry(r), 0, 1)
+    return built
+
+
+def _searches(monkeypatch, r) -> list:
+    """(search, shape) of each `_FamilySearch` one forward_oracle call at r
+    builds, on a target where no shape is pruned."""
+    built = _built_searches(monkeypatch)
+    m = orc.random_rotation(np.random.default_rng(UNPRUNED_SEEDS[r]))
+    found = orc.forward_oracle(m, geo.TurnGeometry(r), 0, 1)
+    assert found.length >= 3.0 * math.pi * r
     return built
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
 def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
-    # every search's axes are the read-only `ChainShape.axes` that plan(mode="all") solves
+    # every search's axes are the read-only `ChainShape.axes` that plan(mode="all")
+    # solves; with nothing pruned, one search per shape
     pl._catalog.cache_clear()
     solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
     searches = _searches(monkeypatch, r)
@@ -284,7 +299,7 @@ def test_shape_table_outlives_other_radii(monkeypatch):
     for k in range(200):
         pl._catalog(0.61 + 0.001 * k, "all")
     searched = [shape for _, shape in _searches(monkeypatch, 0.6)]
-    assert len(searched) == len(solved)
+    assert len(searched) == len(solved)  # nothing pruned
     assert all(shape is mine for shape, mine in zip(searched, solved))
 
 
@@ -464,14 +479,25 @@ def test_top_restarts_match_a_full_sort(n):
 
 
 @pytest.mark.parametrize("r", [0.6, 0.8])
-def test_oracle_at_budget_one_samples_each_family_once(r):
-    # a non-identity target: one sample per family is ranked, descended and polished
+def test_oracle_at_budget_one_allots_each_family_one_sample(monkeypatch, r):
+    # a non-identity target: `evaluations` counts one sample per family, and a
+    # family is sampled once, or not at all when its shape is pruned
     geom = geo.TurnGeometry.from_radius(r)
     m = geo.compose_path([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], geom)
+    sample, drawn = orc._FamilySearch.sample, []
+
+    def spy(search, rng, n, family):
+        drawn.append((search.templates[family], n))
+        return sample(search, rng, n, family)
+
+    monkeypatch.setattr(orc._FamilySearch, "sample", spy)
     found = orc.forward_oracle(m, geom, seed=0, budget=1)
     families = [f for f in pl.family_catalog(r, mode="all") if f.kinds]
     assert found.evaluations == len(families) == (25 if r < SQRT2_INV else 27)
     assert not found.found or found.residual <= orc.TOL_RESIDUAL
+    sampled = [template for template, _ in drawn]
+    assert all(n == 1 for _, n in drawn) and len(set(sampled)) == len(sampled)
+    assert {f for f in families if not f.equal_middles} <= set(sampled) <= set(families)
 
 
 RESIDUAL_CASES = [
@@ -714,3 +740,96 @@ def test_lazy_finish_picks_the_catalog_order_winner(monkeypatch, case, r, seed):
         assert result.family == "EMPTY" and not polished
     if case == "pure turn":
         assert abs(result.length - 2.0 * r) <= 1e-12
+
+
+def _oracle_target(case, r, seed):
+    geom = geo.TurnGeometry.from_radius(r)
+    segments = {
+        "rlrl": [geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)],  # the published RLRL
+        "pure turn": [geo.L(2.0)],  # equal-length ties across families
+    }.get(case)
+    if segments is None:
+        return geom, orc.random_rotation(np.random.default_rng(seed))
+    return geom, geo.compose_path(segments, geom)
+
+
+@pytest.mark.parametrize("case, r, seed", [
+    ("seeded", 0.3, 41), ("seeded", 0.5, 42), ("seeded", 0.55, 43), ("seeded", SQRT2_INV, 44),
+    ("seeded", 0.71, 45), ("seeded", 0.8, 46), ("seeded", 0.85, 47),
+    ("seeded", math.sqrt(3.0) / 2.0, 48), ("rlrl", 0.55, 1), ("pure turn", 0.71, 4),
+])
+def test_pruning_changes_no_result(monkeypatch, case, r, seed):
+    # the reference searches every shape: no least length is above any winner
+    geom, m = _oracle_target(case, r, seed)
+    built = _built_searches(monkeypatch)
+    pruned = orc.forward_oracle(m, geom, seed=seed, budget=2000)
+    searched = len(built)
+    built.clear()
+    monkeypatch.setattr(orc, "_least_length", lambda *_: 0.0)
+    every = orc.forward_oracle(m, geom, seed=seed, budget=2000)
+    assert len(built) == len([s for s in pl._catalog(r, "all").shapes if s.templates[0].kinds])
+    assert repr(pruned) == repr(every)
+    assert pruned.found
+    if case == "rlrl":  # the 4-chain wins, so its shape is searched
+        assert pruned.family == "RLRL"
+    if case == "pure turn":  # 2r is below both least lengths: both shapes are pruned
+        assert abs(pruned.length - 2.0 * r) <= 1e-12 and searched == len(built) - 2
+
+
+@pytest.mark.parametrize("r", [0.55, 0.8, math.sqrt(3.0) / 2.0])
+def test_least_length_bounds_every_polished_row(monkeypatch, r):
+    """Every equal-middle row the polish takes and returns has beta in the
+    margined box and a finish length of at least its shape's least length:
+    the restarts of three oracle calls with every shape searched, the last
+    with every beta drawn on its box's ends (0 or pi, which the clamp moves
+    in), and rows pinned at beta = ANGLE_EPS and pi - ANGLE_EPS, outer arcs
+    at 0 or their cap, which the clamp leaves as they are and
+    canonical_angles does not snap, before and after a polish."""
+    catalog = pl._catalog(r, "all")
+    shapes = [shape for shape in catalog.shapes if shape.templates[0].equal_middles]
+    assert [len(shape.templates[0].kinds) for shape in shapes] == [4, 5]
+    least = {shape.templates: orc._least_length(shape, catalog.weights) for shape in shapes}
+    for shape in shapes:  # 2 pi r and 3 pi r
+        expected = (len(shape.templates[0].kinds) - 2) * math.pi * r
+        assert abs(least[shape.templates] - expected) <= 1e-15 * expected
+    eps, pi = geo.ANGLE_EPS, math.pi
+    pinned = np.array([[0.0, eps, 0.0], [pi + eps, eps, pi + eps], [0.0, pi - eps, 0.0],
+                       [2.0 * pi - eps, pi - eps, 2.0 * pi - eps], [1.0, pi - eps, 0.0]])
+    owner = np.zeros(len(pinned), dtype=int)
+    polish, checked = orc._FamilySearch._polish, []
+
+    def spy(search, m, params, owner):
+        out = polish(search, m, params, owner)
+        if search.template.equal_middles:
+            checked.extend([(search, owner, params), (search, owner, out[0])])
+        return out
+
+    sample = orc._FamilySearch.sample
+
+    def on_the_ends(search, rng, n, family):
+        params = sample(search, rng, n, family)
+        if search.template.equal_middles:
+            params[:, 1] = np.where(np.arange(n) % 2, pi, 0.0)
+        return params
+
+    monkeypatch.setattr(orc._FamilySearch, "_polish", spy)
+    monkeypatch.setattr(orc, "_least_length", lambda *_: 0.0)  # search every shape
+    geom = geo.TurnGeometry.from_radius(r)
+    for seed in range(3):
+        if seed == 2:
+            monkeypatch.setattr(orc._FamilySearch, "sample", on_the_ends)
+        m = orc.random_rotation(np.random.default_rng(seed))
+        orc.forward_oracle(m, geom, seed, 2000)
+        for search, _, _ in checked[-4::2]:  # the 4-chain and the 5-chain search
+            assert search._clamp(pinned, owner).tobytes() == pinned.tobytes()
+            arcs = search.template.angles(pinned)
+            assert np.array_equal(geo.canonical_angles(arcs)[:, 1:-1], arcs[:, 1:-1])
+            search._polish(m, pinned, owner)
+    assert len(checked) == 3 * 2 * 2 * 2
+    for search, owner, params in checked:
+        lows, highs = search.box
+        assert lows[0, 1] == eps and highs[0, 1] == pi - eps
+        assert ((params[:, 1] >= eps) & (params[:, 1] <= pi - eps)).all()
+        factors = catalog.weights[search.positions[owner], 0]
+        lengths = orc._finish_lengths(search.template, params, factors)
+        assert (lengths >= least[search.templates]).all()
