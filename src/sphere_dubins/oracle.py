@@ -10,20 +10,26 @@ descent on the endpoint residual; equal-middle restarts (interior arcs pi +
 beta) go to the polish as drawn, clamped into beta's margined box.  Each
 restart ends as one canonical path; the finish takes them shortest first,
 and the first whose one residual, read from `compose_path`, passes
-TOL_RESIDUAL wins and is reported, so the rest are never composed.  The
-search is ordered by a length bound: the free and pinned-middle shapes
+TOL_RESIDUAL wins and is reported, so the rest are never composed.  Two
+exact bounds order the search, and what either rules out could never
+win, so neither changes the result.  The chain invariant a_1 . P a_n =
+a_1 . B a_n (`_ruled_out`) bounds what a free or pinned-middle family can
+reach: a family whose interval of a_1 . B a_n misses a_1 . m a_n by more
+than the gate is never sampled, and a shape left with no family builds no
+search.  That rules out most families with fewer than three free arcs.
+The length bound orders the shapes: the free and pinned-middle shapes
 first, then the equal-middle 4- and 5-chains, whose interior arcs of at
 least pi each make every path at least 2 pi r or 3 pi r long
 (`_least_length`).  A shape whose least length is above the winner so far
-is never sampled, which leaves the result as it is.  The oracle never
-consults the closed-form linkage solver, so agreement between the two is
-meaningful evidence: of the planner's cached audit catalog
-(`planner._catalog(r, "all")`) it reads only each `ChainShape`'s
-`templates`, `axes` and `positions`, and the catalog's arc-length factors
-(`weights`), never the step-1 coefficients or a `solve_*` function.  One
-search object serves each shape (free 1/2/3 slots, pinned pi, equal-middle
-4 and 5), with one row of axes and bounds per family, and polishes the kept
-restarts of all its families as one numpy batch.  One coordinate descent
+is never sampled.  The oracle never consults the closed-form linkage
+solver, so agreement between the two is meaningful evidence: of the
+planner's cached audit catalog (`planner._catalog(r, "all")`) it reads
+only each `ChainShape`'s `templates`, `axes` and `positions`, and the
+catalog's arc-length factors (`weights`), never the step-1 coefficients,
+the predicted scalars or a `solve_*` function.  One search object serves
+each searched shape (free 1/2/3 slots, pinned pi, equal-middle 4 and 5),
+with one row of axes and bounds per family, and polishes the kept restarts
+of its searched families as one numpy batch.  One coordinate descent
 per call takes the free and pinned-middle restarts of every shape, each
 row padded to three slots with pad slots bounded to [0, 0]: a pad turns by
 exactly 0, its rotation is exactly I, so it leaves every product and the
@@ -70,6 +76,7 @@ POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get 
 POLISH_STALL = 1e-9   # a row above ACCEPT_GATE stops once a kept step gains less than this share
 _DESCENT_SLOTS = 3    # descended rows are padded to the longest free or pinned-middle chain
 _PAD_AXIS = np.array([0.0, 0.0, 1.0])  # a pad slot's axis; turned by 0 it is exactly I
+INVARIANT_SLACK = 2.0**-45  # 256 u: rounding between a passing row and its chain invariant
 
 
 @dataclass(frozen=True)
@@ -362,35 +369,27 @@ def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
 def _descend_restarts(
     m: np.ndarray, batches: list[tuple[_FamilySearch, np.ndarray, np.ndarray]]
 ) -> list[np.ndarray]:
-    """The parameters of each batch (search, restarts, owner) after one
-    coordinate descent (`_descend_angles`) over the restarts of every free
-    and pinned-middle batch; equal-middle batches come back as given (the
-    polish moves their beta too).  Each row is padded to _DESCENT_SLOTS
-    slots with lo = hi = 0 about a unit axis: a pad's angle stays 0 and its
+    """The parameters of each free or pinned-middle batch (search, restarts,
+    owner) after one coordinate descent (`_descend_angles`) over the
+    restarts of every batch.  Each row is padded to _DESCENT_SLOTS slots
+    with lo = hi = 0 about a unit axis: a pad's angle stays 0 and its
     rotation is exactly I (`rotations_from_generators`), so every product
     and the stop rule keep the bits of a descent of the row's shape alone."""
-    spans = []  # (batch, first row, row after) per descended batch
-    rows = 0
-    for index, (search, params, _) in enumerate(batches):
-        if not search.template.equal_middles:
-            spans.append((index, rows, rows + len(params)))
-            rows += len(params)
-    axes = np.tile(_PAD_AXIS, (rows, _DESCENT_SLOTS, 1))
-    lo, hi, angles = np.zeros((3, rows, _DESCENT_SLOTS))
-    for index, first, after in spans:
-        search, params, owner = batches[index]
+    bounds = np.cumsum([0] + [len(params) for _, params, _ in batches]).tolist()
+    spans = list(zip(batches, bounds, bounds[1:]))
+    axes = np.tile(_PAD_AXIS, (bounds[-1], _DESCENT_SLOTS, 1))
+    lo, hi, angles = np.zeros((3, bounds[-1], _DESCENT_SLOTS))
+    for (search, params, owner), first, after in spans:
         n = len(search.template.kinds)
         axes[first:after, :n] = search.axes[owner]
         for padded, bound in zip((lo, hi), search.box):
             padded[first:after, :n] = search.template.angles(bound[owner])
         angles[first:after, :n] = search.template.angles(params)
     angles = _descend_angles(axes, lo, hi, angles, m)
-    descended = [params for _, params, _ in batches]
-    for index, first, after in spans:
-        template = batches[index][0].template
-        n = len(template.kinds)
-        descended[index] = angles[first:after, :n] @ template.slot_map  # the parameters' arcs
-    return descended
+    return [  # the parameters' arcs
+        angles[first:after, :len(search.template.kinds)] @ search.template.slot_map
+        for (search, _, _), first, after in spans
+    ]
 
 
 def _integer(name: str, value, least: int, rule: str) -> int:
@@ -432,6 +431,47 @@ def _least_length(shape: ChainShape, weights: np.ndarray) -> float:
     lows = np.stack([template.box[0] for template in shape.templates])
     factors = weights[list(shape.positions), 0]
     return float(_finish_lengths(shape.templates[0], lows, factors).min())
+
+
+def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
+    """Per family of a free or pinned-middle shape, whether its chain
+    invariant rules the target m out, so that no row of it can pass the
+    finish's gate.
+
+    A chain P = R(a_1, .) B R(a_n, .) has a_1 . P a_n = a_1 . B a_n, as
+    R(a, t) a = a (Davenport; Shuster and Markley).  Over the interior B
+    takes, that scalar covers [k0 - rho, k0 + rho]: a_1 . a_n for one arc (1)
+    or two, 2 (a_1 . a_2)(a_2 . a_3) - a_1 . a_3 around a pinned pi, and for
+    a free middle (any angle, so a superset of its box) k0 = (a_1 . a_2)(a_2
+    . a_3) with rho = hypot(a_1 . a_3 - k0, a_1 . (a_2 x a_3)).  The family
+    is ruled out when |a_1 . m a_n - k0| - rho > TOL_RESIDUAL +
+    INVARIANT_SLACK; as |a_1 . (P - m) a_n| <= ||P - m||_F, a row within
+    TOL_RESIDUAL of m is not, once the slack bounds the rounding.
+
+    The slack, in u = 2^-53: the axes (`turn_axis`) are unit to 3u.  A
+    Rodrigues factor of `compose_path` is within 34u (Frobenius) of the
+    exact rotation about the unit axis by its float angle: sine and cosine
+    to 1 ulp, K^2 and the two sums rounded entrywise, the axis's norm.  Its
+    at most three factors and two 3x3 products put P within 120u of the
+    exact chain, and a pinned middle of float pi within 2u more.  The norm
+    that gates P is within 6u TOL_RESIDUAL of ||P - m||_F.  The computed
+    a_1 . m a_n is within 21u (||m||_F < 1.8 where a row passes), k0 within
+    13u, rho within 25u and the rule's last subtractions within 7u.  The sum,
+    under 190u, is below INVARIANT_SLACK = 256u = 2^-45, so a ruled-out
+    family's every row has a gated residual above TOL_RESIDUAL."""
+    a = shape.axes
+    first, last = a[:, 0], a[:, -1]
+    ends = np.einsum("fi,fi->f", first, last)
+    k0, rho = ends, 0.0  # one arc or two
+    if a.shape[1] == 3:
+        middle = a[:, 1]
+        k0 = np.einsum("fi,fi->f", first, middle) * np.einsum("fi,fi->f", middle, last)
+        if shape.templates[0].pinned:
+            k0 = 2.0 * k0 - ends
+        else:
+            rho = np.hypot(ends - k0, np.einsum("fi,fi->f", first, np.cross(middle, last)))
+    scalar = np.einsum("fi,ij,fj->f", first, m, last)
+    return np.abs(scalar - k0) - rho > TOL_RESIDUAL + INVARIANT_SLACK
 
 
 def _finish(
@@ -483,19 +523,22 @@ def forward_oracle(
 
     The budget counts sampled angle vectors, split evenly across the audit
     catalog's families with at least one per family.  `evaluations` is the
-    number the budget allots, `per_family` per non-EMPTY family, a pruned
-    shape's families included, so it can exceed the budget: budget=1
-    reports 25 below 1/sqrt(2) and 27 above.  One search (`_FamilySearch`)
-    per searched non-EMPTY chain shape of the planner's cached audit
-    catalog (`_catalog(r, "all")`) samples each of its families (non-EMPTY
-    catalog family i with seed + i) and polishes each family's REFINE_TOP
-    best samples (`_top_restarts`) in one batch.  The search is ordered by
-    a length bound:
+    number the budget allots, `per_family` per non-EMPTY family, a
+    ruled-out family's and a pruned shape's included, so it can exceed
+    the budget: budget=1 reports 25 below 1/sqrt(2) and 27 above.
+    One search (`_FamilySearch`) per searched non-EMPTY chain shape of the
+    planner's cached audit catalog (`_catalog(r, "all")`) samples each of
+    its searched families (non-EMPTY catalog family i with seed + i) and
+    polishes each family's REFINE_TOP best samples (`_top_restarts`) in one
+    batch.  Two exact bounds order the search:
 
-    1. The free and pinned-middle shapes: one descent (`_descend_restarts`)
-       takes their restarts at once, each padded to three slots by exact
-       identity turns, before the polish; the finish (`_finish`) then
-       refines them shortest first until one passes TOL_RESIDUAL.
+    1. The free and pinned-middle shapes, each family only if its chain
+       invariant does not rule the target out (`_ruled_out`): a ruled-out
+       family draws no sample, and a shape with every family ruled out
+       builds no search.  One descent (`_descend_restarts`) takes the
+       restarts at once, each padded to three slots by exact identity
+       turns, before the polish; the finish (`_finish`) then refines them
+       shortest first until one passes TOL_RESIDUAL.
     2. The equal-middle shapes, in ascending least length (`_least_length`,
        2 pi r then 3 pi r): once the winner so far is strictly shorter than
        a shape's least length, it and every later one are skipped.
@@ -503,8 +546,10 @@ def forward_oracle(
        (beta is drawn from [0, pi]) and polished, and the finish refines
        only those that sort before the winner by (length, catalog position).
 
-    The result is that of finishing every restart of every shape: the
-    shortest passing path, the first of two equal lengths in catalog order.
+    The result is that of finishing every restart of every family: no row
+    of a ruled-out family can pass the gate, and a row keeps its bits in
+    any batch.  It is the shortest passing path, the first of two equal
+    lengths in catalog order.
     A target the identity reaches is EMPTY, with no search.  `min_singular`
     is the smallest singular value of the winner's parameter Jacobian, from
     the polish.  Results are deterministic for a fixed seed.  The target is
@@ -526,18 +571,25 @@ def forward_oracle(
     davenport = _davenport(m)
     shapes = [shape for shape in catalog.shapes if shape.templates[0].kinds]
 
-    def restarts(shape: ChainShape) -> tuple[_FamilySearch, np.ndarray, np.ndarray]:
-        """(search, kept restarts, owner) of a shape: each family's REFINE_TOP
-        best samples, family by family."""
+    def restarts(
+        shape: ChainShape, kept: np.ndarray
+    ) -> tuple[_FamilySearch, np.ndarray, np.ndarray]:
+        """(search, kept restarts, owner) of a shape: the REFINE_TOP best
+        samples of each family in `kept`, family by family."""
         search, starts = _FamilySearch(shape), []
-        for family, template in enumerate(shape.templates):
-            rng = np.random.default_rng(seed + families.index(template))
+        for family in kept.tolist():
+            rng = np.random.default_rng(seed + families.index(shape.templates[family]))
             params = search.sample(rng, per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
-        owner = np.repeat(np.arange(len(starts)), [len(rows) for rows in starts])
+        owner = np.repeat(kept, [len(rows) for rows in starts])
         return search, np.concatenate(starts), owner
 
-    batches = [restarts(shape) for shape in shapes if not shape.templates[0].equal_middles]
+    batches = []
+    for shape in shapes:
+        if not shape.templates[0].equal_middles:
+            kept = np.flatnonzero(~_ruled_out(shape, m))
+            if kept.size:
+                batches.append(restarts(shape, kept))
     polished = [
         (search, owner, *search._polish(m, params, owner))
         for (search, _, owner), params in zip(batches, _descend_restarts(m, batches))
@@ -549,7 +601,7 @@ def forward_oracle(
     for least, shape in sorted(zip(leasts, bounded), key=lambda pair: pair[0]):
         if winner[0] < least:  # every row of this shape and the next sorts after the winner
             break
-        search, params, owner = restarts(shape)
+        search, params, owner = restarts(shape, np.arange(len(shape.templates)))
         params = search._clamp(params, owner)  # beta is drawn from [0, pi]
         batch = [(search, owner, *search._polish(m, params, owner))]
         winner = _finish(m, geom, catalog.weights, batch, winner)

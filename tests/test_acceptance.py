@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite takes 10-14 s on a shared 2-core Intel Xeon
-machine, most of it criterion 6 (200 budget-100000 oracle runs, 7-10 s);
+lines; the whole suite takes 6-7 s on a shared 2-core Intel Xeon
+machine, most of it criterion 6 (200 budget-100000 oracle runs, 4-5 s);
 criterion 7 (200 closed-form extremal trajectories) takes about 1 s.
 """
 

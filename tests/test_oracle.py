@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
@@ -218,12 +221,13 @@ def test_stacked_polish_matches_each_family_alone(r):
 
 @pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
 def test_one_descent_matches_each_shape_alone(r):
-    """One descent over the restarts of every shape, each row padded to
-    three slots by identity turns, gives each row the bits of an unpadded
-    descent of its shape alone and of a one-shape `_descend_restarts`;
-    equal-middle restarts come back as drawn.  The targets are a random
-    rotation and an in-box free three-turn path."""
+    """One descent over the restarts of every free and pinned-middle shape,
+    each row padded to three slots by identity turns, gives each row the
+    bits of an unpadded descent of its shape alone and of a one-shape
+    `_descend_restarts`.  The targets are a random rotation and an in-box
+    free three-turn path."""
     geom, searches, _ = _audit_searches(r)
+    searches = [search for search in searches if not search.template.equal_middles]
     rng = np.random.default_rng(int(r * 1000) + 1)
     targets = [
         orc.random_rotation(rng),
@@ -237,10 +241,8 @@ def test_one_descent_matches_each_shape_alone(r):
             params = np.concatenate([search.sample(rng, 6, family) for family in range(count)])
             batches.append((search, params, np.repeat(np.arange(count), 6)))
         together = orc._descend_restarts(m, batches)
+        assert len(together) == len(batches)
         for (search, params, owner), got in zip(batches, together):
-            if search.template.equal_middles:
-                assert got is params
-                continue
             template = search.template
             lo, hi = (template.angles(bound[owner]) for bound in search.box)
             alone = orc._descend_angles(search.axes[owner], lo, hi, template.angles(params), m)
@@ -269,25 +271,41 @@ def _built_searches(monkeypatch) -> list:
     return built
 
 
-def _searches(monkeypatch, r) -> list:
+def _searches(monkeypatch, r) -> tuple[list, np.ndarray]:
     """(search, shape) of each `_FamilySearch` one forward_oracle call at r
-    builds, on a target where no shape is pruned."""
+    builds, on a target where no shape is pruned, and the target."""
     built = _built_searches(monkeypatch)
     m = orc.random_rotation(np.random.default_rng(UNPRUNED_SEEDS[r]))
     found = orc.forward_oracle(m, geo.TurnGeometry(r), 0, 1)
     assert found.length >= 3.0 * math.pi * r
-    return built
+    return built, m
+
+
+def _solved_shapes(r) -> list:
+    """The non-EMPTY shapes of the audit catalog at r."""
+    return [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
+
+
+def _kept_shapes(shapes, m) -> list:
+    """The shapes that keep a family for target m: every equal-middle one,
+    and each other whose chain invariant leaves one of its families in."""
+    return [
+        shape for shape in shapes
+        if shape.templates[0].equal_middles or not orc._ruled_out(shape, m).all()
+    ]
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
 def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
     # every search's axes are the read-only `ChainShape.axes` that plan(mode="all")
-    # solves; with nothing pruned, one search per shape
+    # solves; with nothing pruned, one search per shape that keeps a family
     pl._catalog.cache_clear()
-    solved = [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
-    searches = _searches(monkeypatch, r)
-    assert len(searches) == len(solved)
-    for (search, _), shape in zip(searches, solved):
+    solved = _solved_shapes(r)
+    searches, m = _searches(monkeypatch, r)
+    kept = _kept_shapes(solved, m)
+    # no single arc reaches a random target: its shape is ruled out whole
+    assert len(searches) == len(kept) < len(solved)
+    for (search, _), shape in zip(searches, kept):
         assert search.axes is shape.axes and search.templates == shape.templates
         assert not search.axes.flags.writeable
 
@@ -295,12 +313,14 @@ def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
 def test_shape_table_outlives_other_radii(monkeypatch):
     # the catalog cache keeps r = 0.6's shapes while 200 other radii are cached
     pl._catalog.cache_clear()
-    solved = [shape for shape in pl._catalog(0.6, "all").shapes if shape.templates[0].kinds]
+    solved = _solved_shapes(0.6)
     for k in range(200):
         pl._catalog(0.61 + 0.001 * k, "all")
-    searched = [shape for _, shape in _searches(monkeypatch, 0.6)]
-    assert len(searched) == len(solved)  # nothing pruned
-    assert all(shape is mine for shape, mine in zip(searched, solved))
+    built, m = _searches(monkeypatch, 0.6)
+    searched = [shape for _, shape in built]
+    kept = _kept_shapes(solved, m)
+    assert len(searched) == len(kept)  # nothing pruned
+    assert all(shape is mine for shape, mine in zip(searched, kept))
 
 
 def test_a_zero_turn_is_exactly_identity():
@@ -436,18 +456,22 @@ def test_oracle_results_are_bit_identical(
 
 
 def test_a_nan_restart_sorts_last_and_is_never_refined(monkeypatch):
-    # one NaN row in a polished batch used to abort the call from Segment
+    # one NaN row in a polished batch used to abort the call from Segment; it
+    # is put in the first polished batch, on a family other than the winner's
     geom = geo.TurnGeometry.from_radius(0.6)
     m = orc.random_rotation(np.random.default_rng(3))
     clean = orc.forward_oracle(m, geom, seed=0, budget=200)
     assert clean.found
-    polish, refine, spoiled, refined = orc._FamilySearch._polish, orc._FamilySearch.refine, [], []
+    polish, refine = orc._FamilySearch._polish, orc._FamilySearch.refine
+    spoiled, refined, rows = [], [], []
 
     def spoil(search, m, params, owner):
         params, singular = polish(search, m, params, owner)
-        if not spoiled and clean.family not in (t.tag for t in search.templates):
-            params[0, 0] = math.nan
+        others = np.flatnonzero([search.templates[f].tag != clean.family for f in owner])
+        if not spoiled and others.size:
+            params[others[0], 0] = math.nan
             spoiled.append(search)
+        rows.append(len(params))
         return params, singular
 
     def spy(search, m, params, family, geom):
@@ -458,12 +482,18 @@ def test_a_nan_restart_sorts_last_and_is_never_refined(monkeypatch):
     monkeypatch.setattr(orc._FamilySearch, "refine", spy)
     assert repr(orc.forward_oracle(m, geom, seed=0, budget=200)) == repr(clean)
     assert spoiled and refined and all(np.isfinite(params).all() for params in refined)
-    # with every residual failing the gate, the NaN row is still never refined
+    assert clean.family in (t.tag for t in spoiled[0].templates)  # the winner's own batch
+    # with every residual failing the gate, every row but the NaN one is
+    # refined; the gate's negative bound rules out every free and
+    # pinned-middle family, so the rows are the equal-middle shapes'
     monkeypatch.setattr(orc, "TOL_RESIDUAL", -1.0)
     spoiled.clear()
     refined.clear()
+    rows.clear()
     assert not orc.forward_oracle(m, geom, seed=0, budget=200).found
-    assert spoiled and refined and all(np.isfinite(params).all() for params in refined)
+    assert spoiled and spoiled[0].template.equal_middles and len(rows) == 2
+    assert len(refined) == sum(rows) - 1
+    assert all(np.isfinite(params).all() for params in refined)
 
 
 @pytest.mark.parametrize("n", [1, orc.REFINE_TOP, orc.REFINE_TOP + 1, 500])
@@ -481,7 +511,8 @@ def test_top_restarts_match_a_full_sort(n):
 @pytest.mark.parametrize("r", [0.6, 0.8])
 def test_oracle_at_budget_one_allots_each_family_one_sample(monkeypatch, r):
     # a non-identity target: `evaluations` counts one sample per family, and a
-    # family is sampled once, or not at all when its shape is pruned
+    # family is sampled once, or not at all when its chain invariant rules it
+    # out or its shape is pruned
     geom = geo.TurnGeometry.from_radius(r)
     m = geo.compose_path([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], geom)
     sample, drawn = orc._FamilySearch.sample, []
@@ -497,7 +528,16 @@ def test_oracle_at_budget_one_allots_each_family_one_sample(monkeypatch, r):
     assert not found.found or found.residual <= orc.TOL_RESIDUAL
     sampled = [template for template, _ in drawn]
     assert all(n == 1 for _, n in drawn) and len(set(sampled)) == len(sampled)
-    assert {f for f in families if not f.equal_middles} <= set(sampled) <= set(families)
+    assert set(sampled) <= set(families)
+    kept = {
+        template
+        for shape in _solved_shapes(r) if not shape.templates[0].equal_middles
+        for template, out in zip(shape.templates, orc._ruled_out(shape, m).tolist()) if not out
+    }
+    assert {template for template in sampled if not template.equal_middles} == kept
+    assert len(kept) < len([f for f in families if not f.equal_middles])  # e.g. G, L and R
+    tags = {template.tag for template in kept}
+    assert "RLR" in tags and ("RLpiR" in tags) == (r > SQRT2_INV)  # the target's own families
 
 
 RESIDUAL_CASES = [
@@ -767,7 +807,7 @@ def test_pruning_changes_no_result(monkeypatch, case, r, seed):
     built.clear()
     monkeypatch.setattr(orc, "_least_length", lambda *_: 0.0)
     every = orc.forward_oracle(m, geom, seed=seed, budget=2000)
-    assert len(built) == len([s for s in pl._catalog(r, "all").shapes if s.templates[0].kinds])
+    assert len(built) == len(_kept_shapes(_solved_shapes(r), m))
     assert repr(pruned) == repr(every)
     assert pruned.found
     if case == "rlrl":  # the 4-chain wins, so its shape is searched
@@ -833,3 +873,149 @@ def test_least_length_bounds_every_polished_row(monkeypatch, r):
         factors = catalog.weights[search.positions[owner], 0]
         lengths = orc._finish_lengths(search.template, params, factors)
         assert (lengths >= least[search.templates]).all()
+
+
+# five structured targets per radius, beside three seeded ones: 1- and 2-arc
+# winners and the published RLpiR, whose free three-turn families sit on the
+# edge of their chain invariant's interval
+REPLAY_PATHS = [
+    [geo.L(2.0)], [geo.G(1.3)], [geo.L(1.1), geo.G(0.4)], [geo.L(0.8), geo.R(1.9)],
+    [geo.R(0.7), geo.L(math.pi), geo.R(0.7)],
+]
+REPLAY_RADII = [0.3, 0.5, 0.55, SQRT2_INV, 0.71, 0.8, 0.85, math.sqrt(3.0) / 2.0]
+
+
+def _rule_off(shape, m):
+    """`_ruled_out` that rules out no family."""
+    return np.zeros(len(shape.templates), dtype=bool)
+
+
+# (case, r, seed, tags the rule must keep): seeded targets, 1- and 2-arc
+# paths, a great-circle sandwich, a near pure turn and the published RLpiR,
+# whose free three-turn families sit on the edge of their interval
+RULE_CASES = [("seeded", r, 50 + k, ()) for k, r in enumerate(REPLAY_RADII)] + [
+    ([geo.L(2.0)], 0.71, 4, ("L", "LR", "RL", "LG", "GL")),
+    ([geo.G(1.3)], 0.5, 5, ("G",)),
+    ([geo.L(1.1), geo.G(0.4)], 0.3, 6, ("LG",)),
+    ([geo.L(0.8), geo.R(1.9)], 0.8, 7, ("LR",)),
+    ([geo.G(0.5), geo.L(1.2), geo.G(0.7)], 0.55, 8, ("GLG",)),
+    ([geo.L(1.0), geo.G(1e-7), geo.L(2.0)], 0.6, 9, ("LGL", "L")),  # L: a second-order miss
+    ([geo.R(0.7), geo.L(math.pi), geo.R(0.7)], 0.71, 2, ("RLR", "RLpiR")),
+]
+
+
+@pytest.mark.parametrize("path, r, seed, kept", RULE_CASES)
+def test_ruled_out_families_change_no_result(monkeypatch, path, r, seed, kept):
+    # the reference samples every family: the rule is disabled
+    geom = geo.TurnGeometry.from_radius(r)
+    if path == "seeded":
+        m = orc.random_rotation(np.random.default_rng(seed))
+    else:
+        m = geo.compose_path(path, geom)
+    sample, sampled = orc._FamilySearch.sample, set()
+
+    def spy(search, rng, n, family):
+        sampled.add(search.templates[family].tag)
+        return sample(search, rng, n, family)
+
+    monkeypatch.setattr(orc._FamilySearch, "sample", spy)
+    ruled = orc.forward_oracle(m, geom, seed=seed, budget=2000)
+    kept_here = set(sampled)
+    sampled.clear()
+    monkeypatch.setattr(orc, "_ruled_out", _rule_off)
+    every = orc.forward_oracle(m, geom, seed=seed, budget=2000)
+    assert repr(ruled) == repr(every)
+    assert ruled.found
+    assert set(kept) <= kept_here < sampled
+    if path == "seeded":  # no single arc reaches a generic target
+        assert not {"G", "L", "R"} & kept_here
+
+
+def test_the_rule_keeps_one_two_and_pinned_families():
+    # over RULE_CASES, a one-arc, a two-arc and a pinned-middle family are kept
+    shapes = {
+        template.shape
+        for _, r, _, tags in RULE_CASES
+        for template in pl.family_catalog(r, mode="all") if template.tag in tags
+    }
+    assert {(1, False), (2, False), (3, True)} <= shapes
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+boundary_r = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([0.5, SQRT2_INV, math.sqrt(3.0) / 2.0]),
+    st.floats(-1e-12, 1e-12),
+)
+radius = st.one_of(boundary_r, st.floats(0.05, 0.95))
+
+
+def _ruled_shapes(r):
+    """The free and pinned-middle shapes of the audit catalog at r."""
+    return [shape for shape in _solved_shapes(r) if not shape.templates[0].equal_middles]
+
+
+@PROPERTY
+@given(r=radius, data=st.data())
+def test_no_family_is_ruled_out_on_its_own_endpoint(r, data):
+    # every free and pinned-middle family, on a path drawn from its box; a
+    # middle arc of 0, pi or 2 pi - ANGLE_EPS where its box has it
+    geom = geo.TurnGeometry.from_radius(r)
+    special = (0.0, math.pi, 2.0 * math.pi - geo.ANGLE_EPS)
+    for shape in _ruled_shapes(r):
+        for family, template in enumerate(shape.templates):
+            lows, highs = template.box
+            params = [data.draw(st.floats(lo, hi)) for lo, hi in zip(lows, highs)]
+            if len(params) == 3:
+                params[1] = data.draw(st.one_of(
+                    st.sampled_from([v for v in special if lows[1] <= v <= highs[1]]),
+                    st.just(params[1]),
+                ))
+            angles = template.angles(np.array([params]))[0]
+            m = geo.compose_path([geo.Segment(k, a) for k, a in zip(template.kinds, angles)], geom)
+            assert not orc._ruled_out(shape, m)[family], (template.tag, angles.tolist())
+
+
+@PROPERTY
+@given(r=radius, seed=st.integers(0, 10**6), path=st.sampled_from([None] + REPLAY_PATHS))
+def test_every_row_of_a_ruled_out_family_fails_the_gate(r, seed, path):
+    # the polish with the rule disabled: no row of a family the rule rules out passes
+    geom = geo.TurnGeometry.from_radius(r)
+    if path is None:
+        m = orc.random_rotation(np.random.default_rng(seed))
+    else:
+        m = geo.compose_path(path, geom)
+    out = {id(shape.axes): orc._ruled_out(shape, m) for shape in _ruled_shapes(r)}
+    polish, rows = orc._FamilySearch._polish, []
+
+    def spy(search, m, params, owner):
+        polished = polish(search, m, params, owner)
+        if not search.template.equal_middles:
+            rows.extend((search, f, p) for f, p in zip(owner.tolist(), polished[0]))
+        return polished
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orc._FamilySearch, "_polish", spy)
+        patch.setattr(orc, "_ruled_out", _rule_off)
+        orc.forward_oracle(m, geom, seed=seed, budget=200)
+    ruled = [(search, f, p) for search, f, p in rows if out[id(search.axes)][f]]
+    assert ruled  # no single arc reaches a generic target, nor all of L(2)'s families
+    for search, family, params in ruled:
+        assert search.refine(m, params, family, geom)[1] > orc.TOL_RESIDUAL
+
+
+# SHA-256 of the 64 reprs, recorded before the oracle ruled out families
+# whose chain invariant misses the target
+REPLAY_SHA256 = "faa32699f10605b2a0581008ba4aa3c94b7be19586d6c0e937ecc2e699493c19"
+
+
+def test_oracle_replay_hash():
+    # every bit of 64 budget-2000 results, seeded and structured, at 8 radii
+    digest = hashlib.sha256()
+    for i, r in enumerate(REPLAY_RADII):
+        geom = geo.TurnGeometry.from_radius(r)
+        targets = [orc.random_rotation(np.random.default_rng(900 + 3 * i + k)) for k in range(3)]
+        targets += [geo.compose_path(path, geom) for path in REPLAY_PATHS]
+        for k, m in enumerate(targets):
+            digest.update(repr(orc.forward_oracle(m, geom, seed=i + k, budget=2000)).encode())
+    assert digest.hexdigest() == REPLAY_SHA256
