@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -264,10 +265,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parallel == 1:
         rows = _sweep_rows(tasks)
     else:
-        # one contiguous run of tasks per worker; batches never change a row
+        # N contiguous runs of tasks, on at most one worker per CPU; batches
+        # never change a row
         size = -(-len(tasks) // args.parallel)
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             rows = [row for chunk in pool.map(_sweep_rows, chunks) for row in chunk]
 
     header = (

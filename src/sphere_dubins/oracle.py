@@ -10,34 +10,33 @@ descent on the endpoint residual; equal-middle restarts (interior arcs pi +
 beta) go to the polish as drawn, clamped into beta's margined box.  Each
 restart ends as one canonical path; the finish takes them shortest first,
 and the first whose one residual, read from `compose_path`, passes
-TOL_RESIDUAL wins and is reported, so the rest are never composed.  Two
-exact bounds order the search, and what either rules out could never
-win, so neither changes the result.  The chain invariant a_1 . P a_n =
-a_1 . B a_n (`_ruled_out`) bounds what a free or pinned-middle family can
-reach: a family whose interval of a_1 . B a_n misses a_1 . m a_n by more
-than the gate is never sampled, and a shape left with no family builds no
-search.  That rules out most families with fewer than three free arcs.
-The length bound orders the shapes: the free and pinned-middle shapes
-first, then the equal-middle 4- and 5-chains, whose interior arcs of at
-least pi each make every path at least 2 pi r or 3 pi r long
-(`_least_length`).  A shape whose least length is above the winner so far
-is never sampled.  The oracle never consults the closed-form linkage
-solver, so agreement between the two is meaningful evidence: of the
-planner's cached audit catalog (`planner._catalog(r, "all")`) it reads
-only each `ChainShape`'s `templates`, `axes` and `positions`, and the
-catalog's arc-length factors (`weights`), never the step-1 coefficients,
-the predicted scalars or a `solve_*` function.  One search object serves
-each searched shape (free 1/2/3 slots, pinned pi, equal-middle 4 and 5),
-with one row of axes and bounds per family, and polishes the kept restarts
-of its searched families as one numpy batch.  One coordinate descent
-per call takes the free and pinned-middle restarts of every shape, each
-row padded to three slots with pad slots bounded to [0, 0]: a pad turns by
-exactly 0, its rotation is exactly I, so it leaves every product and the
-stop rule bit for bit as they were.  In both, each row has its own
-family's axes, bounds and stop rule and the same bits as in a batch of its
-family alone.  The polish drives every near-root
-to float64 rounding, which matters at singular targets (a `CCC` middle arc
-of exactly pi): there a 1e-9 residual still admits paths shorter than the
+TOL_RESIDUAL wins and is reported, so the rest are never composed.
+
+One loop takes the chain shapes (free 1/2/3 slots, pinned pi,
+equal-middle 4 and 5) one after another, each searched and finished
+against the winner so far, in ascending least length (`_least_length`):
+0 for the free and pinned-middle shapes, then 2 pi r and 3 pi r for the
+equal-middle 4- and 5-chains, whose interior arcs of at least pi each
+bound every path's length.  Two exact bounds cut the loop, and what
+either rules out could never win, so neither changes the result.  A
+shape whose least length is above the winner so far ends the loop.  The
+chain invariant a_1 . P a_n = a_1 . B a_n (`_ruled_out`) bounds what a
+free or pinned-middle family can reach: a family whose interval of
+a_1 . B a_n misses a_1 . m a_n by more than the gate is never sampled,
+and a shape left with no family is skipped.  That rules out most
+families with fewer than three free arcs.  The oracle never consults the
+closed-form linkage solver, so agreement between the two is meaningful
+evidence: of the planner's cached audit catalog
+(`planner._catalog(r, "all")`) it reads only each `ChainShape`'s
+`templates`, `axes` and `positions`, and the catalog's arc-length factors
+(`weights`), never the step-1 coefficients, the predicted scalars or a
+`solve_*` function.  One search object serves each searched shape, with
+one row of axes and bounds per family, and descends and polishes the
+kept restarts of its families as one numpy batch, each row with its own
+family's axes, bounds and stop rule and the same bits as in a batch of
+its family alone.  The polish drives every near-root to float64
+rounding, which matters at singular targets (a `CCC` middle arc of
+exactly pi): there a 1e-9 residual still admits paths shorter than the
 optimum by about 1e-5.  The cross-family audit compares the planner's
 proven catalog against the audit catalog (great-circle sandwiches and
 unconditional 4/5-chains) on given instances.
@@ -74,8 +73,6 @@ POLISH_DAMP = 1e-14   # initial damping, relative to the largest singular value 
 POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers its residual
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
 POLISH_STALL = 1e-9   # a row above ACCEPT_GATE stops once a kept step gains less than this share
-_DESCENT_SLOTS = 3    # descended rows are padded to the longest free or pinned-middle chain
-_PAD_AXIS = np.array([0.0, 0.0, 1.0])  # a pad slot's axis; turned by 0 it is exactly I
 INVARIANT_SLACK = 2.0**-45  # 256 u: rounding between a passing row and its chain invariant
 
 
@@ -125,16 +122,37 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
     return kept[np.argsort(negated[kept])]
 
 
+def _trace_argmax(
+    w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray, trig: np.ndarray
+) -> np.ndarray:
+    """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
+    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a).
+    Every axis lies in the x-z plane, so tr(W K) has no y term.  `trig`
+    holds the rows' cos lo, cos hi, sin lo and sin hi, one per column."""
+    const = np.einsum("ni,nij,nj->n", axis, w, axis)
+    c_coef = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - const
+    s_coef = axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1]) + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
+    best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
+    # first maximum wins: the lower bound, then the upper, then the free optimum
+    value, upper = (c_coef[:, None] * trig[:, :2] + s_coef[:, None] * trig[:, 2:]).T
+    angle = np.where(upper > value, hi, lo)
+    value = np.maximum(value, upper)
+    free = (lo <= best) & (best <= hi) & (c_coef * np.cos(best) + s_coef * np.sin(best) > value)
+    return np.where(free, best, angle)
+
+
 class _FamilySearch:
-    """Sampling, composition, the Levenberg-Marquardt polish and the
-    per-restart finish for the families of one `ChainShape` (its `templates`,
-    catalog `positions` and read-only `axes`), with one row per family of
-    generators, quaternion steps and margined box; the axes and box also
-    feed the one descent per call (`_descend_restarts`).  `template` (the
-    first family) gives the shape's `angles`, `slot_map` and `outer_cap`.  A
-    batch of restarts names its rows' families (indices into `templates`) in
-    `owner`; every product is one row's own, so a row gets the same bits in
-    any batch."""
+    """Sampling, composition, the coordinate descent, the
+    Levenberg-Marquardt polish and the per-restart finish for the families
+    of one `ChainShape` (its `templates`, catalog `positions` and read-only
+    `axes`), with one row per family of generators, quaternion steps and
+    margined box.  `forward_oracle` builds one per searched shape, in its
+    one loop over the shapes, and descends (free or pinned middle) or
+    clamps (equal middles), polishes and finishes that shape's restarts
+    before it builds the next.  `template` (the first family) gives the
+    shape's `angles`, `slot_map` and `outer_cap`.  A batch of restarts
+    names its rows' families (indices into `templates`) in `owner`; every
+    product is one row's own, so a row gets the same bits in any batch."""
 
     def __init__(self, shape: ChainShape):
         self.templates = shape.templates
@@ -190,6 +208,56 @@ class _FamilySearch:
             q *= cos[column]
             q += step_q
         return q.T
+
+    # -- coordinate descent ------------------------------------------------
+    def descend(self, m: np.ndarray, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Coordinate descent of a free or pinned-middle batch, every restart
+        at once, each with its own family's axes and box.  Each sweep
+        maximizes tr(R^T m) over one slot at a time, first to last; a pinned
+        slot has lo == hi.  A restart stops once its residual gains less
+        than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or REFINE_SWEEPS
+        sweeps pass; only the restarts still running are swept.  The slot
+        rotations carry over from sweep to sweep, the bounds' cosines and
+        sines and one m^T per row are taken once (a stack times a stack of
+        m^T has the bits of a stack times the one m^T, without the
+        broadcast), and a sweep carries the product of the slots before the
+        current one left to right, so its last product is the sweep's
+        endpoint, whose residual is read.  The carried arrays are cut down
+        to the running restarts only on a sweep where some stop."""
+        lo, hi = (self.template.angles(bound[owner]) for bound in self.box)
+        axes, k, k2 = self.axes[owner], self.generators[owner], self.squares[owner]
+        angles = self.template.angles(params).copy()
+        n_slots = axes.shape[1]
+        p = angles.copy()  # the running restarts' angles
+        m_t = np.tile(m.T, (len(angles), 1, 1))  # per row: m.T's bits, faster than broadcasting
+        trig = np.stack([np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)], axis=-1)
+        rots = [rotations_from_generators(k[:, j], k2[:, j], angles[:, j]) for j in range(n_slots)]
+        current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
+        active = np.arange(len(angles))
+        for _ in range(REFINE_SWEEPS):
+            if active.size == 0:
+                break
+            for slot in range(n_slots):
+                w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
+                if slot:
+                    w = w @ prefix
+                p[:, slot] = _trace_argmax(
+                    w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot]
+                )
+                rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
+                prefix = rots[0] if slot == 0 else prefix @ rots[slot]
+            after = np.linalg.norm(prefix - m, axis=(1, 2))
+            done = (current - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
+            current = after
+            if done.any():
+                angles[active[done]] = p[done]
+                keep = ~done
+                active, p, current = active[keep], p[keep], current[keep]
+                rots = [rot[keep] for rot in rots]
+                axes, lo, hi, trig = axes[keep], lo[keep], hi[keep], trig[keep]
+                k, k2, m_t = k[keep], k2[keep], m_t[keep]
+        angles[active] = p
+        return angles @ self.template.slot_map  # the parameters' arcs
 
     # -- polish and per-restart finish -------------------------------------
     def refine(
@@ -296,102 +364,6 @@ class _FamilySearch:
         return params, np.linalg.svd(jac, compute_uv=False)[:, -1]
 
 
-# ---------------------------------------------------------------------------
-# batched coordinate descent
-# ---------------------------------------------------------------------------
-
-def _trace_argmax(
-    w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray, trig: np.ndarray
-) -> np.ndarray:
-    """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
-    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a).
-    Every axis lies in the x-z plane, so tr(W K) has no y term.  `trig`
-    holds the rows' cos lo, cos hi, sin lo and sin hi, one per column."""
-    const = np.einsum("ni,nij,nj->n", axis, w, axis)
-    c_coef = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - const
-    s_coef = axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1]) + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
-    best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
-    # first maximum wins: the lower bound, then the upper, then the free optimum
-    value, upper = (c_coef[:, None] * trig[:, :2] + s_coef[:, None] * trig[:, 2:]).T
-    angle = np.where(upper > value, hi, lo)
-    value = np.maximum(value, upper)
-    free = (lo <= best) & (best <= hi) & (c_coef * np.cos(best) + s_coef * np.sin(best) > value)
-    return np.where(free, best, angle)
-
-
-def _descend_angles(axes, lo, hi, angles, m) -> np.ndarray:
-    """Coordinate descent of free and pinned-middle chains, every restart at
-    once.  Each sweep maximizes tr(R^T m) over one slot at a time, first to
-    last; a pinned slot has lo == hi.  A restart stops once its residual
-    gains less than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or
-    REFINE_SWEEPS sweeps pass; only the restarts still running are swept.
-    The slot rotations carry over from sweep to sweep, the bounds' cosines
-    and sines, the axes' generators K and K^2 and one m^T per row are
-    taken once (a stack times a stack of m^T has the bits of a stack times
-    the one m^T, without the broadcast), and a sweep carries the product
-    of the slots before the current one left to right, so its last product
-    is the sweep's endpoint, whose residual is read.  The carried arrays
-    are cut down to the running restarts only on a sweep where some stop."""
-    n_slots = axes.shape[1]
-    angles = angles.copy()
-    p = angles.copy()  # the running restarts' angles
-    m_t = np.tile(m.T, (len(angles), 1, 1))  # per row: m.T's bits, faster than broadcasting
-    trig = np.stack([np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)], axis=-1)
-    k = skew(axes)
-    k2 = k @ k
-    rots = [rotations_from_generators(k[:, j], k2[:, j], angles[:, j]) for j in range(n_slots)]
-    current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
-    active = np.arange(len(angles))
-    for _ in range(REFINE_SWEEPS):
-        if active.size == 0:
-            break
-        for slot in range(n_slots):
-            w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
-            if slot:
-                w = w @ prefix
-            p[:, slot] = _trace_argmax(w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot])
-            rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
-            prefix = rots[0] if slot == 0 else prefix @ rots[slot]
-        after = np.linalg.norm(prefix - m, axis=(1, 2))
-        done = (current - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
-        current = after
-        if done.any():
-            angles[active[done]] = p[done]
-            keep = ~done
-            active, p, current = active[keep], p[keep], current[keep]
-            rots = [rot[keep] for rot in rots]
-            axes, lo, hi, trig = axes[keep], lo[keep], hi[keep], trig[keep]
-            k, k2, m_t = k[keep], k2[keep], m_t[keep]
-    angles[active] = p
-    return angles
-
-
-def _descend_restarts(
-    m: np.ndarray, batches: list[tuple[_FamilySearch, np.ndarray, np.ndarray]]
-) -> list[np.ndarray]:
-    """The parameters of each free or pinned-middle batch (search, restarts,
-    owner) after one coordinate descent (`_descend_angles`) over the
-    restarts of every batch.  Each row is padded to _DESCENT_SLOTS slots
-    with lo = hi = 0 about a unit axis: a pad's angle stays 0 and its
-    rotation is exactly I (`rotations_from_generators`), so every product
-    and the stop rule keep the bits of a descent of the row's shape alone."""
-    bounds = np.cumsum([0] + [len(params) for _, params, _ in batches]).tolist()
-    spans = list(zip(batches, bounds, bounds[1:]))
-    axes = np.tile(_PAD_AXIS, (bounds[-1], _DESCENT_SLOTS, 1))
-    lo, hi, angles = np.zeros((3, bounds[-1], _DESCENT_SLOTS))
-    for (search, params, owner), first, after in spans:
-        n = len(search.template.kinds)
-        axes[first:after, :n] = search.axes[owner]
-        for padded, bound in zip((lo, hi), search.box):
-            padded[first:after, :n] = search.template.angles(bound[owner])
-        angles[first:after, :n] = search.template.angles(params)
-    angles = _descend_angles(axes, lo, hi, angles, m)
-    return [  # the parameters' arcs
-        angles[first:after, :len(search.template.kinds)] @ search.template.slot_map
-        for (search, _, _), first, after in spans
-    ]
-
-
 def _integer(name: str, value, least: int, rule: str) -> int:
     """`operator.index(value)`; below `least` it raises ValueError saying `rule`."""
     try:
@@ -413,30 +385,38 @@ def _finish_lengths(template, params: np.ndarray, factors: np.ndarray) -> np.nda
 
 
 def _least_length(shape: ChainShape, weights: np.ndarray) -> float:
-    """The least length the finish can give a row of an equal-middle shape:
-    `_finish_lengths` of each family's canonical low arcs (outer arcs 0,
-    interior arcs pi each) with its catalog arc factors, the least over the
-    shape's families; 2 pi r for a 4-chain, 3 pi r for a 5-chain.
+    """The least length the finish can give a row of the shape.  For an
+    equal-middle shape it is `_finish_lengths` of each family's canonical
+    low arcs (outer arcs 0, interior arcs pi each) with its catalog arc
+    factors, the least over the shape's families; 2 pi r for a 4-chain,
+    3 pi r for a 5-chain.  A free or pinned-middle shape gets 0.0: the
+    proof below holds only in the margined equal-middle box, and a free
+    arc may sit at its box top 2 pi, which canonical_angles snaps to 0 (an
+    `LRL` middle of 2 pi is no turn at all), so a free row can be shorter
+    than its low arcs.
 
-    It is a true lower bound.  A row the finish measures has outer arcs of
-    at least 0 and interior arcs pi + beta with beta in the margined box
-    [ANGLE_EPS, pi - ANGLE_EPS]: `forward_oracle` clamps the drawn starts
-    into it (`_clamp`) and the polish clamps every step.  canonical_angles
-    leaves such an arc in [pi, 2 pi) and never snaps it to 0: at the top,
-    2 pi - (pi + (pi - ANGLE_EPS)) is 1.0000000827e-9 in float64, above
-    ANGLE_EPS.  Every canonical arc is then at least its low arc, and a
-    rounded product by a factor >= 0 and a rounded sum are monotone in
-    their operands, so the row's length, computed by the same operations in
-    the same order, is at least this one."""
+    The equal-middle bound is a true lower bound.  A row the finish
+    measures has outer arcs of at least 0 and interior arcs pi + beta with
+    beta in the margined box [ANGLE_EPS, pi - ANGLE_EPS]: `forward_oracle`
+    clamps the drawn starts into it (`_clamp`) and the polish clamps every
+    step.  canonical_angles leaves such an arc in [pi, 2 pi) and never
+    snaps it to 0: at the top, 2 pi - (pi + (pi - ANGLE_EPS)) is
+    1.0000000827e-9 in float64, above ANGLE_EPS.  Every canonical arc is
+    then at least its low arc, and a rounded product by a factor >= 0 and
+    a rounded sum are monotone in their operands, so the row's length,
+    computed by the same operations in the same order, is at least this
+    one."""
+    if not shape.templates[0].equal_middles:
+        return 0.0
     lows = np.stack([template.box[0] for template in shape.templates])
     factors = weights[list(shape.positions), 0]
     return float(_finish_lengths(shape.templates[0], lows, factors).min())
 
 
 def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
-    """Per family of a free or pinned-middle shape, whether its chain
-    invariant rules the target m out, so that no row of it can pass the
-    finish's gate.
+    """Per family of the shape, whether its chain invariant rules the
+    target m out, so that no row of it can pass the finish's gate; on an
+    equal-middle shape it rules nothing out.
 
     A chain P = R(a_1, .) B R(a_n, .) has a_1 . P a_n = a_1 . B a_n, as
     R(a, t) a = a (Davenport; Shuster and Markley).  Over the interior B
@@ -460,6 +440,8 @@ def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
     under 190u, is below INVARIANT_SLACK = 256u = 2^-45, so a ruled-out
     family's every row has a gated residual above TOL_RESIDUAL."""
     a = shape.axes
+    if shape.templates[0].equal_middles:
+        return np.zeros(len(a), dtype=bool)
     first, last = a[:, 0], a[:, -1]
     ends = np.einsum("fi,fi->f", first, last)
     k0, rho = ends, 0.0  # one arc or two
@@ -478,37 +460,34 @@ def _finish(
     m: np.ndarray,
     geom: TurnGeometry,
     weights: np.ndarray,
-    polished: list[tuple[_FamilySearch, np.ndarray, np.ndarray, np.ndarray]],
+    search: _FamilySearch,
+    owner: np.ndarray,
+    params: np.ndarray,
+    singular: np.ndarray,
     winner: tuple[float, float, OracleResult],
 ) -> tuple[float, float, OracleResult]:
-    """The lazy finish of polished batches (search, owner, parameters, min
-    singular) against `winner` (length, catalog position, result).  Their
+    """The lazy finish of one polished batch (owner, parameters, min
+    singular) against `winner` (length, catalog position, result).  Its
     restarts are taken by length (`_finish_lengths` with the catalog's arc
     factors `weights` at their families' positions), stably over catalog
     order, as long as they sort before the winner by (length, position);
     each is refined (`refine`), and the first whose residual is at most
     TOL_RESIDUAL is the new winner.  A NaN length sorts last and is never
-    refined; no batch, or no passing restart, keeps the winner."""
-    restarts, positions, lengths = [], [], []
-    for search, owner, params, singular in polished:
-        restarts += [(search, *row) for row in zip(owner.tolist(), params, singular.tolist())]
-        positions.append(search.positions[owner])
-        lengths.append(_finish_lengths(search.template, params, weights[positions[-1], 0]))
-    if not restarts:
-        return winner
-    positions, lengths = np.concatenate(positions), np.concatenate(lengths)
+    refined; no passing restart keeps the winner."""
+    positions = search.positions[owner]
+    lengths = _finish_lengths(search.template, params, weights[positions, 0])
     order = np.argsort(positions, kind="stable")  # the first equal length wins
     order = order[np.argsort(lengths[order], kind="stable")]  # shortest first, NaN last
     for i in order:
         if not (lengths[i], positions[i]) < winner[:2]:  # False for a NaN length
             break
-        search, family, params, min_singular = restarts[i]
-        segments, res = search.refine(m, params, family, geom)
+        family = int(owner[i])
+        segments, res = search.refine(m, params[i], family, geom)
         if res <= TOL_RESIDUAL:  # a NaN residual fails
             length, tag = float(lengths[i]), search.templates[family].tag
             evaluations = winner[2].evaluations
             return length, int(positions[i]), OracleResult(
-                segments, length, res, tag, evaluations, min_singular
+                segments, length, res, tag, evaluations, float(singular[i])
             )
     return winner
 
@@ -526,30 +505,31 @@ def forward_oracle(
     number the budget allots, `per_family` per non-EMPTY family, a
     ruled-out family's and a pruned shape's included, so it can exceed
     the budget: budget=1 reports 25 below 1/sqrt(2) and 27 above.
-    One search (`_FamilySearch`) per searched non-EMPTY chain shape of the
-    planner's cached audit catalog (`_catalog(r, "all")`) samples each of
-    its searched families (non-EMPTY catalog family i with seed + i) and
-    polishes each family's REFINE_TOP best samples (`_top_restarts`) in one
-    batch.  Two exact bounds order the search:
 
-    1. The free and pinned-middle shapes, each family only if its chain
-       invariant does not rule the target out (`_ruled_out`): a ruled-out
-       family draws no sample, and a shape with every family ruled out
-       builds no search.  One descent (`_descend_restarts`) takes the
-       restarts at once, each padded to three slots by exact identity
-       turns, before the polish; the finish (`_finish`) then refines them
-       shortest first until one passes TOL_RESIDUAL.
-    2. The equal-middle shapes, in ascending least length (`_least_length`,
-       2 pi r then 3 pi r): once the winner so far is strictly shorter than
-       a shape's least length, it and every later one are skipped.
-    3. A shape not skipped has its restarts clamped into the margined box
-       (beta is drawn from [0, pi]) and polished, and the finish refines
-       only those that sort before the winner by (length, catalog position).
+    One loop takes the non-EMPTY chain shapes of the planner's cached audit
+    catalog (`_catalog(r, "all")`) in ascending least length
+    (`_least_length`: 0 for the free and pinned-middle shapes, then 2 pi r
+    and 3 pi r for the equal-middle 4- and 5-chains), stably over catalog
+    order.  For each shape:
 
-    The result is that of finishing every restart of every family: no row
-    of a ruled-out family can pass the gate, and a row keeps its bits in
-    any batch.  It is the shortest passing path, the first of two equal
-    lengths in catalog order.
+    1. Once the winner so far is strictly shorter than the shape's least
+       length, the loop stops: every row of it and of every later shape
+       sorts after the winner.
+    2. A family whose chain invariant rules the target out (`_ruled_out`)
+       draws no sample, and a shape with every family ruled out is skipped.
+    3. Otherwise one search (`_FamilySearch`) samples each kept family
+       (non-EMPTY catalog family i with seed + i) and takes its REFINE_TOP
+       best samples (`_top_restarts`).  Free and pinned-middle restarts
+       are descended (`descend`), equal-middle ones clamped into the
+       margined box (beta is drawn from [0, pi]); all of them are polished
+       in one batch, and the finish (`_finish`) refines them shortest first,
+       only those that sort before the winner by (length, catalog position),
+       until one passes TOL_RESIDUAL.
+
+    The result is that of finishing every restart of every family at once:
+    no row of a ruled-out family can pass the gate, and a row keeps its
+    bits in any batch.  It is the shortest passing path, the first of two
+    equal lengths in catalog order.
     A target the identity reaches is EMPTY, with no search.  `min_singular`
     is the smallest singular value of the winner's parameter Jacobian, from
     the polish.  Results are deterministic for a fixed seed.  The target is
@@ -570,41 +550,26 @@ def forward_oracle(
 
     davenport = _davenport(m)
     shapes = [shape for shape in catalog.shapes if shape.templates[0].kinds]
-
-    def restarts(
-        shape: ChainShape, kept: np.ndarray
-    ) -> tuple[_FamilySearch, np.ndarray, np.ndarray]:
-        """(search, kept restarts, owner) of a shape: the REFINE_TOP best
-        samples of each family in `kept`, family by family."""
+    leasts = [_least_length(shape, catalog.weights) for shape in shapes]
+    winner = (math.inf, math.inf, OracleResult(None, math.inf, math.inf, "", evaluations))
+    for least, shape in sorted(zip(leasts, shapes), key=lambda pair: pair[0]):
+        if winner[0] < least:  # every row of this shape and the next sorts after the winner
+            break
+        kept = np.flatnonzero(~_ruled_out(shape, m))
+        if not kept.size:
+            continue
         search, starts = _FamilySearch(shape), []
         for family in kept.tolist():
             rng = np.random.default_rng(seed + families.index(shape.templates[family]))
             params = search.sample(rng, per_family, family)
             starts.append(params[_top_restarts(search.compose_batch(params, family), davenport)])
         owner = np.repeat(kept, [len(rows) for rows in starts])
-        return search, np.concatenate(starts), owner
-
-    batches = []
-    for shape in shapes:
-        if not shape.templates[0].equal_middles:
-            kept = np.flatnonzero(~_ruled_out(shape, m))
-            if kept.size:
-                batches.append(restarts(shape, kept))
-    polished = [
-        (search, owner, *search._polish(m, params, owner))
-        for (search, _, owner), params in zip(batches, _descend_restarts(m, batches))
-    ]
-    nothing = OracleResult(None, math.inf, math.inf, "", evaluations)
-    winner = _finish(m, geom, catalog.weights, polished, (math.inf, math.inf, nothing))
-    bounded = [shape for shape in shapes if shape.templates[0].equal_middles]
-    leasts = [_least_length(shape, catalog.weights) for shape in bounded]
-    for least, shape in sorted(zip(leasts, bounded), key=lambda pair: pair[0]):
-        if winner[0] < least:  # every row of this shape and the next sorts after the winner
-            break
-        search, params, owner = restarts(shape, np.arange(len(shape.templates)))
-        params = search._clamp(params, owner)  # beta is drawn from [0, pi]
-        batch = [(search, owner, *search._polish(m, params, owner))]
-        winner = _finish(m, geom, catalog.weights, batch, winner)
+        if search.template.equal_middles:
+            params = search._clamp(np.concatenate(starts), owner)  # beta is drawn from [0, pi]
+        else:
+            params = search.descend(m, np.concatenate(starts), owner)
+        polished = search._polish(m, params, owner)
+        winner = _finish(m, geom, catalog.weights, search, owner, *polished, winner)
     return winner[2]
 
 

@@ -317,6 +317,38 @@ def test_sweep_determinism_across_parallel(tmp_path):
         assert float(fields[7]) <= 1e-9  # residual
 
 
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1), (64, 10)])
+def test_sweep_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch, cpus, workers):
+    # --parallel 500 over 10 rows: ten one-row runs on min(runs, CPUs) workers;
+    # the stand-in pool records its size and maps in this process
+    started, mapped = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            mapped.extend(len(chunk) for chunk in chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    args = ["sweep", "--r", "0.5,0.8", "--instances", "5", "--seed", "7"]
+    assert cli.main(args + ["--output", str(serial)]) == 0
+    assert not started
+    assert cli.main(args + ["--output", str(parallel), "--parallel", "500"]) == 0
+    assert started == [workers] and mapped == [1] * 10
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
 def test_sweep_high_regime_families_are_cataloged(tmp_path):
     out = tmp_path / "high.csv"
     assert cli.main(["sweep", "--r", "0.8", "--instances", "20",

@@ -360,6 +360,18 @@ def test_chain_constants_are_cached_read_only_and_per_radius():
     assert bits(r1) == fresh
 
 
+def test_a_zero_turn_is_exactly_identity():
+    # `ChainShape.inner`'s pad slots turn by 0 about e_z and must multiply as I, bit for bit
+    rng = np.random.default_rng(9)
+    axes = rng.standard_normal((50, 3))
+    axes = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True), [0.0, 0.0, 1.0]])
+    rots = geo.rotations_about_axis(axes, np.zeros(len(axes)))
+    assert rots.tobytes() == np.broadcast_to(np.eye(3), rots.shape).tobytes()
+    chains = geo.rotations_about_axis(axes, rng.uniform(0.0, 2.0 * math.pi, len(axes)))
+    assert np.array_equal(chains @ rots, chains)
+    assert np.array_equal(rots @ chains, chains)
+
+
 def test_family_template_hashes_on_its_tag():
     lrl, pinned = lk.FamilyTemplate.of("LRL"), lk.FamilyTemplate.of("LRL", pinned=True)
     assert pinned.tag == "LRpiL" and lrl != pinned

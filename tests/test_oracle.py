@@ -185,22 +185,24 @@ def test_quaternion_ranking_keeps_the_residual_order(r):
 
 @pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
 def test_stacked_polish_matches_each_family_alone(r):
-    """Polishing every family of a parameter shape in one batch gives each
-    row the bits of a search built for its family alone, on seeded restarts
-    (after the descent, as in `forward_oracle`) and on restarts 1e-9 off a
-    root."""
+    """Descending and polishing every family of a parameter shape in one
+    batch gives each row the bits of a search built for its family alone,
+    on seeded restarts (after the descent, as in `forward_oracle`) and on
+    restarts 1e-9 off a root."""
     geom, searches, _ = _audit_searches(r)
     rng = np.random.default_rng(int(r * 1000))
     m = geo.compose_path(random_in_bounds_path(pl.FamilyTemplate.of("LRLR"), rng), geom)
     assert len(searches) == (6 if r > SQRT2_INV else 5)
     near_roots = 0
     for search in searches:
-        starts, owners = [], []
+        starts, owners, drawn, descended = [], [], [], []
         for family, template in enumerate(search.templates):
             alone = _alone(template, geom)
             seeded = alone.sample(rng, 6, 0)
             if not template.equal_middles:
-                seeded = orc._descend_restarts(m, [(alone, seeded, np.zeros(6, dtype=int))])[0]
+                drawn.append(seeded)
+                seeded = alone.descend(m, seeded, np.zeros(6, dtype=int))
+                descended.append(seeded)
             polished, _ = alone._polish(m, seeded, np.zeros(6, dtype=int))
             ends, _ = alone.linearize(polished, np.zeros(6, dtype=int))
             roots = polished[np.linalg.norm(ends - m, axis=(1, 2)) <= orc.ACCEPT_GATE]
@@ -209,6 +211,9 @@ def test_stacked_polish_matches_each_family_alone(r):
             near = alone._clamp(near, np.zeros(len(near), dtype=int))
             starts.append(np.concatenate([seeded, near]))
             owners.append(np.full(len(starts[-1]), family))
+        if drawn:
+            together = search.descend(m, np.concatenate(drawn), np.repeat(np.arange(len(drawn)), 6))
+            assert np.array_equal(together, np.concatenate(descended)), search.template.tag
         owner = np.concatenate(owners)
         params, singular = search._polish(m, np.concatenate(starts), owner)
         for family, (template, rows) in enumerate(zip(search.templates, starts)):
@@ -217,40 +222,6 @@ def test_stacked_polish_matches_each_family_alone(r):
             assert np.array_equal(params[owner == family], got), template.tag
             assert np.array_equal(singular[owner == family], got_singular), template.tag
     assert near_roots >= 10
-
-
-@pytest.mark.parametrize("r", [0.3, 0.71, 0.8, math.sqrt(3.0) / 2.0])
-def test_one_descent_matches_each_shape_alone(r):
-    """One descent over the restarts of every free and pinned-middle shape,
-    each row padded to three slots by identity turns, gives each row the
-    bits of an unpadded descent of its shape alone and of a one-shape
-    `_descend_restarts`.  The targets are a random rotation and an in-box
-    free three-turn path."""
-    geom, searches, _ = _audit_searches(r)
-    searches = [search for search in searches if not search.template.equal_middles]
-    rng = np.random.default_rng(int(r * 1000) + 1)
-    targets = [
-        orc.random_rotation(rng),
-        geo.compose_path(random_in_bounds_path(pl.FamilyTemplate.of("LRL"), rng), geom),
-    ]
-    descended = 0
-    for m in targets:
-        batches = []
-        for search in searches:
-            count = len(search.templates)
-            params = np.concatenate([search.sample(rng, 6, family) for family in range(count)])
-            batches.append((search, params, np.repeat(np.arange(count), 6)))
-        together = orc._descend_restarts(m, batches)
-        assert len(together) == len(batches)
-        for (search, params, owner), got in zip(batches, together):
-            template = search.template
-            lo, hi = (template.angles(bound[owner]) for bound in search.box)
-            alone = orc._descend_angles(search.axes[owner], lo, hi, template.angles(params), m)
-            assert np.array_equal(got, alone @ template.slot_map), template.tag
-            shape_alone = orc._descend_restarts(m, [(search, params, owner)])[0]
-            assert np.array_equal(got, shape_alone), template.tag
-            descended += len(got)
-    assert descended >= 2 * 6 * 10
 
 
 # a random_rotation seed per radius whose budget-1 oracle passes no path
@@ -287,12 +258,10 @@ def _solved_shapes(r) -> list:
 
 
 def _kept_shapes(shapes, m) -> list:
-    """The shapes that keep a family for target m: every equal-middle one,
-    and each other whose chain invariant leaves one of its families in."""
-    return [
-        shape for shape in shapes
-        if shape.templates[0].equal_middles or not orc._ruled_out(shape, m).all()
-    ]
+    """The shapes whose chain invariant leaves one of their families in for
+    target m: every equal-middle one, where it rules nothing out, and some
+    of the others."""
+    return [shape for shape in shapes if not orc._ruled_out(shape, m).all()]
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
@@ -321,18 +290,6 @@ def test_shape_table_outlives_other_radii(monkeypatch):
     kept = _kept_shapes(solved, m)
     assert len(searched) == len(kept)  # nothing pruned
     assert all(shape is mine for shape, mine in zip(searched, kept))
-
-
-def test_a_zero_turn_is_exactly_identity():
-    # the descent's pad slots turn by 0 and must multiply as I, bit for bit
-    rng = np.random.default_rng(9)
-    axes = rng.standard_normal((50, 3))
-    axes = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True), orc._PAD_AXIS])
-    rots = geo.rotations_about_axis(axes, np.zeros(len(axes)))
-    assert rots.tobytes() == np.broadcast_to(np.eye(3), rots.shape).tobytes()
-    chains = geo.rotations_about_axis(axes, rng.uniform(0.0, 2.0 * math.pi, len(axes)))
-    assert np.array_equal(chains @ rots, chains)
-    assert np.array_equal(rots @ chains, chains)
 
 
 @pytest.mark.parametrize("target, message", [
@@ -638,7 +595,7 @@ def test_generator_rodrigues_matches_rotations_about_axis():
     for row, r in enumerate((0.3, 0.6, SQRT2_INV)):
         for slot, kind in enumerate("GLR"):
             axes[row, slot] = geo.turn_axis(kind, geo.TurnGeometry(r))
-    axes[:, 3] = orc._PAD_AXIS
+    axes[:, 3] = [0.0, 0.0, 1.0]  # e_z: turned by 0 it is exactly I
     angles = rng.uniform(0.0, 2.0 * math.pi, (6, 5))
     angles[::2, 1:] = 0.0
     angles[:, 3] = 0.0
@@ -873,6 +830,38 @@ def test_least_length_bounds_every_polished_row(monkeypatch, r):
         factors = catalog.weights[search.positions[owner], 0]
         lengths = orc._finish_lengths(search.template, params, factors)
         assert (lengths >= least[search.templates]).all()
+
+
+@pytest.mark.parametrize("r", [0.3, SQRT2_INV, 0.8, math.sqrt(3.0) / 2.0])
+def test_least_length_is_zero_off_the_equal_middle_shapes(r):
+    """Every free and pinned-middle shape has least length 0.0, and the rule
+    rules out no equal-middle family.  The witness: an `LRL` row with its
+    middle at the box top 2 pi, which canonical_angles snaps to 0, reaches
+    L(0.5) within the gate at length 0.5 r, below pi r, the length of its
+    low arcs, so its low arcs bound nothing."""
+    catalog = pl._catalog(r, "all")
+    geom = geo.TurnGeometry.from_radius(r)
+    m = geo.compose_path([geo.L(0.5)], geom)
+    for shape in _solved_shapes(r):
+        least = orc._least_length(shape, catalog.weights)
+        if shape.templates[0].equal_middles:
+            assert least >= 2.0 * math.pi * r * (1.0 - 1e-15)
+            assert not orc._ruled_out(shape, m).any()
+        else:
+            assert least == 0.0, shape.templates[0].tag
+    shape = next(s for s in _solved_shapes(r) if s.templates[0].shape == (3, False))
+    family = next(i for i, t in enumerate(shape.templates) if t.tag == "LRL")
+    template = shape.templates[family]
+    lows, highs = template.box
+    row = np.array([[0.3, highs[1], 0.2]])
+    assert highs[1] == 2.0 * math.pi and (lows <= row).all() and (row <= highs).all()
+    factors = catalog.weights[[shape.positions[family]], 0]
+    length = orc._finish_lengths(template, row, factors)[0]
+    low_arcs = orc._finish_lengths(template, lows[None, :], factors)[0]
+    assert abs(low_arcs - math.pi * r) <= 1e-15 and abs(length - 0.5 * r) <= 1e-15
+    assert length < low_arcs
+    segments, residual = orc._FamilySearch(shape).refine(m, row[0], family, geom)
+    assert residual <= orc.TOL_RESIDUAL and [s.angle for s in segments][1] == 0.0
 
 
 # five structured targets per radius, beside three seeded ones: 1- and 2-arc
