@@ -33,8 +33,11 @@ TWO_PI = 2.0 * math.pi
 
 # Angle resolution: angles closer than this are one angle.  It snaps an absent
 # segment to exactly zero, merges roots, is the slack on a family-box bound,
-# and beta's margin from its excluded ends in the oracle's polish.
-ANGLE_EPS = 1e-9
+# and beta's margin from its excluded ends in the oracle's polish.  A snap
+# moves a chain's endpoint by ||R(a, t) - I||_F <= sqrt2 |t|, so the value
+# keeps sqrt2 * 5 snapped arcs * ANGLE_EPS (7.1e-10) <= TOL_RESIDUAL (1e-9):
+# snapping every arc of a 5-chain cannot fail a row the residual gate passes.
+ANGLE_EPS = 1e-10
 # Off-axis length below which a vector has no turn angle (`align_angles`),
 # so the outer rotations of a chain merge into one.
 PERP_EPS = 1e-7

@@ -2,12 +2,17 @@
 
 The forward oracle searches candidate-family angle vectors directly: seeded
 uniform restarts inside each family's feasible box, then a
-Levenberg-Marquardt polish with the chain's analytic Jacobian.  Samples are
-composed as unit quaternions and ranked by tr(m^T R), which orders them as
-the endpoint residual does; the ranking only chooses the restarts.  Free
-and pinned-middle restarts are first brought near a root by coordinate
-descent on the endpoint residual; equal-middle restarts (interior arcs pi +
-beta) go to the polish as drawn, clamped into beta's margined box.  Each
+Levenberg-Marquardt polish with the chain's analytic Jacobian.  A family's
+samples are drawn in one affine pass, low + (high - low) u over one
+`rng.random` array, which has the bits of `rng.uniform`.  They are composed
+as unit quaternions, each half angle's cosine and sine taken from one
+tangent t = tan(arc/4), and ranked by tr(m^T R), which orders them as the
+endpoint residual does; the ranking only chooses the restarts, which are
+rows of the drawn parameters, so no bit of the quaternions reaches a
+result.  Free and pinned-middle restarts are first brought near a root by
+coordinate descent on the endpoint residual; equal-middle restarts
+(interior arcs pi + beta) go to the polish as drawn, clamped into beta's
+margined box.  Each
 restart ends as one canonical path; the finish takes them shortest first,
 and the first whose one residual, read from `compose_path`, passes
 TOL_RESIDUAL wins and is reported, so the rest are never composed.
@@ -112,6 +117,23 @@ def _davenport(m: np.ndarray) -> np.ndarray:
     return k
 
 
+def _half_angle_trig(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(arc/2) and sin(arc/2) of every entry, from one tangent t =
+    tan(arc/4): (1 - t^2) / (1 + t^2) and 2 t / (1 + t^2).  Computed in
+    place: `arcs` is overwritten and comes back as the sines.  At an arc of
+    2 pi, t is tan(pi/2) in float, about 1.6e16, so cos is -1 and sin
+    1.2e-16, with no overflow; each entry is within a few ulps of np.cos
+    and np.sin of arc/2."""
+    t = np.tan(np.multiply(arcs, 0.25, out=arcs), out=arcs)
+    square = np.square(t)
+    denominator = square + 1.0
+    cos = np.subtract(1.0, square, out=square)
+    cos /= denominator
+    sin = np.multiply(t, 2.0, out=t)
+    sin /= denominator
+    return cos, sin
+
+
 def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
     """Indices of the REFINE_TOP samples, best first, by tr(m^T R) = q^T K q
     of their quaternions (`compose_batch`, `_davenport`): the order of the
@@ -177,26 +199,33 @@ class _FamilySearch:
 
     # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, n: int, family: int) -> np.ndarray:
+        """n parameter rows drawn uniformly from the family's box, with the
+        bits of `rng.uniform`: low + (high - low) u, one u of `rng.random`
+        per entry in C order, all of them from one call.  On equal-middle
+        chains beta's n draws come first, then each outer arc's n, up to
+        the cap beta sets."""
         lows, highs = self.templates[family].box
-        if self.template.equal_middles:  # beta first, then outer arcs up to its cap
-            params = np.zeros((n, 3))
-            params[:, 1] = rng.uniform(lows[1], highs[1], size=n)
-            cap = self.template.outer_cap(self.template.angles(params).T)
-            params[:, 0] = rng.uniform(lows[0], cap)
-            params[:, 2] = rng.uniform(lows[2], cap)
-            return params
-        return rng.uniform(lows, highs, size=(n, len(lows)))
+        if not self.template.equal_middles:
+            return lows + (highs - lows) * rng.random((n, len(lows)))
+        u = rng.random((3, n))
+        params = np.zeros((n, 3))
+        params[:, 1] = lows[1] + (highs[1] - lows[1]) * u[0]
+        cap = self.template.outer_cap(self.template.angles(params).T)
+        params[:, 0] = lows[0] + (cap - lows[0]) * u[1]
+        params[:, 2] = lows[2] + (cap - lows[2]) * u[2]
+        return params
 
     def compose_batch(self, params: np.ndarray, family: int) -> np.ndarray:
         """Unit quaternions (n, 4) of one family's sampled chains: slot by
         slot, q <- cos(angle/2) q + sin(angle/2) q (0, axis), composed in
         place as (4, n) columns so each step is one 4x4 product; the first
         slot's step from (1, 0, 0, 0) is written out, and the half-angle
-        trig is taken once per distinct arc column.  They only rank the
-        samples (`forward_oracle`) to choose restarts; the one gate reads
-        the residual of `compose_path` (`refine`)."""
-        half = 0.5 * np.ascontiguousarray(self.template.angles(params).T[self.arc_columns])
-        cos, sin = np.cos(half), np.sin(half)
+        trig is taken once per distinct arc column, from one tangent
+        (`_half_angle_trig`).  They only rank the samples (`forward_oracle`)
+        to choose restarts, so no bit of them reaches a result; the one gate
+        reads the residual of `compose_path` (`refine`)."""
+        arcs = np.ascontiguousarray(self.template.angles(params).T[self.arc_columns])
+        cos, sin = _half_angle_trig(arcs)
         first, *rest = self.slot_columns
         q = np.empty((4, len(params)))
         q[0] = cos[first]
@@ -401,11 +430,11 @@ def _least_length(shape: ChainShape, weights: np.ndarray) -> float:
     clamps the drawn starts into it (`_clamp`) and the polish clamps every
     step.  canonical_angles leaves such an arc in [pi, 2 pi) and never
     snaps it to 0: at the top, 2 pi - (pi + (pi - ANGLE_EPS)) is
-    1.0000000827e-9 in float64, above ANGLE_EPS.  Every canonical arc is
-    then at least its low arc, and a rounded product by a factor >= 0 and
-    a rounded sum are monotone in their operands, so the row's length,
-    computed by the same operations in the same order, is at least this
-    one."""
+    1.000000082740371e-10 in float64, not below ANGLE_EPS.  Every
+    canonical arc is then at least its low arc, and a rounded product by a
+    factor >= 0 and a rounded sum are monotone in their operands, so the
+    row's length, computed by the same operations in the same order, is at
+    least this one."""
     if not shape.templates[0].equal_middles:
         return 0.0
     lows = np.stack([template.box[0] for template in shape.templates])

@@ -203,8 +203,8 @@ def test_relative_rotation_is_orthonormal():
 
 
 def test_segment_angle_canonicalization():
-    assert geo.Segment("L", 5e-10).angle == 0.0
-    assert geo.Segment("L", 2 * math.pi - 5e-10).angle == 0.0
+    assert geo.Segment("L", 5e-11).angle == 0.0
+    assert geo.Segment("L", 2 * math.pi - 5e-11).angle == 0.0
     assert geo.Segment("L", -0.5).angle == pytest.approx(2 * math.pi - 0.5)
 
 

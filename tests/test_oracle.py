@@ -610,10 +610,12 @@ def test_generator_rodrigues_matches_rotations_about_axis():
     assert zero.tobytes() == np.broadcast_to(np.eye(3), zero.shape).tobytes()
 
 
-def _quaternion_rows(search, params, family):
-    """The (n, 4) composition, slot by slot q <- cos q + sin q (0, axis)."""
-    half = 0.5 * search.template.angles(params)
-    cos, sin = np.cos(half), np.sin(half)
+def _quaternion_rows(search, params, family, trig=None):
+    """The (n, 4) composition, slot by slot q <- cos q + sin q (0, axis), with
+    the half-angle trig `compose_batch` takes (`_half_angle_trig`) unless
+    `trig` gives another: the (cos, sin) of the (n, slots) arcs."""
+    arcs = search.template.angles(params).copy()  # a free family's arcs are its params
+    cos, sin = (trig or orc._half_angle_trig)(arcs)
     q = np.zeros((len(params), 4))
     q[:, 0] = 1.0
     for slot, axis in enumerate(search.axes[family]):
@@ -1008,3 +1010,68 @@ def test_oracle_replay_hash():
         for k, m in enumerate(targets):
             digest.update(repr(orc.forward_oracle(m, geom, seed=i + k, budget=2000)).encode())
     assert digest.hexdigest() == REPLAY_SHA256
+
+
+def _cos_sin_of_half(arcs):
+    return np.cos(0.5 * arcs), np.sin(0.5 * arcs)
+
+
+@pytest.mark.parametrize("r", REPLAY_RADII)
+def test_tangent_trig_chooses_the_restarts_of_cos_and_sin(r):
+    # 20 seeded batches of 4 000 samples per family: the tangent trig ranks
+    # as np.cos and np.sin of the half angles do, within 16 u of their
+    # quaternions (10 u, 1.11e-15, measured), so it chooses the same restarts
+    _, searches, families = _audit_searches(r)
+    worst = 0.0
+    for seed in range(20):
+        davenport = orc._davenport(orc.random_rotation(np.random.default_rng(seed)))
+        for search in searches:
+            for family, template in enumerate(search.templates):
+                rng = np.random.default_rng(seed + families.index(template))
+                params = search.sample(rng, 4000, family)
+                got = search.compose_batch(params, family)
+                expected = _quaternion_rows(search, params, family, _cos_sin_of_half)
+                worst = max(worst, float(np.max(np.abs(got - expected))))
+                ranked = orc._top_restarts(got, davenport)
+                assert np.array_equal(ranked, orc._top_restarts(expected, davenport)), template.tag
+    assert worst <= 16 * 2.0**-53
+
+
+def test_half_angle_trig_at_the_box_ends():
+    # arcs 0, pi and 2 pi (the box top: tan(pi/2) in float, ~1.6e16) without overflow
+    arcs = np.array([0.0, math.pi, 2.0 * math.pi, 1e-300])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cos, sin = orc._half_angle_trig(arcs.copy())
+    assert cos.tolist()[0::2] == [1.0, -1.0] and sin.tolist()[0] == 0.0
+    assert np.max(np.abs(cos - np.cos(0.5 * arcs))) <= 2.0**-52
+    assert np.max(np.abs(sin - np.sin(0.5 * arcs))) <= 2.0**-52
+
+
+def _uniform_rows(search, rng, n, family):
+    """A family's samples drawn entry by entry with `rng.uniform`."""
+    lows, highs = search.templates[family].box
+    if not search.template.equal_middles:
+        return rng.uniform(lows, highs, size=(n, len(lows)))
+    params = np.zeros((n, 3))
+    params[:, 1] = rng.uniform(lows[1], highs[1], size=n)
+    cap = search.template.outer_cap(search.template.angles(params).T)
+    params[:, 0] = rng.uniform(lows[0], cap)
+    params[:, 2] = rng.uniform(lows[2], cap)
+    return params
+
+
+def test_sample_draws_the_bits_of_rng_uniform():
+    # free, pinned and equal-middle families over 50 seeds: the same rows
+    # and the same draws taken from the stream
+    kinds = set()
+    for r in (0.3, 0.71, math.sqrt(3.0) / 2.0):
+        for search in _audit_searches(r)[1]:
+            kinds.add((search.template.pinned, search.template.equal_middles))
+            for family in range(len(search.templates)):
+                for seed in range(50):
+                    n = (1, 7, 4000)[seed % 3]
+                    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = search.sample(rng, n, family)
+                    assert got.tobytes() == _uniform_rows(search, reference, n, family).tobytes()
+                    assert rng.random() == reference.random()
+    assert kinds == {(False, False), (True, False), (False, True)}
