@@ -19,17 +19,18 @@ TOL_RESIDUAL wins and is reported, so the rest are never composed.
 
 One loop takes the chain shapes (free 1/2/3 slots, pinned pi,
 equal-middle 4 and 5) one after another, each searched and finished
-against the winner so far, in ascending least length (`_least_length`):
-0 for the free and pinned-middle shapes, then 2 pi r and 3 pi r for the
-equal-middle 4- and 5-chains, whose interior arcs of at least pi each
-bound every path's length.  Two exact bounds cut the loop, and what
-either rules out could never win, so neither changes the result.  A
-shape whose least length is above the winner so far ends the loop.  The
-chain invariant a_1 . P a_n = a_1 . B a_n (`_ruled_out`) bounds what a
-free or pinned-middle family can reach: a family whose interval of
-a_1 . B a_n misses a_1 . m a_n by more than the gate is never sampled,
-and a shape left with no family is skipped.  That rules out most
-families with fewer than three free arcs.  The oracle never consults the
+against the winner so far, in ascending least family bound
+(`_family_bounds`): the least finish length at which a row of the family
+could pass the gate, inf where none can.  The chain invariant
+a_1 . P a_n = a_1 . B a_n sets it.  A free or pinned-middle family whose
+interval of a_1 . B a_n misses a_1 . m a_n by more than the gate gets inf
+(`_ruled_out`), any other 0.  An equal-middle family reads its invariant
+off a table over beta (`_beta_table`), whose cells within the gate bound
+beta, and through beta the length, from below.  What the bounds leave out
+could never win, so they change no result: a shape whose least bound is
+above the winner so far ends the loop, and a family whose bound is above
+it draws no sample.  That rules out most families with fewer than three
+free arcs and most equal-middle ones.  The oracle never consults the
 closed-form linkage solver, so agreement between the two is meaningful
 evidence: of the planner's cached audit catalog
 (`planner._catalog(r, "all")`) it reads only each `ChainShape`'s
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 
@@ -79,6 +81,34 @@ POLISH_DAMP_CAP = 1e-4  # a row whose damping passes this stops: no step lowers 
 POLISH_STEPS = 100    # steps for a row still above ACCEPT_GATE; rows below get as many again
 POLISH_STALL = 1e-9   # a row above ACCEPT_GATE stops once a kept step gains less than this share
 INVARIANT_SLACK = 2.0**-45  # 256 u: rounding between a passing row and its chain invariant
+
+# An equal-middle family's chain invariant g(beta) = a_1 . B a_n is tabulated
+# at the centres of BETA_CELLS equal cells of beta's [0, pi] (`_beta_table`,
+# `_family_bounds`).  Inside a cell g moves from its centre value by at most
+# (n - 2) h/2, 4.6e-3 on a 5-chain: a narrow enough band of kept cells to
+# lift a family's least length well above its low arcs on most targets, for
+# (n - 2) BETA_CELLS rotations per family, once per radius.
+BETA_CELLS = 1024
+# BETA_SLACK bounds, in u = 2^-53, the rounding between a row that passes the
+# gate and the table value of its cell, as INVARIANT_SLACK does for a free
+# chain (`_ruled_out`): `compose_path`'s at most five Rodrigues factors
+# (34u each) and four products (9u each) put the row's P within 206u of the
+# exact chain, its gated norm is within 6u TOL_RESIDUAL of ||P - m||_F, and
+# a_1 . m a_n is computed within 24u (||m||_F < 1.8).  The row's interior arc
+# and its cell centre's, each a rounded pi + beta in [pi, 2 pi), differ by at
+# most their betas' distance plus 8u, so by the Lipschitz constant n - 2 <= 3
+# at most 24u beyond the (n - 2) h/2 of the gate.  A table entry has three
+# factors and two products (120u) and a bilinear form in axes unit to 3u
+# (24u); the rule's subtraction and sums add 7u.  The total, under 410u, is
+# below BETA_SLACK = 512u = 2^-44.
+BETA_SLACK = 2.0**-44
+_BETA_EDGES = np.linspace(0.0, math.pi, BETA_CELLS + 1)
+_BETA_CENTRES = 0.5 * (_BETA_EDGES[:-1] + _BETA_EDGES[1:])
+# h/2: the farthest a cell's point lies from its centre (the differences are exact)
+_BETA_HALF = float(max(np.max(_BETA_CENTRES - _BETA_EDGES[:-1]),
+                       np.max(_BETA_EDGES[1:] - _BETA_CENTRES)))
+_BETA_EDGES.setflags(write=False)
+_BETA_CENTRES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -144,23 +174,10 @@ def _top_restarts(q: np.ndarray, davenport: np.ndarray) -> np.ndarray:
     return kept[np.argsort(negated[kept])]
 
 
-def _trace_argmax(
-    w: np.ndarray, axis: np.ndarray, lo: np.ndarray, hi: np.ndarray, trig: np.ndarray
-) -> np.ndarray:
-    """Per row, the angle in [lo, hi] maximizing tr(w @ R(axis, angle)) in
-    closed form: tr(W R) = a.W.a + (tr W - a.W.a) cos + tr(W K) sin, K = skew(a).
-    Every axis lies in the x-z plane, so tr(W K) has no y term.  `trig`
-    holds the rows' cos lo, cos hi, sin lo and sin hi, one per column."""
-    const = np.einsum("ni,nij,nj->n", axis, w, axis)
-    c_coef = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - const
-    s_coef = axis[:, 0] * (w[:, 1, 2] - w[:, 2, 1]) + axis[:, 2] * (w[:, 0, 1] - w[:, 1, 0])
-    best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
-    # first maximum wins: the lower bound, then the upper, then the free optimum
-    value, upper = (c_coef[:, None] * trig[:, :2] + s_coef[:, None] * trig[:, 2:]).T
-    angle = np.where(upper > value, hi, lo)
-    value = np.maximum(value, upper)
-    free = (lo <= best) & (best <= hi) & (c_coef * np.cos(best) + s_coef * np.sin(best) > value)
-    return np.where(free, best, angle)
+def _frobenius(d: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (k, 3, 3) stack: numpy's own formula for
+    np.linalg.norm(d, axis=(1, 2)), with its bits, without its checks."""
+    return np.sqrt(np.add.reduce(d * d, axis=(1, 2)))
 
 
 class _FamilySearch:
@@ -193,7 +210,7 @@ class _FamilySearch:
         self.slot_columns = [distinct.index(arc) for arc in arcs]
         lows, highs = (np.stack(bound) for bound in zip(*(t.box for t in self.templates)))
         # beta's interval is open: the polish, its clamped starts included,
-        # stays ANGLE_EPS inside it (which `_least_length` relies on)
+        # stays ANGLE_EPS inside it (which `_family_bounds` relies on)
         margin = np.array([0.0, ANGLE_EPS, 0.0]) if self.template.equal_middles else 0.0
         self.box = (lows + margin, highs - margin)
 
@@ -242,49 +259,73 @@ class _FamilySearch:
     def descend(self, m: np.ndarray, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Coordinate descent of a free or pinned-middle batch, every restart
         at once, each with its own family's axes and box.  Each sweep
-        maximizes tr(R^T m) over one slot at a time, first to last; a pinned
-        slot has lo == hi.  A restart stops once its residual gains less
-        than 1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or REFINE_SWEEPS
+        maximizes tr(W R(a, angle)), W = m^T times the slots around the
+        current one, over one slot at a time, first to last, in closed form:
+        a.W.a + (tr W - a.W.a) cos + tr(W K) sin with K = skew(a), so the
+        best angle is the free optimum atan2 of the two coefficients if it
+        lies in [lo, hi] and beats both bounds, else the better bound (the
+        lower one on a tie); a pinned slot has lo == hi.  Every axis lies in
+        the x-z plane, so a.W.a and tr(W K) are written without their zero
+        y terms, a.W.a in the order and with the bits of the einsum
+        "ni,nij,nj->n".  A restart stops once its residual gains less than
+        1e-16 in a sweep, reaches TOL_RESIDUAL * 1e-3, or REFINE_SWEEPS
         sweeps pass; only the restarts still running are swept.  The slot
         rotations carry over from sweep to sweep, the bounds' cosines and
         sines and one m^T per row are taken once (a stack times a stack of
         m^T has the bits of a stack times the one m^T, without the
         broadcast), and a sweep carries the product of the slots before the
         current one left to right, so its last product is the sweep's
-        endpoint, whose residual is read.  The carried arrays are cut down
-        to the running restarts only on a sweep where some stop."""
+        endpoint, whose residual is read (`_frobenius`).  The carried arrays
+        are cut down to the running restarts only on a sweep where some
+        stop, and each slot's columns (axis, bounds and their trig) are
+        taken once per cut."""
         lo, hi = (self.template.angles(bound[owner]) for bound in self.box)
-        axes, k, k2 = self.axes[owner], self.generators[owner], self.squares[owner]
+        axes = self.axes[owner]
+        # (slots, 8, rows): per slot the axes' x and z, the bounds and their cosines and sines
+        columns = np.stack([axes[..., 0], axes[..., 2], lo, hi,
+                            np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)]).transpose(2, 0, 1)
+        generators = np.stack([self.generators[owner], self.squares[owner]], axis=2)
         angles = self.template.angles(params).copy()
-        n_slots = axes.shape[1]
+        n_slots = angles.shape[1]
         p = angles.copy()  # the running restarts' angles
         m_t = np.tile(m.T, (len(angles), 1, 1))  # per row: m.T's bits, faster than broadcasting
-        trig = np.stack([np.cos(lo), np.cos(hi), np.sin(lo), np.sin(hi)], axis=-1)
-        rots = [rotations_from_generators(k[:, j], k2[:, j], angles[:, j]) for j in range(n_slots)]
-        current = np.linalg.norm(reduce(np.matmul, rots[1:], rots[0]) - m, axis=(1, 2))
+        rots = [rotations_from_generators(generators[:, j, 0], generators[:, j, 1], angles[:, j])
+                for j in range(n_slots)]
+        current = _frobenius(reduce(np.matmul, rots[1:], rots[0]) - m)
         active = np.arange(len(angles))
+        slots = None
         for _ in range(REFINE_SWEEPS):
             if active.size == 0:
                 break
-            for slot in range(n_slots):
+            if slots is None:  # each slot's columns, taken once per cut
+                slots = [(*column[:4], column[4:6], column[6:], generators[:, j, 0],
+                          generators[:, j, 1]) for j, column in enumerate(columns)]
+            for slot, (ax, az, low, high, cos, sin, k, k2) in enumerate(slots):
                 w = m_t if slot == n_slots - 1 else reduce(np.matmul, rots[slot + 1:]) @ m_t
                 if slot:
                     w = w @ prefix
-                p[:, slot] = _trace_argmax(
-                    w, axes[:, slot], lo[:, slot], hi[:, slot], trig[:, slot]
-                )
-                rots[slot] = rotations_from_generators(k[:, slot], k2[:, slot], p[:, slot])
+                w00, w01, w02, w10, w11, w12, w20, w21, w22 = w.reshape(-1, 9).T
+                const = ax * w00 * ax + ax * w02 * az + az * w20 * ax + az * w22 * az
+                c_coef = w00 + w11 + w22 - const
+                s_coef = ax * (w12 - w21) + az * (w01 - w10)
+                best = np.arctan2(s_coef, c_coef) % (2.0 * math.pi)
+                value, upper = c_coef * cos + s_coef * sin  # at lo and at hi
+                angle = np.where(upper > value, high, low)
+                value = np.maximum(value, upper)
+                free = (low <= best) & (best <= high)
+                free &= c_coef * np.cos(best) + s_coef * np.sin(best) > value
+                p[:, slot] = np.where(free, best, angle)
+                rots[slot] = rotations_from_generators(k, k2, p[:, slot])
                 prefix = rots[0] if slot == 0 else prefix @ rots[slot]
-            after = np.linalg.norm(prefix - m, axis=(1, 2))
+            after = _frobenius(prefix - m)
             done = (current - after < 1e-16) | (after <= TOL_RESIDUAL * 1e-3)
             current = after
             if done.any():
                 angles[active[done]] = p[done]
                 keep = ~done
-                active, p, current = active[keep], p[keep], current[keep]
+                active, p, current, m_t = active[keep], p[keep], current[keep], m_t[keep]
                 rots = [rot[keep] for rot in rots]
-                axes, lo, hi, trig = axes[keep], lo[keep], hi[keep], trig[keep]
-                k, k2, m_t = k[keep], k2[keep], m_t[keep]
+                columns, generators, slots = columns[..., keep], generators[keep], None
         angles[active] = p
         return angles @ self.template.slot_map  # the parameters' arcs
 
@@ -413,39 +454,10 @@ def _finish_lengths(template, params: np.ndarray, factors: np.ndarray) -> np.nda
     return np.add.accumulate(arcs * factors[:, :arcs.shape[1]], axis=1)[:, -1]
 
 
-def _least_length(shape: ChainShape, weights: np.ndarray) -> float:
-    """The least length the finish can give a row of the shape.  For an
-    equal-middle shape it is `_finish_lengths` of each family's canonical
-    low arcs (outer arcs 0, interior arcs pi each) with its catalog arc
-    factors, the least over the shape's families; 2 pi r for a 4-chain,
-    3 pi r for a 5-chain.  A free or pinned-middle shape gets 0.0: the
-    proof below holds only in the margined equal-middle box, and a free
-    arc may sit at its box top 2 pi, which canonical_angles snaps to 0 (an
-    `LRL` middle of 2 pi is no turn at all), so a free row can be shorter
-    than its low arcs.
-
-    The equal-middle bound is a true lower bound.  A row the finish
-    measures has outer arcs of at least 0 and interior arcs pi + beta with
-    beta in the margined box [ANGLE_EPS, pi - ANGLE_EPS]: `forward_oracle`
-    clamps the drawn starts into it (`_clamp`) and the polish clamps every
-    step.  canonical_angles leaves such an arc in [pi, 2 pi) and never
-    snaps it to 0: at the top, 2 pi - (pi + (pi - ANGLE_EPS)) is
-    1.000000082740371e-10 in float64, not below ANGLE_EPS.  Every
-    canonical arc is then at least its low arc, and a rounded product by a
-    factor >= 0 and a rounded sum are monotone in their operands, so the
-    row's length, computed by the same operations in the same order, is at
-    least this one."""
-    if not shape.templates[0].equal_middles:
-        return 0.0
-    lows = np.stack([template.box[0] for template in shape.templates])
-    factors = weights[list(shape.positions), 0]
-    return float(_finish_lengths(shape.templates[0], lows, factors).min())
-
-
 def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
-    """Per family of the shape, whether its chain invariant rules the
-    target m out, so that no row of it can pass the finish's gate; on an
-    equal-middle shape it rules nothing out.
+    """Per family of a free or pinned-middle shape, whether its chain
+    invariant rules the target m out, so that no row of it can pass the
+    finish's gate.
 
     A chain P = R(a_1, .) B R(a_n, .) has a_1 . P a_n = a_1 . B a_n, as
     R(a, t) a = a (Davenport; Shuster and Markley).  Over the interior B
@@ -469,8 +481,6 @@ def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
     under 190u, is below INVARIANT_SLACK = 256u = 2^-45, so a ruled-out
     family's every row has a gated residual above TOL_RESIDUAL."""
     a = shape.axes
-    if shape.templates[0].equal_middles:
-        return np.zeros(len(a), dtype=bool)
     first, last = a[:, 0], a[:, -1]
     ends = np.einsum("fi,fi->f", first, last)
     k0, rho = ends, 0.0  # one arc or two
@@ -483,6 +493,65 @@ def _ruled_out(shape: ChainShape, m: np.ndarray) -> np.ndarray:
             rho = np.hypot(ends - k0, np.einsum("fi,fi->f", first, np.cross(middle, last)))
     scalar = np.einsum("fi,ij,fj->f", first, m, last)
     return np.abs(scalar - k0) - rho > TOL_RESIDUAL + INVARIANT_SLACK
+
+
+_BETA_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _beta_table(shape: ChainShape) -> np.ndarray:
+    """a_1 . B a_n of each family of an equal-middle shape (F, BETA_CELLS)
+    at the beta cell centres, B the interior arcs pi + beta multiplied left
+    to right: built from `ChainShape.axes` on the shape's first use and kept
+    while the shape is, so as long as `planner._catalog` keeps its radius."""
+    table = _BETA_TABLES.get(shape)
+    if table is None:
+        arcs = math.pi + _BETA_CENTRES  # the bits of `FamilyTemplate.angles`
+        generators = skew(shape.axes[:, 1:-1, None])  # (F, n - 2, 1, 3, 3)
+        interior = [rotations_from_generators(k, k @ k, arcs) for k in generators.swapaxes(0, 1)]
+        chains = reduce(np.matmul, interior)
+        table = np.einsum("fi,fcij,fj->fc", shape.axes[:, 0], chains, shape.axes[:, -1])
+        _BETA_TABLES[shape] = table
+    return table
+
+
+def _family_bounds(shape: ChainShape, weights: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per family of the shape, the least finish length at which a row of
+    it could pass the gate, inf where no row can: 0.0 or inf for a free or
+    pinned-middle family (`_ruled_out`), `_finish_lengths` of (0, beta_lo,
+    0) or inf for an equal-middle one.  A free arc may sit at its box top
+    2 pi, which canonical_angles snaps to 0 (an `LRL` middle of 2 pi is no
+    turn at all), so a free row can be shorter than its low arcs: 0.0 is
+    all a free family gets.
+
+    An equal-middle chain's interior B turns n - 2 times, about unit axes,
+    by one arc pi + beta, so g(beta) = a_1 . B a_n has Lipschitz constant
+    n - 2, and a_1 . P a_n = g(beta) for the whole chain P (`_ruled_out`).
+    A family keeps the cells of `_beta_table` where |g - a_1 . m a_n| <=
+    TOL_RESIDUAL + BETA_SLACK + (n - 2) h/2, h/2 = _BETA_HALF the farthest a
+    cell's point lies from its centre; with none kept it is ruled out.
+    beta_lo is the lower edge of the first kept cell, at least ANGLE_EPS.
+
+    The bound holds for every row that passes the gate.  A row the finish
+    measures has beta in the margined box [ANGLE_EPS, pi - ANGLE_EPS]
+    (`forward_oracle` clamps the drawn starts into it and the polish
+    clamps every step), so beta lies in a cell, which the row keeps if it
+    passes: beta >= beta_lo.  canonical_angles leaves an interior arc
+    pi + beta in [pi, 2 pi) and never snaps it to 0: at the top, 2 pi -
+    (pi + (pi - ANGLE_EPS)) is 1.000000082740371e-10 in float64, not below
+    ANGLE_EPS.  Every canonical arc of the row is then at least that of
+    (0, beta_lo, 0), and a rounded product by a factor >= 0 and a rounded
+    sum are monotone in their operands, so the row's length, computed by
+    the same operations in the same order, is at least the bound."""
+    if not shape.templates[0].equal_middles:
+        return np.where(_ruled_out(shape, m), math.inf, 0.0)
+    n = len(shape.templates[0].kinds)
+    scalar = np.einsum("fi,ij,fj->f", shape.axes[:, 0], m, shape.axes[:, -1])
+    gate = TOL_RESIDUAL + BETA_SLACK + (n - 2) * _BETA_HALF
+    kept = np.abs(_beta_table(shape) - scalar[:, None]) <= gate
+    lows = np.zeros((len(kept), 3))
+    lows[:, 1] = np.maximum(_BETA_EDGES[np.argmax(kept, axis=1)], ANGLE_EPS)
+    lengths = _finish_lengths(shape.templates[0], lows, weights[list(shape.positions), 0])
+    return np.where(kept.any(axis=1), lengths, math.inf)
 
 
 def _finish(
@@ -536,16 +605,19 @@ def forward_oracle(
     the budget: budget=1 reports 25 below 1/sqrt(2) and 27 above.
 
     One loop takes the non-EMPTY chain shapes of the planner's cached audit
-    catalog (`_catalog(r, "all")`) in ascending least length
-    (`_least_length`: 0 for the free and pinned-middle shapes, then 2 pi r
-    and 3 pi r for the equal-middle 4- and 5-chains), stably over catalog
-    order.  For each shape:
+    catalog (`_catalog(r, "all")`) in ascending least family bound, stably
+    over catalog order.  A family's bound (`_family_bounds`) is the least
+    finish length at which a row of it could pass the gate, inf where its
+    chain invariant rules the target out: 0.0 or inf on a free or
+    pinned-middle family (`_ruled_out`), and on an equal-middle one the
+    length of (0, beta_lo, 0), beta_lo the least beta its invariant
+    leaves, or inf.  For each shape:
 
     1. Once the winner so far is strictly shorter than the shape's least
-       length, the loop stops: every row of it and of every later shape
+       bound, the loop stops: every row of it and of every later shape
        sorts after the winner.
-    2. A family whose chain invariant rules the target out (`_ruled_out`)
-       draws no sample, and a shape with every family ruled out is skipped.
+    2. Only a family whose bound is finite and not above the winner draws
+       samples, and a shape with no such family is skipped.
     3. Otherwise one search (`_FamilySearch`) samples each kept family
        (non-EMPTY catalog family i with seed + i) and takes its REFINE_TOP
        best samples (`_top_restarts`).  Free and pinned-middle restarts
@@ -556,9 +628,9 @@ def forward_oracle(
        until one passes TOL_RESIDUAL.
 
     The result is that of finishing every restart of every family at once:
-    no row of a ruled-out family can pass the gate, and a row keeps its
-    bits in any batch.  It is the shortest passing path, the first of two
-    equal lengths in catalog order.
+    no row of a family left out can pass the gate and sort before the
+    winner, and a row keeps its bits in any batch.  It is the shortest
+    passing path, the first of two equal lengths in catalog order.
     A target the identity reaches is EMPTY, with no search.  `min_singular`
     is the smallest singular value of the winner's parameter Jacobian, from
     the polish.  Results are deterministic for a fixed seed.  The target is
@@ -579,12 +651,12 @@ def forward_oracle(
 
     davenport = _davenport(m)
     shapes = [shape for shape in catalog.shapes if shape.templates[0].kinds]
-    leasts = [_least_length(shape, catalog.weights) for shape in shapes]
+    bounds = [_family_bounds(shape, catalog.weights, m) for shape in shapes]
     winner = (math.inf, math.inf, OracleResult(None, math.inf, math.inf, "", evaluations))
-    for least, shape in sorted(zip(leasts, shapes), key=lambda pair: pair[0]):
-        if winner[0] < least:  # every row of this shape and the next sorts after the winner
+    for bound, shape in sorted(zip(bounds, shapes), key=lambda pair: pair[0].min()):
+        if winner[0] < bound.min():  # every row of this shape and the next sorts after the winner
             break
-        kept = np.flatnonzero(~_ruled_out(shape, m))
+        kept = np.flatnonzero((bound < math.inf) & (bound <= winner[0]))
         if not kept.size:
             continue
         search, starts = _FamilySearch(shape), []

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite takes 6-7 s on a shared 2-core Intel Xeon
-machine, most of it criterion 6 (200 budget-100000 oracle runs, about 4 s);
+machine, most of it criterion 6 (200 budget-100000 oracle runs, about 3 s);
 criterion 7 (200 closed-form extremal trajectories) takes about 1 s.
 """
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descent_reference
 from conftest import random_in_bounds_path, request_from_rotation, request_from_segments
 from sphere_dubins import geometry as geo
 from sphere_dubins import linkage as lk
@@ -225,7 +227,7 @@ def test_stacked_polish_matches_each_family_alone(r):
 
 
 # a random_rotation seed per radius whose budget-1 oracle passes no path
-# shorter than 3 pi r, the 5-chains' least length: no shape is pruned there
+# shorter than 3 pi r, the length of a 5-chain's low arcs
 UNPRUNED_SEEDS = {0.3: 0, 0.6: 36, 0.71: 171, 0.8: 6}
 
 
@@ -242,14 +244,14 @@ def _built_searches(monkeypatch) -> list:
     return built
 
 
-def _searches(monkeypatch, r) -> tuple[list, np.ndarray]:
+def _searches(monkeypatch, r) -> tuple[list, np.ndarray, float]:
     """(search, shape) of each `_FamilySearch` one forward_oracle call at r
-    builds, on a target where no shape is pruned, and the target."""
+    builds, the target and the winner's length."""
     built = _built_searches(monkeypatch)
     m = orc.random_rotation(np.random.default_rng(UNPRUNED_SEEDS[r]))
     found = orc.forward_oracle(m, geo.TurnGeometry(r), 0, 1)
     assert found.length >= 3.0 * math.pi * r
-    return built, m
+    return built, m, found.length
 
 
 def _solved_shapes(r) -> list:
@@ -257,21 +259,31 @@ def _solved_shapes(r) -> list:
     return [shape for shape in pl._catalog(r, "all").shapes if shape.templates[0].kinds]
 
 
-def _kept_shapes(shapes, m) -> list:
-    """The shapes whose chain invariant leaves one of their families in for
-    target m: every equal-middle one, where it rules nothing out, and some
-    of the others."""
-    return [shape for shape in shapes if not orc._ruled_out(shape, m).all()]
+def _kept_shapes(r, m, length) -> list:
+    """The shapes forward_oracle searches at r on target m when its winner
+    has `length`, in its order: those with a family whose bound
+    (`_family_bounds`) is at most that length, by least bound.  A shape
+    whose least bound is above it cannot give that winner, so the winner
+    came from a shape before it, and the loop stopped there."""
+    weights = pl._catalog(r, "all").weights
+    bounds = [(orc._family_bounds(shape, weights, m).min(), shape) for shape in _solved_shapes(r)]
+    return [shape for least, shape in sorted(bounds, key=lambda pair: pair[0])
+            if least <= length and least < math.inf]
+
+
+def _no_bound(shape, *_):
+    """`_family_bounds` that bounds nothing: every family is sampled."""
+    return np.zeros(len(shape.templates))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.71, 0.8])
 def test_oracle_searches_the_solvers_shape_table(monkeypatch, r):
     # every search's axes are the read-only `ChainShape.axes` that plan(mode="all")
-    # solves; with nothing pruned, one search per shape that keeps a family
+    # solves; one search per shape with a family whose bound is within the winner
     pl._catalog.cache_clear()
     solved = _solved_shapes(r)
-    searches, m = _searches(monkeypatch, r)
-    kept = _kept_shapes(solved, m)
+    searches, m, length = _searches(monkeypatch, r)
+    kept = _kept_shapes(r, m, length)
     # no single arc reaches a random target: its shape is ruled out whole
     assert len(searches) == len(kept) < len(solved)
     for (search, _), shape in zip(searches, kept):
@@ -285,11 +297,12 @@ def test_shape_table_outlives_other_radii(monkeypatch):
     solved = _solved_shapes(0.6)
     for k in range(200):
         pl._catalog(0.61 + 0.001 * k, "all")
-    built, m = _searches(monkeypatch, 0.6)
+    built, m, length = _searches(monkeypatch, 0.6)
     searched = [shape for _, shape in built]
-    kept = _kept_shapes(solved, m)
-    assert len(searched) == len(kept)  # nothing pruned
+    kept = _kept_shapes(0.6, m, length)
+    assert len(searched) == len(kept) and any(shape.templates[0].equal_middles for shape in kept)
     assert all(shape is mine for shape, mine in zip(searched, kept))
+    assert all(any(shape is mine for mine in solved) for shape in searched)
 
 
 @pytest.mark.parametrize("target, message", [
@@ -440,15 +453,18 @@ def test_a_nan_restart_sorts_last_and_is_never_refined(monkeypatch):
     assert repr(orc.forward_oracle(m, geom, seed=0, budget=200)) == repr(clean)
     assert spoiled and refined and all(np.isfinite(params).all() for params in refined)
     assert clean.family in (t.tag for t in spoiled[0].templates)  # the winner's own batch
-    # with every residual failing the gate, every row but the NaN one is
-    # refined; the gate's negative bound rules out every free and
-    # pinned-middle family, so the rows are the equal-middle shapes'
+    # the gate's negative bound rules out every family, so nothing is
+    # polished; with every family searched all the same, every row but the
+    # NaN one is refined, as every residual fails the gate
     monkeypatch.setattr(orc, "TOL_RESIDUAL", -1.0)
     spoiled.clear()
     refined.clear()
     rows.clear()
     assert not orc.forward_oracle(m, geom, seed=0, budget=200).found
-    assert spoiled and spoiled[0].template.equal_middles and len(rows) == 2
+    assert not spoiled and not rows
+    monkeypatch.setattr(orc, "_family_bounds", _no_bound)
+    assert not orc.forward_oracle(m, geom, seed=0, budget=200).found
+    assert spoiled and len(rows) == len(_solved_shapes(0.6))
     assert len(refined) == sum(rows) - 1
     assert all(np.isfinite(params).all() for params in refined)
 
@@ -758,39 +774,40 @@ def _oracle_target(case, r, seed):
     ("seeded", math.sqrt(3.0) / 2.0, 48), ("rlrl", 0.55, 1), ("pure turn", 0.71, 4),
 ])
 def test_pruning_changes_no_result(monkeypatch, case, r, seed):
-    # the reference searches every shape: no least length is above any winner
+    # the reference searches every family of every shape: its bound is 0
     geom, m = _oracle_target(case, r, seed)
     built = _built_searches(monkeypatch)
     pruned = orc.forward_oracle(m, geom, seed=seed, budget=2000)
-    searched = len(built)
+    searched = [shape for _, shape in built]
+    assert searched == _kept_shapes(r, m, pruned.length)
     built.clear()
-    monkeypatch.setattr(orc, "_least_length", lambda *_: 0.0)
+    monkeypatch.setattr(orc, "_family_bounds", _no_bound)
     every = orc.forward_oracle(m, geom, seed=seed, budget=2000)
-    assert len(built) == len(_kept_shapes(_solved_shapes(r), m))
+    assert len(searched) < len(built) == len(_solved_shapes(r))
     assert repr(pruned) == repr(every)
     assert pruned.found
     if case == "rlrl":  # the 4-chain wins, so its shape is searched
         assert pruned.family == "RLRL"
-    if case == "pure turn":  # 2r is below both least lengths: both shapes are pruned
-        assert abs(pruned.length - 2.0 * r) <= 1e-12 and searched == len(built) - 2
+    if case == "pure turn":  # 2r is below every equal-middle bound: neither shape is searched
+        assert abs(pruned.length - 2.0 * r) <= 1e-12
+        assert not any(shape.templates[0].equal_middles for shape in searched)
 
 
 @pytest.mark.parametrize("r", [0.55, 0.8, math.sqrt(3.0) / 2.0])
 def test_least_length_bounds_every_polished_row(monkeypatch, r):
     """Every equal-middle row the polish takes and returns has beta in the
-    margined box and a finish length of at least its shape's least length:
-    the restarts of three oracle calls with every shape searched, the last
-    with every beta drawn on its box's ends (0 or pi, which the clamp moves
-    in), and rows pinned at beta = ANGLE_EPS and pi - ANGLE_EPS, outer arcs
-    at 0 or their cap, which the clamp leaves as they are and
-    canonical_angles does not snap, before and after a polish."""
+    margined box and a finish length of at least that of (0, ANGLE_EPS, 0),
+    its family's least possible bound, above (n - 2) pi r; a row that
+    passes the gate is at least its family's bound (`_family_bounds`).
+    The rows: the restarts of three oracle calls with every family
+    searched, the last with every beta drawn on its box's ends (0 or pi,
+    which the clamp moves in), and rows pinned at beta = ANGLE_EPS and
+    pi - ANGLE_EPS, outer arcs at 0 or their cap, which the clamp leaves as
+    they are and canonical_angles does not snap, before and after a
+    polish."""
     catalog = pl._catalog(r, "all")
     shapes = [shape for shape in catalog.shapes if shape.templates[0].equal_middles]
     assert [len(shape.templates[0].kinds) for shape in shapes] == [4, 5]
-    least = {shape.templates: orc._least_length(shape, catalog.weights) for shape in shapes}
-    for shape in shapes:  # 2 pi r and 3 pi r
-        expected = (len(shape.templates[0].kinds) - 2) * math.pi * r
-        assert abs(least[shape.templates] - expected) <= 1e-15 * expected
     eps, pi = geo.ANGLE_EPS, math.pi
     pinned = np.array([[0.0, eps, 0.0], [pi + eps, eps, pi + eps], [0.0, pi - eps, 0.0],
                        [2.0 * pi - eps, pi - eps, 2.0 * pi - eps], [1.0, pi - eps, 0.0]])
@@ -800,7 +817,7 @@ def test_least_length_bounds_every_polished_row(monkeypatch, r):
     def spy(search, m, params, owner):
         out = polish(search, m, params, owner)
         if search.template.equal_middles:
-            checked.extend([(search, owner, params), (search, owner, out[0])])
+            checked.extend([(m, search, owner, params), (m, search, owner, out[0])])
         return out
 
     sample = orc._FamilySearch.sample
@@ -811,48 +828,61 @@ def test_least_length_bounds_every_polished_row(monkeypatch, r):
             params[:, 1] = np.where(np.arange(n) % 2, pi, 0.0)
         return params
 
+    bounds = orc._family_bounds
     monkeypatch.setattr(orc._FamilySearch, "_polish", spy)
-    monkeypatch.setattr(orc, "_least_length", lambda *_: 0.0)  # search every shape
+    monkeypatch.setattr(orc, "_family_bounds", _no_bound)  # search every family
     geom = geo.TurnGeometry.from_radius(r)
     for seed in range(3):
         if seed == 2:
             monkeypatch.setattr(orc._FamilySearch, "sample", on_the_ends)
         m = orc.random_rotation(np.random.default_rng(seed))
         orc.forward_oracle(m, geom, seed, 2000)
-        for search, _, _ in checked[-4::2]:  # the 4-chain and the 5-chain search
+        for _, search, _, _ in checked[-4::2]:  # the 4-chain and the 5-chain search
             assert search._clamp(pinned, owner).tobytes() == pinned.tobytes()
             arcs = search.template.angles(pinned)
             assert np.array_equal(geo.canonical_angles(arcs)[:, 1:-1], arcs[:, 1:-1])
             search._polish(m, pinned, owner)
     assert len(checked) == 3 * 2 * 2 * 2
-    for search, owner, params in checked:
+    passed = 0
+    for m, search, owner, params in checked:
         lows, highs = search.box
         assert lows[0, 1] == eps and highs[0, 1] == pi - eps
         assert ((params[:, 1] >= eps) & (params[:, 1] <= pi - eps)).all()
         factors = catalog.weights[search.positions[owner], 0]
         lengths = orc._finish_lengths(search.template, params, factors)
-        assert (lengths >= least[search.templates]).all()
+        low = orc._finish_lengths(search.template, np.array([[0.0, eps, 0.0]]), factors)
+        n = len(search.template.kinds)
+        assert (low >= (n - 2) * pi * r).all() and (lengths >= low).all()
+        shape = next(shape for shape in shapes if shape.axes is search.axes)
+        bound = bounds(shape, catalog.weights, m)[owner]
+        for family, row, length, least in zip(owner, params, lengths, bound):
+            if search.refine(m, row, family, geom)[1] <= orc.TOL_RESIDUAL:
+                passed += 1
+                assert length >= least
+    assert passed  # equal-middle rows reach these targets, so the bound is put to the test
 
 
 @pytest.mark.parametrize("r", [0.3, SQRT2_INV, 0.8, math.sqrt(3.0) / 2.0])
 def test_least_length_is_zero_off_the_equal_middle_shapes(r):
-    """Every free and pinned-middle shape has least length 0.0, and the rule
-    rules out no equal-middle family.  The witness: an `LRL` row with its
-    middle at the box top 2 pi, which canonical_angles snaps to 0, reaches
-    L(0.5) within the gate at length 0.5 r, below pi r, the length of its
-    low arcs, so its low arcs bound nothing."""
+    """Every free and pinned-middle family's bound is 0.0, or inf where its
+    chain invariant rules the target out; an equal-middle family's is inf
+    or at least its low arcs' length (n - 2) pi r.  The witness for 0.0: an
+    `LRL` row with its middle at the box top 2 pi, which canonical_angles
+    snaps to 0, reaches L(0.5) within the gate at length 0.5 r, below
+    pi r, the length of its low arcs, so its low arcs bound nothing."""
     catalog = pl._catalog(r, "all")
     geom = geo.TurnGeometry.from_radius(r)
     m = geo.compose_path([geo.L(0.5)], geom)
     for shape in _solved_shapes(r):
-        least = orc._least_length(shape, catalog.weights)
+        bound = orc._family_bounds(shape, catalog.weights, m)
         if shape.templates[0].equal_middles:
-            assert least >= 2.0 * math.pi * r * (1.0 - 1e-15)
-            assert not orc._ruled_out(shape, m).any()
+            low = (len(shape.templates[0].kinds) - 2) * math.pi * r
+            assert (bound >= low).all()
         else:
-            assert least == 0.0, shape.templates[0].tag
+            assert bound.tolist() == np.where(orc._ruled_out(shape, m), math.inf, 0.0).tolist()
     shape = next(s for s in _solved_shapes(r) if s.templates[0].shape == (3, False))
     family = next(i for i, t in enumerate(shape.templates) if t.tag == "LRL")
+    assert orc._family_bounds(shape, catalog.weights, m)[family] == 0.0
     template = shape.templates[family]
     lows, highs = template.box
     row = np.array([[0.3, highs[1], 0.2]])
@@ -876,11 +906,6 @@ REPLAY_PATHS = [
 REPLAY_RADII = [0.3, 0.5, 0.55, SQRT2_INV, 0.71, 0.8, 0.85, math.sqrt(3.0) / 2.0]
 
 
-def _rule_off(shape, m):
-    """`_ruled_out` that rules out no family."""
-    return np.zeros(len(shape.templates), dtype=bool)
-
-
 # (case, r, seed, tags the rule must keep): seeded targets, 1- and 2-arc
 # paths, a great-circle sandwich, a near pure turn and the published RLpiR,
 # whose free three-turn families sit on the edge of their interval
@@ -897,7 +922,7 @@ RULE_CASES = [("seeded", r, 50 + k, ()) for k, r in enumerate(REPLAY_RADII)] + [
 
 @pytest.mark.parametrize("path, r, seed, kept", RULE_CASES)
 def test_ruled_out_families_change_no_result(monkeypatch, path, r, seed, kept):
-    # the reference samples every family: the rule is disabled
+    # the reference samples every family: its bound is 0
     geom = geo.TurnGeometry.from_radius(r)
     if path == "seeded":
         m = orc.random_rotation(np.random.default_rng(seed))
@@ -913,7 +938,7 @@ def test_ruled_out_families_change_no_result(monkeypatch, path, r, seed, kept):
     ruled = orc.forward_oracle(m, geom, seed=seed, budget=2000)
     kept_here = set(sampled)
     sampled.clear()
-    monkeypatch.setattr(orc, "_ruled_out", _rule_off)
+    monkeypatch.setattr(orc, "_family_bounds", _no_bound)
     every = orc.forward_oracle(m, geom, seed=seed, budget=2000)
     assert repr(ruled) == repr(every)
     assert ruled.found
@@ -970,7 +995,7 @@ def test_no_family_is_ruled_out_on_its_own_endpoint(r, data):
 @PROPERTY
 @given(r=radius, seed=st.integers(0, 10**6), path=st.sampled_from([None] + REPLAY_PATHS))
 def test_every_row_of_a_ruled_out_family_fails_the_gate(r, seed, path):
-    # the polish with the rule disabled: no row of a family the rule rules out passes
+    # the polish with every family searched: no row of a family the rule rules out passes
     geom = geo.TurnGeometry.from_radius(r)
     if path is None:
         m = orc.random_rotation(np.random.default_rng(seed))
@@ -987,12 +1012,135 @@ def test_every_row_of_a_ruled_out_family_fails_the_gate(r, seed, path):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orc._FamilySearch, "_polish", spy)
-        patch.setattr(orc, "_ruled_out", _rule_off)
+        patch.setattr(orc, "_family_bounds", _no_bound)
         orc.forward_oracle(m, geom, seed=seed, budget=200)
     ruled = [(search, f, p) for search, f, p in rows if out[id(search.axes)][f]]
     assert ruled  # no single arc reaches a generic target, nor all of L(2)'s families
     for search, family, params in ruled:
         assert search.refine(m, params, family, geom)[1] > orc.TOL_RESIDUAL
+
+
+def _equal_middle_shapes(r):
+    """The 4- and 5-chain shapes of the audit catalog at r."""
+    return [shape for shape in _solved_shapes(r) if shape.templates[0].equal_middles]
+
+
+def _equal_middle_endpoint(template, geom, data, beta):
+    """An in-box row (outer arc, beta, outer arc), each outer arc at 0, at
+    its cap pi + beta or in between, and the endpoint of its path."""
+    cap = math.pi + beta  # `outer_cap`, the interior arc
+    outer = st.one_of(st.sampled_from([0.0, cap]), st.floats(0.0, cap))
+    row = np.array([[data.draw(outer), beta, data.draw(outer)]])
+    angles = template.angles(row)[0]
+    return row, geo.compose_path([geo.Segment(k, a) for k, a in zip(template.kinds, angles)], geom)
+
+
+@PROPERTY
+@given(r=radius, data=st.data())
+def test_no_equal_middle_family_is_ruled_out_on_its_own_endpoint(r, data):
+    # every 4- and 5-chain family, on a path with beta in the margined box,
+    # its ends included: its bound is at most the path's own finish length
+    geom = geo.TurnGeometry.from_radius(r)
+    weights = pl._catalog(r, "all").weights
+    eps = geo.ANGLE_EPS
+    for shape in _equal_middle_shapes(r):
+        for family, template in enumerate(shape.templates):
+            beta = data.draw(st.one_of(st.sampled_from([eps, math.pi - eps]),
+                                       st.floats(eps, math.pi - eps)))
+            row, m = _equal_middle_endpoint(template, geom, data, beta)
+            length = orc._finish_lengths(template, row, weights[[shape.positions[family]], 0])
+            bound = orc._family_bounds(shape, weights, m)[family]
+            assert bound <= length[0], (template.tag, row.tolist())
+
+
+@PROPERTY
+@given(r=radius, data=st.data())
+def test_the_slack_covers_the_rounding_at_a_cell_centre(r, data):
+    # with beta on a cell centre no Lipschitz term is needed: the path's own
+    # family is kept with TOL_RESIDUAL set to cancel (n - 2) h/2, so that
+    # the gate is BETA_SLACK alone
+    geom = geo.TurnGeometry.from_radius(r)
+    weights = pl._catalog(r, "all").weights
+    for shape in _equal_middle_shapes(r):
+        lipschitz = (len(shape.templates[0].kinds) - 2) * orc._BETA_HALF
+        for family, template in enumerate(shape.templates):
+            beta = orc._BETA_CENTRES[data.draw(st.integers(0, orc.BETA_CELLS - 1))]
+            row, m = _equal_middle_endpoint(template, geom, data, beta)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(orc, "TOL_RESIDUAL", -lipschitz)
+                bound = orc._family_bounds(shape, weights, m)[family]
+            assert bound < math.inf, (template.tag, row.tolist())
+
+
+@PROPERTY
+@given(r=radius, seed=st.integers(0, 10**6),
+       path=st.sampled_from([None, "LRLR", "RLRL", "LRLRL", "RLRLR"] + REPLAY_PATHS))
+def test_every_row_of_a_pruned_family_fails_the_gate_or_sorts_after_the_winner(r, seed, path):
+    # the polish with every family searched: a row of a family that the
+    # bounds leave unsampled never sorts before the winner by (length,
+    # catalog position) with a residual that passes the gate
+    geom = geo.TurnGeometry.from_radius(r)
+    catalog = pl._catalog(r, "all")
+    if path is None:
+        m = orc.random_rotation(np.random.default_rng(seed))
+    elif isinstance(path, str):
+        template = next(f for f in catalog.families if f.tag == path)
+        m = geo.compose_path(random_in_bounds_path(template, np.random.default_rng(seed)), geom)
+    else:
+        m = geo.compose_path(path, geom)
+    sample, polish, sampled, rows = orc._FamilySearch.sample, orc._FamilySearch._polish, set(), []
+
+    def spy_sample(search, rng, n, family):
+        sampled.add(search.templates[family])
+        return sample(search, rng, n, family)
+
+    def spy_polish(search, m, params, owner):
+        polished = polish(search, m, params, owner)
+        rows.extend((search, f, p) for f, p in zip(owner.tolist(), polished[0]))
+        return polished
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orc._FamilySearch, "sample", spy_sample)
+        winner = orc.forward_oracle(m, geom, seed=seed, budget=200)
+        kept = set(sampled)
+        patch.setattr(orc._FamilySearch, "_polish", spy_polish)
+        patch.setattr(orc, "_family_bounds", _no_bound)
+        orc.forward_oracle(m, geom, seed=seed, budget=200)
+    best = (math.inf, math.inf)
+    if winner.found:
+        best = (winner.length, [f.tag for f in catalog.families].index(winner.family))
+    pruned = [(search, f, p) for search, f, p in rows if search.templates[f] not in kept]
+    assert pruned  # no single arc reaches a generic target, nor all of L(2)'s families
+    for search, family, params in pruned:
+        if search.refine(m, params, family, geom)[1] <= orc.TOL_RESIDUAL:
+            position = search.positions[family]
+            length = orc._finish_lengths(search.template, params[None], catalog.weights[[position], 0])
+            assert (length[0], position) > best, search.templates[family].tag
+
+
+@pytest.mark.parametrize("r", REPLAY_RADII)
+def test_descent_has_the_bits_of_the_reference(r):
+    # seeded batches of every free and pinned-middle shape (lo == hi on a
+    # pinned pi), on seeded and structured targets: the sweep gives the bits
+    # of the reference (`descent_reference`), on rows stopped by each rule
+    geom, searches, _ = _audit_searches(r)
+    rng = np.random.default_rng(round(r * 1000))
+    targets = [orc.random_rotation(rng) for _ in range(2)]
+    targets += [geo.compose_path(path, geom) for path in REPLAY_PATHS]
+    stops, pinned = Counter(), False
+    for m in targets:
+        for search in searches:
+            if search.template.equal_middles:
+                continue
+            pinned |= search.template.pinned
+            families = len(search.templates)
+            params = np.concatenate([search.sample(rng, 6, f) for f in range(families)])
+            owner = np.repeat(np.arange(families), 6)
+            got = search.descend(m, params, owner)
+            expected = descent_reference.descend(search, m, params, owner, stops)
+            assert got.tobytes() == expected.tobytes(), search.template.tag
+    assert set(stops) == {"gain", "residual", "sweeps"}
+    assert pinned == (r >= 0.71)
 
 
 # SHA-256 of the 64 reprs, recorded before the oracle ruled out families
@@ -1075,3 +1223,40 @@ def test_sample_draws_the_bits_of_rng_uniform():
                     assert got.tobytes() == _uniform_rows(search, reference, n, family).tobytes()
                     assert rng.random() == reference.random()
     assert kinds == {(False, False), (True, False), (False, True)}
+
+
+# the published RLRL and in-box LRLR, RLRL and LRLRL paths at three radii:
+# REPLAY_PATHS holds no 4- or 5-chain path, and equal-middle families win here
+EQUAL_MIDDLE_RADII = [0.55, 0.8, math.sqrt(3.0) / 2.0]
+EQUAL_MIDDLE_PARAMS = [(0.35, 0.4, 0.35), (0.2, 0.1, 0.5)]
+
+# SHA-256 of the 38 reprs, recorded before the oracle bounded each
+# equal-middle family's least length through its chain invariant
+EQUAL_MIDDLE_SHA256 = "ea417d7fcf7ad4007795a4e4d985a91a7d6b9f05b8575c05f7a16dea9d3663f4"
+
+
+def _equal_middle_targets():
+    """(r, target): the published RLRL, then per radius each of LRLR, RLRL
+    and LRLRL at every EQUAL_MIDDLE_PARAMS row (outer arc, beta, outer arc)."""
+    published = [geo.R(0.35), geo.L(3.5458), geo.R(3.5458), geo.L(0.35)]
+    targets = [(0.55, geo.compose_path(published, geo.TurnGeometry(0.55)))]
+    for r in EQUAL_MIDDLE_RADII:
+        for tag in ("LRLR", "RLRL", "LRLRL"):
+            template = next(f for f in pl.family_catalog(r, mode="all") if f.tag == tag)
+            for params in EQUAL_MIDDLE_PARAMS:
+                angles = template.angles(np.array([params]))[0]
+                segments = [geo.Segment(k, a) for k, a in zip(template.kinds, angles)]
+                targets.append((r, geo.compose_path(segments, geo.TurnGeometry(r))))
+    return targets
+
+
+def test_equal_middle_winners_are_bit_pinned():
+    # every bit of 38 results at budgets 2 000 and 100 000
+    digest, winners = hashlib.sha256(), set()
+    for budget in (2000, 100_000):
+        for k, (r, m) in enumerate(_equal_middle_targets()):
+            found = orc.forward_oracle(m, geo.TurnGeometry.from_radius(r), seed=k, budget=budget)
+            digest.update(repr(found).encode())
+            winners.add(found.family)
+    assert {"LRLR", "RLRL"} <= winners
+    assert digest.hexdigest() == EQUAL_MIDDLE_SHA256
